@@ -10,8 +10,6 @@ from .crossbar import (
     MappedLayer,
     NoiseSpec,
     QuantizedMatrix,
-    layer_from_json,
-    layer_to_json,
     map_weights,
     mvm,
     program,
@@ -21,10 +19,7 @@ from .design_space import (
     DEFAULT_SPACE,
     DesignSpace,
     ReramDesign,
-    decode,
-    encode,
     fidelity_grid,
-    sample_designs,
     space_cardinality,
 )
 from .gp import CfGpModel, GpConfig, GpParams, SampledFunction, fit, posterior, sample_function
@@ -33,10 +28,10 @@ from .mesmo import (
     CampaignResult,
     MesmoConfig,
     ParetoFrontSample,
-    acquisition,
     entropy_term,
     run_cf_mesmo,
     run_mesmo,
+    run_nsga2,
     run_random,
     sample_pareto_fronts,
     select_next,
@@ -46,7 +41,7 @@ from .noise import (
     RtnParams,
     prog_sigma,
     rtn_sample,
-    sample_read_noise,
+    sample_read,
     sample_write_noise,
     shot_sigma,
     thermal_sigma,

@@ -12,6 +12,7 @@ formatting.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -21,15 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from .crossbar import NoiseSpec
 from .design_space import ReramDesign
-from .mesmo import Budget, CampaignResult, TraceRow, run_cf_mesmo, run_mesmo, run_random
-from .noise import NoiseContext, prog_sigma, rtn_amplitude, shot_sigma, thermal_sigma
+from .mesmo import CampaignResult, run_cf_mesmo, run_mesmo, run_nsga2, run_random
+from .noise import NoiseContext, rtn_sample, sample_write_noise, shot_sigma, thermal_sigma
 from .objectives import MooProblem
-from .pareto import FrontSet, dominated_hypervolume, hypervolume, nsga2
+from .pareto import dominated_hypervolume
 from .resna import epochs_for_fidelity, infer, make_dataset, train
-
-_TAG_NSGA_EVAL = 23
 
 
 def _fmt(value) -> str:
@@ -153,98 +151,12 @@ def _fidelity_csv(
     return lines
 
 
-def run_nsga2_baseline(
-    problem: MooProblem, budget: Budget, seed: int, n2cfg, n_obj_cost: float | None = None
-) -> CampaignResult:
-    """Outer NSGA-II baseline: generations sized to the evaluation budget.
-
-    Every individual is evaluated at z*; each evaluation costs
-    problem.cost(x, z*). The trace is reconstructed from the evaluation
-    order so hypervolume-vs-cost curves are comparable with the other
-    optimizers.
-    """
-    z_star = problem.z_star()
-    cost_star = problem.cost(np.zeros(problem.dim), z_star) if n_obj_cost is None else n_obj_cost
-    max_evals = int(budget.total_cost // cost_star)
-    trace: list[TraceRow] = []
-    xs, ys = [], []
-    cum = 0.0
-
-    def _record(x: np.ndarray) -> np.ndarray:
-        nonlocal cum
-        rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_NSGA_EVAL, len(trace)]))
-        y = np.asarray(problem.evaluate(x, z_star, rng), dtype=float)
-        cum += cost_star
-        xs.append(np.asarray(x, dtype=float))
-        ys.append(y)
-        trace.append(
-            TraceRow(
-                iteration=len(trace),
-                phase="opt",
-                x=np.asarray(x, dtype=float),
-                z=z_star.copy(),
-                y=y,
-                cost=cost_star,
-                cum_cost=cum,
-                hypervolume=dominated_hypervolume(np.asarray(ys), problem.hv_ref),
-                ok=True,
-            )
-        )
-        return y
-
-    def evaluator(batch: np.ndarray) -> np.ndarray:
-        return np.stack([_record(row) for row in np.atleast_2d(batch)])
-
-    pop = min(n2cfg.pop, max_evals)
-    if pop >= 2:
-        gens = max(0, max_evals // pop - 1)
-        bounds = np.tile([0.0, 1.0], (problem.dim, 1))
-        nsga2(
-            evaluator,
-            bounds,
-            pop=pop,
-            gens=gens,
-            seed=seed,
-            crossover_prob=n2cfg.crossover_prob,
-            crossover_eta=n2cfg.crossover_eta,
-            mutation_eta=n2cfg.mutation_eta,
-            mutation_prob=n2cfg.mutation_prob,
-        )
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_NSGA_EVAL]))
-        for _ in range(max_evals):
-            _record(rng.random(problem.dim))
-
-    if ys:
-        front = FrontSet.from_points(np.asarray(xs), np.asarray(ys))
-        px, py = front.x, front.y
-    else:
-        px = np.empty((0, problem.dim))
-        py = np.empty((0, problem.n_obj))
-    return CampaignResult(
-        problem_name=problem.name,
-        optimizer="nsga2",
-        seed=seed,
-        pareto_x=px,
-        pareto_y=py,
-        trace=trace,
-        total_cost=cum,
-        truncated=max_evals == 0,
-        converged=False,
-    )
-
-
 def run_one_seed(cfg: cfgmod.CampaignConfig, seed: int) -> CampaignResult:
     problem = cfgmod.build_problem(cfg)
-    budget = cfgmod.build_budget(cfg)
-    mcfg = cfgmod.build_mesmo_config(cfg)
-    if cfg.optimizer == "cf-mesmo":
-        return run_cf_mesmo(problem, budget, seed, mcfg)
-    if cfg.optimizer == "mesmo":
-        return run_mesmo(problem, budget, seed, mcfg)
-    if cfg.optimizer == "random":
-        return run_random(problem, budget, seed, mcfg)
-    return run_nsga2_baseline(problem, budget, seed, cfgmod.build_nsga2_config(cfg))
+    if cfg.optimizer == "nsga2":
+        return run_nsga2(problem, cfg.budget, seed, cfg.nsga2)
+    runner = {"cf-mesmo": run_cf_mesmo, "mesmo": run_mesmo, "random": run_random}[cfg.optimizer]
+    return runner(problem, cfg.budget, seed, cfgmod.build_mesmo_config(cfg))
 
 
 def _seed_worker(cfg_text: str, seed: int) -> CampaignResult:
@@ -252,7 +164,11 @@ def _seed_worker(cfg_text: str, seed: int) -> CampaignResult:
 
 
 def run_campaign(cfg: cfgmod.CampaignConfig, out_dir: Path) -> int:
-    """Execute all seeds and write the artifact set; 0 iff all completed."""
+    """Execute all seeds and write the artifact set; 0 iff all completed.
+
+    A seed that raises is named on stderr; the artifacts of the seeds that
+    completed are still written.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     hash_ = cfgmod.config_hash(cfg)
     problem = cfgmod.build_problem(cfg)
@@ -261,18 +177,24 @@ def run_campaign(cfg: cfgmod.CampaignConfig, out_dir: Path) -> int:
     _write_lines(out_dir / "effective_config.yaml", [f"# config_hash={hash_}", cfgmod.dump_config(cfg).rstrip()])
 
     results: list[CampaignResult] = []
-    cfg_text = cfgmod.dump_config(cfg)
-    try:
-        if cfg.workers > 1 and len(cfg.seeds) > 1:
-            with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-                futures = [pool.submit(_seed_worker, cfg_text, s) for s in cfg.seeds]
-                results = [f.result() for f in futures]
-        else:
-            for s in cfg.seeds:
-                results.append(run_one_seed(cfg, s))
-    except Exception as exc:  # noqa: BLE001 - campaign must report, not crash
-        print(f"campaign failed: {exc}", file=sys.stderr)
-        return 1
+    failed: list[int] = []
+
+    def collect(seed: int, get_result) -> None:
+        try:
+            results.append(get_result())
+        except Exception as exc:  # noqa: BLE001 - one seed must not sink the others
+            print(f"seed {seed} failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+            failed.append(seed)
+
+    if cfg.workers > 1 and len(cfg.seeds) > 1:
+        cfg_text = cfgmod.dump_config(cfg)
+        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+            futures = [pool.submit(_seed_worker, cfg_text, s) for s in cfg.seeds]
+            for s, future in zip(cfg.seeds, futures):
+                collect(s, future.result)
+    else:
+        for s in cfg.seeds:
+            collect(s, lambda: run_one_seed(cfg, s))
 
     for result in results:
         _write_lines(out_dir / f"trace_seed{result.seed}.csv", _trace_csv(result, problem, space, hash_))
@@ -280,8 +202,12 @@ def run_campaign(cfg: cfgmod.CampaignConfig, out_dir: Path) -> int:
         (out_dir / f"campaign_seed{result.seed}.json").write_text(
             _campaign_json(result, cfg, hash_) + "\n", encoding="utf-8", newline="\n"
         )
-    _write_lines(out_dir / "hv_vs_cost.csv", _aggregate_csv(results, cfg.budget.total_cost, hash_))
-    _write_lines(out_dir / "fidelity_trace.csv", _fidelity_csv(results, problem, hash_))
+    if results:
+        _write_lines(out_dir / "hv_vs_cost.csv", _aggregate_csv(results, cfg.budget.total_cost, hash_))
+        _write_lines(out_dir / "fidelity_trace.csv", _fidelity_csv(results, problem, hash_))
+    if failed:
+        print(f"campaign failed for seeds {failed}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -315,24 +241,17 @@ def _cmd_run(args) -> int:
     if args.optimizer:
         overrides["optimizer"] = args.optimizer
     if args.budget is not None:
-        overrides["budget"] = cfgmod.BudgetSection(
-            total_cost=args.budget,
-            max_iterations=cfg.budget.max_iterations,
-            converge_eps=cfg.budget.converge_eps,
-            converge_window=cfg.budget.converge_window,
-        )
+        try:
+            overrides["budget"] = dataclasses.replace(cfg.budget, total_cost=args.budget)
+        except ValueError as exc:
+            raise cfgmod.ConfigError(f"--budget: {exc}") from exc
     if args.seed is not None:
         overrides["seeds"] = (args.seed,)
-    if overrides:
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, **overrides)
-    out = args.out or os.environ.get("RERAMOPT_OUT") or cfg.out_dir
     workers_env = os.environ.get("RERAMOPT_WORKERS")
     if workers_env:
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, workers=int(workers_env))
+        overrides["workers"] = int(workers_env)
+    cfg = dataclasses.replace(cfg, **overrides)
+    out = args.out or os.environ.get("RERAMOPT_OUT") or cfg.out_dir
     cfgmod._validate(cfg)
     return run_campaign(cfg, Path(out))
 
@@ -431,10 +350,8 @@ def _cmd_noise_hist(args) -> int:
         draws = {
             "thermal": rng.standard_normal(args.samples) * thermal_sigma(ctx),
             "shot": rng.standard_normal(args.samples) * shot_sigma(ctx),
-            "rtn": np.where(
-                rng.random(args.samples) < spec.rtn_params.p_occupancy, rtn_amplitude(ctx), 0.0
-            ),
-            "prog": rng.standard_normal(args.samples) * prog_sigma(ctx),
+            "rtn": rtn_sample(ctx, rng),
+            "prog": sample_write_noise(ctx, rng),
         }
         draws["total"] = sum(draws.values())
         for source, dg in draws.items():
@@ -452,19 +369,17 @@ def _cmd_noise_hist(args) -> int:
 
 
 def _cmd_hv(args) -> int:
-    rows = []
     with open(args.front, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            try:
-                rows.append([float(v) for v in parts])
-            except ValueError:
-                continue  # header row
+        lines = [ln.strip() for ln in fh]
+    header, *rows = [ln.split(",") for ln in lines if ln and not ln.startswith("#")]
+    cols = [i for i, name in enumerate(header) if name[:1] == "y" and name[1:].isdigit()]
+    if not cols:
+        raise ValueError(f"{args.front}: the header names no y1..yk objective columns")
+    front = np.array([[float(row[i]) for i in cols] for row in rows]).reshape(-1, len(cols))
     ref = np.array([float(v) for v in args.ref.split(",")])
-    print(_fmt(hypervolume(np.array(rows), ref)))
+    if len(ref) != len(cols):
+        raise ValueError(f"--ref has {len(ref)} values for {len(cols)} objectives")
+    print(_fmt(dominated_hypervolume(front, ref)))
     return 0
 
 
@@ -485,7 +400,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--config")
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--out")
-    p_run.add_argument("--optimizer", choices=("cf-mesmo", "mesmo", "random", "nsga2"))
+    p_run.add_argument("--optimizer", choices=cfgmod.OPTIMIZERS)
     p_run.add_argument("--budget", type=float)
     p_run.set_defaults(func=_cmd_run)
 

@@ -1,6 +1,7 @@
 """Campaign configuration: YAML schema, defaults, and object builders.
 
-The effective configuration is a tree of frozen dataclasses. Parsing is
+The effective configuration is a tree of frozen dataclasses; the gp,
+nsga2 and budget sections are the runtime classes themselves. Parsing is
 strict: unknown keys are rejected with their dotted path, YAML syntax
 errors carry the line number, and an empty document yields the defaults.
 ``emit_defaults()`` round-trips through ``parse_config()`` to an equal
@@ -35,14 +36,6 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class ProblemSection:
     name: str = "branin-currin-cf"  # or "zdt1", "reram"
-
-
-@dataclass(frozen=True)
-class BudgetSection:
-    total_cost: float = 60.0
-    max_iterations: int = 100
-    converge_eps: float = 1e-3
-    converge_window: int = 10
 
 
 @dataclass(frozen=True)
@@ -111,15 +104,6 @@ class HwSection:
 
 
 @dataclass(frozen=True)
-class GpSection:
-    lengthscale_bounds: tuple[float, float] = (0.05, 2.0)
-    signal_var_bounds: tuple[float, float] = (0.05, 20.0)
-    noise_var_bounds: tuple[float, float] = (1e-6, 1e-1)
-    n_restarts: int = 5
-    max_opt_iter: int = 60
-
-
-@dataclass(frozen=True)
 class MesmoSection:
     n_front_samples: int = 10
     pool_size: int = 2000
@@ -132,35 +116,25 @@ class MesmoSection:
 
 
 @dataclass(frozen=True)
-class Nsga2Section:
-    pop: int = 100
-    gens: int = 100
-    crossover_prob: float = 0.9
-    crossover_eta: float = 15.0
-    mutation_eta: float = 20.0
-    mutation_prob: float | None = None
-
-
-@dataclass(frozen=True)
 class CampaignConfig:
     problem: ProblemSection = field(default_factory=ProblemSection)
     optimizer: str = "cf-mesmo"  # cf-mesmo | mesmo | random | nsga2
     seeds: tuple[int, ...] = (0,)
     out_dir: str = "campaign_out"
     workers: int = 1
-    budget: BudgetSection = field(default_factory=BudgetSection)
+    budget: Budget = field(default_factory=Budget)
     device: DeviceSection = field(default_factory=DeviceSection)
     space: SpaceSection = field(default_factory=SpaceSection)
     noise: NoiseSection = field(default_factory=NoiseSection)
     resna: ResnaSection = field(default_factory=ResnaSection)
     hw: HwSection = field(default_factory=HwSection)
-    gp: GpSection = field(default_factory=GpSection)
+    gp: GpConfig = field(default_factory=GpConfig)
     mesmo: MesmoSection = field(default_factory=MesmoSection)
-    nsga2: Nsga2Section = field(default_factory=Nsga2Section)
+    nsga2: Nsga2Config = field(default_factory=Nsga2Config)
 
 
-_VALID_OPTIMIZERS = ("cf-mesmo", "mesmo", "random", "nsga2")
-_VALID_PROBLEMS = ("reram", "branin-currin-cf", "zdt1")
+OPTIMIZERS = ("cf-mesmo", "mesmo", "random", "nsga2")
+PROBLEMS = ("reram", "branin-currin-cf", "zdt1")
 
 
 def parse_config(text: str) -> CampaignConfig:
@@ -186,12 +160,10 @@ def load_config(path: str) -> CampaignConfig:
 
 
 def _validate(cfg: CampaignConfig) -> None:
-    if cfg.optimizer not in _VALID_OPTIMIZERS:
-        raise ConfigError(f"optimizer must be one of {_VALID_OPTIMIZERS}, got {cfg.optimizer!r}")
-    if cfg.problem.name not in _VALID_PROBLEMS:
-        raise ConfigError(f"problem.name must be one of {_VALID_PROBLEMS}, got {cfg.problem.name!r}")
-    if cfg.budget.total_cost <= 0:
-        raise ConfigError("budget.total_cost must be positive")
+    if cfg.optimizer not in OPTIMIZERS:
+        raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {cfg.optimizer!r}")
+    if cfg.problem.name not in PROBLEMS:
+        raise ConfigError(f"problem.name must be one of {PROBLEMS}, got {cfg.problem.name!r}")
     if not cfg.seeds:
         raise ConfigError("seeds must not be empty")
     if cfg.workers < 1:
@@ -209,7 +181,10 @@ def _from_mapping(cls, data: dict, path: str):
     for name, value in data.items():
         sub_path = f"{path}.{name}" if path else name
         kwargs[name] = _coerce(hints[name], value, sub_path)
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # a runtime class rejected the section's values
+        raise ConfigError(f"'{path}': {exc}") from exc
 
 
 def _coerce(hint, value, path: str):
@@ -277,130 +252,37 @@ def config_hash(cfg: CampaignConfig) -> str:
 # Builders from config sections to runtime objects.
 
 
+def _project(cls, section, **extra):
+    """``cls`` built from the fields of ``section`` it shares by name, plus ``extra``."""
+    shared = {f.name for f in dataclasses.fields(cls)} & {f.name for f in dataclasses.fields(section)}
+    return cls(**{name: getattr(section, name) for name in shared - extra.keys()}, **extra)
+
+
 def build_space(cfg: CampaignConfig) -> DesignSpace:
-    dev = cfg.device
-    return DesignSpace(
-        res_cell_levels=cfg.space.res_cell_levels,
-        xbar_sizes=cfg.space.xbar_sizes,
-        freq_bounds_hz=cfg.space.freq_bounds_hz,
-        temperature_bounds_k=cfg.space.temperature_bounds_k,
-        constants={
-            "bit_quan": dev.bit_quan,
-            "r_on": dev.r_on,
-            "r_off": dev.r_off,
-            "res_dac": dev.res_dac,
-            "res_adc": dev.res_adc,
-            "v_r": dev.v_r,
-            "sigma_prog": dev.sigma_prog,
-        },
-    )
+    return _project(DesignSpace, cfg.space, constants=dataclasses.asdict(cfg.device))
 
 
 def build_noise(cfg: CampaignConfig) -> NoiseSpec:
     n = cfg.noise
-    return NoiseSpec(
-        thermal=n.thermal,
-        shot=n.shot,
-        rtn=n.rtn,
-        prog=n.prog,
-        rtn_params=RtnParams(n.rtn_amp_a, n.rtn_amp_b, n.rtn_p_occupancy),
-    )
+    return _project(NoiseSpec, n, rtn_params=RtnParams(n.rtn_amp_a, n.rtn_amp_b, n.rtn_p_occupancy))
 
 
 def build_mlp(cfg: CampaignConfig) -> MlpSpec:
-    r = cfg.resna
-    return MlpSpec(
-        widths=r.widths,
-        vote_copies=r.vote_copies,
-        hidden_copies=r.hidden_copies,
-        classifier_freq_hz=r.classifier_freq_hz,
-        classifier_temperature_k=r.classifier_temperature_k,
-        lr=r.lr,
-        momentum=r.momentum,
-        batch_size=r.batch_size,
-        noise_resample=r.noise_resample,
-    )
+    return _project(MlpSpec, cfg.resna)
 
 
 def build_dataset_spec(cfg: CampaignConfig) -> DatasetSpec:
-    r = cfg.resna
-    return DatasetSpec(
-        n_features=r.widths[0],
-        n_classes=r.n_classes,
-        n_train=r.n_train,
-        n_test=r.n_test,
-        center_spread=r.center_spread,
-        csv_path=r.csv_path,
-    )
+    return _project(DatasetSpec, cfg.resna, n_features=cfg.resna.widths[0])
 
 
 def build_hw_params(cfg: CampaignConfig) -> HwCostParams:
-    h = cfg.hw
-    return HwCostParams(
-        area_per_cell_mm2=h.area_per_cell_mm2,
-        area_per_dac_mm2=h.area_per_dac_mm2,
-        area_per_adc_mm2=h.area_per_adc_mm2,
-        energy_per_dac_j=h.energy_per_dac_j,
-        energy_per_adc_j=h.energy_per_adc_j,
-        dac_cycles=h.dac_cycles,
-        columns_per_adc=h.columns_per_adc,
-    )
-
-
-def build_gp_config(cfg: CampaignConfig) -> GpConfig:
-    g = cfg.gp
-    return GpConfig(
-        lengthscale_bounds=g.lengthscale_bounds,
-        signal_var_bounds=g.signal_var_bounds,
-        noise_var_bounds=g.noise_var_bounds,
-        n_restarts=g.n_restarts,
-        max_opt_iter=g.max_opt_iter,
-    )
-
-
-def build_nsga2_config(cfg: CampaignConfig) -> Nsga2Config:
-    n = cfg.nsga2
-    return Nsga2Config(
-        pop=n.pop,
-        gens=n.gens,
-        crossover_prob=n.crossover_prob,
-        crossover_eta=n.crossover_eta,
-        mutation_eta=n.mutation_eta,
-        mutation_prob=n.mutation_prob,
-    )
+    return _project(HwCostParams, cfg.hw)
 
 
 def build_mesmo_config(cfg: CampaignConfig) -> MesmoConfig:
     m = cfg.mesmo
-    outer = build_nsga2_config(cfg)
-    inner = Nsga2Config(
-        pop=m.inner_pop,
-        gens=m.inner_gens,
-        crossover_prob=outer.crossover_prob,
-        crossover_eta=outer.crossover_eta,
-        mutation_eta=outer.mutation_eta,
-        mutation_prob=outer.mutation_prob,
-    )
-    return MesmoConfig(
-        n_front_samples=m.n_front_samples,
-        pool_size=m.pool_size,
-        fidelity_levels=m.fidelity_levels,
-        n_init=m.n_init,
-        rff_features=m.rff_features,
-        gp_refit_every=m.gp_refit_every,
-        gp=build_gp_config(cfg),
-        inner_nsga2=inner,
-    )
-
-
-def build_budget(cfg: CampaignConfig) -> Budget:
-    b = cfg.budget
-    return Budget(
-        total_cost=b.total_cost,
-        max_iterations=b.max_iterations,
-        converge_eps=b.converge_eps,
-        converge_window=b.converge_window,
-    )
+    inner = dataclasses.replace(cfg.nsga2, pop=m.inner_pop, gens=m.inner_gens)
+    return _project(MesmoConfig, m, gp=cfg.gp, inner_nsga2=inner)
 
 
 def build_problem(cfg: CampaignConfig) -> MooProblem:

@@ -17,8 +17,7 @@ reproduces them bit-for-bit):
   (positive and negative parts) subtracted digitally.
 * ADCs digitize each tile column current to res_adc bits over the fixed
   full scale [0, v_r * g_max * rows_in_tile]; res_adc=None is an ideal
-  converter. Quantization happens before the shift-add by default; the
-  ideal_recombine flag moves the single ADC after analog recombination.
+  converter. Each slice is quantized before the digital shift-add.
 * Programming noise is sampled at program() time, independently per cell
   and per duplicate copy, and persists until reprogramming. Read noise is
   resampled per cell per mvm call. Stored and effective conductances are
@@ -30,14 +29,13 @@ independent generators. program() replaces the noisy arrays wholesale.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .design_space import ReramDesign
-from .noise import NoiseContext, RtnParams, prog_sigma, rtn_amplitude, shot_sigma, thermal_sigma
+from .noise import NoiseContext, RtnParams, sample_read, sample_write_noise
 
 
 @dataclass(frozen=True)
@@ -128,7 +126,6 @@ class MappedLayer:
     dup: int
     slice_weights: np.ndarray  # digital shift-add weights, most significant first
     tiles: tuple[_Tile, ...]
-    ideal_recombine: bool = False
 
     @property
     def n_slices(self) -> int:
@@ -153,7 +150,6 @@ def map_weights(
     design: ReramDesign,
     dup: int = 1,
     noise: NoiseSpec | None = None,
-    ideal_recombine: bool = False,
 ) -> MappedLayer:
     """Deploy quantized weights onto bit-sliced differential tiles.
 
@@ -200,7 +196,6 @@ def map_weights(
         dup=dup,
         slice_weights=slice_weights,
         tiles=tuple(tiles),
-        ideal_recombine=ideal_recombine,
     )
 
 
@@ -217,8 +212,7 @@ def program(layer: MappedLayer, rng: np.random.Generator | None = None) -> Mappe
     def _program_side(cm: ConductanceMatrix) -> ConductanceMatrix:
         target = np.broadcast_to(cm.target, (layer.dup,) + cm.target.shape)
         if layer.noise.prog and d.sigma_prog > 0.0:
-            sigma = d.sigma_prog * target
-            noisy = target + rng.standard_normal(target.shape) * sigma
+            noisy = target + sample_write_noise(_noise_context(target, layer), rng)
         else:
             noisy = target.copy()
         return ConductanceMatrix(cm.target, np.clip(noisy, 0.0, d.g_max))
@@ -229,32 +223,30 @@ def program(layer: MappedLayer, rng: np.random.Generator | None = None) -> Mappe
     return replace(layer, tiles=tiles)
 
 
-def _read_perturbed(
-    g: np.ndarray, layer: MappedLayer, rng: np.random.Generator | None
-) -> np.ndarray:
-    """Effective conductances for one read pass (fresh thermal/shot/RTN)."""
-    spec = layer.noise
+def _noise_context(g: np.ndarray, layer: MappedLayer) -> NoiseContext:
     d = layer.design
-    if rng is None or not (spec.thermal or spec.shot or spec.rtn):
-        return g
-    ctx = NoiseContext(
+    return NoiseContext(
         g=g,
         v=d.v_r,
         freq_hz=d.freq_hz,
         temperature_k=d.temperature_k,
         sigma_prog=d.sigma_prog,
         g_min=d.g_min,
-        rtn=spec.rtn_params,
+        rtn=layer.noise.rtn_params,
     )
-    out = g
-    if spec.thermal:
-        out = out + rng.standard_normal(g.shape) * thermal_sigma(ctx)
-    if spec.shot:
-        out = out + rng.standard_normal(g.shape) * shot_sigma(ctx)
-    if spec.rtn:
-        occupied = rng.random(g.shape) < spec.rtn_params.p_occupancy
-        out = out + np.where(occupied, rtn_amplitude(ctx), 0.0)
-    return np.clip(out, 0.0, d.g_max)
+
+
+def _read_perturbed(
+    g: np.ndarray, layer: MappedLayer, rng: np.random.Generator | None
+) -> np.ndarray:
+    """Effective conductances for one read pass (fresh thermal/shot/RTN)."""
+    spec = layer.noise
+    if rng is None or not (spec.thermal or spec.shot or spec.rtn):
+        return g
+    out = sample_read(
+        _noise_context(g, layer), rng, thermal=spec.thermal, shot=spec.shot, rtn=spec.rtn
+    )
+    return np.clip(out, 0.0, layer.design.g_max)
 
 
 def _adc(currents: np.ndarray, full_scale: float, res_adc: int | None) -> np.ndarray:
@@ -325,17 +317,9 @@ def mvm(
             # currents: (B, r) x (dup, S, r, c) -> (B, dup, S, c)
             i_pos = np.tensordot(vt, g_pos, axes=([1], [2]))
             i_neg = np.tensordot(vt, g_neg, axes=([1], [2]))
-            if layer.ideal_recombine:
-                diff = np.tensordot(i_pos - i_neg, layer.slice_weights, axes=([2], [0]))
-                fs_total = fs * float(layer.slice_weights.sum())
-                if d.res_adc is not None:
-                    levels = (1 << d.res_adc) - 1
-                    q = np.clip(np.rint(diff / fs_total * levels), -levels, levels)
-                    diff = q * (fs_total / levels)
-            else:
-                i_pos = _adc(i_pos, fs, d.res_adc)
-                i_neg = _adc(i_neg, fs, d.res_adc)
-                diff = np.tensordot(i_pos - i_neg, layer.slice_weights, axes=([2], [0]))
+            i_pos = _adc(i_pos, fs, d.res_adc)
+            i_neg = _adc(i_neg, fs, d.res_adc)
+            diff = np.tensordot(i_pos - i_neg, layer.slice_weights, axes=([2], [0]))
             acc[:, :, t.col0 : t.col1] += sign * np.swapaxes(diff, 0, 1)
 
     out = np.rint(acc / (g_step * v_step)).astype(np.int64)
@@ -347,98 +331,3 @@ def mvm(
     picked = out[np.arange(n_b) % layer.dup, np.arange(n_b), :]
     return picked[0] if squeeze else picked
 
-
-def layer_to_json(layer: MappedLayer) -> str:
-    """Portable snapshot of a layer (targets plus programmed conductances)."""
-    d = layer.design
-    payload = {
-        "design": {
-            "res_cell": d.res_cell,
-            "freq_hz": d.freq_hz,
-            "temperature_k": d.temperature_k,
-            "xbar_size": d.xbar_size,
-            "bit_quan": d.bit_quan,
-            "r_on": d.r_on,
-            "r_off": d.r_off,
-            "res_dac": d.res_dac,
-            "res_adc": d.res_adc,
-            "v_r": d.v_r,
-            "sigma_prog": d.sigma_prog,
-        },
-        "noise": {
-            "thermal": layer.noise.thermal,
-            "shot": layer.noise.shot,
-            "rtn": layer.noise.rtn,
-            "prog": layer.noise.prog,
-            "rtn_params": {
-                "amp_coeff_a": layer.noise.rtn_params.amp_coeff_a,
-                "amp_coeff_b": layer.noise.rtn_params.amp_coeff_b,
-                "p_occupancy": layer.noise.rtn_params.p_occupancy,
-            },
-        },
-        "rows": layer.rows,
-        "cols": layer.cols,
-        "scale": layer.scale,
-        "bits": layer.bits,
-        "dup": layer.dup,
-        "ideal_recombine": layer.ideal_recombine,
-        "tiles": [
-            {
-                "bounds": [t.row0, t.row1, t.col0, t.col1],
-                "pos_target": t.pos.target.tolist(),
-                "neg_target": t.neg.target.tolist(),
-                "pos_noisy": None if t.pos.noisy is None else t.pos.noisy.tolist(),
-                "neg_noisy": None if t.neg.noisy is None else t.neg.noisy.tolist(),
-            }
-            for t in layer.tiles
-        ],
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def layer_from_json(text: str) -> MappedLayer:
-    payload = json.loads(text)
-    design = ReramDesign(**payload["design"])
-    np_ = payload["noise"]
-    noise = NoiseSpec(
-        thermal=np_["thermal"],
-        shot=np_["shot"],
-        rtn=np_["rtn"],
-        prog=np_["prog"],
-        rtn_params=RtnParams(**np_["rtn_params"]),
-    )
-    tiles = []
-    for t in payload["tiles"]:
-        r0, r1, c0, c1 = t["bounds"]
-        tiles.append(
-            _Tile(
-                r0,
-                r1,
-                c0,
-                c1,
-                ConductanceMatrix(
-                    np.asarray(t["pos_target"]),
-                    None if t["pos_noisy"] is None else np.asarray(t["pos_noisy"]),
-                ),
-                ConductanceMatrix(
-                    np.asarray(t["neg_target"]),
-                    None if t["neg_noisy"] is None else np.asarray(t["neg_noisy"]),
-                ),
-            )
-        )
-    n_slices = design.slices_per_weight
-    slice_weights = np.array(
-        [1 << (design.res_cell * (n_slices - 1 - s)) for s in range(n_slices)], dtype=float
-    )
-    return MappedLayer(
-        design=design,
-        noise=noise,
-        rows=payload["rows"],
-        cols=payload["cols"],
-        scale=payload["scale"],
-        bits=payload["bits"],
-        dup=payload["dup"],
-        slice_weights=slice_weights,
-        tiles=tuple(tiles),
-        ideal_recombine=payload["ideal_recombine"],
-    )

@@ -154,20 +154,6 @@ def _unit_to_ordinal(value: float, levels: int) -> int:
     return int(min(levels - 1, math.floor(value * (levels - 1) + 0.5)))
 
 
-def encode(design: ReramDesign, space: DesignSpace = DEFAULT_SPACE) -> np.ndarray:
-    return space.encode(design)
-
-
-def decode(coords: np.ndarray, space: DesignSpace = DEFAULT_SPACE) -> ReramDesign:
-    return space.decode(coords)
-
-
-def sample_designs(
-    n: int, rng: np.random.Generator, space: DesignSpace = DEFAULT_SPACE
-) -> list[ReramDesign]:
-    return space.sample_designs(n, rng)
-
-
 def space_cardinality(resolutions=PAPER_RESOLUTIONS) -> int:
     """Number of distinct designs given per-variable level counts."""
     total = 1

@@ -9,7 +9,7 @@ then picks the (design, fidelity) pair maximizing
 with g = (f_s^{j*} - mu_j(x, z_j)) / sigma_j(x, z_j): the expected entropy
 reduction of the front's per-objective maxima per unit normalized cost.
 The same loop with the fidelity pinned to z* is the single-fidelity
-baseline, and a random-search baseline shares the bookkeeping.
+baseline; the random-search and NSGA-II baselines share the bookkeeping.
 
 The outer loop is sequential by nature; within an iteration every random
 draw comes from an indexed substream of the campaign seed, so reruns are
@@ -19,19 +19,21 @@ exactly reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.special import log_ndtr
 
+from .design_space import fidelity_grid
 from .gp import CfGpModel, GpConfig, GpParams, fit, posterior, sample_function
 from .objectives import MooProblem
 from .pareto import FrontSet, Nsga2Config, dominated_hypervolume, nsga2
+from .resna import TrainingDivergedError
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # Substream tags for indexed, order-independent seeding.
-_TAG_INIT, _TAG_EVAL, _TAG_FRONT, _TAG_POOL = 11, 13, 17, 19
+_TAG_INIT, _TAG_EVAL, _TAG_FRONT, _TAG_POOL, _TAG_NSGA_EVAL = 11, 13, 17, 19, 23
 
 
 def entropy_term(gamma):
@@ -57,11 +59,10 @@ class ParetoFrontSample:
 
     values: np.ndarray  # (l, k), mutually non-dominated
     maxima: np.ndarray  # (k,)
-    designs: np.ndarray | None = None  # inputs achieving the sampled front
 
     @classmethod
     def from_front(cls, front: FrontSet) -> "ParetoFrontSample":
-        return cls(values=front.y, maxima=front.y.max(axis=0), designs=front.x)
+        return cls(values=front.y, maxima=front.y.max(axis=0))
 
 
 @dataclass(frozen=True)
@@ -80,14 +81,16 @@ class MesmoConfig:
 
 @dataclass(frozen=True)
 class Budget:
-    total_cost: float
+    total_cost: float = 60.0
     max_iterations: int = 100
     converge_eps: float = 1e-3
     converge_window: int = 10
 
     def __post_init__(self):
-        if self.total_cost <= 0 or self.max_iterations < 1:
-            raise ValueError("budget and iteration cap must be positive")
+        if self.total_cost <= 0:
+            raise ValueError("total_cost must be positive")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
 
 
 @dataclass
@@ -150,33 +153,6 @@ def sample_pareto_fronts(
 _SIGMA_FLOOR = 1e-9
 
 
-def acquisition(
-    models: list[CfGpModel],
-    x: np.ndarray,
-    z: np.ndarray,
-    fronts: list[ParetoFrontSample],
-    cost,
-) -> np.ndarray:
-    """Information gain about the optimal front per unit cost, batched.
-
-    ``x`` is (m, d) or (d,), ``z`` is (m, k) or (k,), ``cost`` a scalar or
-    (m,) vector of normalized evaluation costs C(x, z) > 0.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    z = np.asarray(z, dtype=float)
-    if z.ndim == 1:
-        z = np.tile(z, (len(x), 1))
-    total = np.zeros(len(x))
-    for j, model in enumerate(models):
-        mu, sigma = posterior(model, x, z[:, j])
-        sigma = np.maximum(sigma, _SIGMA_FLOOR)
-        maxima = np.array([f.maxima[j] for f in fronts])
-        gamma = (maxima[None, :] - mu[:, None]) / sigma[:, None]
-        total += entropy_term(gamma).sum(axis=1)
-    alpha = total / (np.asarray(cost, dtype=float) * len(fronts))
-    return alpha
-
-
 def fidelity_vectors(problem: MooProblem, levels: np.ndarray) -> np.ndarray:
     """Grid of fidelity vectors: one shared level for the fidelity-bearing
     objectives, non-bearing objectives pinned at z*=1."""
@@ -192,16 +168,13 @@ def select_next(
     fidelity_levels: int = 10,
     seed=0,
     single_fidelity: bool = False,
-    extra_candidates: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Arg-max of the acquisition over a candidate pool x fidelity grid.
 
-    The pool is ``default_rng(seed).random((pool, dim))`` plus any
-    ``extra_candidates`` (the campaign passes the sampled-front designs
-    and the evaluation history, giving the argmax a sharp discretization
-    near the believed Pareto set). The grid holds ``fidelity_levels``
-    evenly spaced shared fidelity values (the bearing objectives move
-    together, everything else stays pinned at z*). Posteriors are
+    The pool is ``default_rng(seed).random((pool, dim))``. The grid is
+    ``fidelity_grid(fidelity_levels)``, or z* alone with
+    ``single_fidelity``: shared fidelity values for the bearing objectives,
+    everything else pinned at z*. Posteriors are
     evaluated once per (candidate, level, objective) and recombined,
     which is equivalent to scoring every (x, z) pair. Exact ties go to
     the cheaper pair, then to the lower (candidate, level) index.
@@ -210,10 +183,7 @@ def select_next(
         raise ValueError("pool must hold at least one candidate")
     rng = np.random.default_rng(seed)
     candidates = rng.random((pool, problem.dim))
-    if extra_candidates is not None and len(extra_candidates):
-        candidates = np.vstack([candidates, np.atleast_2d(extra_candidates)])
-        pool = len(candidates)
-    levels = np.array([1.0]) if single_fidelity else np.linspace(0.0, 1.0, fidelity_levels)
+    levels = fidelity_grid(1 if single_fidelity else fidelity_levels)
     z_grid = fidelity_vectors(problem, levels)  # (L, k)
     grid_costs = np.array([problem.cost(candidates[0], zv) for zv in z_grid])
 
@@ -275,74 +245,142 @@ def run_random(
     return _run_campaign(problem, budget, seed, cfg, optimizer="random")
 
 
+def run_nsga2(
+    problem: MooProblem, budget: Budget, seed: int, cfg: Nsga2Config = Nsga2Config()
+) -> CampaignResult:
+    """Outer NSGA-II baseline: generations sized to the evaluation budget.
+
+    Every individual is evaluated at z* and recorded in evaluation order,
+    so hypervolume-vs-cost curves are comparable with the other
+    optimizers. A diverged evaluation enters selection at the reference
+    point.
+    """
+    z_star = problem.z_star()
+    max_evals = int(budget.total_cost // problem.cost(np.zeros(problem.dim), z_star))
+    ledger = _Ledger(problem, seed)
+
+    def evaluate(x: np.ndarray) -> np.ndarray:
+        y = ledger.evaluate(x, z_star, _TAG_NSGA_EVAL, len(ledger.trace), "opt")
+        return problem.hv_ref if y is None else y
+
+    pop = min(cfg.pop, max_evals)
+    if pop >= 2:
+        nsga2(
+            lambda batch: np.stack([evaluate(row) for row in np.atleast_2d(batch)]),
+            np.tile([0.0, 1.0], (problem.dim, 1)),
+            seed=seed,
+            config=replace(cfg, pop=pop, gens=max(0, max_evals // pop - 1)),
+        )
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_NSGA_EVAL]))
+        for _ in range(max_evals):
+            evaluate(rng.random(problem.dim))
+    return ledger.result("nsga2", truncated=max_evals == 0, converged=False)
+
+
+class _Ledger:
+    """One campaign's evaluations in order: the trace, the GP history and
+    the highest-fidelity points behind the reported hypervolume and front."""
+
+    def __init__(self, problem: MooProblem, seed: int):
+        self.problem = problem
+        self.seed = seed
+        self.bearing = [j for j, b in enumerate(problem.fidelity_mask) if b]
+        self.trace: list[TraceRow] = []
+        self.hist_x, self.hist_z, self.hist_y = [], [], []
+        self.star_x, self.star_y = [], []
+        self.cum = 0.0
+
+    def at_top(self, z) -> bool:
+        """True when every fidelity-bearing objective is at its highest fidelity."""
+        return all(z[j] >= 1.0 for j in self.bearing)
+
+    def evaluate(self, x, z, tag: int, index: int, phase: str) -> np.ndarray | None:
+        """Evaluate (x, z) on substream (seed, tag, index) and record the row.
+
+        Diverged training is recorded as a failed row and returns None;
+        any other exception from the problem propagates.
+        """
+        rng = np.random.default_rng(np.random.SeedSequence([self.seed, tag, index]))
+        cost = self.problem.cost(x, z)
+        try:
+            y = np.asarray(self.problem.evaluate(x, z, rng), dtype=float)
+        except TrainingDivergedError:
+            y = None
+        x = np.asarray(x, dtype=float)
+        z = np.asarray(z, dtype=float)
+        self.cum += cost
+        if y is not None:
+            self.hist_x.append(x)
+            self.hist_z.append(z)
+            self.hist_y.append(y)
+            if self.at_top(z):
+                self.star_x.append(x)
+                self.star_y.append(y)
+        hv = 0.0
+        if self.star_y:
+            hv = dominated_hypervolume(np.asarray(self.star_y), self.problem.hv_ref)
+        self.trace.append(
+            TraceRow(len(self.trace), phase, x, z, y, cost, self.cum, hv, ok=y is not None)
+        )
+        return y
+
+    def result(
+        self, optimizer: str, truncated: bool, converged: bool, model_params=None
+    ) -> CampaignResult:
+        if self.star_y:
+            front = FrontSet.from_points(np.asarray(self.star_x), np.asarray(self.star_y))
+            pareto_x, pareto_y = front.x, front.y
+        else:
+            pareto_x = np.empty((0, self.problem.dim))
+            pareto_y = np.empty((0, self.problem.n_obj))
+        return CampaignResult(
+            problem_name=self.problem.name,
+            optimizer=optimizer,
+            seed=self.seed,
+            pareto_x=pareto_x,
+            pareto_y=pareto_y,
+            trace=self.trace,
+            total_cost=self.cum,
+            truncated=truncated,
+            converged=converged,
+            model_params=model_params,
+        )
+
+
 def _run_campaign(
     problem: MooProblem, budget: Budget, seed: int, cfg: MesmoConfig, optimizer: str
 ) -> CampaignResult:
-    k = problem.n_obj
+    if optimizer not in ("cf-mesmo", "mesmo", "random"):
+        raise ValueError(f"unknown optimizer {optimizer!r}")
     z_star = problem.z_star()
-    trace: list[TraceRow] = []
-    hist_x, hist_z, hist_y = [], [], []
-    star_y, star_x = [], []  # highest-fidelity evaluations feeding the front
-    cum = 0.0
-
-    def _hv() -> float:
-        if not star_y:
-            return 0.0
-        return dominated_hypervolume(np.asarray(star_y), problem.hv_ref)
-
-    def _evaluate(x, z, tag, index, phase) -> bool:
-        nonlocal cum
-        rng = np.random.default_rng(np.random.SeedSequence([seed, tag, index]))
-        cost = problem.cost(x, z)
-        try:
-            y = np.asarray(problem.evaluate(x, z, rng), dtype=float)
-            ok = True
-        except Exception:
-            y, ok = None, False
-        cum += cost
-        if ok:
-            hist_x.append(np.asarray(x, dtype=float))
-            hist_z.append(np.asarray(z, dtype=float))
-            hist_y.append(y)
-            bearing = [j for j, b in enumerate(problem.fidelity_mask) if b]
-            if all(z[j] >= 1.0 for j in bearing):
-                star_x.append(np.asarray(x, dtype=float))
-                star_y.append(y)
-        trace.append(
-            TraceRow(
-                iteration=len(trace),
-                phase=phase,
-                x=np.asarray(x, dtype=float),
-                z=np.asarray(z, dtype=float),
-                y=y,
-                cost=cost,
-                cum_cost=cum,
-                hypervolume=_hv(),
-                ok=ok,
-            )
-        )
-        return ok
-
+    ledger = _Ledger(problem, seed)
     init_rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_INIT]))
     for i in range(cfg.n_init):
-        _evaluate(init_rng.random(problem.dim), z_star.copy(), _TAG_INIT, i, "init")
+        ledger.evaluate(init_rng.random(problem.dim), z_star, _TAG_INIT, i, "init")
 
-    truncated = cum > budget.total_cost
+    truncated = ledger.cum > budget.total_cost
     converged = False
-    warm = None
-    model_params = None
+    warm = None  # latest GP hyperparameters, reported with the result
     hv_series: list[float] = []
-
-    bearing = [j for j, b in enumerate(problem.fidelity_mask) if b]
-    if not truncated and optimizer in ("cf-mesmo", "mesmo"):
-        t = 0
-        while cum <= budget.total_cost and t < budget.max_iterations and not converged:
-            if len(hist_y) < 2:
-                break
+    sel_rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_POOL]))
+    t = 0
+    while (
+        not truncated
+        and ledger.cum <= budget.total_cost
+        and t < budget.max_iterations
+        and not converged
+    ):
+        if optimizer == "random":
+            x, z = sel_rng.random(problem.dim), z_star
+        elif len(ledger.hist_y) < 2:
+            break
+        else:
             optimize_hypers = warm is None or (t % max(cfg.gp_refit_every, 1) == 0)
-            models = _fit_models(hist_x, hist_z, hist_y, cfg, warm, optimize_hypers)
+            models = _fit_models(
+                ledger.hist_x, ledger.hist_z, ledger.hist_y, cfg, warm, optimize_hypers
+            )
             warm = [m.params for m in models]
-            model_params = warm
             fronts = sample_pareto_fronts(
                 models,
                 cfg.n_front_samples,
@@ -360,44 +398,15 @@ def _run_campaign(
                 seed=np.random.SeedSequence([seed, _TAG_POOL, t]),
                 single_fidelity=(optimizer == "mesmo"),
             )
-            _evaluate(x, z, _TAG_EVAL, t, "opt")
-            # The front only moves on highest-fidelity evaluations, so the
-            # convergence window advances on those alone; cheap evaluations
-            # must not be mistaken for stagnation.
-            if all(z[j] >= 1.0 for j in bearing):
-                hv_series.append(trace[-1].hypervolume)
-                converged = _has_converged(hv_series, budget)
-            t += 1
-    elif not truncated and optimizer == "random":
-        sel_rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_POOL]))
-        t = 0
-        while cum <= budget.total_cost and t < budget.max_iterations and not converged:
-            _evaluate(sel_rng.random(problem.dim), z_star.copy(), _TAG_EVAL, t, "opt")
-            hv_series.append(trace[-1].hypervolume)
+        ledger.evaluate(x, z, _TAG_EVAL, t, "opt")
+        # The front only moves on highest-fidelity evaluations, so the
+        # convergence window advances on those alone; cheap evaluations
+        # must not be mistaken for stagnation.
+        if ledger.at_top(z):
+            hv_series.append(ledger.trace[-1].hypervolume)
             converged = _has_converged(hv_series, budget)
-            t += 1
-    elif not truncated:
-        raise ValueError(f"unknown optimizer {optimizer!r}")
-
-    if star_y:
-        front = FrontSet.from_points(np.asarray(star_x), np.asarray(star_y))
-        pareto_x, pareto_y = front.x, front.y
-    else:
-        pareto_x = np.empty((0, problem.dim))
-        pareto_y = np.empty((0, k))
-
-    return CampaignResult(
-        problem_name=problem.name,
-        optimizer=optimizer,
-        seed=seed,
-        pareto_x=pareto_x,
-        pareto_y=pareto_y,
-        trace=trace,
-        total_cost=cum,
-        truncated=truncated,
-        converged=converged,
-        model_params=model_params,
-    )
+        t += 1
+    return ledger.result(optimizer, truncated, converged, model_params=warm)
 
 
 def _has_converged(hv_series: list[float], budget: Budget) -> bool:

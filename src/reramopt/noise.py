@@ -111,7 +111,7 @@ def rtn_sample(ctx: NoiseContext, rng: np.random.Generator):
     return out if out.ndim else float(out)
 
 
-def sample_read_noise(
+def sample_read(
     ctx: NoiseContext,
     rng: np.random.Generator,
     *,
@@ -119,19 +119,21 @@ def sample_read_noise(
     shot: bool = True,
     rtn: bool = True,
 ):
-    """One per-read conductance perturbation: thermal + shot + RTN.
+    """Conductances seen by one read: g plus fresh thermal, shot and RTN noise.
 
-    The three sources are drawn independently; disabled sources contribute 0.
+    The sources are drawn independently, in that order, and each is added
+    onto the running sum in turn; reproducible reads depend on that order
+    of the draws and of the additions. Disabled sources draw nothing.
     """
     g = np.asarray(ctx.g, dtype=float)
-    total = np.zeros(g.shape)
+    out = g
     if thermal:
-        total = total + rng.standard_normal(g.shape) * thermal_sigma(ctx)
+        out = out + rng.standard_normal(g.shape) * thermal_sigma(ctx)
     if shot:
-        total = total + rng.standard_normal(g.shape) * shot_sigma(ctx)
+        out = out + rng.standard_normal(g.shape) * shot_sigma(ctx)
     if rtn:
-        total = total + rtn_sample(ctx, rng)
-    return total if total.ndim else float(total)
+        out = out + rtn_sample(ctx, rng)
+    return out if out.ndim else float(out)
 
 
 def sample_write_noise(ctx: NoiseContext, rng: np.random.Generator, *, prog: bool = True):

@@ -25,7 +25,14 @@ import numpy as np
 
 from .crossbar import NoiseSpec
 from .design_space import DEFAULT_SPACE, DesignSpace, ReramDesign
-from .resna import Dataset, DatasetSpec, MlpSpec, accuracy_objective, make_dataset
+from .resna import (
+    Dataset,
+    DatasetSpec,
+    MlpSpec,
+    accuracy_objective,
+    epochs_for_fidelity,
+    make_dataset,
+)
 
 
 @dataclass(frozen=True)
@@ -214,11 +221,9 @@ def reram_problem(
         return np.concatenate([[acc], _hw_vector(design)])
 
     def cost_ratio(j: int, z) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
         if j == 0:
-            epochs = np.rint(min_epochs + z * (max_epochs - min_epochs))
-            return epochs / max_epochs
-        return np.ones_like(z)
+            return epochs_for_fidelity(float(z), min_epochs, max_epochs) / max_epochs
+        return np.ones_like(np.asarray(z, dtype=float))
 
     # Reference point: strictly dominated by any reachable evaluation
     # (accuracy >= 0; hardware metrics bounded by the worst corner).
@@ -233,14 +238,7 @@ def reram_problem(
                     xbar_size=xb,
                     **space.constants,
                 )
-                worst = np.maximum(
-                    worst,
-                    [
-                        hw_area(d, network, hw_params),
-                        hw_latency(d, network, hw_params),
-                        hw_energy(d, network, hw_params),
-                    ],
-                )
+                worst = np.maximum(worst, -_hw_vector(d))
     hv_ref = np.concatenate([[-1e-3], -1.05 * worst])
 
     return MooProblem(
@@ -354,13 +352,3 @@ def _zdt1_cf(n_var: int = 6) -> MooProblem:
         true_front=true_front,
     )
 
-
-def batch_true_objectives(problem: MooProblem):
-    """Vectorized z* evaluator for the synthetic problems (used by NSGA-II)."""
-    z_star = problem.z_star()
-
-    def evaluator(x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(x)
-        return np.stack([problem.evaluate(row, z_star, None) for row in x])
-
-    return evaluator

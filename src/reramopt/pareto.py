@@ -151,18 +151,7 @@ def _polynomial_mutation(x, lo, hi, eta, prob, rng):
     return np.clip(np.where(mutate, x + delta * (hi - lo), x), lo, hi)
 
 
-def nsga2(
-    evaluator,
-    bounds,
-    pop: int = 100,
-    gens: int = 100,
-    seed: int = 0,
-    crossover_prob: float = 0.9,
-    crossover_eta: float = 15.0,
-    mutation_eta: float = 20.0,
-    mutation_prob: float | None = None,
-    config: Nsga2Config | None = None,
-) -> FrontSet:
+def nsga2(evaluator, bounds, seed: int = 0, config: Nsga2Config = Nsga2Config()) -> FrontSet:
     """Canonical real-coded NSGA-II; returns the final rank-0 set.
 
     ``evaluator`` maps a batch of rows (n, d) to objective values (n, k),
@@ -170,31 +159,29 @@ def nsga2(
     (rank, crowding distance); ties in the crowding sort are broken by
     index, so a fixed seed reproduces the run exactly.
     """
-    if config is not None:
-        pop, gens = config.pop, config.gens
-        crossover_prob, crossover_eta = config.crossover_prob, config.crossover_eta
-        mutation_eta, mutation_prob = config.mutation_eta, config.mutation_prob
+    pop = config.pop
     bounds = np.asarray(bounds, dtype=float)
     lo, hi = bounds[:, 0], bounds[:, 1]
     d = len(lo)
-    if mutation_prob is None:
-        mutation_prob = 1.0 / d
+    mutation_prob = 1.0 / d if config.mutation_prob is None else config.mutation_prob
     rng = np.random.default_rng(seed)
 
     x = lo + rng.random((pop, d)) * (hi - lo)
     y = np.asarray(evaluator(x), dtype=float)
     ranks, crowd = _rank_and_crowding(y)
 
-    for _ in range(gens):
+    for _ in range(config.gens):
         if pop >= 2:
             cand = rng.integers(0, pop, size=(2, pop))
             better = _tournament(cand[0], cand[1], ranks, crowd)
             parents = x[better]
             mates = parents[rng.permutation(pop)]
-            children = _sbx_offspring(parents, mates, lo, hi, crossover_eta, crossover_prob, rng)
+            children = _sbx_offspring(
+                parents, mates, lo, hi, config.crossover_eta, config.crossover_prob, rng
+            )
         else:
             children = x.copy()
-        children = _polynomial_mutation(children, lo, hi, mutation_eta, mutation_prob, rng)
+        children = _polynomial_mutation(children, lo, hi, config.mutation_eta, mutation_prob, rng)
         y_children = np.asarray(evaluator(children), dtype=float)
 
         x_all = np.vstack([x, children])

@@ -1,0 +1,68 @@
+import re
+
+import pytest
+
+from reramopt import cli
+from reramopt.config import (
+    CampaignConfig,
+    ConfigError,
+    build_mesmo_config,
+    config_hash,
+    emit_defaults,
+    parse_config,
+)
+from reramopt.pareto import Nsga2Config
+
+# config_hash of the default config; artifacts embed it, so it must not drift.
+DEFAULT_HASH = "a1a1b06b5661c66f"
+
+
+def test_emit_defaults_round_trips():
+    cfg = parse_config(emit_defaults())
+    assert cfg == CampaignConfig() == parse_config("")
+
+
+def test_default_hash_is_pinned():
+    assert config_hash(CampaignConfig()) == DEFAULT_HASH
+    assert config_hash(parse_config(emit_defaults())) == DEFAULT_HASH
+
+
+@pytest.mark.parametrize(
+    "text,path",
+    [
+        ("bogus: 1", "'bogus'"),
+        ("gp: {bogus: 1}", "'gp.bogus'"),
+        ("budget: {max_iterations: 1.5}", "'budget.max_iterations'"),
+        ("nsga2: {mutation_prob: high}", "'nsga2.mutation_prob'"),
+        ("space: {xbar_sizes: [32, big]}", "'space.xbar_sizes[1]'"),
+        ("resna: {voting: 1}", "'resna.voting'"),
+        ("nsga2: [1, 2]", "'nsga2' must be a mapping"),
+    ],
+)
+def test_errors_carry_the_dotted_path(text, path):
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        parse_config(text)
+
+
+@pytest.mark.parametrize("text", ["budget: {max_iterations: 0}", "budget: {total_cost: 0}"])
+def test_runtime_class_rejections_become_config_errors(text):
+    with pytest.raises(ConfigError, match="'budget'"):
+        parse_config(text)
+
+
+def test_inner_nsga2_keeps_the_operator_constants():
+    cfg = parse_config("nsga2: {crossover_eta: 7.0}\nmesmo: {inner_pop: 5}")
+    assert build_mesmo_config(cfg).inner_nsga2 == Nsga2Config(pop=5, gens=40, crossover_eta=7.0)
+
+
+@pytest.mark.parametrize(
+    "text,extra",
+    [("budget: {max_iterations: 0}\n", []), ("", ["--budget", "-1"]), ("", ["--budget", "0"])],
+)
+def test_run_rejects_a_bad_budget_before_writing(tmp_path, capsys, text, extra):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)] + extra) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()

@@ -6,8 +6,6 @@ import pytest
 from reramopt.crossbar import (
     NoiseSpec,
     QuantizedMatrix,
-    layer_from_json,
-    layer_to_json,
     map_weights,
     mvm,
     program,
@@ -308,20 +306,3 @@ class TestModes:
         with pytest.raises(ValueError):
             mvm(layer, np.array([[1, 0]]), read_noise=False, mode="bogus")
 
-
-class TestSerialization:
-    def test_json_round_trip_preserves_outputs(self):
-        rng = np.random.default_rng(13)
-        d = design(res_cell=2)
-        layer = program(map_weights(quantize(rng.standard_normal((9, 6)), 8), d, dup=2), rng)
-        restored = layer_from_json(layer_to_json(layer))
-        x = rng.integers(0, 128, size=(3, 9))
-        a = mvm(layer, x, np.random.default_rng(77))
-        b = mvm(restored, x, np.random.default_rng(77))
-        np.testing.assert_array_equal(a, b)
-
-    def test_unprogrammed_round_trip(self):
-        layer = map_weights(quantize(np.eye(3), 8), design())
-        restored = layer_from_json(layer_to_json(layer))
-        assert not restored.programmed
-        assert restored.design == layer.design

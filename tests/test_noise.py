@@ -9,13 +9,18 @@ from reramopt.noise import (
     prog_sigma,
     rtn_amplitude,
     rtn_sample,
-    sample_read_noise,
+    sample_read,
     sample_write_noise,
     shot_sigma,
     thermal_sigma,
 )
 
 G_LOW = 1.0 / 3.03e6  # lowest programmable conductance
+
+
+def sample_read_noise(c, rng, **sources):
+    """The read perturbation alone: one production read minus the conductance."""
+    return sample_read(c, rng, **sources) - c.g
 
 
 def ctx(g=3.3003e-7, v=1.65, freq=5e8, temp=350.0, **kw):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from reramopt.pareto import (
     FrontSet,
+    Nsga2Config,
     dominated_hypervolume,
     dominates,
     hypervolume,
@@ -90,7 +91,7 @@ class TestNsga2:
         def ev(x):
             return np.hstack([x, 1.0 - x])
 
-        front = nsga2(ev, [[0.0, 1.0]], pop=100, gens=100, seed=0)
+        front = nsga2(ev, [[0.0, 1.0]], seed=0, config=Nsga2Config(pop=100, gens=100))
         xs = np.sort(front.x.ravel())
         assert xs[0] < 0.02 and xs[-1] > 0.98
         assert np.max(np.diff(xs)) < 0.05
@@ -99,22 +100,22 @@ class TestNsga2:
         def ev(x):
             return np.hstack([x, -x])
 
-        front = nsga2(ev, [[0.0, 1.0]], pop=1, gens=10, seed=3)
+        front = nsga2(ev, [[0.0, 1.0]], seed=3, config=Nsga2Config(pop=1, gens=10))
         assert len(front) >= 1
 
     def test_deterministic(self):
         def ev(x):
             return np.hstack([np.sin(3 * x[:, :1]), np.cos(2 * x[:, 1:2])])
 
-        a = nsga2(ev, [[0, 1], [0, 1]], pop=24, gens=15, seed=11)
-        b = nsga2(ev, [[0, 1], [0, 1]], pop=24, gens=15, seed=11)
+        a = nsga2(ev, [[0, 1], [0, 1]], seed=11, config=Nsga2Config(pop=24, gens=15))
+        b = nsga2(ev, [[0, 1], [0, 1]], seed=11, config=Nsga2Config(pop=24, gens=15))
         np.testing.assert_array_equal(a.y, b.y)
 
     def test_returns_mutually_non_dominated(self):
         def ev(x):
             return np.hstack([x[:, :1] ** 2, (1 - x[:, :1]) ** 2])
 
-        front = nsga2(ev, [[0, 1]], pop=30, gens=20, seed=2)
+        front = nsga2(ev, [[0, 1]], seed=2, config=Nsga2Config(pop=30, gens=20))
         assert brute_force_rank0(front.y) == set(range(len(front)))
 
 
