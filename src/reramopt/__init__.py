@@ -8,7 +8,6 @@ trainer to an information-theoretic multi-objective optimizer that selects
 from .config import CampaignConfig, ConfigError, emit_defaults, load_config, parse_config
 from .crossbar import (
     MappedLayer,
-    NoiseSpec,
     QuantizedMatrix,
     map_weights,
     mvm,
@@ -37,8 +36,7 @@ from .mesmo import (
     select_next,
 )
 from .noise import (
-    NoiseContext,
-    RtnParams,
+    NoiseSpec,
     prog_sigma,
     rtn_sample,
     sample_read,

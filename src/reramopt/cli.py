@@ -24,7 +24,7 @@ import numpy as np
 from . import config as cfgmod
 from .design_space import ReramDesign
 from .mesmo import CampaignResult, run_cf_mesmo, run_mesmo, run_nsga2, run_random
-from .noise import NoiseContext, rtn_sample, sample_write_noise, shot_sigma, thermal_sigma
+from .noise import prog_sigma, rtn_sample, shot_sigma, thermal_sigma
 from .objectives import MooProblem
 from .pareto import dominated_hypervolume
 from .resna import epochs_for_fidelity, infer, make_dataset, train
@@ -293,7 +293,7 @@ def _cmd_train_one(args) -> int:
     design = _design_from_args(cfg, args)
     dataset = make_dataset(cfgmod.build_dataset_spec(cfg), cfg.resna.data_seed)
     mlp = cfgmod.build_mlp(cfg)
-    noise = cfgmod.build_noise(cfg)
+    noise = cfg.noise
     epochs = epochs_for_fidelity(args.z, cfg.resna.min_epochs, cfg.resna.max_epochs)
     rng = np.random.default_rng(args.seed)
     t0 = time.process_time()
@@ -326,7 +326,6 @@ def _cmd_train_one(args) -> int:
 def _cmd_noise_hist(args) -> int:
     cfg = _load_cfg(args)
     design = _design_from_args(cfg, args)
-    spec = cfgmod.build_noise(cfg)
     rng = np.random.default_rng(args.seed)
     n_levels = 1 << design.res_cell
     levels = np.arange(n_levels)
@@ -338,20 +337,12 @@ def _cmd_noise_hist(args) -> int:
         "level,g,source,bin_lo,bin_hi,count",
     ]
     for level, g in enumerate(g_levels):
-        ctx = NoiseContext(
-            g=np.full(args.samples, g),
-            v=design.v_r,
-            freq_hz=design.freq_hz,
-            temperature_k=design.temperature_k,
-            sigma_prog=design.sigma_prog,
-            g_min=design.g_min,
-            rtn=spec.rtn_params,
-        )
+        cells = np.full(args.samples, g)
         draws = {
-            "thermal": rng.standard_normal(args.samples) * thermal_sigma(ctx),
-            "shot": rng.standard_normal(args.samples) * shot_sigma(ctx),
-            "rtn": rtn_sample(ctx, rng),
-            "prog": sample_write_noise(ctx, rng),
+            "thermal": rng.standard_normal(args.samples) * thermal_sigma(cells, design),
+            "shot": rng.standard_normal(args.samples) * shot_sigma(cells, design),
+            "rtn": rtn_sample(cells, design, cfg.noise, rng),
+            "prog": rng.standard_normal(args.samples) * prog_sigma(cells, design),
         }
         draws["total"] = sum(draws.values())
         for source, dg in draws.items():

@@ -1,7 +1,7 @@
 """Campaign configuration: YAML schema, defaults, and object builders.
 
 The effective configuration is a tree of frozen dataclasses; the gp,
-nsga2 and budget sections are the runtime classes themselves. Parsing is
+nsga2, budget and noise sections are the runtime classes themselves. Parsing is
 strict: unknown keys are rejected with their dotted path, YAML syntax
 errors carry the line number, and an empty document yields the defaults.
 ``emit_defaults()`` round-trips through ``parse_config()`` to an equal
@@ -19,11 +19,10 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .crossbar import NoiseSpec
 from .design_space import DesignSpace
 from .gp import GpConfig
 from .mesmo import Budget, MesmoConfig
-from .noise import RtnParams
+from .noise import NoiseSpec
 from .objectives import HwCostParams, MooProblem, reram_problem, synthetic_cf_problem
 from .pareto import Nsga2Config
 from .resna import DatasetSpec, MlpSpec
@@ -55,17 +54,6 @@ class SpaceSection:
     xbar_sizes: tuple[int, ...] = (32, 64, 128)
     freq_bounds_hz: tuple[float, float] = (1.0e7, 1.0e9)
     temperature_bounds_k: tuple[float, float] = (300.0, 400.0)
-
-
-@dataclass(frozen=True)
-class NoiseSection:
-    thermal: bool = True
-    shot: bool = True
-    rtn: bool = True
-    prog: bool = True
-    rtn_amp_a: float = 4e-4
-    rtn_amp_b: float = 2e-3
-    rtn_p_occupancy: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -125,7 +113,7 @@ class CampaignConfig:
     budget: Budget = field(default_factory=Budget)
     device: DeviceSection = field(default_factory=DeviceSection)
     space: SpaceSection = field(default_factory=SpaceSection)
-    noise: NoiseSection = field(default_factory=NoiseSection)
+    noise: NoiseSpec = field(default_factory=NoiseSpec)
     resna: ResnaSection = field(default_factory=ResnaSection)
     hw: HwSection = field(default_factory=HwSection)
     gp: GpConfig = field(default_factory=GpConfig)
@@ -168,6 +156,14 @@ def _validate(cfg: CampaignConfig) -> None:
         raise ConfigError("seeds must not be empty")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
+    # A corner that fails with the default device is the space's fault;
+    # one that fails only with the configured device is the device's.
+    space = build_space(cfg)
+    for section, constants in (("space", {}), ("device", space.constants)):
+        try:
+            dataclasses.replace(space, constants=constants).corners()
+        except ValueError as exc:
+            raise ConfigError(f"'{section}': {exc}") from exc
 
 
 def _from_mapping(cls, data: dict, path: str):
@@ -262,11 +258,6 @@ def build_space(cfg: CampaignConfig) -> DesignSpace:
     return _project(DesignSpace, cfg.space, constants=dataclasses.asdict(cfg.device))
 
 
-def build_noise(cfg: CampaignConfig) -> NoiseSpec:
-    n = cfg.noise
-    return _project(NoiseSpec, n, rtn_params=RtnParams(n.rtn_amp_a, n.rtn_amp_b, n.rtn_p_occupancy))
-
-
 def build_mlp(cfg: CampaignConfig) -> MlpSpec:
     return _project(MlpSpec, cfg.resna)
 
@@ -294,7 +285,7 @@ def build_problem(cfg: CampaignConfig) -> MooProblem:
         mlp=build_mlp(cfg),
         dataset_spec=build_dataset_spec(cfg),
         data_seed=r.data_seed,
-        noise=build_noise(cfg),
+        noise=cfg.noise,
         hw_params=build_hw_params(cfg),
         n_inputs=cfg.hw.n_inputs,
         min_epochs=r.min_epochs,

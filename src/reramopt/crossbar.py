@@ -22,6 +22,8 @@ reproduces them bit-for-bit):
   and per duplicate copy, and persists until reprogramming. Read noise is
   resampled per cell per mvm call. Stored and effective conductances are
   clamped to [0, g_max].
+* The samplers of ``noise.py`` read each layer's ``ReramDesign`` and
+  ``NoiseSpec``; the spec alone decides which sources are drawn.
 
 A programmed layer is immutable during reads; concurrent mvm calls need
 independent generators. program() replaces the noisy arrays wholesale.
@@ -30,27 +32,12 @@ independent generators. program() replaces the noisy arrays wholesale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .design_space import ReramDesign
-from .noise import NoiseContext, RtnParams, sample_read, sample_write_noise
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Which stochastic sources are active, plus the RTN parameter set."""
-
-    thermal: bool = True
-    shot: bool = True
-    rtn: bool = True
-    prog: bool = True
-    rtn_params: RtnParams = field(default_factory=RtnParams)
-
-    @classmethod
-    def disabled(cls) -> "NoiseSpec":
-        return cls(thermal=False, shot=False, rtn=False, prog=False)
+from .noise import NoiseSpec, sample_read, sample_write_noise
 
 
 @dataclass(frozen=True)
@@ -149,7 +136,7 @@ def map_weights(
     w: QuantizedMatrix,
     design: ReramDesign,
     dup: int = 1,
-    noise: NoiseSpec | None = None,
+    noise: NoiseSpec = NoiseSpec(),
 ) -> MappedLayer:
     """Deploy quantized weights onto bit-sliced differential tiles.
 
@@ -160,8 +147,6 @@ def map_weights(
         raise ValueError("weight matrix must be non-empty")
     if dup < 1:
         raise ValueError("duplication factor must be >= 1")
-    if noise is None:
-        noise = NoiseSpec()
 
     g_min, g_max = design.g_min, design.g_max
     step = (g_max - g_min) / ((1 << design.res_cell) - 1)
@@ -212,7 +197,7 @@ def program(layer: MappedLayer, rng: np.random.Generator | None = None) -> Mappe
     def _program_side(cm: ConductanceMatrix) -> ConductanceMatrix:
         target = np.broadcast_to(cm.target, (layer.dup,) + cm.target.shape)
         if layer.noise.prog and d.sigma_prog > 0.0:
-            noisy = target + sample_write_noise(_noise_context(target, layer), rng)
+            noisy = target + sample_write_noise(target, d, layer.noise, rng)
         else:
             noisy = target.copy()
         return ConductanceMatrix(cm.target, np.clip(noisy, 0.0, d.g_max))
@@ -223,30 +208,11 @@ def program(layer: MappedLayer, rng: np.random.Generator | None = None) -> Mappe
     return replace(layer, tiles=tiles)
 
 
-def _noise_context(g: np.ndarray, layer: MappedLayer) -> NoiseContext:
-    d = layer.design
-    return NoiseContext(
-        g=g,
-        v=d.v_r,
-        freq_hz=d.freq_hz,
-        temperature_k=d.temperature_k,
-        sigma_prog=d.sigma_prog,
-        g_min=d.g_min,
-        rtn=layer.noise.rtn_params,
-    )
-
-
-def _read_perturbed(
-    g: np.ndarray, layer: MappedLayer, rng: np.random.Generator | None
-) -> np.ndarray:
+def _read_perturbed(g: np.ndarray, layer: MappedLayer, rng: np.random.Generator) -> np.ndarray:
     """Effective conductances for one read pass (fresh thermal/shot/RTN)."""
-    spec = layer.noise
-    if rng is None or not (spec.thermal or spec.shot or spec.rtn):
+    if not layer.noise.noisy_reads:
         return g
-    out = sample_read(
-        _noise_context(g, layer), rng, thermal=spec.thermal, shot=spec.shot, rtn=spec.rtn
-    )
-    return np.clip(out, 0.0, layer.design.g_max)
+    return np.clip(sample_read(g, layer.design, layer.noise, rng), 0.0, layer.design.g_max)
 
 
 def _adc(currents: np.ndarray, full_scale: float, res_adc: int | None) -> np.ndarray:
@@ -261,7 +227,6 @@ def mvm(
     layer: MappedLayer,
     inputs: QuantizedMatrix | np.ndarray,
     rng: np.random.Generator | None = None,
-    read_noise: bool = True,
     mode: str = "roundrobin",
 ):
     """Noisy integer matrix-vector product through the crossbar pipeline.
@@ -269,7 +234,8 @@ def mvm(
     ``inputs`` holds integer activation codes, one row per analog read pass
     (a QuantizedMatrix or a raw code array of shape (rows,) or (B, rows)).
     Read noise is drawn once per cell per call, independently per duplicate
-    copy and per sign pass.
+    copy and per sign pass, from the sources the layer's NoiseSpec enables;
+    ``rng`` may be None only when none of them is.
 
     mode selects how the ``dup`` copies are used:
       * "roundrobin": input row b is served by copy b % dup (throughput
@@ -293,8 +259,7 @@ def mvm(
         raise ValueError(f"input length {codes.shape[1]} != layer rows {layer.rows}")
 
     d = layer.design
-    use_rng = rng if read_noise else None
-    if read_noise and rng is None and (layer.noise.thermal or layer.noise.shot or layer.noise.rtn):
+    if rng is None and layer.noise.noisy_reads:
         raise ValueError("mvm with read noise enabled requires a generator")
 
     dac_levels = (1 << d.res_dac) - 1
@@ -312,8 +277,8 @@ def mvm(
             vt = volts[:, t.row0 : t.row1]
             rows_in_tile = t.row1 - t.row0
             fs = d.v_r * d.g_max * rows_in_tile
-            g_pos = _read_perturbed(t.pos.noisy, layer, use_rng)
-            g_neg = _read_perturbed(t.neg.noisy, layer, use_rng)
+            g_pos = _read_perturbed(t.pos.noisy, layer, rng)
+            g_neg = _read_perturbed(t.neg.noisy, layer, rng)
             # currents: (B, r) x (dup, S, r, c) -> (B, dup, S, c)
             i_pos = np.tensordot(vt, g_pos, axes=([1], [2]))
             i_neg = np.tensordot(vt, g_neg, axes=([1], [2]))

@@ -9,8 +9,10 @@ decode, continuous variables map affinely.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -62,6 +64,9 @@ class ReramDesign:
             raise ValueError("need 0 < r_on < r_off")
         if self.v_r <= 0.0:
             raise ValueError("v_r must be positive")
+        adc_ok = self.res_adc is None or self.res_adc >= 1
+        if not (1 <= self.bit_quan <= 8 and self.res_dac >= 1 and adc_ok):
+            raise ValueError("need 1 <= bit_quan <= 8, res_dac >= 1 and res_adc >= 1")
 
     @property
     def g_min(self) -> float:
@@ -96,7 +101,7 @@ class DesignSpace:
     temperature_bounds_k: tuple[float, float] = TEMPERATURE_BOUNDS_K
     constants: dict = field(default_factory=dict)
 
-    dim: int = 4
+    dim: ClassVar[int] = 4
 
     def encode(self, design: ReramDesign) -> np.ndarray:
         """Map a valid design to its normalized coordinate vector."""
@@ -121,7 +126,7 @@ class DesignSpace:
 
     def decode(self, coords: np.ndarray) -> ReramDesign:
         """Map any point of [0,1]^4 (clamped) to the nearest valid design."""
-        v = np.clip(np.asarray(coords, dtype=float).reshape(4), 0.0, 1.0)
+        v = np.clip(np.asarray(coords, dtype=float).reshape(self.dim), 0.0, 1.0)
         f_lo, f_hi = self.freq_bounds_hz
         t_lo, t_hi = self.temperature_bounds_k
         return ReramDesign(
@@ -136,8 +141,17 @@ class DesignSpace:
         """Draw n designs uniformly over the encoded space (decode of U[0,1]^4)."""
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
-        u = rng.random((n, 4))
+        u = rng.random((n, self.dim))
         return [self.decode(row) for row in u]
+
+    def corners(self) -> list[ReramDesign]:
+        """Every ordinal level at every continuous bound; building them validates the space."""
+        return [
+            ReramDesign(res_cell=rc, freq_hz=f, temperature_k=t, xbar_size=xb, **self.constants)
+            for rc, xb, f, t in itertools.product(
+                self.res_cell_levels, self.xbar_sizes, self.freq_bounds_hz, self.temperature_bounds_k
+            )
+        ]
 
 
 DEFAULT_SPACE = DesignSpace()

@@ -56,10 +56,6 @@ class CfGpModel:
     lml: float
     jitter: float
 
-    @property
-    def n_design_dims(self) -> int:
-        return self.xz.shape[1] - 1
-
 
 def _pairwise_sq(u: np.ndarray, v: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
     a = u / lengthscales

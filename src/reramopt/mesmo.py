@@ -414,6 +414,8 @@ def _has_converged(hv_series: list[float], budget: Budget) -> bool:
     if len(hv_series) < w + 1:
         return False
     recent = hv_series[-(w + 1) :]
+    if recent[-1] <= 0.0:  # an empty dominated region has not converged, it has not started
+        return False
     for prev, cur in zip(recent[:-1], recent[1:]):
         denom = max(abs(prev), 1e-12)
         if abs(cur - prev) / denom >= budget.converge_eps:

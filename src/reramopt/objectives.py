@@ -171,7 +171,7 @@ def reram_problem(
     mlp: MlpSpec = MlpSpec(),
     dataset_spec: DatasetSpec = DatasetSpec(),
     data_seed: int = 7,
-    noise: NoiseSpec | None = None,
+    noise: NoiseSpec = NoiseSpec(),
     hw_params: HwCostParams = HwCostParams(),
     n_inputs: int = 1000,
     min_epochs: int = 10,
@@ -189,8 +189,6 @@ def reram_problem(
     The dataset is built once per problem so every design trains on the
     same task.
     """
-    if noise is None:
-        noise = NoiseSpec()
     if dataset is None:
         dataset = make_dataset(dataset_spec, data_seed)
     network = NetworkSpec.from_mlp(mlp, n_inputs=n_inputs)
@@ -226,19 +224,11 @@ def reram_problem(
         return np.ones_like(np.asarray(z, dtype=float))
 
     # Reference point: strictly dominated by any reachable evaluation
-    # (accuracy >= 0; hardware metrics bounded by the worst corner).
+    # (accuracy >= 0; hardware metrics bounded by the worst corner, and
+    # they do not depend on temperature).
     worst = np.full(3, -np.inf)
-    for rc in space.res_cell_levels:
-        for xb in space.xbar_sizes:
-            for freq in space.freq_bounds_hz:
-                d = ReramDesign(
-                    res_cell=rc,
-                    freq_hz=freq,
-                    temperature_k=space.temperature_bounds_k[0],
-                    xbar_size=xb,
-                    **space.constants,
-                )
-                worst = np.maximum(worst, -_hw_vector(d))
+    for d in space.corners():
+        worst = np.maximum(worst, -_hw_vector(d))
     hv_ref = np.concatenate([[-1e-3], -1.05 * worst])
 
     return MooProblem(

@@ -209,7 +209,6 @@ def _forward(
     biases: list[np.ndarray],
     x: np.ndarray,
     rng: np.random.Generator | None,
-    read_noise: bool,
     classifier_mode: str = "roundrobin",
 ):
     """Run the noisy pipeline; returns (logits, per-layer input/preact caches)."""
@@ -221,7 +220,7 @@ def _forward(
         acts.append(a)
         q_in = _quantize_unsigned(a, layer.design.bit_quan)
         mode = classifier_mode if idx == last else "roundrobin"
-        y_int = mvm(layer, q_in, rng=rng, read_noise=read_noise, mode=mode)
+        y_int = mvm(layer, q_in, rng=rng, mode=mode)
         pre = y_int * (q_in.scale * w_scale) + b
         pres.append(pre)
         if idx == last:
@@ -250,7 +249,7 @@ def train(
     dataset: Dataset,
     epochs: int,
     rng: np.random.Generator,
-    noise: NoiseSpec | None = None,
+    noise: NoiseSpec = NoiseSpec(),
 ) -> TrainState:
     """SGD with momentum through the noisy crossbar forward pass.
 
@@ -262,8 +261,6 @@ def train(
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if noise is None:
-        noise = NoiseSpec()
     if dataset.x_train.shape[1] != spec.widths[0]:
         raise ValueError("dataset feature width does not match the input layer")
 
@@ -283,7 +280,7 @@ def train(
             xb, yb = dataset.x_train[idx], dataset.y_train[idx]
             if spec.noise_resample == "per_batch":
                 deployed = _deploy(state.weights, designs, dups, noise, rng)
-            logits, acts, pres, _ = _forward(deployed, state.biases, xb, rng, read_noise=True)
+            logits, acts, pres, _ = _forward(deployed, state.biases, xb, rng)
             loss, dz = _softmax_ce(logits, yb)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
@@ -347,7 +344,7 @@ def infer(
     runs: int = 10,
     voting: bool = True,
     rng: np.random.Generator | None = None,
-    noise: NoiseSpec | None = None,
+    noise: NoiseSpec = NoiseSpec(),
     eval_batch: int = 250,
     return_per_run: bool = False,
 ):
@@ -359,8 +356,6 @@ def infer(
     first copy alone decides. ``return_per_run`` yields the per-run list
     instead of the mean.
     """
-    if noise is None:
-        noise = NoiseSpec()
     spec = state.spec
     designs = _layer_designs(spec, design)
     dups = [spec.hidden_copies] * (spec.n_layers - 1) + [spec.vote_copies]
@@ -371,9 +366,7 @@ def infer(
         for start in range(0, len(dataset.x_test), eval_batch):
             xb = dataset.x_test[start : start + eval_batch]
             yb = dataset.y_test[start : start + eval_batch]
-            _, _, _, per_copy = _forward(
-                deployed, state.biases, xb, rng, read_noise=True, classifier_mode="per_copy"
-            )
+            _, _, _, per_copy = _forward(deployed, state.biases, xb, rng, classifier_mode="per_copy")
             if voting:
                 pred = majority_vote(per_copy)
             else:
@@ -399,7 +392,7 @@ def accuracy_objective(
     spec: MlpSpec,
     dataset: Dataset,
     rng: np.random.Generator,
-    noise: NoiseSpec | None = None,
+    noise: NoiseSpec = NoiseSpec(),
     runs: int = 10,
     voting: bool = True,
     min_epochs: int = 10,

@@ -37,6 +37,16 @@ def test_default_hash_is_pinned():
         ("space: {xbar_sizes: [32, big]}", "'space.xbar_sizes[1]'"),
         ("resna: {voting: 1}", "'resna.voting'"),
         ("nsga2: [1, 2]", "'nsga2' must be a mapping"),
+        # The space's corner designs are built with the default device, then
+        # with the configured one; the first to fail names its section.
+        ("space: {xbar_sizes: [256]}", "'space': xbar_size"),
+        ("space: {temperature_bounds_k: [300, 500]}", "'space': temperature_k"),
+        ("device: {bit_quan: 2}", "'device': res_cell (3) exceeds bit_quan (2)"),
+        ("device: {v_r: 0}", "'device': v_r"),
+        ("device: {bit_quan: 9}", "'device': need 1 <= bit_quan <= 8"),
+        ("device: {res_dac: 0}", "'device': need 1 <= bit_quan <= 8"),
+        ("device: {res_adc: 0}", "'device': need 1 <= bit_quan <= 8"),
+        ("noise: {rtn_p_occupancy: 1.5}", "'noise': rtn_p_occupancy"),
     ],
 )
 def test_errors_carry_the_dotted_path(text, path):
@@ -57,7 +67,14 @@ def test_inner_nsga2_keeps_the_operator_constants():
 
 @pytest.mark.parametrize(
     "text,extra",
-    [("budget: {max_iterations: 0}\n", []), ("", ["--budget", "-1"]), ("", ["--budget", "0"])],
+    [
+        ("budget: {max_iterations: 0}\n", []),
+        ("", ["--budget", "-1"]),
+        ("", ["--budget", "0"]),
+        ("problem: {name: reram}\nspace: {xbar_sizes: [256]}\n", []),
+        ("problem: {name: reram}\ndevice: {bit_quan: 2}\n", []),
+        ("noise: {rtn_p_occupancy: 1.5}\n", []),
+    ],
 )
 def test_run_rejects_a_bad_budget_before_writing(tmp_path, capsys, text, extra):
     cfg = tmp_path / "cfg.yaml"

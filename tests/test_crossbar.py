@@ -180,7 +180,7 @@ class TestMvmIdealPath:
         qw = quantize(np.eye(2), 8)
         layer = program(map_weights(qw, d, noise=QUIET))
         x = quantize(np.array([[1.0, 0.0]]), 8)
-        y = mvm(layer, x, read_noise=False)
+        y = mvm(layer, x)
         np.testing.assert_array_equal(y, x.codes @ qw.codes)
 
     @pytest.mark.parametrize("res_cell", [1, 2, 3, 4, 8])
@@ -190,7 +190,7 @@ class TestMvmIdealPath:
         qw = quantize(rng.standard_normal((20, 12)), 8)
         layer = program(map_weights(qw, d, noise=QUIET))
         x = rng.integers(-127, 128, size=(6, 20))
-        np.testing.assert_array_equal(mvm(layer, x, read_noise=False), x @ qw.codes)
+        np.testing.assert_array_equal(mvm(layer, x), x @ qw.codes)
 
     def test_negating_weights_negates_output(self):
         rng = np.random.default_rng(4)
@@ -198,8 +198,8 @@ class TestMvmIdealPath:
         qw = quantize(rng.standard_normal((10, 7)), 8)
         qw_neg = QuantizedMatrix(codes=-qw.codes, scale=qw.scale, bits=8)
         x = rng.integers(-127, 128, size=(4, 10))
-        y = mvm(program(map_weights(qw, d, noise=QUIET)), x, read_noise=False)
-        y_neg = mvm(program(map_weights(qw_neg, d, noise=QUIET)), x, read_noise=False)
+        y = mvm(program(map_weights(qw, d, noise=QUIET)), x)
+        y_neg = mvm(program(map_weights(qw_neg, d, noise=QUIET)), x)
         np.testing.assert_array_equal(y_neg, -y)
 
     def test_tiling_invariance(self):
@@ -210,18 +210,18 @@ class TestMvmIdealPath:
         outs = []
         for xbar in (64, 128):
             d = design(res_cell=4, xbar=xbar, res_adc=None)
-            outs.append(mvm(program(map_weights(qw, d, noise=QUIET)), x, read_noise=False))
+            outs.append(mvm(program(map_weights(qw, d, noise=QUIET)), x))
         np.testing.assert_array_equal(outs[0], outs[1])
 
     def test_unprogrammed_rejected(self):
         layer = map_weights(quantize(np.eye(2), 8), design())
         with pytest.raises(RuntimeError):
-            mvm(layer, np.array([[1, 0]]), read_noise=False)
+            mvm(layer, np.array([[1, 0]]))
 
     def test_wrong_input_length(self):
         layer = program(map_weights(quantize(np.eye(3), 8), design(), noise=QUIET))
         with pytest.raises(ValueError):
-            mvm(layer, np.array([[1, 0]]), read_noise=False)
+            mvm(layer, np.array([[1, 0]]))
 
 
 class TestMvmFixedPointOracle:
@@ -233,7 +233,7 @@ class TestMvmFixedPointOracle:
             qw = quantize(rng.standard_normal((8, 8)) * rng.uniform(0.5, 3.0), 8)
             layer = program(map_weights(qw, d, noise=QUIET))
             x = rng.integers(-127, 128, size=(1, 8))
-            got = mvm(layer, x, read_noise=False)
+            got = mvm(layer, x)
             want = fixed_point_oracle(qw.codes, x, d)
             np.testing.assert_array_equal(got, want, err_msg=f"case {case}")
 
@@ -244,7 +244,7 @@ class TestMvmFixedPointOracle:
         layer = program(map_weights(qw, d, noise=QUIET))
         x = rng.integers(0, 128, size=(2, 70))
         np.testing.assert_array_equal(
-            mvm(layer, x, read_noise=False), fixed_point_oracle(qw.codes, x, d)
+            mvm(layer, x), fixed_point_oracle(qw.codes, x, d)
         )
 
 
@@ -258,7 +258,6 @@ def _read_error_variance(dup: int, n_reads: int, seed: int) -> float:
     ideal = mvm(
         program(map_weights(qw, design(res_cell=8, xbar=32, res_adc=None), noise=QUIET), None),
         x,
-        read_noise=False,
     ).astype(float)
     errs = np.empty(n_reads)
     for i in range(n_reads):
@@ -304,5 +303,5 @@ class TestModes:
         d = design()
         layer = program(map_weights(quantize(np.eye(2), 8), d, noise=QUIET))
         with pytest.raises(ValueError):
-            mvm(layer, np.array([[1, 0]]), read_noise=False, mode="bogus")
+            mvm(layer, np.array([[1, 0]]), mode="bogus")
 

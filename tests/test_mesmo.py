@@ -47,3 +47,12 @@ def test_diverged_training_records_a_failed_row():
     failed = result.trace[1]
     assert failed.y is None and failed.cost == 2.0 and failed.cum_cost == 4.0
     assert result.total_cost == 12.0
+
+
+def test_flat_zero_hypervolume_is_not_convergence():
+    # The first 16 random designs all fall outside the reference box; a run
+    # that stopped there would report converged with nothing found.
+    result = run_random(synthetic_cf_problem("branin-currin-cf"), Budget(), 0, MesmoConfig())
+    assert len(result.trace) == 27 and result.total_cost == 54.0
+    assert result.trace[-1].hypervolume == pytest.approx(3.607, abs=1e-3)
+    assert result.converged
