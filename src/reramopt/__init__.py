@@ -26,7 +26,6 @@ from .mesmo import (
     Budget,
     CampaignResult,
     MesmoConfig,
-    ParetoFrontSample,
     entropy_term,
     run_cf_mesmo,
     run_mesmo,
@@ -65,7 +64,6 @@ from .pareto import (
 )
 from .resna import (
     Dataset,
-    DatasetSpec,
     MlpSpec,
     TrainingDivergedError,
     TrainState,

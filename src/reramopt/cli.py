@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -24,10 +23,10 @@ import numpy as np
 from . import config as cfgmod
 from .design_space import ReramDesign
 from .mesmo import CampaignResult, run_cf_mesmo, run_mesmo, run_nsga2, run_random
-from .noise import prog_sigma, rtn_sample, shot_sigma, thermal_sigma
+from .noise import rtn_sample, sample_write_noise, shot_sigma, thermal_sigma
 from .objectives import MooProblem
 from .pareto import dominated_hypervolume
-from .resna import epochs_for_fidelity, infer, make_dataset, train
+from .resna import accuracy_objective, epochs_for_fidelity, make_dataset
 
 
 def _fmt(value) -> str:
@@ -247,13 +246,9 @@ def _cmd_run(args) -> int:
             raise cfgmod.ConfigError(f"--budget: {exc}") from exc
     if args.seed is not None:
         overrides["seeds"] = (args.seed,)
-    workers_env = os.environ.get("RERAMOPT_WORKERS")
-    if workers_env:
-        overrides["workers"] = int(workers_env)
     cfg = dataclasses.replace(cfg, **overrides)
-    out = args.out or os.environ.get("RERAMOPT_OUT") or cfg.out_dir
     cfgmod._validate(cfg)
-    return run_campaign(cfg, Path(out))
+    return run_campaign(cfg, Path(args.out or cfg.out_dir))
 
 
 def _cmd_evaluate(args) -> int:
@@ -287,33 +282,21 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_train_one(args) -> int:
-    import time
-
     cfg = _load_cfg(args)
-    design = _design_from_args(cfg, args)
-    dataset = make_dataset(cfgmod.build_dataset_spec(cfg), cfg.resna.data_seed)
-    mlp = cfgmod.build_mlp(cfg)
-    noise = cfg.noise
-    epochs = epochs_for_fidelity(args.z, cfg.resna.min_epochs, cfg.resna.max_epochs)
-    rng = np.random.default_rng(args.seed)
-    t0 = time.process_time()
-    state = train(mlp, design, dataset, epochs, rng, noise=noise)
-    per_run = infer(
-        state,
-        design,
-        dataset,
-        runs=cfg.resna.infer_runs,
-        voting=cfg.resna.voting,
-        rng=rng,
-        noise=noise,
-        return_per_run=True,
+    mlp = cfg.resna
+    per_run, seconds = accuracy_objective(
+        _design_from_args(cfg, args),
+        args.z,
+        spec=mlp,
+        dataset=make_dataset(mlp),
+        rng=np.random.default_rng(args.seed),
+        noise=cfg.noise,
     )
-    seconds = time.process_time() - t0
     print(
         json.dumps(
             {
                 "accuracy": float(np.mean(per_run)),
-                "epochs": epochs,
+                "epochs": epochs_for_fidelity(args.z, mlp.min_epochs, mlp.max_epochs),
                 "cost_seconds": seconds,
                 "per_run_accuracies": per_run,
             },
@@ -336,13 +319,16 @@ def _cmd_noise_hist(args) -> int:
         f"# config_hash={cfgmod.config_hash(cfg)} seed={args.seed}",
         "level,g,source,bin_lo,bin_hi,count",
     ]
+    n, spec = args.samples, cfg.noise
+    off = np.zeros(n)  # a disabled source draws nothing
     for level, g in enumerate(g_levels):
-        cells = np.full(args.samples, g)
+        cells = np.full(n, g)
+        # Built in draw order: thermal, shot, RTN, programming.
         draws = {
-            "thermal": rng.standard_normal(args.samples) * thermal_sigma(cells, design),
-            "shot": rng.standard_normal(args.samples) * shot_sigma(cells, design),
-            "rtn": rtn_sample(cells, design, cfg.noise, rng),
-            "prog": rng.standard_normal(args.samples) * prog_sigma(cells, design),
+            "thermal": rng.standard_normal(n) * thermal_sigma(cells, design) if spec.thermal else off,
+            "shot": rng.standard_normal(n) * shot_sigma(cells, design) if spec.shot else off,
+            "rtn": rtn_sample(cells, design, spec, rng) if spec.rtn else off,
+            "prog": sample_write_noise(cells, design, spec, rng),
         }
         draws["total"] = sum(draws.values())
         for source, dg in draws.items():

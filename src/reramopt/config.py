@@ -1,7 +1,9 @@
 """Campaign configuration: YAML schema, defaults, and object builders.
 
 The effective configuration is a tree of frozen dataclasses; the gp,
-nsga2, budget and noise sections are the runtime classes themselves. Parsing is
+nsga2, budget, noise, resna and hw sections are the runtime classes
+themselves (``resna:`` is ``MlpSpec``, ``hw:`` is ``HwCostParams``), so
+their own checks run at parse time. Parsing is
 strict: unknown keys are rejected with their dotted path, YAML syntax
 errors carry the line number, and an empty document yields the defaults.
 ``emit_defaults()`` round-trips through ``parse_config()`` to an equal
@@ -25,7 +27,7 @@ from .mesmo import Budget, MesmoConfig
 from .noise import NoiseSpec
 from .objectives import HwCostParams, MooProblem, reram_problem, synthetic_cf_problem
 from .pareto import Nsga2Config
-from .resna import DatasetSpec, MlpSpec
+from .resna import MlpSpec
 
 
 class ConfigError(ValueError):
@@ -57,41 +59,6 @@ class SpaceSection:
 
 
 @dataclass(frozen=True)
-class ResnaSection:
-    widths: tuple[int, ...] = (64, 32, 10)
-    vote_copies: int = 3
-    hidden_copies: int = 1
-    classifier_freq_hz: float = 1.0e8
-    classifier_temperature_k: float = 300.0
-    lr: float = 0.001
-    momentum: float = 0.9
-    batch_size: int = 8
-    noise_resample: str = "per_batch"
-    n_train: int = 2000
-    n_test: int = 1000
-    n_classes: int = 10
-    center_spread: float = 0.5
-    csv_path: str | None = None
-    data_seed: int = 7
-    infer_runs: int = 10
-    voting: bool = True
-    min_epochs: int = 10
-    max_epochs: int = 100
-
-
-@dataclass(frozen=True)
-class HwSection:
-    area_per_cell_mm2: float = 5.0e-8
-    area_per_dac_mm2: float = 2.0e-6
-    area_per_adc_mm2: float = 1.5e-4
-    energy_per_dac_j: float = 2.0e-13
-    energy_per_adc_j: float = 2.0e-12
-    dac_cycles: int = 1
-    columns_per_adc: int = 8
-    n_inputs: int = 1000
-
-
-@dataclass(frozen=True)
 class MesmoSection:
     n_front_samples: int = 10
     pool_size: int = 2000
@@ -114,8 +81,8 @@ class CampaignConfig:
     device: DeviceSection = field(default_factory=DeviceSection)
     space: SpaceSection = field(default_factory=SpaceSection)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
-    resna: ResnaSection = field(default_factory=ResnaSection)
-    hw: HwSection = field(default_factory=HwSection)
+    resna: MlpSpec = field(default_factory=MlpSpec)
+    hw: HwCostParams = field(default_factory=HwCostParams)
     gp: GpConfig = field(default_factory=GpConfig)
     mesmo: MesmoSection = field(default_factory=MesmoSection)
     nsga2: Nsga2Config = field(default_factory=Nsga2Config)
@@ -259,15 +226,11 @@ def build_space(cfg: CampaignConfig) -> DesignSpace:
 
 
 def build_mlp(cfg: CampaignConfig) -> MlpSpec:
-    return _project(MlpSpec, cfg.resna)
-
-
-def build_dataset_spec(cfg: CampaignConfig) -> DatasetSpec:
-    return _project(DatasetSpec, cfg.resna, n_features=cfg.resna.widths[0])
+    return cfg.resna
 
 
 def build_hw_params(cfg: CampaignConfig) -> HwCostParams:
-    return _project(HwCostParams, cfg.hw)
+    return cfg.hw
 
 
 def build_mesmo_config(cfg: CampaignConfig) -> MesmoConfig:
@@ -277,19 +240,6 @@ def build_mesmo_config(cfg: CampaignConfig) -> MesmoConfig:
 
 
 def build_problem(cfg: CampaignConfig) -> MooProblem:
-    if cfg.problem.name in ("branin-currin-cf", "zdt1"):
-        return synthetic_cf_problem(cfg.problem.name)
-    r = cfg.resna
-    return reram_problem(
-        space=build_space(cfg),
-        mlp=build_mlp(cfg),
-        dataset_spec=build_dataset_spec(cfg),
-        data_seed=r.data_seed,
-        noise=cfg.noise,
-        hw_params=build_hw_params(cfg),
-        n_inputs=cfg.hw.n_inputs,
-        min_epochs=r.min_epochs,
-        max_epochs=r.max_epochs,
-        infer_runs=r.infer_runs,
-        voting=r.voting,
-    )
+    if cfg.problem.name == "reram":
+        return reram_problem(build_space(cfg), cfg.resna, cfg.noise, cfg.hw)
+    return synthetic_cf_problem(cfg.problem.name)

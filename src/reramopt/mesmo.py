@@ -54,18 +54,6 @@ def entropy_term(gamma):
 
 
 @dataclass(frozen=True)
-class ParetoFrontSample:
-    """A sampled highest-fidelity front with cached per-objective maxima."""
-
-    values: np.ndarray  # (l, k), mutually non-dominated
-    maxima: np.ndarray  # (k,)
-
-    @classmethod
-    def from_front(cls, front: FrontSet) -> "ParetoFrontSample":
-        return cls(values=front.y, maxima=front.y.max(axis=0))
-
-
-@dataclass(frozen=True)
 class MesmoConfig:
     n_front_samples: int = 10
     pool_size: int = 2000
@@ -127,14 +115,14 @@ def sample_pareto_fronts(
     seed,
     inner: Nsga2Config = Nsga2Config(),
     rff_features: int = 500,
-) -> list[ParetoFrontSample]:
-    """Draw S independent front samples by optimizing sampled functions.
+) -> np.ndarray:
+    """Per-objective maxima of S independent sampled fronts, shape (S, k).
 
     Sample s draws one highest-fidelity function per objective and solves
     the cheap deterministic MOO over them with NSGA-II on [0,1]^dim.
     """
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    fronts = []
+    maxima = []
     bounds = np.tile([0.0, 1.0], (dim, 1))
     for s in range(n_samples):
         funcs = [
@@ -146,8 +134,8 @@ def sample_pareto_fronts(
 
         nsga_seed = int(np.random.default_rng(base.spawn(1)[0]).integers(2**31))
         front = nsga2(evaluator, bounds, seed=nsga_seed, config=inner)
-        fronts.append(ParetoFrontSample.from_front(front))
-    return fronts
+        maxima.append(front.y.max(axis=0))
+    return np.stack(maxima)
 
 
 _SIGMA_FLOOR = 1e-9
@@ -162,7 +150,7 @@ def fidelity_vectors(problem: MooProblem, levels: np.ndarray) -> np.ndarray:
 
 def select_next(
     models: list[CfGpModel],
-    fronts: list[ParetoFrontSample],
+    front_maxima: np.ndarray,
     problem: MooProblem,
     pool: int = 2000,
     fidelity_levels: int = 10,
@@ -171,6 +159,7 @@ def select_next(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Arg-max of the acquisition over a candidate pool x fidelity grid.
 
+    ``front_maxima`` is the (S, k) output of ``sample_pareto_fronts``.
     The pool is ``default_rng(seed).random((pool, dim))``. The grid is
     ``fidelity_grid(fidelity_levels)``, or z* alone with
     ``single_fidelity``: shared fidelity values for the bearing objectives,
@@ -187,7 +176,7 @@ def select_next(
     z_grid = fidelity_vectors(problem, levels)  # (L, k)
     grid_costs = np.array([problem.cost(candidates[0], zv) for zv in z_grid])
 
-    n_s = len(fronts)
+    n_s = len(front_maxima)
     gains = np.zeros((pool, len(levels)))
     for j, model in enumerate(models):
         lv = np.unique(z_grid[:, j])
@@ -195,8 +184,7 @@ def select_next(
         z_rep = np.tile(lv, pool)
         mu, sigma = posterior(model, x_rep, z_rep)
         sigma = np.maximum(sigma, _SIGMA_FLOOR)
-        maxima = np.array([f.maxima[j] for f in fronts])
-        gamma = (maxima[None, :] - mu[:, None]) / sigma[:, None]
+        gamma = (front_maxima[None, :, j] - mu[:, None]) / sigma[:, None]
         terms = entropy_term(gamma).sum(axis=1).reshape(pool, len(lv))
         # Map each grid row to its level column for this objective.
         col_of = np.searchsorted(lv, z_grid[:, j])
@@ -381,7 +369,7 @@ def _run_campaign(
                 ledger.hist_x, ledger.hist_z, ledger.hist_y, cfg, warm, optimize_hypers
             )
             warm = [m.params for m in models]
-            fronts = sample_pareto_fronts(
+            front_maxima = sample_pareto_fronts(
                 models,
                 cfg.n_front_samples,
                 problem.dim,
@@ -391,7 +379,7 @@ def _run_campaign(
             )
             x, z = select_next(
                 models,
-                fronts,
+                front_maxima,
                 problem,
                 pool=cfg.pool_size,
                 fidelity_levels=cfg.fidelity_levels,

@@ -18,21 +18,14 @@ low-fidelity values undershoot and converge to f_j as z -> 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .crossbar import NoiseSpec
 from .design_space import DEFAULT_SPACE, DesignSpace, ReramDesign
-from .resna import (
-    Dataset,
-    DatasetSpec,
-    MlpSpec,
-    accuracy_objective,
-    epochs_for_fidelity,
-    make_dataset,
-)
+from .resna import MlpSpec, accuracy_objective, epochs_for_fidelity, make_dataset
 
 
 @dataclass(frozen=True)
@@ -68,7 +61,8 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class HwCostParams:
-    """Invented per-component constants for the parametric cost model."""
+    """The config's ``hw:`` section: invented per-component constants for the
+    parametric cost model, and the inference batch the hardware is sized for."""
 
     area_per_cell_mm2: float = 5.0e-8
     area_per_dac_mm2: float = 2.0e-6
@@ -77,6 +71,15 @@ class HwCostParams:
     energy_per_adc_j: float = 2.0e-12  # at 8-bit; scales with 2^(res_adc-8)
     dac_cycles: int = 1
     columns_per_adc: int = 8
+    n_inputs: int = 1000
+
+    def __post_init__(self):
+        if self.columns_per_adc < 1:
+            raise ValueError("columns_per_adc must be >= 1")
+        if self.dac_cycles < 0:
+            raise ValueError("dac_cycles must be >= 0")
+        if self.n_inputs < 1:
+            raise ValueError("n_inputs must be >= 1")
 
     def adc_scale(self, res_adc: int | None) -> float:
         bits = 8 if res_adc is None else res_adc
@@ -156,7 +159,6 @@ class MooProblem:
     hv_ref: np.ndarray
     evaluate: Callable[[np.ndarray, np.ndarray, np.random.Generator], np.ndarray]
     cost_ratio: Callable[[int, np.ndarray], np.ndarray]
-    true_front: Callable[[int], np.ndarray] | None = None
 
     def cost(self, x: np.ndarray, z: np.ndarray) -> float:
         z = np.asarray(z, dtype=float)
@@ -169,29 +171,20 @@ class MooProblem:
 def reram_problem(
     space: DesignSpace = DEFAULT_SPACE,
     mlp: MlpSpec = MlpSpec(),
-    dataset_spec: DatasetSpec = DatasetSpec(),
-    data_seed: int = 7,
     noise: NoiseSpec = NoiseSpec(),
     hw_params: HwCostParams = HwCostParams(),
-    n_inputs: int = 1000,
-    min_epochs: int = 10,
-    max_epochs: int = 100,
-    infer_runs: int = 10,
-    voting: bool = True,
-    dataset: Dataset | None = None,
 ) -> MooProblem:
     """The four-objective crossbar design problem.
 
-    Objective 1 is noisy-inference accuracy (fidelity-bearing: epochs run
-    from min_epochs at z=0 to max_epochs at z=1, so its cost ratio is
-    epochs/max_epochs). Objectives 2-4 are the negated analytic hardware
-    metrics, evaluated only at their highest fidelity with cost ratio 1.
-    The dataset is built once per problem so every design trains on the
-    same task.
+    Objective 1 is the mean noisy-inference accuracy over ``mlp.infer_runs``
+    (fidelity-bearing: epochs run from min_epochs at z=0 to max_epochs at
+    z=1, so its cost ratio is epochs/max_epochs). Objectives 2-4 are the
+    negated analytic hardware metrics, evaluated only at their highest
+    fidelity with cost ratio 1. The dataset is built once per problem so
+    every design trains on the same task.
     """
-    if dataset is None:
-        dataset = make_dataset(dataset_spec, data_seed)
-    network = NetworkSpec.from_mlp(mlp, n_inputs=n_inputs)
+    dataset = make_dataset(mlp)
+    network = NetworkSpec.from_mlp(mlp, n_inputs=hw_params.n_inputs)
 
     def _hw_vector(design: ReramDesign) -> np.ndarray:
         return np.array(
@@ -204,23 +197,14 @@ def reram_problem(
 
     def evaluate(x: np.ndarray, z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         design = space.decode(x)
-        acc, _seconds = accuracy_objective(
-            design,
-            float(np.asarray(z, dtype=float)[0]),
-            spec=mlp,
-            dataset=dataset,
-            rng=rng,
-            noise=noise,
-            runs=infer_runs,
-            voting=voting,
-            min_epochs=min_epochs,
-            max_epochs=max_epochs,
+        accs, _seconds = accuracy_objective(
+            design, float(np.asarray(z, dtype=float)[0]), spec=mlp, dataset=dataset, rng=rng, noise=noise
         )
-        return np.concatenate([[acc], _hw_vector(design)])
+        return np.concatenate([[float(np.mean(accs))], _hw_vector(design)])
 
     def cost_ratio(j: int, z) -> np.ndarray:
         if j == 0:
-            return epochs_for_fidelity(float(z), min_epochs, max_epochs) / max_epochs
+            return epochs_for_fidelity(float(z), mlp.min_epochs, mlp.max_epochs) / mlp.max_epochs
         return np.ones_like(np.asarray(z, dtype=float))
 
     # Reference point: strictly dominated by any reachable evaluation
@@ -327,10 +311,6 @@ def _zdt1_cf(n_var: int = 6) -> MooProblem:
         y = f_true(u) - (1.0 - z)[None, :] * bias(u)
         return y[0]
 
-    def true_front(n: int) -> np.ndarray:
-        f1 = np.linspace(0.0, 1.0, n)
-        return np.stack([-f1, -(1.0 - np.sqrt(f1))], axis=1)
-
     return MooProblem(
         name="zdt1",
         dim=n_var,
@@ -339,6 +319,5 @@ def _zdt1_cf(n_var: int = 6) -> MooProblem:
         hv_ref=np.array([-1.1, -1.1]),
         evaluate=evaluate,
         cost_ratio=_synth_cost_ratio,
-        true_front=true_front,
     )
 

@@ -8,6 +8,9 @@ with a straight-through estimator. Hidden layers run at the candidate
 design's operating point, the classification layer at a reduced one
 (100 MHz / 300 K by default), and at inference time the classifier is
 duplicated so a majority vote over the copies picks the prediction.
+``MlpSpec`` is the config's ``resna:`` section: the network, its training
+hyperparameters, the data set it learns, the voting inference and the
+epoch range that the optimizer's fidelity spans.
 
 Conventions: ReLU activations are quantized unsigned (codes 0..2^b - 1,
 using the full DAC range); weights use the symmetric signed quantizer.
@@ -40,7 +43,15 @@ class DatasetFormatError(ValueError):
 
 @dataclass(frozen=True)
 class MlpSpec:
-    """Architecture and training hyperparameters of the crossbar MLP."""
+    """The crossbar MLP and how it is trained, fed and scored.
+
+    The architecture and SGD hyperparameters come first. The data set is
+    ``n_train``/``n_test`` Gaussian blobs in R^widths[0] drawn from
+    ``data_seed``, or the rows of ``csv_path``. Accuracy is the mean over
+    ``infer_runs`` deployments, by majority vote of the classifier copies
+    when ``voting`` is on. Fidelity z maps to training epochs affinely
+    from ``min_epochs`` to ``max_epochs``.
+    """
 
     widths: tuple[int, ...] = (64, 32, 10)
     vote_copies: int = 3
@@ -51,10 +62,22 @@ class MlpSpec:
     momentum: float = 0.9
     batch_size: int = 8
     noise_resample: str = "per_batch"  # or "per_epoch"
+    n_train: int = 2000
+    n_test: int = 1000
+    n_classes: int = 10
+    center_spread: float = 0.5
+    csv_path: str | None = None
+    data_seed: int = 7
+    infer_runs: int = 10
+    voting: bool = True
+    min_epochs: int = 10
+    max_epochs: int = 100
 
     def __post_init__(self):
         if len(self.widths) < 2:
             raise ValueError("need at least an input and an output layer")
+        if self.n_classes != self.widths[-1]:
+            raise ValueError(f"n_classes ({self.n_classes}) must equal widths[-1] ({self.widths[-1]})")
         if self.vote_copies < 1 or self.vote_copies % 2 == 0:
             raise ValueError("vote_copies must be odd and >= 1")
         if self.hidden_copies < 1:
@@ -65,18 +88,6 @@ class MlpSpec:
     @property
     def n_layers(self) -> int:
         return len(self.widths) - 1
-
-
-@dataclass(frozen=True)
-class DatasetSpec:
-    """Synthetic Gaussian-blob generator settings (or a CSV source)."""
-
-    n_features: int = 64
-    n_classes: int = 10
-    n_train: int = 2000
-    n_test: int = 1000
-    center_spread: float = 0.5
-    csv_path: str | None = None
 
 
 @dataclass
@@ -101,26 +112,27 @@ class TrainState:
     losses: list[float] = field(default_factory=list)
 
 
-def make_dataset(spec: DatasetSpec, seed: int) -> Dataset:
-    """Build the train/test splits; deterministic for a fixed seed.
+def make_dataset(spec: MlpSpec) -> Dataset:
+    """Build the train/test splits; deterministic for a fixed ``data_seed``.
 
     The default source is a balanced 10-class Gaussian-blob problem in
     R^64 whose spread is calibrated so a one-shot least-squares classifier
     clears 90% test accuracy. Features are min-max scaled to [0,1] using
     train statistics. If ``csv_path`` is set, rows of
-    ``f1,...,fD,label`` are read instead (first n_train rows train, next
-    n_test rows test).
+    ``f1,...,fD,label`` with D = widths[0] are read instead (first n_train
+    rows train, next n_test rows test).
     """
     if spec.csv_path is not None:
         return _load_csv_dataset(spec)
-    rng = np.random.default_rng(seed)
-    centers = rng.standard_normal((spec.n_classes, spec.n_features)) * spec.center_spread
+    rng = np.random.default_rng(spec.data_seed)
+    n_features = spec.widths[0]
+    centers = rng.standard_normal((spec.n_classes, n_features)) * spec.center_spread
 
     def _blobs(n: int):
         per_class = _balanced_counts(n, spec.n_classes)
         xs, ys = [], []
         for c, cnt in enumerate(per_class):
-            xs.append(centers[c] + rng.standard_normal((cnt, spec.n_features)))
+            xs.append(centers[c] + rng.standard_normal((cnt, n_features)))
             ys.append(np.full(cnt, c, dtype=np.int64))
         x = np.concatenate(xs)
         y = np.concatenate(ys)
@@ -145,7 +157,7 @@ def _balanced_counts(n: int, classes: int) -> list[int]:
     return counts
 
 
-def _load_csv_dataset(spec: DatasetSpec) -> Dataset:
+def _load_csv_dataset(spec: MlpSpec) -> Dataset:
     rows = []
     with open(spec.csv_path, newline="") as fh:
         for lineno, row in enumerate(csv.reader(fh), start=1):
@@ -156,9 +168,9 @@ def _load_csv_dataset(spec: DatasetSpec) -> Dataset:
                 label = int(row[-1])
             except ValueError as exc:
                 raise DatasetFormatError(f"{spec.csv_path}: line {lineno}: {exc}") from exc
-            if len(feats) != spec.n_features:
+            if len(feats) != spec.widths[0]:
                 raise DatasetFormatError(
-                    f"{spec.csv_path}: line {lineno}: expected {spec.n_features} features, "
+                    f"{spec.csv_path}: line {lineno}: expected {spec.widths[0]} features, "
                     f"got {len(feats)}"
                 )
             if not (0 <= label < spec.n_classes):
@@ -342,19 +354,16 @@ def infer(
     design: ReramDesign,
     dataset: Dataset,
     runs: int = 10,
-    voting: bool = True,
     rng: np.random.Generator | None = None,
     noise: NoiseSpec = NoiseSpec(),
     eval_batch: int = 250,
-    return_per_run: bool = False,
-):
-    """Mean test accuracy over ``runs`` independent deployments.
+) -> list[float]:
+    """Test accuracy of each of ``runs`` independent deployments.
 
     Every run reprograms all layers (fresh write noise) and reads the test
-    set through them. With voting, the classifier's duplicate copies each
-    produce logits and the majority prediction wins; without voting the
-    first copy alone decides. ``return_per_run`` yields the per-run list
-    instead of the mean.
+    set through them. With ``spec.voting``, the classifier's duplicate
+    copies each produce logits and the majority prediction wins; without
+    it the first copy alone decides.
     """
     spec = state.spec
     designs = _layer_designs(spec, design)
@@ -367,15 +376,13 @@ def infer(
             xb = dataset.x_test[start : start + eval_batch]
             yb = dataset.y_test[start : start + eval_batch]
             _, _, _, per_copy = _forward(deployed, state.biases, xb, rng, classifier_mode="per_copy")
-            if voting:
+            if spec.voting:
                 pred = majority_vote(per_copy)
             else:
                 pred = per_copy[0].argmax(axis=1)
             correct += int((pred == yb).sum())
         accs.append(correct / len(dataset.x_test))
-    if return_per_run:
-        return [float(a) for a in accs]
-    return float(np.mean(accs))
+    return accs
 
 
 def epochs_for_fidelity(z: float, min_epochs: int = 10, max_epochs: int = 100) -> int:
@@ -393,18 +400,14 @@ def accuracy_objective(
     dataset: Dataset,
     rng: np.random.Generator,
     noise: NoiseSpec = NoiseSpec(),
-    runs: int = 10,
-    voting: bool = True,
-    min_epochs: int = 10,
-    max_epochs: int = 100,
-) -> tuple[float, float]:
-    """Train at the requested fidelity and return (accuracy, cpu_seconds).
+) -> tuple[list[float], float]:
+    """Train at the requested fidelity; return (per-run accuracies, cpu_seconds).
 
     Cost is measured as per-process CPU time so that parallel campaign
     workers do not distort each other's readings.
     """
-    epochs = epochs_for_fidelity(z, min_epochs, max_epochs)
+    epochs = epochs_for_fidelity(z, spec.min_epochs, spec.max_epochs)
     t0 = time.process_time()
     state = train(spec, design, dataset, epochs, rng, noise=noise)
-    acc = infer(state, design, dataset, runs=runs, voting=voting, rng=rng, noise=noise)
-    return acc, time.process_time() - t0
+    accs = infer(state, design, dataset, runs=spec.infer_runs, rng=rng, noise=noise)
+    return accs, time.process_time() - t0

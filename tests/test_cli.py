@@ -1,6 +1,8 @@
 import csv
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from reramopt import cli
@@ -49,3 +51,46 @@ def test_failed_seed_keeps_the_other_seeds_artifacts(tmp_path, monkeypatch, caps
         assert {f"trace_seed{seed}.csv", f"front_seed{seed}.csv", f"campaign_seed{seed}.json"} <= written
     assert not any("seed1" in name for name in written)
     assert {"hv_vs_cost.csv", "fidelity_trace.csv", "effective_config.yaml"} <= written
+
+
+def test_parallel_seeds_match_the_serial_golden(tmp_path):
+    # Each worker re-parses the dumped config; only the config hash header differs.
+    cfg = tmp_path / "cfg.yaml"
+    text = (GOLDEN / "configs" / "reram.yaml").read_text(encoding="utf-8")
+    cfg.write_text(text + "seeds: [0, 1]\nworkers: 2\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    for name in ("trace_seed0.csv", "front_seed0.csv"):
+        lines = (out / name).read_text(encoding="utf-8").splitlines()
+        golden = (GOLDEN / "reram-cf-mesmo" / name).read_text(encoding="utf-8").splitlines()
+        assert lines[0].startswith("# config_hash=") and lines[1:] == golden[1:]
+    assert (out / "trace_seed1.csv").is_file()
+
+
+@pytest.mark.parametrize("z,epochs,accuracy", [(0.0, 1, 0.28125), (1.0, 2, 0.46875)])
+def test_train_one_prints_the_accuracy_that_evaluate_scores(z, epochs, accuracy, capsys):
+    args = ["--config", str(GOLDEN / "configs" / "reram.yaml"), "--res-cell", "2", "--xbar", "32"]
+    args += ["--freq", "2e8", "--temp", "320", "--seed", "3", "--z", repr(z)]
+    assert cli.main(["train-one", *args]) == 0
+    trained = json.loads(capsys.readouterr().out)
+    assert cli.main(["evaluate", *args]) == 0
+    evaluated = json.loads(capsys.readouterr().out)
+    assert trained["epochs"] == epochs and len(trained["per_run_accuracies"]) == 2
+    assert trained["accuracy"] == np.mean(trained["per_run_accuracies"]) == evaluated["y"][0] == accuracy
+
+
+def test_noise_hist_leaves_disabled_sources_at_zero(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("noise: {thermal: false, rtn: false, prog: false}\n", encoding="utf-8")
+    args = ["--config", str(cfg), "--samples", "50", "--bins", "3", "--levels", "1"]
+    assert cli.main(["noise-hist", *args]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()[1:]))
+    hist = {}
+    for r in rows:
+        hist.setdefault(r["source"], []).append((float(r["bin_lo"]), float(r["bin_hi"]), int(r["count"])))
+    for source in ("thermal", "rtn", "prog"):
+        # All-zero draws: numpy centres the bins on 0, so the middle one of three holds them all.
+        assert [count for *_, count in hist[source]] == [0, 50, 0]
+        assert hist[source][1][0] < 0.0 < hist[source][1][1]
+    assert max(count for *_, count in hist["shot"]) < 50
+    assert hist["total"] == hist["shot"]

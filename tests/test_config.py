@@ -47,6 +47,10 @@ def test_default_hash_is_pinned():
         ("device: {res_dac: 0}", "'device': need 1 <= bit_quan <= 8"),
         ("device: {res_adc: 0}", "'device': need 1 <= bit_quan <= 8"),
         ("noise: {rtn_p_occupancy: 1.5}", "'noise': rtn_p_occupancy"),
+        # resna: and hw: are MlpSpec and HwCostParams, checked at parse time.
+        ("resna: {vote_copies: 2}", "'resna': vote_copies"),
+        ("resna: {n_classes: 20}", "'resna': n_classes (20) must equal widths[-1] (10)"),
+        ("hw: {columns_per_adc: 0}", "'hw': columns_per_adc"),
     ],
 )
 def test_errors_carry_the_dotted_path(text, path):
@@ -74,6 +78,9 @@ def test_inner_nsga2_keeps_the_operator_constants():
         ("problem: {name: reram}\nspace: {xbar_sizes: [256]}\n", []),
         ("problem: {name: reram}\ndevice: {bit_quan: 2}\n", []),
         ("noise: {rtn_p_occupancy: 1.5}\n", []),
+        ("problem: {name: reram}\nresna: {vote_copies: 2}\n", []),
+        ("problem: {name: reram}\nresna: {n_classes: 20}\n", []),
+        ("problem: {name: reram}\nhw: {columns_per_adc: 0}\n", []),
     ],
 )
 def test_run_rejects_a_bad_budget_before_writing(tmp_path, capsys, text, extra):

@@ -3,15 +3,15 @@ import pytest
 
 from reramopt.crossbar import NoiseSpec
 from reramopt.design_space import ReramDesign
-from reramopt.resna import DatasetSpec, MlpSpec, epochs_for_fidelity, infer, majority_vote, make_dataset, train
+from reramopt.resna import MlpSpec, epochs_for_fidelity, infer, majority_vote, make_dataset, train
 
-SPEC = MlpSpec(widths=(8, 6, 3), vote_copies=3)
+SPEC = MlpSpec(widths=(8, 6, 3), n_classes=3, n_train=40, n_test=30, data_seed=3)
 DESIGN = ReramDesign(res_cell=2, freq_hz=5e8, temperature_k=350.0, xbar_size=32)
 
 
 @pytest.fixture(scope="module")
 def data():
-    return make_dataset(DatasetSpec(n_features=8, n_classes=3, n_train=40, n_test=30), seed=3)
+    return make_dataset(SPEC)
 
 
 @pytest.fixture(scope="module")
