@@ -69,6 +69,13 @@ class MesmoSection:
     inner_pop: int = 64
     inner_gens: int = 40
 
+    def __post_init__(self):
+        for name in ("n_front_samples", "pool_size", "fidelity_levels", "rff_features", "inner_pop"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.inner_gens < 0:
+            raise ValueError(f"inner_gens must be >= 0, got {self.inner_gens}")
+
 
 @dataclass(frozen=True)
 class CampaignConfig:

@@ -35,29 +35,35 @@ def dominates(a, b) -> bool:
 
 
 def _domination_matrix(y: np.ndarray) -> np.ndarray:
-    """dom[i, j] is True when point i dominates point j."""
-    ge = (y[:, None, :] >= y[None, :, :]).all(axis=2)
-    gt = (y[:, None, :] > y[None, :, :]).any(axis=2)
+    """dom[i, j] is True when point i dominates point j (built per column, so
+    no temporary is larger than (n, n))."""
+    n = len(y)
+    ge = np.ones((n, n), dtype=bool)
+    gt = np.zeros((n, n), dtype=bool)
+    for c in y.T:
+        ge &= c[:, None] >= c[None, :]
+        gt |= c[:, None] > c[None, :]
     return ge & gt
 
 
 def non_dominated_sort(points) -> list[np.ndarray]:
-    """Fast non-dominated sorting; returns index arrays per rank (rank 0 first)."""
+    """Fast non-dominated sorting; returns index arrays per rank (rank 0 first).
+
+    Dominance is a strict partial order for any float input, NaN and +-inf
+    included, so every round retires at least one point.
+    """
     y = np.asarray(points, dtype=float)
     if y.ndim != 2 or len(y) == 0:
         raise ValueError("need a non-empty (n, k) array of objective vectors")
     dom = _domination_matrix(y)
-    n_dominators = dom.sum(axis=0)
+    counts = dom.sum(axis=0)
     fronts = []
-    assigned = np.zeros(len(y), dtype=bool)
-    counts = n_dominators.astype(np.int64)
-    while not assigned.all():
-        current = (counts == 0) & ~assigned
-        if not current.any():  # numerical safety; cannot happen for finite input
-            current = ~assigned
-        fronts.append(np.flatnonzero(current))
-        assigned |= current
-        counts = counts - dom[current].sum(axis=0)
+    front = np.flatnonzero(counts == 0)
+    while len(front):
+        fronts.append(front)
+        counts -= dom[front].sum(axis=0)
+        counts[front] = -1
+        front = np.flatnonzero(counts == 0)
     return fronts
 
 
@@ -214,14 +220,13 @@ def _environmental_selection(x_all, y_all, pop):
             # Deterministic truncation: crowding descending, index ascending.
             order = np.lexsort((front, -cd))
             take = order[: pop - filled]
-        for t in take:
-            chosen.append(front[t])
+        chosen.append(front[take])
         ranks[filled : filled + len(take)] = r
         crowd[filled : filled + len(take)] = cd[take]
         filled += len(take)
         if filled == pop:
             break
-    idx = np.array(chosen)
+    idx = np.concatenate(chosen)
     return x_all[idx], y_all[idx], ranks, crowd
 
 

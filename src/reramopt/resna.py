@@ -84,6 +84,10 @@ class MlpSpec:
             raise ValueError("hidden_copies must be >= 1")
         if self.noise_resample not in ("per_batch", "per_epoch"):
             raise ValueError("noise_resample must be 'per_batch' or 'per_epoch'")
+        if not 1 <= self.min_epochs <= self.max_epochs:
+            raise ValueError(
+                f"need 1 <= min_epochs ({self.min_epochs}) <= max_epochs ({self.max_epochs})"
+            )
 
     @property
     def n_layers(self) -> int:

@@ -51,6 +51,16 @@ def test_default_hash_is_pinned():
         ("resna: {vote_copies: 2}", "'resna': vote_copies"),
         ("resna: {n_classes: 20}", "'resna': n_classes (20) must equal widths[-1] (10)"),
         ("hw: {columns_per_adc: 0}", "'hw': columns_per_adc"),
+        # mesmo: sizes must allow at least one sample, candidate, level, feature
+        # and inner individual; z=0 must be the cheapest fidelity.
+        ("mesmo: {n_front_samples: 0}", "'mesmo': n_front_samples must be >= 1, got 0"),
+        ("mesmo: {pool_size: 0}", "'mesmo': pool_size must be >= 1, got 0"),
+        ("mesmo: {fidelity_levels: 0}", "'mesmo': fidelity_levels must be >= 1, got 0"),
+        ("mesmo: {rff_features: 0}", "'mesmo': rff_features must be >= 1, got 0"),
+        ("mesmo: {inner_pop: 0}", "'mesmo': inner_pop must be >= 1, got 0"),
+        ("mesmo: {inner_gens: -1}", "'mesmo': inner_gens must be >= 0, got -1"),
+        ("resna: {min_epochs: 4, max_epochs: 1}", "'resna': need 1 <= min_epochs (4) <= max_epochs (1)"),
+        ("resna: {min_epochs: 0}", "'resna': need 1 <= min_epochs (0) <= max_epochs (100)"),
     ],
 )
 def test_errors_carry_the_dotted_path(text, path):
@@ -81,6 +91,14 @@ def test_inner_nsga2_keeps_the_operator_constants():
         ("problem: {name: reram}\nresna: {vote_copies: 2}\n", []),
         ("problem: {name: reram}\nresna: {n_classes: 20}\n", []),
         ("problem: {name: reram}\nhw: {columns_per_adc: 0}\n", []),
+        ("mesmo: {n_front_samples: 0}\n", []),
+        ("mesmo: {pool_size: 0}\n", []),
+        ("mesmo: {fidelity_levels: 0}\n", []),
+        ("mesmo: {rff_features: 0}\n", []),
+        ("mesmo: {inner_pop: 0}\n", []),
+        ("mesmo: {inner_gens: -1}\n", []),
+        ("problem: {name: reram}\nresna: {min_epochs: 4, max_epochs: 1}\n", []),
+        ("problem: {name: reram}\nresna: {min_epochs: 0}\n", []),
     ],
 )
 def test_run_rejects_a_bad_budget_before_writing(tmp_path, capsys, text, extra):

@@ -1,11 +1,15 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from reramopt.pareto import (
     FrontSet,
     Nsga2Config,
+    _domination_matrix,
     dominated_hypervolume,
     dominates,
     hypervolume,
@@ -21,6 +25,27 @@ def brute_force_rank0(points):
         if not any(dominates(q, p) for j, q in enumerate(points) if j != i):
             keep.append(i)
     return set(keep)
+
+
+def brute_force_ranks(points):
+    """Rank of each point: the length of the longest chain of points dominating it."""
+    n = len(points)
+    depth = {}
+
+    def chain(i):
+        if i not in depth:
+            depth[i] = max(
+                (1 + chain(j) for j in range(n) if dominates(points[j], points[i])), default=0
+            )
+        return depth[i]
+
+    return [chain(i) for i in range(n)]
+
+
+def tied_points(k):
+    """(n, k) objective arrays drawn from few values, so ties and duplicate rows are common."""
+    values = st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 1.0, np.inf, np.nan])
+    return st.integers(1, 12).flatmap(lambda n: arrays(float, (n, k), elements=values))
 
 
 class TestDominates:
@@ -63,6 +88,23 @@ class TestNonDominatedSort:
         pts = rng.random((200, 3))
         fronts = non_dominated_sort(pts)
         assert set(fronts[0]) == brute_force_rank0(pts)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_full_ranks_match_brute_force(self, k, data):
+        pts = data.draw(tied_points(k))
+        dom = _domination_matrix(pts)
+        n = len(pts)
+        assert dom.shape == (n, n)
+        for i in range(n):
+            for j in range(n):
+                assert dom[i, j] == dominates(pts[i], pts[j])
+        ranks = np.full(n, -1)
+        for r, front in enumerate(non_dominated_sort(pts)):
+            assert len(front) and (ranks[front] == -1).all()
+            ranks[front] = r
+        assert ranks.tolist() == brute_force_ranks(pts)
 
     def test_every_point_ranked_once(self):
         rng = np.random.default_rng(1)
@@ -110,6 +152,20 @@ class TestNsga2:
         a = nsga2(ev, [[0, 1], [0, 1]], seed=11, config=Nsga2Config(pop=24, gens=15))
         b = nsga2(ev, [[0, 1], [0, 1]], seed=11, config=Nsga2Config(pop=24, gens=15))
         np.testing.assert_array_equal(a.y, b.y)
+
+    def test_default_inner_size_output_is_pinned(self):
+        # The inner solver's default size on objectives rounded so that the
+        # population holds ties; a dominance or sorting change that is meant
+        # to be exact must leave this digest as it is.
+        def ev(x):
+            f1 = x[:, 0]
+            g = 1.0 + 9.0 * x[:, 1:].mean(axis=1)
+            f2 = g * (1.0 - np.sqrt(f1 / g))
+            return -np.round(np.column_stack([f1, f2]), 2)
+
+        front = nsga2(ev, [[0.0, 1.0]] * 3, seed=5, config=Nsga2Config(pop=64, gens=40))
+        digest = hashlib.sha256(front.x.tobytes() + front.y.tobytes()).hexdigest()
+        assert digest == "a4ebc769cbb3294ad85d2c07520e2b2d56b90325c4633cbaa733d36627a81dfc"
 
     def test_returns_mutually_non_dominated(self):
         def ev(x):
