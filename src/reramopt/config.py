@@ -73,8 +73,9 @@ class MesmoSection:
         for name in ("n_front_samples", "pool_size", "fidelity_levels", "rff_features", "inner_pop"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.inner_gens < 0:
-            raise ValueError(f"inner_gens must be >= 0, got {self.inner_gens}")
+        for name in ("n_init", "inner_gens"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -130,6 +131,12 @@ def _validate(cfg: CampaignConfig) -> None:
         raise ConfigError("seeds must not be empty")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
+    # The surrogates need two observations before the first pick; random
+    # search needs no initial design.
+    if cfg.optimizer in ("cf-mesmo", "mesmo") and cfg.mesmo.n_init < 2:
+        raise ConfigError(
+            f"'mesmo': n_init must be >= 2 for {cfg.optimizer}, got {cfg.mesmo.n_init}"
+        )
     # A corner that fails with the default device is the space's fault;
     # one that fails only with the configured device is the device's.
     space = build_space(cfg)

@@ -8,7 +8,11 @@ the log marginal likelihood with a multi-start L-BFGS search over log
 parameters. Posterior function draws use a random-Fourier-feature
 expansion of the kernel followed by Bayesian linear regression on the
 feature weights; the weight posterior is sampled exactly through
-Matheron's update so only n x n factorizations are ever needed.
+Matheron's update so only n x n factorizations are ever needed. A finished
+draw takes its features as float32 cos of a float64 argument and sums them
+with float64 weights: numpy vectorizes float32 cos but not float64, which
+costs about 20x as much, and the float32 rounding moves a draw by less than
+1e-5 of its prior sd even with every lengthscale at the 0.05 lower bound.
 
 A fitted model is immutable: posterior() and sample_function() may be
 called concurrently, fit() builds a fresh model.
@@ -226,21 +230,30 @@ def posterior(model: CfGpModel, x: np.ndarray, z) -> tuple[np.ndarray, np.ndarra
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """One analytic draw of the highest-fidelity function g(., z*=1)."""
+    """One analytic draw of the highest-fidelity function g(., z*=1).
 
-    freqs: np.ndarray  # (m, d+1) spectral frequencies
-    phases: np.ndarray  # (m,)
+    g(x) = y_mean + y_std * feature_scale * cos(x @ freqs + offset) @ weights,
+    with the constant fidelity column z* folded into ``offset``. The
+    argument is float64 and rounded to float32 for the cos, which is the
+    only float32 step. Below |argument| = 256 the rounding moves one feature
+    by at most 2^-17; summed over the weights, the draw moves by less than
+    1e-5 * y_std * sqrt(signal_var). With every lengthscale at the 0.05
+    bound, arguments reach about 180 and the largest error measured over
+    4,000 points was 3.2e-6 of that scale.
+    """
+
+    freqs: np.ndarray  # (d, m) design-dimension frequencies, C-contiguous
+    offset: np.ndarray  # (m,) fidelity frequency * z* + phase
     weights: np.ndarray  # (m,)
     feature_scale: float
     y_mean: float
     y_std: float
-    z_star: float = 1.0
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        u = np.hstack([x, np.full((len(x), 1), self.z_star)])
-        phi = self.feature_scale * np.cos(u @ self.freqs.T + self.phases)
-        return self.y_mean + self.y_std * (phi @ self.weights)
+        phi = (x @ self.freqs + self.offset).astype(np.float32)
+        np.cos(phi, out=phi)
+        return self.y_mean + self.y_std * self.feature_scale * (phi @ self.weights)
 
 
 def sample_function(model: CfGpModel, seed: int, n_features: int = 500) -> SampledFunction:
@@ -271,8 +284,8 @@ def sample_function(model: CfGpModel, seed: int, n_features: int = 500) -> Sampl
     weights = w0 + phi.T @ cho_solve((low, True), resid)
 
     return SampledFunction(
-        freqs=freqs,
-        phases=phases,
+        freqs=np.ascontiguousarray(freqs[:, :-1].T),
+        offset=freqs[:, -1] + phases,  # the fidelity column at z* = 1
         weights=weights,
         feature_scale=scale,
         y_mean=model.y_mean,

@@ -61,6 +61,10 @@ def test_default_hash_is_pinned():
         ("mesmo: {inner_gens: -1}", "'mesmo': inner_gens must be >= 0, got -1"),
         ("resna: {min_epochs: 4, max_epochs: 1}", "'resna': need 1 <= min_epochs (4) <= max_epochs (1)"),
         ("resna: {min_epochs: 0}", "'resna': need 1 <= min_epochs (0) <= max_epochs (100)"),
+        # cf-mesmo and mesmo fit surrogates to the initial design; random does not.
+        ("mesmo: {n_init: 1}", "'mesmo': n_init must be >= 2 for cf-mesmo, got 1"),
+        ("optimizer: mesmo\nmesmo: {n_init: 0}", "'mesmo': n_init must be >= 2 for mesmo, got 0"),
+        ("optimizer: random\nmesmo: {n_init: -3}", "'mesmo': n_init must be >= 0, got -3"),
     ],
 )
 def test_errors_carry_the_dotted_path(text, path):
@@ -72,6 +76,11 @@ def test_errors_carry_the_dotted_path(text, path):
 def test_runtime_class_rejections_become_config_errors(text):
     with pytest.raises(ConfigError, match="'budget'"):
         parse_config(text)
+
+
+@pytest.mark.parametrize("optimizer", ["random", "nsga2"])
+def test_optimizers_without_surrogates_need_no_initial_design(optimizer):
+    assert parse_config(f"optimizer: {optimizer}\nmesmo: {{n_init: 0}}").mesmo.n_init == 0
 
 
 def test_inner_nsga2_keeps_the_operator_constants():
@@ -99,6 +108,9 @@ def test_inner_nsga2_keeps_the_operator_constants():
         ("mesmo: {inner_gens: -1}\n", []),
         ("problem: {name: reram}\nresna: {min_epochs: 4, max_epochs: 1}\n", []),
         ("problem: {name: reram}\nresna: {min_epochs: 0}\n", []),
+        ("mesmo: {n_init: 1}\n", []),
+        ("optimizer: random\nmesmo: {n_init: 1}\n", ["--optimizer", "mesmo"]),
+        ("optimizer: random\nmesmo: {n_init: -3}\n", []),
     ],
 )
 def test_run_rejects_a_bad_budget_before_writing(tmp_path, capsys, text, extra):

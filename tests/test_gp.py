@@ -156,6 +156,22 @@ class TestSampledFunctions:
         grid = np.random.default_rng(4).random((200, 2)) * 3 - 1
         assert np.all(np.isfinite(f(grid)))
 
+    def test_float32_cos_stays_within_1e5_of_the_prior_sd(self):
+        # The shortest lengthscales give the largest arguments (|arg| up to
+        # 142 here), where float32 rounding of the argument is coarsest.
+        rng = np.random.default_rng(11)
+        x, z = rng.random((30, 4)), rng.random(30)
+        y = np.sin(6 * x).sum(axis=1) + z
+        short = GpConfig().lengthscale_bounds[0]
+        params = GpParams(signal_var=1.7, lengthscales=(short,) * 5, noise_var=1e-3)
+        model = fit(x, z, y, optimize=False, init_params=params)
+        f = sample_function(model, seed=3)
+        assert f.freqs.shape == (4, 500) and f.freqs.flags.c_contiguous
+        pts = rng.random((200, 4))
+        exact = f.y_mean + f.y_std * f.feature_scale * (np.cos(pts @ f.freqs + f.offset) @ f.weights)
+        err = np.max(np.abs(f(pts) - exact))
+        assert err <= 1e-5 * model.y_std * np.sqrt(model.params.signal_var)
+
     @pytest.mark.slow
     def test_covariance_matches_exact_posterior(self):
         x, z, y = toy_data(10, n=25)

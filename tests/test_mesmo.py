@@ -3,7 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from reramopt.mesmo import Budget, MesmoConfig, run_cf_mesmo, run_random
+from reramopt.design_space import fidelity_grid
+from reramopt.gp import SampledFunction, fit
+from reramopt.mesmo import (
+    Budget,
+    MesmoConfig,
+    run_cf_mesmo,
+    run_random,
+    sample_pareto_fronts,
+    select_next,
+)
 from reramopt.objectives import synthetic_cf_problem
 from reramopt.pareto import Nsga2Config
 from reramopt.resna import TrainingDivergedError
@@ -56,3 +65,70 @@ def test_flat_zero_hypervolume_is_not_convergence():
     assert len(result.trace) == 27 and result.total_cost == 54.0
     assert result.trace[-1].hypervolume == pytest.approx(3.607, abs=1e-3)
     assert result.converged
+
+
+def _seeded_models(seed: int, cfg: MesmoConfig = MesmoConfig()):
+    """branin-currin-cf surrogates fitted to 15 seeded points: 5 at z=1 and
+    10 at levels drawn from the default fidelity grid."""
+    problem = synthetic_cf_problem("branin-currin-cf")
+    rng = np.random.default_rng(seed)
+    x = rng.random((15, problem.dim))
+    levels = np.concatenate([np.ones(5), rng.choice(fidelity_grid(cfg.fidelity_levels), 10)])
+    z = np.repeat(levels[:, None], problem.n_obj, axis=1)
+    y = np.stack([problem.evaluate(xi, zi) for xi, zi in zip(x, z)])
+    models = [fit(x, z[:, j], y[:, j], config=cfg.gp) for j in range(problem.n_obj)]
+    return problem, models
+
+
+# select_next's pick after sample_pareto_fronts at the default MesmoConfig,
+# recorded with float64 feature cosines. A change that is meant to leave
+# front sampling's decisions alone must keep every pick.
+PINNED_PICKS = {
+    0: ((0.988563790381297, 0.990876755717729), (0.0, 0.0)),
+    1: ((0.9991993182784583, 0.9536333395616265), (0.0, 0.0)),
+    2: ((0.6497514339141913, 0.0038446159329970087), (0.0, 0.0)),
+    3: ((0.0014900835088361708, 0.9734602747664127), (0.6666666666666666, 0.6666666666666666)),
+    4: ((0.9974739489908547, 0.9950166704823218), (0.0, 0.0)),
+    5: ((0.010825641615620052, 0.9747673216320109), (0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_PICKS))
+def test_default_pick_is_pinned(seed):
+    cfg = MesmoConfig()
+    problem, models = _seeded_models(seed, cfg)
+    maxima = sample_pareto_fronts(
+        models, cfg.n_front_samples, problem.dim, seed, inner=cfg.inner_nsga2, rff_features=cfg.rff_features
+    )
+    x, z = select_next(
+        models, maxima, problem, pool=cfg.pool_size, fidelity_levels=cfg.fidelity_levels, seed=seed
+    )
+    assert (tuple(x), tuple(z)) == PINNED_PICKS[seed]
+
+
+def _float64_call(self, x):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    phi = self.feature_scale * np.cos(x @ self.freqs + self.offset)
+    return self.y_mean + self.y_std * (phi @ self.weights)
+
+
+@pytest.mark.slow
+def test_front_maxima_match_float64_features(monkeypatch):
+    # Same draws, same inner seeds: only the precision of the feature cosines
+    # differs, so the sampled maxima may move by far less than their own
+    # Monte-Carlo error.
+    cfg = MesmoConfig()
+    problem, models = _seeded_models(7, cfg)
+    n_s = 24
+
+    def maxima():
+        return sample_pareto_fronts(
+            models, n_s, problem.dim, 7, inner=cfg.inner_nsga2, rff_features=cfg.rff_features
+        )
+
+    fast = maxima()
+    monkeypatch.setattr(SampledFunction, "__call__", _float64_call)
+    exact = maxima()
+    se = exact.std(axis=0, ddof=1) / np.sqrt(n_s)
+    assert np.all(se > 0)
+    assert np.all(np.abs(fast.mean(axis=0) - exact.mean(axis=0)) <= 0.1 * se)
