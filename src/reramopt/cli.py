@@ -262,6 +262,12 @@ def _cmd_evaluate(args) -> int:
             print("synthetic problems need --x", file=sys.stderr)
             return 1
         x = np.array([float(v) for v in args.x.split(",")])
+        if len(x) != problem.dim:
+            print(f"--x needs {problem.dim} values", file=sys.stderr)
+            return 1
+        if not np.all((x >= 0.0) & (x <= 1.0)):
+            print("--x values must lie in [0, 1]", file=sys.stderr)
+            return 1
     z_vals = [float(v) for v in args.z.split(",")]
     if len(z_vals) == 1:
         z = np.where(problem.fidelity_mask, z_vals[0], 1.0)
@@ -269,6 +275,9 @@ def _cmd_evaluate(args) -> int:
         z = np.array(z_vals)
     else:
         print(f"--z needs 1 or {problem.n_obj} values", file=sys.stderr)
+        return 1
+    if not np.all((z >= 0.0) & (z <= 1.0)):
+        print("--z values must lie in [0, 1]", file=sys.stderr)
         return 1
     rng = np.random.default_rng(args.seed)
     y = problem.evaluate(x, z, rng)
@@ -307,13 +316,17 @@ def _cmd_train_one(args) -> int:
 
 
 def _cmd_noise_hist(args) -> int:
+    for flag, value in (("--samples", args.samples), ("--bins", args.bins), ("--levels", args.levels)):
+        if value is not None and value < 1:
+            print(f"{flag} must be >= 1, got {value}", file=sys.stderr)
+            return 1
     cfg = _load_cfg(args)
     design = _design_from_args(cfg, args)
     rng = np.random.default_rng(args.seed)
     n_levels = 1 << design.res_cell
     levels = np.arange(n_levels)
     g_levels = design.g_min + levels * (design.g_max - design.g_min) / (n_levels - 1)
-    if args.levels:
+    if args.levels is not None:
         g_levels = g_levels[: args.levels]
     lines = [
         f"# config_hash={cfgmod.config_hash(cfg)} seed={args.seed}",

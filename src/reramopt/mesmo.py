@@ -1,8 +1,8 @@
 """Cost-aware max-value entropy search over designs and fidelities.
 
 Each iteration samples S highest-fidelity Pareto fronts from the
-surrogates (posterior function draws solved by the cheap inner NSGA-II),
-then picks the (design, fidelity) pair maximizing
+surrogates (posterior function draws solved in lockstep by the cheap inner
+NSGA-II), then picks the (design, fidelity) pair maximizing
 
     alpha(x, z) = sum_j sum_s [ g*phi(g)/(2*Phi(g)) - ln Phi(g) ] / (C(x,z)*S)
 
@@ -27,7 +27,7 @@ from scipy.special import log_ndtr
 from .design_space import fidelity_grid
 from .gp import CfGpModel, GpConfig, GpParams, fit, posterior, sample_function
 from .objectives import MooProblem
-from .pareto import FrontSet, Nsga2Config, dominated_hypervolume, nsga2
+from .pareto import FrontSet, Nsga2Config, dominated_hypervolume, nsga2, nsga2_lockstep
 from .resna import TrainingDivergedError
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -119,23 +119,26 @@ def sample_pareto_fronts(
     """Per-objective maxima of S independent sampled fronts, shape (S, k).
 
     Sample s draws one highest-fidelity function per objective and solves
-    the cheap deterministic MOO over them with NSGA-II on [0,1]^dim.
+    the cheap deterministic MOO over them with NSGA-II on [0,1]^dim. The S
+    solves advance in lockstep (``nsga2_lockstep``); each keeps its own
+    generator and draw order, so the maxima equal those of S sequential
+    ``nsga2`` runs bit for bit.
     """
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    maxima = []
-    bounds = np.tile([0.0, 1.0], (dim, 1))
-    for s in range(n_samples):
+    evaluators, nsga_seeds = [], []
+    for _ in range(n_samples):
         funcs = [
             sample_function(m, base.spawn(1)[0], n_features=rff_features) for m in models
         ]
 
-        def evaluator(x: np.ndarray) -> np.ndarray:
+        def evaluator(x: np.ndarray, funcs=funcs) -> np.ndarray:
             return np.stack([f(x) for f in funcs], axis=1)
 
-        nsga_seed = int(np.random.default_rng(base.spawn(1)[0]).integers(2**31))
-        front = nsga2(evaluator, bounds, seed=nsga_seed, config=inner)
-        maxima.append(front.y.max(axis=0))
-    return np.stack(maxima)
+        evaluators.append(evaluator)
+        nsga_seeds.append(int(np.random.default_rng(base.spawn(1)[0]).integers(2**31)))
+    bounds = np.tile([0.0, 1.0], (dim, 1))
+    fronts = nsga2_lockstep(evaluators, bounds, nsga_seeds, inner)
+    return np.stack([y.max(axis=0) for _, y in fronts])
 
 
 _SIGMA_FLOOR = 1e-9

@@ -94,3 +94,39 @@ def test_noise_hist_leaves_disabled_sources_at_zero(tmp_path, capsys):
         assert hist[source][1][0] < 0.0 < hist[source][1][1]
     assert max(count for *_, count in hist["shot"]) < 50
     assert hist["total"] == hist["shot"]
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--x", "0.5,0.5,0.5"], "--x needs 2 values"),
+        (["--x", "0.5"], "--x needs 2 values"),
+        (["--x", "3,-2"], "--x values must lie in [0, 1]"),
+        (["--x", "0.5,nan"], "--x values must lie in [0, 1]"),
+        (["--x", "0.5,0.5", "--z", "1.7"], "--z values must lie in [0, 1]"),
+        (["--x", "0.5,0.5", "--z", "0.5,-0.1"], "--z values must lie in [0, 1]"),
+    ],
+)
+def test_evaluate_rejects_inputs_off_the_unit_box(flags, message, capsys):
+    config = str(GOLDEN / "configs" / "branin.yaml")
+    assert cli.main(["evaluate", "--config", config, *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.strip() == message
+
+
+def test_evaluate_accepts_the_unit_box_corners(capsys):
+    config = str(GOLDEN / "configs" / "branin.yaml")
+    assert cli.main(["evaluate", "--config", config, "--x", "0,1", "--z", "0,1"]) == 0
+    assert json.loads(capsys.readouterr().out)["z"] == [0.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "flag,value", [("--levels", "0"), ("--samples", "0"), ("--bins", "0"), ("--bins", "-3")]
+)
+def test_noise_hist_rejects_counts_below_one(flag, value, tmp_path, capsys):
+    args = ["--res-cell", "2", "--samples", "30", "--bins", "3", flag, value]
+    assert cli.main(["noise-hist", *args]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.strip() == f"{flag} must be >= 1, got {value}"
+    assert cli.main(["noise-hist", *args, "--out", str(tmp_path / "hist.csv")]) == 1
+    assert not (tmp_path / "hist.csv").exists()

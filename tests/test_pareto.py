@@ -9,12 +9,15 @@ from hypothesis.extra.numpy import arrays
 from reramopt.pareto import (
     FrontSet,
     Nsga2Config,
+    _crowding,
     _domination_matrix,
+    _pareto_ranks,
     dominated_hypervolume,
     dominates,
     hypervolume,
     non_dominated_sort,
     nsga2,
+    nsga2_lockstep,
 )
 
 
@@ -173,6 +176,107 @@ class TestNsga2:
 
         front = nsga2(ev, [[0, 1]], seed=2, config=Nsga2Config(pop=30, gens=20))
         assert brute_force_rank0(front.y) == set(range(len(front)))
+
+
+def tied_objectives(k):
+    """k objectives over [0, 1]^3 rounded to one decimal, so ranks and crowding tie."""
+
+    def ev(x):
+        cols = [x[:, 0], 1.0 - x[:, 0] + x[:, 1], np.sin(3.0 * x[:, 1]) + x[:, 2], x[:, 2] - x[:, 0] ** 2]
+        return np.round(np.column_stack(cols[:k]), 1)
+
+    return ev
+
+
+LOCKSTEP_SEEDS = [0, 7, 123, 2**31 - 1, 98765]
+
+
+class TestNsga2Lockstep:
+    # Each digest covers the single-solve nsga2 fronts over LOCKSTEP_SEEDS and
+    # was recorded from the sequential solver that the lockstep one replaced.
+    @pytest.mark.parametrize(
+        "k,pop,gens,digest",
+        [
+            (1, 7, 5, "04671471dabf495b9f7f09741a7af7cf582718aafe7b1ec497ff2caa4ca73a0a"),
+            (2, 8, 6, "1fed0457eb328aef951cc944f15aebddc0af7aa25a507b6201b9ba3f7108fd95"),
+            (3, 9, 4, "e08b97a508d3a3060a02eaf0ea2c730bdc7bce227d51156a03f6a130f1eab726"),
+            (4, 10, 3, "8e1ad58de19c606ec27f7aff591bf5009d0b76f0e1ed8163fba3dfc3d817eb26"),
+            (2, 1, 5, "e38e7643a7b2b9ab45f97952e9f0477bcfb805ecbd26bbff02583c8d4581ebbf"),
+            (3, 6, 0, "b904fa41f930b43d366e1015f2a8c2d924e457003ab36a4886059301f906588b"),
+            (4, 1, 0, "e3b2b42d9d57a69a2b76d1bf248ea8235a5fa12f7b330e5d85cdf04a440598ce"),
+            (2, 13, 12, "7f5fa94f7d0cf3d1c599fba57f7a1f04bfba9e2ac4059bdb0b1e26f306309413"),
+        ],
+    )
+    def test_each_sample_equals_its_single_run(self, k, pop, gens, digest):
+        config = Nsga2Config(pop=pop, gens=gens)
+        bounds = [[0.0, 1.0]] * 3
+        singles = [nsga2(tied_objectives(k), bounds, seed=s, config=config) for s in LOCKSTEP_SEEDS]
+        single_bytes = [f.x.tobytes() + f.y.tobytes() for f in singles]
+        assert hashlib.sha256(b"".join(single_bytes)).hexdigest() == digest
+        evaluators = [tied_objectives(k) for _ in LOCKSTEP_SEEDS]
+        fronts = nsga2_lockstep(evaluators, bounds, LOCKSTEP_SEEDS, config)
+        assert len(fronts) == len(LOCKSTEP_SEEDS)
+        for (x, y), single, expected in zip(fronts, singles, single_bytes):
+            front = FrontSet.from_points(x, y)
+            assert front.x.tobytes() + front.y.tobytes() == expected
+            assert y.max(axis=0).tobytes() == single.y.max(axis=0).tobytes()
+
+    def test_each_sample_calls_its_own_evaluator_on_pop_rows(self):
+        seen = [[], []]
+
+        def recording(s):
+            def ev(x):
+                seen[s].append(x.shape)
+                return tied_objectives(2)(x)
+
+            return ev
+
+        config = Nsga2Config(pop=6, gens=3)
+        nsga2_lockstep([recording(0), recording(1)], [[0.0, 1.0]] * 3, [1, 2], config)
+        assert seen == [[(6, 3)] * 4, [(6, 3)] * 4]
+
+
+def per_front_crowding(y):
+    """Crowding distance of one front, one objective at a time (Deb et al. 2002)."""
+    n, k = y.shape
+    dist = np.zeros(n)
+    if n <= 2:
+        return np.full(n, np.inf)
+    for j in range(k):
+        order = np.argsort(y[:, j], kind="stable")
+        span = y[order[-1], j] - y[order[0], j]
+        dist[order[0]] = np.inf
+        dist[order[-1]] = np.inf
+        if span > 0:
+            dist[order[1:-1]] += (y[order[2:], j] - y[order[:-2], j]) / span
+    return dist
+
+
+class TestBatchedKernels:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_ranks_and_crowding_match_per_front_loops(self, k, data):
+        sets = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(1, 12))
+        values = st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 1.0, np.inf, np.nan])
+        y = data.draw(arrays(float, (sets, n, k), elements=values))
+        limit = data.draw(st.integers(1, n))
+        ranks = _pareto_ranks(y, limit)
+        with np.errstate(invalid="ignore"):
+            crowd = _crowding(y, ranks)
+        for s in range(sets):
+            true = np.array(brute_force_ranks(y[s]))
+            ranked = ranks[s] < n
+            # Whole fronts, at least `limit` rows, each with its true rank.
+            assert ranked.sum() >= limit
+            assert (ranks[s][ranked] == true[ranked]).all()
+            assert (ranked == (true <= true[ranked].max())).all()
+            for r in range(true[ranked].max() + 1):
+                front = np.flatnonzero(ranks[s] == r)
+                with np.errstate(invalid="ignore"):
+                    reference = per_front_crowding(y[s][front])
+                assert crowd[s][front].tobytes() == reference.tobytes()
 
 
 def mc_hypervolume(front, ref, n, seed):
