@@ -8,20 +8,25 @@ reproduces them bit-for-bit):
   2**(res_cell*(n_slices-1-s)) in the digital recombination.
 * Digit d maps to conductance g_min + d*(g_max-g_min)/(2**res_cell - 1).
   Signs are differential: a positive code programs its digits on the
-  positive tile and leaves the negative tile at g_min, and vice versa, so
+  positive side and leaves the negative side at g_min, and vice versa, so
   code 0 is exactly representable.
-* Matrices larger than xbar_size x xbar_size are tiled; every tile pair
-  (positive/negative) is a physical crossbar.
+* A layer is held as whole-layer arrays, not per tile (see MappedLayer).
+  Physically it is tiled into xbar_size x xbar_size crossbars, one per
+  side, slice, copy and tile (``objectives._crossbar_count`` counts them).
 * DACs are full-parallel voltage mode: input code q >= 0 drives
   v_r * q / (2**res_dac - 1). Signed inputs are handled as two read passes
   (positive and negative parts) subtracted digitally.
 * ADCs digitize each tile column current to res_adc bits over the fixed
   full scale [0, v_r * g_max * rows_in_tile]; res_adc=None is an ideal
-  converter. Each slice is quantized before the digital shift-add.
+  converter. Each slice is quantized before the digital shift-add. Every
+  tile column has its own ADC whose full scale depends only on the rows in
+  the tile, so mvm digitizes one row block of xbar_size rows at a time and
+  never splits the columns.
 * Programming noise is sampled at program() time, independently per cell
-  and per duplicate copy, and persists until reprogramming. Read noise is
-  resampled per cell per mvm call. Stored and effective conductances are
-  clamped to [0, g_max].
+  and per duplicate copy, in one draw per layer, and persists until
+  reprogramming. Read noise is resampled per cell in one draw per layer
+  and read pass. Stored and effective conductances are clamped to
+  [0, g_max].
 * The samplers of ``noise.py`` read each layer's ``ReramDesign`` and
   ``NoiseSpec``; the spec alone decides which sources are drawn.
 
@@ -77,32 +82,23 @@ def quantize(values: np.ndarray, bits: int) -> QuantizedMatrix:
     # standard ternary {-1, 0, 1} convention so symmetry survives.
     qmax = max((1 << (bits - 1)) - 1, 1)
     vmax = float(np.max(np.abs(values)))
+    if not math.isfinite(vmax):
+        raise ValueError("cannot quantize non-finite values")
     scale = vmax / qmax if vmax > 0.0 else 1.0
     codes = np.clip(np.rint(values / scale), -qmax, qmax).astype(np.int64)
     return QuantizedMatrix(codes=codes, scale=scale, bits=bits)
 
 
 @dataclass(frozen=True)
-class ConductanceMatrix:
-    """Ideal target conductances and, once programmed, the noisy copies."""
-
-    target: np.ndarray  # (n_slices, rows, cols)
-    noisy: np.ndarray | None = None  # (dup, n_slices, rows, cols)
-
-
-@dataclass(frozen=True)
-class _Tile:
-    row0: int
-    row1: int
-    col0: int
-    col1: int
-    pos: ConductanceMatrix
-    neg: ConductanceMatrix
-
-
-@dataclass(frozen=True)
 class MappedLayer:
-    """A quantized weight matrix deployed as differential crossbar tiles."""
+    """A quantized weight matrix deployed on bit-sliced differential crossbars.
+
+    ``target`` holds the ideal conductances of the whole layer as
+    (rows, 2, n_slices, cols), side 0 positive and side 1 negative.
+    ``noisy`` holds the programmed conductances of all ``dup`` copies as
+    (rows, dup, 2, n_slices, cols), or None until program() runs. Keeping
+    the rows outermost makes the currents of one row block a single matmul.
+    """
 
     design: ReramDesign
     noise: NoiseSpec
@@ -112,7 +108,8 @@ class MappedLayer:
     bits: int
     dup: int
     slice_weights: np.ndarray  # digital shift-add weights, most significant first
-    tiles: tuple[_Tile, ...]
+    target: np.ndarray
+    noisy: np.ndarray | None = None
 
     @property
     def n_slices(self) -> int:
@@ -120,16 +117,7 @@ class MappedLayer:
 
     @property
     def programmed(self) -> bool:
-        return all(t.pos.noisy is not None for t in self.tiles)
-
-
-def _digit_planes(abs_codes: np.ndarray, bit_quan: int, res_cell: int) -> np.ndarray:
-    n_slices = math.ceil(bit_quan / res_cell)
-    mask = (1 << res_cell) - 1
-    planes = [
-        (abs_codes >> (res_cell * (n_slices - 1 - s))) & mask for s in range(n_slices)
-    ]
-    return np.stack(planes, axis=0)
+        return self.noisy is not None
 
 
 def map_weights(
@@ -138,7 +126,7 @@ def map_weights(
     dup: int = 1,
     noise: NoiseSpec = NoiseSpec(),
 ) -> MappedLayer:
-    """Deploy quantized weights onto bit-sliced differential tiles.
+    """Deploy quantized weights onto bit-sliced differential crossbars.
 
     ``dup`` physical copies share the same targets but are programmed with
     independent noise. The layer is returned unprogrammed.
@@ -148,28 +136,12 @@ def map_weights(
     if dup < 1:
         raise ValueError("duplication factor must be >= 1")
 
-    g_min, g_max = design.g_min, design.g_max
-    step = (g_max - g_min) / ((1 << design.res_cell) - 1)
+    step = (design.g_max - design.g_min) / ((1 << design.res_cell) - 1)
     n_slices = design.slices_per_weight
-    slice_weights = np.array(
-        [1 << (design.res_cell * (n_slices - 1 - s)) for s in range(n_slices)], dtype=float
-    )
-
-    digits = _digit_planes(np.abs(w.codes), design.bit_quan, design.res_cell)
-    pos_digits = np.where(w.codes[None, :, :] > 0, digits, 0)
-    neg_digits = np.where(w.codes[None, :, :] < 0, digits, 0)
-
-    xb = design.xbar_size
-    tiles = []
-    for r0 in range(0, w.rows, xb):
-        r1 = min(r0 + xb, w.rows)
-        for c0 in range(0, w.cols, xb):
-            c1 = min(c0 + xb, w.cols)
-            pos = g_min + pos_digits[:, r0:r1, c0:c1] * step
-            neg = g_min + neg_digits[:, r0:r1, c0:c1] * step
-            tiles.append(
-                _Tile(r0, r1, c0, c1, ConductanceMatrix(pos), ConductanceMatrix(neg))
-            )
+    shifts = design.res_cell * np.arange(n_slices - 1, -1, -1)
+    # |code| on the side of its sign, 0 on the other: (rows, 2, cols).
+    side_codes = np.stack([np.maximum(w.codes, 0), np.maximum(-w.codes, 0)], axis=1)
+    digits = (side_codes[:, :, None, :] >> shifts[:, None]) & ((1 << design.res_cell) - 1)
 
     return MappedLayer(
         design=design,
@@ -179,48 +151,39 @@ def map_weights(
         scale=w.scale,
         bits=w.bits,
         dup=dup,
-        slice_weights=slice_weights,
-        tiles=tuple(tiles),
+        slice_weights=(1 << shifts).astype(float),
+        target=design.g_min + digits * step,
     )
 
 
 def program(layer: MappedLayer, rng: np.random.Generator | None = None) -> MappedLayer:
     """Write the target conductances with fresh per-cell programming noise.
 
-    Every duplicate copy gets an independent error sample; calling again
-    models an independent redeployment of the same weights.
+    Every duplicate copy gets an independent error sample, all drawn in one
+    call per layer; calling again models an independent redeployment of the
+    same weights.
     """
     d = layer.design
     if layer.noise.prog and rng is None:
         raise ValueError("programming with noise enabled requires a generator")
-
-    def _program_side(cm: ConductanceMatrix) -> ConductanceMatrix:
-        target = np.broadcast_to(cm.target, (layer.dup,) + cm.target.shape)
-        if layer.noise.prog and d.sigma_prog > 0.0:
-            noisy = target + sample_write_noise(target, d, layer.noise, rng)
-        else:
-            noisy = target.copy()
-        return ConductanceMatrix(cm.target, np.clip(noisy, 0.0, d.g_max))
-
-    tiles = tuple(
-        replace(t, pos=_program_side(t.pos), neg=_program_side(t.neg)) for t in layer.tiles
+    noisy = np.broadcast_to(
+        layer.target[:, None], (layer.rows, layer.dup) + layer.target.shape[1:]
     )
-    return replace(layer, tiles=tiles)
-
-
-def _read_perturbed(g: np.ndarray, layer: MappedLayer, rng: np.random.Generator) -> np.ndarray:
-    """Effective conductances for one read pass (fresh thermal/shot/RTN)."""
-    if not layer.noise.noisy_reads:
-        return g
-    return np.clip(sample_read(g, layer.design, layer.noise, rng), 0.0, layer.design.g_max)
+    if layer.noise.prog and d.sigma_prog > 0.0:
+        noisy = noisy + sample_write_noise(noisy, d, layer.noise, rng)
+    return replace(layer, noisy=np.clip(noisy, 0.0, d.g_max))
 
 
 def _adc(currents: np.ndarray, full_scale: float, res_adc: int | None) -> np.ndarray:
     if res_adc is None:
         return currents
     levels = (1 << res_adc) - 1
-    codes = np.clip(np.rint(currents / full_scale * levels), 0, levels)
-    return codes * (full_scale / levels)
+    codes = currents / full_scale
+    codes *= levels
+    np.rint(codes, out=codes)
+    np.clip(codes, 0, levels, out=codes)
+    codes *= full_scale / levels
+    return codes
 
 
 def mvm(
@@ -266,33 +229,30 @@ def mvm(
     v_step = d.v_r / dac_levels
     g_step = (d.g_max - d.g_min) / ((1 << d.res_cell) - 1)
     n_b = codes.shape[0]
-    acc = np.zeros((layer.dup, n_b, layer.cols))
+    acc = np.zeros((n_b, layer.dup, layer.cols))
 
     for sign in (1, -1):
         part = np.clip(sign * codes, 0, dac_levels)
         if not part.any():
             continue
         volts = part.astype(float) * v_step
-        for t in layer.tiles:
-            vt = volts[:, t.row0 : t.row1]
-            rows_in_tile = t.row1 - t.row0
-            fs = d.v_r * d.g_max * rows_in_tile
-            g_pos = _read_perturbed(t.pos.noisy, layer, rng)
-            g_neg = _read_perturbed(t.neg.noisy, layer, rng)
-            # currents: (B, r) x (dup, S, r, c) -> (B, dup, S, c)
-            i_pos = np.tensordot(vt, g_pos, axes=([1], [2]))
-            i_neg = np.tensordot(vt, g_neg, axes=([1], [2]))
-            i_pos = _adc(i_pos, fs, d.res_adc)
-            i_neg = _adc(i_neg, fs, d.res_adc)
-            diff = np.tensordot(i_pos - i_neg, layer.slice_weights, axes=([2], [0]))
-            acc[:, :, t.col0 : t.col1] += sign * np.swapaxes(diff, 0, 1)
+        g = layer.noisy
+        if layer.noise.noisy_reads:
+            g = np.clip(sample_read(g, d, layer.noise, rng), 0.0, d.g_max)
+        for r0 in range(0, layer.rows, d.xbar_size):
+            r1 = min(r0 + d.xbar_size, layer.rows)
+            fs = d.v_r * d.g_max * (r1 - r0)
+            # (B, r) @ (r, dup*2*S*cols) -> currents (B, dup, 2, S, cols)
+            cur = volts[:, r0:r1] @ g[r0:r1].reshape(r1 - r0, -1)
+            cur = _adc(cur, fs, d.res_adc).reshape((n_b,) + g.shape[1:])
+            acc += sign * (layer.slice_weights @ (cur[:, :, 0] - cur[:, :, 1]))
 
     out = np.rint(acc / (g_step * v_step)).astype(np.int64)
     if mode == "per_copy":
+        out = out.swapaxes(0, 1)
         return out[:, 0, :] if squeeze else out
     if mode == "average":
-        avg = out.mean(axis=0)
+        avg = out.mean(axis=1)
         return avg[0] if squeeze else avg
-    picked = out[np.arange(n_b) % layer.dup, np.arange(n_b), :]
+    picked = out[np.arange(n_b), np.arange(n_b) % layer.dup, :]
     return picked[0] if squeeze else picked
-

@@ -10,14 +10,19 @@ Four sources are modeled, all in conductance units (siemens):
 * programming     -- Gaussian write error, sigma = sigma_prog * G
 
 Thermal, shot and RTN perturb every read; programming noise is frozen at
-write time and persists until the cell is reprogrammed. Every function takes
-the conductances ``g`` (a scalar or an ndarray) and the ``ReramDesign`` that
-sets V = v_r, Freq, T, sigma_prog and G_min = 1/r_off. The RTN functions and
-the samplers also take a ``NoiseSpec``: the config's ``noise:`` section, with
-the source switches and the RTN law (its coefficients are calibration
-placeholders). Samplers take a generator last; the same seed reproduces the
-same sequence, so Monte-Carlo sweeps can be parallelized with per-worker
-substreams.
+write time and persists until the cell is reprogrammed. A read
+(``sample_read``) draws thermal and shot noise together as one Gaussian:
+both are independent, zero-mean and have variances linear in G, so their
+sum is Gaussian with the summed variance. ``reramopt noise-hist`` reports
+every source on its own and keeps separate per-source draws.
+
+Every function takes the conductances ``g`` (a scalar or an ndarray) and
+the ``ReramDesign`` that sets V = v_r, Freq, T, sigma_prog and
+G_min = 1/r_off. The RTN functions and the samplers also take a
+``NoiseSpec``: the config's ``noise:`` section, with the source switches
+and the RTN law (its coefficients are calibration placeholders). Samplers
+take a generator last; the same seed reproduces the same sequence, so
+Monte-Carlo sweeps can be parallelized with per-worker substreams.
 """
 
 from __future__ import annotations
@@ -90,24 +95,29 @@ def rtn_amplitude(g, design: ReramDesign, spec: NoiseSpec):
 def rtn_sample(g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator):
     """One RTN draw: the trap amplitude with probability rtn_p_occupancy, else 0."""
     g = np.asarray(g, dtype=float)
-    occupied = rng.random(g.shape) < spec.rtn_p_occupancy
-    return np.where(occupied, rtn_amplitude(g, design, spec), 0.0)
+    amp = rtn_amplitude(g, design, spec)
+    amp *= rng.random(g.shape) < spec.rtn_p_occupancy
+    return amp
 
 
 def sample_read(g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator):
     """Conductances seen by one read: g plus fresh thermal, shot and RTN noise.
 
-    The enabled sources are drawn independently, in that order, and each
-    is added onto the running sum in turn; reproducible reads depend on
-    that order of the draws and of the additions. Disabled sources draw
-    nothing.
+    Thermal and shot noise are independent zero-mean Gaussians whose
+    variances are both linear in g, so the enabled ones are drawn as a single
+    Gaussian with std sqrt(sigma_th^2 + sigma_sh^2); RTN is drawn after it.
+    Reproducible reads depend on that order of the draws. Disabled sources
+    draw nothing.
     """
     g = np.asarray(g, dtype=float)
     out = g
-    if spec.thermal:
-        out = out + rng.standard_normal(g.shape) * thermal_sigma(g, design)
-    if spec.shot:
-        out = out + rng.standard_normal(g.shape) * shot_sigma(g, design)
+    if spec.thermal or spec.shot:
+        var_per_siemens = (thermal_sigma(1.0, design) ** 2 if spec.thermal else 0.0) + (
+            shot_sigma(1.0, design) ** 2 if spec.shot else 0.0
+        )
+        out = rng.standard_normal(g.shape)
+        out *= np.sqrt(var_per_siemens * g)
+        out += g
     if spec.rtn:
         out = out + rtn_sample(g, design, spec, rng)
     return out

@@ -193,6 +193,8 @@ def _load_csv_dataset(spec: MlpSpec) -> Dataset:
 def _quantize_unsigned(values: np.ndarray, bits: int) -> QuantizedMatrix:
     """Activation quantizer: non-negative codes over the full DAC range."""
     values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError("cannot quantize non-finite activations")
     qmax = (1 << bits) - 1
     vmax = float(values.max()) if values.size else 0.0
     scale = vmax / qmax if vmax > 0.0 else 1.0
@@ -269,11 +271,14 @@ def train(
 ) -> TrainState:
     """SGD with momentum through the noisy crossbar forward pass.
 
-    Each deployment draws a fresh set of programming noise (per batch by
-    default, per epoch with ``noise_resample='per_epoch'``); read noise is
-    fresh on every forward call. Gradients are straight-through: the noisy
-    activations are used, the analog pipeline is treated as the identity
-    linear map of the master weights.
+    Every batch deploys the current master weights. By default each
+    deployment draws fresh programming noise; with
+    ``noise_resample='per_epoch'`` every deployment of an epoch replays the
+    programming noise from one seed drawn per epoch, so the batches of an
+    epoch share one noise realization. Read noise is fresh on every forward
+    call. Gradients are straight-through: the noisy activations are used,
+    the analog pipeline is treated as the identity linear map of the master
+    weights.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -287,21 +292,23 @@ def train(
     n = len(dataset.x_train)
     for epoch in range(epochs):
         order = rng.permutation(n)
-        deployed = None
-        if spec.noise_resample == "per_epoch":
-            deployed = _deploy(state.weights, designs, dups, noise, rng)
+        epoch_seed = int(rng.integers(2**63)) if spec.noise_resample == "per_epoch" else None
         epoch_loss = 0.0
         for start in range(0, n, spec.batch_size):
             idx = order[start : start + spec.batch_size]
             xb, yb = dataset.x_train[idx], dataset.y_train[idx]
-            if spec.noise_resample == "per_batch":
-                deployed = _deploy(state.weights, designs, dups, noise, rng)
+            deploy_rng = rng if epoch_seed is None else np.random.default_rng(epoch_seed)
+            deployed = _deploy(state.weights, designs, dups, noise, deploy_rng)
             logits, acts, pres, _ = _forward(deployed, state.biases, xb, rng)
             loss, dz = _softmax_ce(logits, yb)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             epoch_loss += loss * len(idx)
             _sgd_step(state, acts, pres, dz)
+            # The quantizers reject non-finite weights: an overflowing step
+            # diverges here rather than failing the next deployment.
+            if not all(np.isfinite(p).all() for p in state.weights + state.biases):
+                raise TrainingDivergedError(epoch)
         state.epoch = epoch + 1
         state.losses.append(epoch_loss / n)
     return state

@@ -12,6 +12,7 @@ from reramopt.crossbar import (
     quantize,
 )
 from reramopt.design_space import ReramDesign
+from reramopt.noise import rtn_amplitude, shot_sigma, thermal_sigma
 
 QUIET = NoiseSpec.disabled()
 
@@ -87,6 +88,11 @@ class TestQuantize:
         with pytest.raises(ValueError):
             quantize(np.ones((2, 2)), 9)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            quantize(np.array([[bad, 1.0]]), 8)
+
 
 class TestMapWeights:
     def test_slice_counts(self):
@@ -99,40 +105,39 @@ class TestMapWeights:
         d = design(res_cell=4)
         w = QuantizedMatrix(codes=np.zeros((2, 2), dtype=np.int64), scale=1.0, bits=8)
         layer = map_weights(w, d)
-        for t in layer.tiles:
-            np.testing.assert_allclose(t.pos.target, d.g_min)
-            np.testing.assert_allclose(t.neg.target, d.g_min)
+        np.testing.assert_allclose(layer.target[:, 0], d.g_min)
+        np.testing.assert_allclose(layer.target[:, 1], d.g_min)
 
     def test_targets_on_level_grid(self):
         d = design(res_cell=3)
         rng = np.random.default_rng(0)
         layer = map_weights(quantize(rng.standard_normal((8, 8)), 8), d)
         step = (d.g_max - d.g_min) / (2**3 - 1)
-        for t in layer.tiles:
-            lv = (t.pos.target - d.g_min) / step
-            np.testing.assert_allclose(lv, np.rint(lv), atol=1e-9)
-            assert lv.max() <= 2**3 - 1
+        lv = (layer.target[:, 0] - d.g_min) / step
+        np.testing.assert_allclose(lv, np.rint(lv), atol=1e-9)
+        assert lv.max() <= 2**3 - 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             map_weights(QuantizedMatrix(np.zeros((0, 3), dtype=np.int64), 1.0, 8), design())
 
     def test_tiling_shape(self):
+        # 2 row blocks x 2 col blocks of 64 share one whole-layer array.
         layer = map_weights(quantize(np.ones((100, 70)), 8), design(xbar=64))
-        assert len(layer.tiles) == 4  # 2 row blocks x 2 col blocks
+        assert layer.target.shape == (100, 2, 4, 70)  # rows, sides, slices, cols
+        programmed = program(layer, np.random.default_rng(0))
+        assert programmed.noisy.shape == (100, 1, 2, 4, 70)  # rows, copies, ...
 
 
 class TestProgram:
     def test_zero_sigma_exact(self):
         d = design(sigma_prog=0.0)
         layer = program(map_weights(quantize(np.eye(3), 8), d), np.random.default_rng(0))
-        for t in layer.tiles:
-            np.testing.assert_array_equal(t.pos.noisy[0], t.pos.target)
+        np.testing.assert_array_equal(layer.noisy[:, 0, 0], layer.target[:, 0])
 
     def test_prog_disabled_exact(self):
         layer = program(map_weights(quantize(np.eye(3), 8), design(), noise=QUIET))
-        for t in layer.tiles:
-            np.testing.assert_array_equal(t.pos.noisy[0], t.pos.target)
+        np.testing.assert_array_equal(layer.noisy[:, 0, 0], layer.target[:, 0])
 
     def test_per_cell_std_matches_sigma_prog(self):
         # 1e5 independent programmings of one target cell via duplicate copies.
@@ -143,9 +148,9 @@ class TestProgram:
         samples = []
         for _ in range(100):
             layer = program(base, rng)
-            samples.append(layer.tiles[0].pos.noisy[:, 0, 0, 0])
+            samples.append(layer.noisy[0, :, 0, 0, 0])
         samples = np.concatenate(samples)
-        target = base.tiles[0].pos.target[0, 0, 0]
+        target = base.target[0, 0, 0, 0]
         assert np.std(samples) == pytest.approx(d.sigma_prog * target, rel=0.02)
 
     def test_duplicate_copies_uncorrelated(self):
@@ -156,8 +161,8 @@ class TestProgram:
         a, b = [], []
         for _ in range(11200):
             layer = program(base, rng)
-            a.append(layer.tiles[0].pos.noisy[0].ravel())
-            b.append(layer.tiles[0].pos.noisy[1].ravel())
+            a.append(layer.noisy[:, 0, 0].ravel())
+            b.append(layer.noisy[:, 1, 0].ravel())
         a = np.concatenate(a)
         b = np.concatenate(b)
         corr = np.corrcoef(a, b)[0, 1]
@@ -167,7 +172,7 @@ class TestProgram:
         base = map_weights(quantize(np.eye(4), 8), design())
         l1 = program(base, np.random.default_rng(0))
         l2 = program(l1, np.random.default_rng(1))
-        assert not np.array_equal(l1.tiles[0].pos.noisy, l2.tiles[0].pos.noisy)
+        assert not np.array_equal(l1.noisy[:, :, 0], l2.noisy[:, :, 0])
 
     def test_program_requires_rng_when_noisy(self):
         with pytest.raises(ValueError):
@@ -278,6 +283,60 @@ class TestDuplicationVariance:
         v2 = _read_error_variance(2, 4000, seed=6)
         v4 = _read_error_variance(4, 4000, seed=7)
         assert v1 > v2 > v4
+
+
+def per_tile_reference_mvm(layer, codes, rng):
+    """Reference read: per tile and side, thermal, shot and RTN drawn on their own.
+
+    Averages the copies like mode="average"; needs res_adc=None.
+    """
+    d, spec = layer.design, layer.noise
+    assert d.res_adc is None
+    dac_max = 2**d.res_dac - 1
+    v_step = d.v_r / dac_max
+    g_step = (d.g_max - d.g_min) / (2**d.res_cell - 1)
+    acc = np.zeros((layer.dup, codes.shape[0], layer.cols))
+    for sign in (1, -1):
+        volts = np.clip(sign * codes, 0, dac_max) * v_step
+        for r0 in range(0, layer.rows, d.xbar_size):
+            r1 = min(r0 + d.xbar_size, layer.rows)
+            for c0 in range(0, layer.cols, d.xbar_size):
+                c1 = min(c0 + d.xbar_size, layer.cols)
+                for side, side_sign in ((0, 1), (1, -1)):
+                    g = layer.noisy[r0:r1, :, side, :, c0:c1]  # (r, dup, S, c)
+                    read = g + rng.standard_normal(g.shape) * thermal_sigma(g, d)
+                    read = read + rng.standard_normal(g.shape) * shot_sigma(g, d)
+                    occupied = rng.random(g.shape) < spec.rtn_p_occupancy
+                    read = read + np.where(occupied, rtn_amplitude(g, d, spec), 0.0)
+                    read = np.clip(read, 0.0, d.g_max)
+                    cur = np.einsum("br,rdsc->dbsc", volts[:, r0:r1], read)
+                    acc[:, :, c0:c1] += sign * side_sign * np.einsum(
+                        "dbsc,s->dbc", cur, layer.slice_weights
+                    )
+    return np.rint(acc / (g_step * v_step)).mean(axis=0)
+
+
+def assert_same_mean_and_variance(a, b, z=5.0):
+    """Means and variances of two independent samples agree within z standard errors."""
+    assert abs(a.mean() - b.mean()) <= z * np.sqrt(a.var() / len(a) + b.var() / len(b))
+    # Standard error of a sample variance: sqrt((m4 - var^2) / n).
+    se2 = [(np.mean((x - x.mean()) ** 4) - x.var() ** 2) / len(x) for x in (a, b)]
+    assert abs(a.var() - b.var()) <= z * np.sqrt(sum(se2))
+
+
+class TestMvmReadDistribution:
+    def test_average_mode_matches_per_tile_three_draw_read(self):
+        # 40 rows at xbar 32: 2 row blocks; signed inputs take both read passes.
+        rng = np.random.default_rng(41)
+        d = design(res_cell=2, xbar=32, res_adc=None)
+        layer = program(map_weights(quantize(rng.standard_normal((40, 8)), 8), d, dup=3), rng)
+        x = rng.integers(-127, 128, size=(1, 40))
+        n = 2000
+        got = np.array([mvm(layer, x, rng, mode="average")[0] for _ in range(n)])
+        want = np.array([per_tile_reference_mvm(layer, x, rng)[0] for _ in range(n)])
+        assert got.var(axis=0).min() > 1.0  # read noise moves every output code
+        for col in range(layer.cols):
+            assert_same_mean_and_variance(got[:, col], want[:, col])
 
 
 class TestModes:

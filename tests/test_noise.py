@@ -131,6 +131,52 @@ class TestSamplers:
         assert rel_lo > rel_hi
 
 
+def three_draw_read(g, design, spec, rng):
+    """Reference read: thermal, shot and RTN each drawn on their own, in turn."""
+    out = g
+    if spec.thermal:
+        out = out + rng.standard_normal(g.shape) * thermal_sigma(g, design)
+    if spec.shot:
+        out = out + rng.standard_normal(g.shape) * shot_sigma(g, design)
+    if spec.rtn:
+        occupied = rng.random(g.shape) < spec.rtn_p_occupancy
+        out = out + np.where(occupied, rtn_amplitude(g, design, spec), 0.0)
+    return out
+
+
+def assert_same_mean_and_variance(a, b, z=5.0):
+    """Means and variances of two independent samples agree within z standard errors."""
+    assert abs(a.mean() - b.mean()) <= z * np.sqrt(a.var() / len(a) + b.var() / len(b))
+    # Standard error of a sample variance: sqrt((m4 - var^2) / n).
+    se2 = [(np.mean((x - x.mean()) ** 4) - x.var() ** 2) / len(x) for x in (a, b)]
+    assert abs(a.var() - b.var()) <= z * np.sqrt(sum(se2))
+
+
+class TestReadDistribution:
+    """The one-Gaussian read against the three-draw reference, per cell."""
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"shot": False, "rtn": False},
+            {"thermal": False, "rtn": False},
+            {"rtn": False},
+            {},
+        ],
+        ids=["thermal", "shot", "thermal+shot", "thermal+shot+rtn"],
+    )
+    def test_mean_and_variance_match_three_draw_read(self, kwargs):
+        spec = NoiseSpec(**kwargs)
+        # Every conductance level of a 2-bit cell, 250k cells each.
+        levels = D.g_min + np.arange(4) * (D.g_max - D.g_min) / 3
+        g = np.repeat(levels, 250_000)
+        got = sample_read_noise(g, D, spec, np.random.default_rng(31))
+        want = three_draw_read(g, D, spec, np.random.default_rng(32)) - g
+        for level in range(4):
+            cells = slice(level * 250_000, (level + 1) * 250_000)
+            assert_same_mean_and_variance(got[cells], want[cells])
+
+
 class TestValidation:
     def test_bad_voltage(self):
         with pytest.raises(ValueError):

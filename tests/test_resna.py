@@ -3,7 +3,17 @@ import pytest
 
 from reramopt.crossbar import NoiseSpec
 from reramopt.design_space import ReramDesign
-from reramopt.resna import MlpSpec, epochs_for_fidelity, infer, majority_vote, make_dataset, train
+from reramopt import resna
+from reramopt.resna import (
+    MlpSpec,
+    TrainingDivergedError,
+    _quantize_unsigned,
+    epochs_for_fidelity,
+    infer,
+    majority_vote,
+    make_dataset,
+    train,
+)
 
 SPEC = MlpSpec(widths=(8, 6, 3), n_classes=3, n_train=40, n_test=30, data_seed=3)
 DESIGN = ReramDesign(res_cell=2, freq_hz=5e8, temperature_k=350.0, xbar_size=32)
@@ -61,3 +71,47 @@ def test_noiseless_inference_does_not_depend_on_the_generator(data, state):
         for rng in (None, np.random.default_rng(1), np.random.default_rng(2))
     ]
     assert accs[0] == accs[1] == accs[2]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_activation_quantizer_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        _quantize_unsigned(np.array([[bad, 1.0]]), 8)
+
+
+def test_overflowing_step_is_reported_as_divergence(data):
+    # At this rate an SGD step overflows the weights while its loss is still
+    # finite; the next deployment must not reach the quantizer with them.
+    spec = MlpSpec(widths=(8, 6, 3), n_classes=3, n_train=40, n_test=30, data_seed=3, lr=1e155)
+    with pytest.raises(TrainingDivergedError), np.errstate(over="ignore", invalid="ignore"):
+        train(spec, DESIGN, data, 4, np.random.default_rng(0))
+
+
+def test_per_epoch_resampling_trains():
+    spec = MlpSpec(n_train=160, n_test=50, lr=0.03, center_spread=1.0, data_seed=0, noise_resample="per_epoch")
+    design = ReramDesign(res_cell=2, freq_hz=5e8, temperature_k=350.0, xbar_size=64)
+    state = train(spec, design, make_dataset(spec), 4, np.random.default_rng(0))
+    assert state.losses[-1] < 0.5 * state.losses[0]
+
+
+def test_per_epoch_deployments_share_the_programming_noise(data, monkeypatch):
+    # With lr = momentum = 0 the master weights never move, so every
+    # deployment of an epoch must program the very same conductances.
+    programmed = []
+
+    def recording_deploy(*args):
+        deployed = deploy(*args)
+        programmed.append(deployed[0][0].noisy)
+        return deployed
+
+    deploy = resna._deploy
+    monkeypatch.setattr(resna, "_deploy", recording_deploy)
+    spec = MlpSpec(
+        widths=(8, 6, 3), n_classes=3, n_train=40, n_test=30, data_seed=3,
+        lr=0.0, momentum=0.0, batch_size=20, noise_resample="per_epoch",
+    )
+    train(spec, DESIGN, data, 2, np.random.default_rng(0))
+    assert len(programmed) == 4  # 2 epochs x 2 batches
+    np.testing.assert_array_equal(programmed[0], programmed[1])
+    np.testing.assert_array_equal(programmed[2], programmed[3])
+    assert not np.array_equal(programmed[0], programmed[2])
