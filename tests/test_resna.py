@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from reramopt import resna
 from reramopt.crossbar import NoiseSpec
 from reramopt.design_space import ReramDesign
-from reramopt import resna
 from reramopt.resna import (
     MlpSpec,
     TrainingDivergedError,
@@ -82,7 +84,7 @@ def test_activation_quantizer_rejects_non_finite_values(bad):
 def test_overflowing_step_is_reported_as_divergence(data):
     # At this rate an SGD step overflows the weights while its loss is still
     # finite; the next deployment must not reach the quantizer with them.
-    spec = MlpSpec(widths=(8, 6, 3), n_classes=3, n_train=40, n_test=30, data_seed=3, lr=1e155)
+    spec = replace(SPEC, lr=1e155)
     with pytest.raises(TrainingDivergedError), np.errstate(over="ignore", invalid="ignore"):
         train(spec, DESIGN, data, 4, np.random.default_rng(0))
 
@@ -97,6 +99,7 @@ def test_per_epoch_resampling_trains():
 def test_per_epoch_deployments_share_the_programming_noise(data, monkeypatch):
     # With lr = momentum = 0 the master weights never move, so every
     # deployment of an epoch must program the very same conductances.
+    deploy = resna._deploy
     programmed = []
 
     def recording_deploy(*args):
@@ -104,12 +107,8 @@ def test_per_epoch_deployments_share_the_programming_noise(data, monkeypatch):
         programmed.append(deployed[0][0].noisy)
         return deployed
 
-    deploy = resna._deploy
     monkeypatch.setattr(resna, "_deploy", recording_deploy)
-    spec = MlpSpec(
-        widths=(8, 6, 3), n_classes=3, n_train=40, n_test=30, data_seed=3,
-        lr=0.0, momentum=0.0, batch_size=20, noise_resample="per_epoch",
-    )
+    spec = replace(SPEC, lr=0.0, momentum=0.0, batch_size=20, noise_resample="per_epoch")
     train(spec, DESIGN, data, 2, np.random.default_rng(0))
     assert len(programmed) == 4  # 2 epochs x 2 batches
     np.testing.assert_array_equal(programmed[0], programmed[1])
