@@ -129,18 +129,23 @@ def map_weights(
     """Deploy quantized weights onto bit-sliced differential crossbars.
 
     ``dup`` physical copies share the same targets but are programmed with
-    independent noise. The layer is returned unprogrammed.
+    independent noise. The layer is returned unprogrammed. Codes whose
+    magnitude needs more than ``design.bit_quan`` bits are rejected rather
+    than sliced without their high digits.
     """
     if w.rows < 1 or w.cols < 1:
         raise ValueError("weight matrix must be non-empty")
     if dup < 1:
         raise ValueError("duplication factor must be >= 1")
 
+    # |code| on the side of its sign, 0 on the other: (rows, 2, cols).
+    side_codes = np.stack([np.maximum(w.codes, 0), np.maximum(-w.codes, 0)], axis=1)
+    need = int(side_codes.max()).bit_length()
+    if need > design.bit_quan:
+        raise ValueError(f"codes need {need} bits but the design's bit_quan is {design.bit_quan}")
     step = (design.g_max - design.g_min) / ((1 << design.res_cell) - 1)
     n_slices = design.slices_per_weight
     shifts = design.res_cell * np.arange(n_slices - 1, -1, -1)
-    # |code| on the side of its sign, 0 on the other: (rows, 2, cols).
-    side_codes = np.stack([np.maximum(w.codes, 0), np.maximum(-w.codes, 0)], axis=1)
     digits = (side_codes[:, :, None, :] >> shifts[:, None]) & ((1 << design.res_cell) - 1)
 
     return MappedLayer(

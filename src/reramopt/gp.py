@@ -16,6 +16,11 @@ costs about 20x as much, and the float32 rounding moves a draw by less than
 
 A fitted model is immutable: posterior() and sample_function() may be
 called concurrently, fit() builds a fresh model.
+
+SciPy loads on first use, inside the functions that call it, not at import:
+its linalg and optimize packages take longer to import than the rest of
+reramopt together, and the emulator path (evaluate, train-one, noise-hist)
+imports this module through the config but never fits a surrogate.
 """
 
 from __future__ import annotations
@@ -24,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.optimize import minimize
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -37,6 +40,12 @@ class GpConfig:
     noise_var_bounds: tuple[float, float] = (1e-6, 1e-1)  # relative to var(y)=1
     n_restarts: int = 5
     max_opt_iter: int = 60
+
+    def __post_init__(self):
+        for name in ("lengthscale_bounds", "signal_var_bounds", "noise_var_bounds"):
+            bounds = getattr(self, name)
+            if len(bounds) != 2 or not 0.0 < bounds[0] <= bounds[1] < math.inf:
+                raise ValueError(f"{name} must be a finite pair with 0 < lo <= hi, got {list(bounds)}")
 
 
 @dataclass(frozen=True)
@@ -74,6 +83,8 @@ def _kernel(u: np.ndarray, v: np.ndarray, params: GpParams) -> np.ndarray:
 
 
 def _chol_with_jitter(k_noisy: np.ndarray) -> tuple[np.ndarray, float]:
+    from scipy.linalg import cholesky
+
     jitter = 0.0
     scale = float(np.mean(np.diag(k_noisy)))
     for _ in range(8):
@@ -86,6 +97,8 @@ def _chol_with_jitter(k_noisy: np.ndarray) -> tuple[np.ndarray, float]:
 
 def _lml_and_grad(log_theta: np.ndarray, xz: np.ndarray, y: np.ndarray):
     """Negative LML and gradient w.r.t. log(signal_var, lengthscales, noise_var)."""
+    from scipy.linalg import cho_solve, cholesky
+
     n, dims = xz.shape
     signal_var = math.exp(log_theta[0])
     ls = np.exp(log_theta[1 : 1 + dims])
@@ -130,6 +143,9 @@ def fit(
     ``n_restarts`` L-BFGS starts: the provided/default parameters first,
     then deterministic log-uniform draws within the bounds.
     """
+    from scipy.linalg import cho_solve
+    from scipy.optimize import minimize
+
     x = np.atleast_2d(np.asarray(x, dtype=float))
     z = np.asarray(z, dtype=float).reshape(-1, 1)
     y = np.asarray(y, dtype=float).ravel()
@@ -217,6 +233,8 @@ def posterior(model: CfGpModel, x: np.ndarray, z) -> tuple[np.ndarray, np.ndarra
     ``x`` is (m, d) or (d,); ``z`` is a scalar or (m,). Values are returned
     on the raw target scale; the variance is clamped at 0 before the root.
     """
+    from scipy.linalg import solve_triangular
+
     x = np.atleast_2d(np.asarray(x, dtype=float))
     z_arr = np.broadcast_to(np.asarray(z, dtype=float), (len(x),)).reshape(-1, 1)
     q = np.hstack([x, z_arr])
@@ -264,6 +282,8 @@ def sample_function(model: CfGpModel, seed: int, n_features: int = 500) -> Sampl
     regression is sampled exactly (Matheron's update), so the draw costs
     one n x n factorization regardless of the feature count.
     """
+    from scipy.linalg import cho_solve
+
     rng = np.random.default_rng(seed)
     params = model.params
     m = n_features

@@ -14,6 +14,10 @@ baseline; the random-search and NSGA-II baselines share the bookkeeping.
 The outer loop is sequential by nature; within an iteration every random
 draw comes from an indexed substream of the campaign seed, so reruns are
 exactly reproducible.
+
+``entropy_term`` imports SciPy's ``log_ndtr`` when first called, as gp.py
+does its solvers, so that importing the package for the emulator alone
+does not load SciPy.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from .design_space import fidelity_grid
 from .gp import CfGpModel, GpConfig, GpParams, fit, posterior, sample_function
@@ -45,6 +48,8 @@ def entropy_term(gamma):
     phi/Phi is evaluated in log space so the expression stays finite and
     accurate for arbitrarily negative gamma.
     """
+    from scipy.special import log_ndtr
+
     g = np.asarray(gamma, dtype=float)
     log_pdf = -0.5 * g * g - _HALF_LOG_2PI
     log_cdf = log_ndtr(g)

@@ -28,6 +28,19 @@ class Nsga2Config:
     mutation_eta: float = 20.0
     mutation_prob: float | None = None  # None -> 1/d
 
+    def __post_init__(self):
+        if self.pop < 1:
+            raise ValueError(f"pop must be >= 1, got {self.pop}")
+        if self.gens < 0:
+            raise ValueError(f"gens must be >= 0, got {self.gens}")
+        for name in ("crossover_eta", "mutation_eta"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("crossover_prob", "mutation_prob"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+
 
 def dominates(a, b) -> bool:
     """Strict Pareto dominance under maximization: a >= b with some a_j > b_j."""

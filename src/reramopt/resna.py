@@ -20,6 +20,7 @@ Biases stay in the digital domain and see no analog noise.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -177,6 +178,8 @@ def _load_csv_dataset(spec: MlpSpec) -> Dataset:
                     f"{spec.csv_path}: line {lineno}: expected {spec.widths[0]} features, "
                     f"got {len(feats)}"
                 )
+            if not all(map(math.isfinite, feats)):
+                raise DatasetFormatError(f"{spec.csv_path}: line {lineno}: non-finite feature")
             if not (0 <= label < spec.n_classes):
                 raise DatasetFormatError(f"{spec.csv_path}: line {lineno}: label {label} out of range")
             rows.append((feats, label))

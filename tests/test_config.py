@@ -65,6 +65,19 @@ def test_default_hash_is_pinned():
         ("mesmo: {n_init: 1}", "'mesmo': n_init must be >= 2 for cf-mesmo, got 1"),
         ("optimizer: mesmo\nmesmo: {n_init: 0}", "'mesmo': n_init must be >= 2 for mesmo, got 0"),
         ("optimizer: random\nmesmo: {n_init: -3}", "'mesmo': n_init must be >= 0, got -3"),
+        # gp: bounds and nsga2: operator constants are checked before any fit
+        # or solve, not when the first seed reaches them.
+        ("gp: {lengthscale_bounds: [2.0, 0.05]}", "'gp': lengthscale_bounds must be a finite pair"),
+        ("gp: {noise_var_bounds: [-1.0, 0.1]}", "'gp': noise_var_bounds must be a finite pair"),
+        ("gp: {signal_var_bounds: [0.0, 20.0]}", "'gp': signal_var_bounds must be a finite pair"),
+        ("gp: {signal_var_bounds: [0.05, .inf]}", "'gp': signal_var_bounds must be a finite pair"),
+        ("gp: {lengthscale_bounds: [0.05]}", "'gp': lengthscale_bounds must be a finite pair"),
+        ("nsga2: {pop: 0}", "'nsga2': pop must be >= 1, got 0"),
+        ("nsga2: {gens: -1}", "'nsga2': gens must be >= 0, got -1"),
+        ("nsga2: {crossover_eta: -1.0}", "'nsga2': crossover_eta must be >= 0, got -1.0"),
+        ("nsga2: {mutation_eta: -1.0}", "'nsga2': mutation_eta must be >= 0, got -1.0"),
+        ("nsga2: {crossover_prob: 1.5}", "'nsga2': crossover_prob must lie in [0, 1], got 1.5"),
+        ("nsga2: {mutation_prob: -0.1}", "'nsga2': mutation_prob must lie in [0, 1], got -0.1"),
     ],
 )
 def test_errors_carry_the_dotted_path(text, path):
@@ -111,6 +124,12 @@ def test_inner_nsga2_keeps_the_operator_constants():
         ("mesmo: {n_init: 1}\n", []),
         ("optimizer: random\nmesmo: {n_init: 1}\n", ["--optimizer", "mesmo"]),
         ("optimizer: random\nmesmo: {n_init: -3}\n", []),
+        ("gp: {lengthscale_bounds: [2.0, 0.05]}\n", []),
+        ("gp: {noise_var_bounds: [-1.0, 0.1]}\n", []),
+        ("gp: {signal_var_bounds: [0.0, 20.0]}\n", []),
+        ("optimizer: nsga2\nnsga2: {crossover_eta: -1.0}\n", []),
+        ("optimizer: nsga2\nnsga2: {mutation_eta: -1.0}\n", []),
+        ("optimizer: nsga2\nnsga2: {pop: 0}\n", []),
     ],
 )
 def test_run_rejects_a_bad_budget_before_writing(tmp_path, capsys, text, extra):

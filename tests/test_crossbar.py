@@ -121,6 +121,17 @@ class TestMapWeights:
         with pytest.raises(ValueError):
             map_weights(QuantizedMatrix(np.zeros((0, 3), dtype=np.int64), 1.0, 8), design())
 
+    def test_codes_wider_than_bit_quan_rejected(self):
+        # Sliced at bit_quan=4, these 8-bit codes would lose their high
+        # digits and mvm([[10, 20]]) would read [[150, -300]], not the exact
+        # [[1910, -1900]] they give at the default width.
+        w = QuantizedMatrix(codes=np.array([[127, 64], [32, -127]]), scale=1.0, bits=8)
+        d = design(res_cell=2, res_adc=None, bit_quan=4)
+        with pytest.raises(ValueError, match=r"codes need 7 bits but the design's bit_quan is 4"):
+            map_weights(w, d, noise=QUIET)
+        layer = program(map_weights(w, design(res_cell=2, res_adc=None), noise=QUIET))
+        np.testing.assert_array_equal(mvm(layer, np.array([[10, 20]])), [[1910, -1900]])
+
     def test_tiling_shape(self):
         # 2 row blocks x 2 col blocks of 64 share one whole-layer array.
         layer = map_weights(quantize(np.ones((100, 70)), 8), design(xbar=64))

@@ -32,6 +32,31 @@ def state(data):
     return train(SPEC, DESIGN, data, 1, np.random.default_rng(0))
 
 
+def _write_csv(path, bad_row=None, bad_value=None):
+    rng = np.random.default_rng(0)
+    lines = []
+    for i in range(12):
+        feats = [f"{v:.3f}" for v in rng.random(SPEC.widths[0])]
+        if i == bad_row:
+            feats[2] = bad_value
+        lines.append(",".join(feats + [str(i % SPEC.n_classes)]))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return replace(SPEC, csv_path=str(path), n_train=8, n_test=4)
+
+
+def test_csv_dataset_loads_rows_in_order(tmp_path):
+    data = make_dataset(_write_csv(tmp_path / "data.csv"))
+    assert data.x_train.shape == (8, 8) and data.x_test.shape == (4, 8)
+    np.testing.assert_array_equal(data.y_test, [2, 0, 1, 2])
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_csv_dataset_rejects_non_finite_features(tmp_path, value):
+    spec = _write_csv(tmp_path / "data.csv", bad_row=3, bad_value=value)
+    with pytest.raises(resna.DatasetFormatError, match=r"data\.csv: line 4: non-finite feature"):
+        make_dataset(spec)
+
+
 def test_epochs_for_fidelity_spans_min_to_max():
     assert epochs_for_fidelity(0.0) == 10
     assert epochs_for_fidelity(1.0) == 100
