@@ -70,7 +70,9 @@ class MesmoSection:
     inner_gens: int = 40
 
     def __post_init__(self):
-        for name in ("n_front_samples", "pool_size", "fidelity_levels", "rff_features", "inner_pop"):
+        for name in (
+            "n_front_samples", "pool_size", "fidelity_levels", "rff_features", "gp_refit_every", "inner_pop"
+        ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("n_init", "inner_gens"):

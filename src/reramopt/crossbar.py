@@ -22,6 +22,9 @@ reproduces them bit-for-bit):
   tile column has its own ADC whose full scale depends only on the rows in
   the tile, so mvm digitizes one row block of xbar_size rows at a time and
   never splits the columns.
+* Every duplicate copy of a layer reads every input; mvm returns the
+  outputs of all copies and leaves combining them to the caller (resna
+  votes over the classifier's copies).
 * Programming noise is sampled at program() time, independently per cell
   and per duplicate copy, in one draw per layer, and persists until
   reprogramming. Read noise is resampled per cell in one draw per layer
@@ -105,7 +108,6 @@ class MappedLayer:
     rows: int
     cols: int
     scale: float
-    bits: int
     dup: int
     slice_weights: np.ndarray  # digital shift-add weights, most significant first
     target: np.ndarray
@@ -154,7 +156,6 @@ def map_weights(
         rows=w.rows,
         cols=w.cols,
         scale=w.scale,
-        bits=w.bits,
         dup=dup,
         slice_weights=(1 << shifts).astype(float),
         target=design.g_min + digits * step,
@@ -195,36 +196,27 @@ def mvm(
     layer: MappedLayer,
     inputs: QuantizedMatrix | np.ndarray,
     rng: np.random.Generator | None = None,
-    mode: str = "roundrobin",
-):
-    """Noisy integer matrix-vector product through the crossbar pipeline.
+) -> np.ndarray:
+    """Noisy integer matrix product through the crossbar pipeline.
 
-    ``inputs`` holds integer activation codes, one row per analog read pass
-    (a QuantizedMatrix or a raw code array of shape (rows,) or (B, rows)).
-    Read noise is drawn once per cell per call, independently per duplicate
-    copy and per sign pass, from the sources the layer's NoiseSpec enables;
-    ``rng`` may be None only when none of them is.
+    ``inputs`` holds integer activation codes of shape (B, rows), one row
+    per analog read pass (a QuantizedMatrix or a raw code array). Every row
+    is read through all ``dup`` copies; the result holds the integer
+    outputs of each copy as (dup, B, cols). Read noise is drawn once per
+    cell per call, independently per copy and per sign pass, from the
+    sources the layer's NoiseSpec enables; ``rng`` may be None only when
+    none of them is.
 
-    mode selects how the ``dup`` copies are used:
-      * "roundrobin": input row b is served by copy b % dup (throughput
-        duplication); output shape (B, cols) of integers.
-      * "average": every row goes through all copies and the integer
-        outputs are averaged; output shape (B, cols) of floats.
-      * "per_copy": outputs of all copies, shape (dup, B, cols), integers.
-
-    With noise off and res_adc=None the result equals the exact integer
+    With noise off and res_adc=None every copy equals the exact integer
     matmul codes @ weight_codes.
     """
     if not layer.programmed:
         raise RuntimeError("layer must be programmed before mvm")
-    if mode not in ("roundrobin", "average", "per_copy"):
-        raise ValueError(f"unknown mvm mode {mode!r}")
 
-    codes = inputs.codes if isinstance(inputs, QuantizedMatrix) else np.asarray(inputs)
-    squeeze = codes.ndim == 1
-    codes = np.atleast_2d(codes).astype(np.int64)
-    if codes.shape[1] != layer.rows:
-        raise ValueError(f"input length {codes.shape[1]} != layer rows {layer.rows}")
+    codes = inputs.codes if isinstance(inputs, QuantizedMatrix) else inputs
+    codes = np.asarray(codes, dtype=np.int64)
+    if codes.ndim != 2 or codes.shape[1] != layer.rows:
+        raise ValueError(f"inputs must have shape (B, {layer.rows}), got {codes.shape}")
 
     d = layer.design
     if rng is None and layer.noise.noisy_reads:
@@ -252,12 +244,4 @@ def mvm(
             cur = _adc(cur, fs, d.res_adc).reshape((n_b,) + g.shape[1:])
             acc += sign * (layer.slice_weights @ (cur[:, :, 0] - cur[:, :, 1]))
 
-    out = np.rint(acc / (g_step * v_step)).astype(np.int64)
-    if mode == "per_copy":
-        out = out.swapaxes(0, 1)
-        return out[:, 0, :] if squeeze else out
-    if mode == "average":
-        avg = out.mean(axis=1)
-        return avg[0] if squeeze else avg
-    picked = out[np.arange(n_b), np.arange(n_b) % layer.dup, :]
-    return picked[0] if squeeze else picked
+    return np.rint(acc / (g_step * v_step)).astype(np.int64).swapaxes(0, 1)

@@ -46,6 +46,9 @@ class GpConfig:
             bounds = getattr(self, name)
             if len(bounds) != 2 or not 0.0 < bounds[0] <= bounds[1] < math.inf:
                 raise ValueError(f"{name} must be a finite pair with 0 < lo <= hi, got {list(bounds)}")
+        for name in ("n_restarts", "max_opt_iter"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -185,7 +188,7 @@ def fit(
     if optimize:
         starts = [theta0]
         rng = np.random.default_rng(seed)
-        for _ in range(max(0, config.n_restarts - 1)):
+        for _ in range(config.n_restarts - 1):
             u = rng.random(dims + 2)
             starts.append(np.log(bounds_lo) + u * (np.log(bounds_hi) - np.log(bounds_lo)))
         best_theta, best_val = None, np.inf

@@ -372,7 +372,7 @@ def _run_campaign(
         elif len(ledger.hist_y) < 2:
             break
         else:
-            optimize_hypers = warm is None or (t % max(cfg.gp_refit_every, 1) == 0)
+            optimize_hypers = warm is None or (t % cfg.gp_refit_every == 0)
             models = _fit_models(
                 ledger.hist_x, ledger.hist_z, ledger.hist_y, cfg, warm, optimize_hypers
             )

@@ -32,30 +32,27 @@ from .resna import MlpSpec, accuracy_objective, epochs_for_fidelity, make_datase
 class LayerShape:
     rows: int  # inputs
     cols: int  # outputs
-    copies: int = 1
-    mode: str = "throughput"  # copies serve different inputs; "vote" copies see all
+    copies: int = 1  # voting copies, each of which reads every input
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1 or self.copies < 1:
             raise ValueError("layer dimensions and copies must be >= 1")
-        if self.mode not in ("throughput", "vote"):
-            raise ValueError("mode must be 'throughput' or 'vote'")
 
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Layer shapes plus the inferencing batch the hardware is sized for."""
+    """Layer shapes plus the inferencing batch the hardware is sized for.
+
+    Hidden layers have one copy; the classifier has ``vote_copies``.
+    """
 
     layers: tuple[LayerShape, ...]
     n_inputs: int = 1000
 
     @classmethod
     def from_mlp(cls, mlp: MlpSpec, n_inputs: int = 1000) -> "NetworkSpec":
-        shapes = [
-            LayerShape(r, c, mlp.hidden_copies, "throughput")
-            for r, c in zip(mlp.widths[:-2], mlp.widths[1:-1])
-        ]
-        shapes.append(LayerShape(mlp.widths[-2], mlp.widths[-1], mlp.vote_copies, "vote"))
+        shapes = [LayerShape(r, c) for r, c in zip(mlp.widths[:-2], mlp.widths[1:-1])]
+        shapes.append(LayerShape(mlp.widths[-2], mlp.widths[-1], mlp.vote_copies))
         return cls(tuple(shapes), n_inputs)
 
 
@@ -106,19 +103,14 @@ def hw_area(design: ReramDesign, network: NetworkSpec, params: HwCostParams = Hw
 def hw_latency(design: ReramDesign, network: NetworkSpec, params: HwCostParams = HwCostParams()) -> float:
     """Inference latency in seconds for the network's input batch.
 
-    Throughput-duplicated layers split the batch over their copies; row
-    blocks of a layer are processed serially, slices and column tiles in
-    parallel.
+    Every input takes one pass per layer, read by all of the layer's copies
+    at once; row blocks of a layer are processed serially, slices and
+    column tiles in parallel.
     """
     cycles_per_pass = params.dac_cycles + params.columns_per_adc
     cycles = 0
     for layer in network.layers:
-        passes = (
-            math.ceil(network.n_inputs / layer.copies)
-            if layer.mode == "throughput"
-            else network.n_inputs
-        )
-        cycles += passes * math.ceil(layer.rows / design.xbar_size) * cycles_per_pass
+        cycles += network.n_inputs * math.ceil(layer.rows / design.xbar_size) * cycles_per_pass
     return cycles / design.freq_hz
 
 
@@ -129,8 +121,7 @@ def hw_energy(design: ReramDesign, network: NetworkSpec, params: HwCostParams = 
     adc_scale = params.adc_scale(design.res_adc)
     total = 0.0
     for layer in network.layers:
-        eff_copies = layer.copies if layer.mode == "vote" else 1
-        sliced = design.slices_per_weight * 2 * eff_copies * network.n_inputs
+        sliced = design.slices_per_weight * 2 * layer.copies * network.n_inputs
         cell_reads = sliced * layer.rows * layer.cols
         dac_convs = sliced * layer.rows
         adc_convs = sliced * layer.cols * math.ceil(layer.rows / design.xbar_size)

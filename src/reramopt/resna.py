@@ -8,9 +8,10 @@ with a straight-through estimator. Hidden layers run at the candidate
 design's operating point, the classification layer at a reduced one
 (100 MHz / 300 K by default), and at inference time the classifier is
 duplicated so a majority vote over the copies picks the prediction.
-``MlpSpec`` is the config's ``resna:`` section: the network, its training
-hyperparameters, the data set it learns, the voting inference and the
-epoch range that the optimizer's fidelity spans.
+Hidden layers always run on a single copy. ``MlpSpec`` is the config's
+``resna:`` section: the network, its training hyperparameters, the data
+set it learns, the voting inference and the epoch range that the
+optimizer's fidelity spans.
 
 Conventions: ReLU activations are quantized unsigned (codes 0..2^b - 1,
 using the full DAC range); weights use the symmetric signed quantizer.
@@ -49,20 +50,18 @@ class MlpSpec:
     The architecture and SGD hyperparameters come first. The data set is
     ``n_train``/``n_test`` Gaussian blobs in R^widths[0] drawn from
     ``data_seed``, or the rows of ``csv_path``. Accuracy is the mean over
-    ``infer_runs`` deployments, by majority vote of the classifier copies
-    when ``voting`` is on. Fidelity z maps to training epochs affinely
-    from ``min_epochs`` to ``max_epochs``.
+    ``infer_runs`` deployments, each by majority vote of the
+    ``vote_copies`` classifier copies. Fidelity z maps to training epochs
+    affinely from ``min_epochs`` to ``max_epochs``.
     """
 
     widths: tuple[int, ...] = (64, 32, 10)
     vote_copies: int = 3
-    hidden_copies: int = 1  # unrolled-kernel style duplication, off by default
     classifier_freq_hz: float = 1.0e8
     classifier_temperature_k: float = 300.0
     lr: float = 0.001
     momentum: float = 0.9
     batch_size: int = 8
-    noise_resample: str = "per_batch"  # or "per_epoch"
     n_train: int = 2000
     n_test: int = 1000
     n_classes: int = 10
@@ -70,7 +69,6 @@ class MlpSpec:
     csv_path: str | None = None
     data_seed: int = 7
     infer_runs: int = 10
-    voting: bool = True
     min_epochs: int = 10
     max_epochs: int = 100
 
@@ -81,10 +79,6 @@ class MlpSpec:
             raise ValueError(f"n_classes ({self.n_classes}) must equal widths[-1] ({self.widths[-1]})")
         if self.vote_copies < 1 or self.vote_copies % 2 == 0:
             raise ValueError("vote_copies must be odd and >= 1")
-        if self.hidden_copies < 1:
-            raise ValueError("hidden_copies must be >= 1")
-        if self.noise_resample not in ("per_batch", "per_epoch"):
-            raise ValueError("noise_resample must be 'per_batch' or 'per_epoch'")
         if not 1 <= self.min_epochs <= self.max_epochs:
             raise ValueError(
                 f"need 1 <= min_epochs ({self.min_epochs}) <= max_epochs ({self.max_epochs})"
@@ -213,44 +207,38 @@ def _layer_designs(spec: MlpSpec, design: ReramDesign) -> list[ReramDesign]:
 def _deploy(
     weights: list[np.ndarray],
     designs: list[ReramDesign],
-    dups: list[int],
+    classifier_copies: int,
     noise: NoiseSpec,
     rng: np.random.Generator | None,
-) -> list[tuple[MappedLayer, float]]:
-    deployed = []
-    for w, dsg, dup in zip(weights, designs, dups):
-        qw = quantize(w, dsg.bit_quan)
-        layer = program(map_weights(qw, dsg, dup=dup, noise=noise), rng)
-        deployed.append((layer, qw.scale))
-    return deployed
+) -> list[MappedLayer]:
+    """Quantize and program every layer; only the classifier is duplicated."""
+    dups = [1] * (len(weights) - 1) + [classifier_copies]
+    return [
+        program(map_weights(quantize(w, dsg.bit_quan), dsg, dup=dup, noise=noise), rng)
+        for w, dsg, dup in zip(weights, designs, dups)
+    ]
 
 
 def _forward(
-    deployed: list[tuple[MappedLayer, float]],
+    deployed: list[MappedLayer],
     biases: list[np.ndarray],
     x: np.ndarray,
     rng: np.random.Generator | None,
-    classifier_mode: str = "roundrobin",
 ):
-    """Run the noisy pipeline; returns (logits, per-layer input/preact caches)."""
+    """Run the noisy pipeline.
+
+    Returns the classifier's logits per copy, (copies, B, classes), and the
+    per-layer input and pre-activation caches of copy 0.
+    """
     a = x
     acts, pres = [], []
-    last = len(deployed) - 1
-    logits_per_copy = None
-    for idx, ((layer, w_scale), b) in enumerate(zip(deployed, biases)):
+    for layer, b in zip(deployed, biases):
         acts.append(a)
         q_in = _quantize_unsigned(a, layer.design.bit_quan)
-        mode = classifier_mode if idx == last else "roundrobin"
-        y_int = mvm(layer, q_in, rng=rng, mode=mode)
-        pre = y_int * (q_in.scale * w_scale) + b
-        pres.append(pre)
-        if idx == last:
-            if mode == "per_copy":
-                logits_per_copy = pre
-                pre = pre.mean(axis=0)
-            return pre, acts, pres, logits_per_copy
-        a = np.maximum(pre, 0.0)
-    raise AssertionError("unreachable")
+        pre = mvm(layer, q_in, rng) * (q_in.scale * layer.scale) + b
+        pres.append(pre[0])
+        a = np.maximum(pre[0], 0.0)
+    return pre, acts, pres
 
 
 def _softmax_ce(logits: np.ndarray, labels: np.ndarray):
@@ -274,14 +262,11 @@ def train(
 ) -> TrainState:
     """SGD with momentum through the noisy crossbar forward pass.
 
-    Every batch deploys the current master weights. By default each
-    deployment draws fresh programming noise; with
-    ``noise_resample='per_epoch'`` every deployment of an epoch replays the
-    programming noise from one seed drawn per epoch, so the batches of an
-    epoch share one noise realization. Read noise is fresh on every forward
-    call. Gradients are straight-through: the noisy activations are used,
-    the analog pipeline is treated as the identity linear map of the master
-    weights.
+    Every batch deploys the current master weights with fresh programming
+    noise on a single classifier copy, and read noise is fresh on every
+    forward call. Gradients are straight-through: the noisy activations are
+    used, the analog pipeline is treated as the identity linear map of the
+    master weights.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -289,21 +274,18 @@ def train(
         raise ValueError("dataset feature width does not match the input layer")
 
     designs = _layer_designs(spec, design)
-    dups = [spec.hidden_copies] * (spec.n_layers - 1) + [1]
     state = _init_state(spec, rng)
 
     n = len(dataset.x_train)
     for epoch in range(epochs):
         order = rng.permutation(n)
-        epoch_seed = int(rng.integers(2**63)) if spec.noise_resample == "per_epoch" else None
         epoch_loss = 0.0
         for start in range(0, n, spec.batch_size):
             idx = order[start : start + spec.batch_size]
             xb, yb = dataset.x_train[idx], dataset.y_train[idx]
-            deploy_rng = rng if epoch_seed is None else np.random.default_rng(epoch_seed)
-            deployed = _deploy(state.weights, designs, dups, noise, deploy_rng)
-            logits, acts, pres, _ = _forward(deployed, state.biases, xb, rng)
-            loss, dz = _softmax_ce(logits, yb)
+            deployed = _deploy(state.weights, designs, 1, noise, rng)
+            logits, acts, pres = _forward(deployed, state.biases, xb, rng)
+            loss, dz = _softmax_ce(logits[0], yb)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             epoch_loss += loss * len(idx)
@@ -375,25 +357,20 @@ def infer(
     """Test accuracy of each of ``runs`` independent deployments.
 
     Every run reprograms all layers (fresh write noise) and reads the test
-    set through them. With ``spec.voting``, the classifier's duplicate
-    copies each produce logits and the majority prediction wins; without
-    it the first copy alone decides.
+    set through them. Each of the classifier's ``spec.vote_copies`` copies
+    produces logits and the majority prediction wins.
     """
     spec = state.spec
     designs = _layer_designs(spec, design)
-    dups = [spec.hidden_copies] * (spec.n_layers - 1) + [spec.vote_copies]
     accs = []
     for _ in range(runs):
-        deployed = _deploy(state.weights, designs, dups, noise, rng)
+        deployed = _deploy(state.weights, designs, spec.vote_copies, noise, rng)
         correct = 0
         for start in range(0, len(dataset.x_test), eval_batch):
             xb = dataset.x_test[start : start + eval_batch]
             yb = dataset.y_test[start : start + eval_batch]
-            _, _, _, per_copy = _forward(deployed, state.biases, xb, rng, classifier_mode="per_copy")
-            if spec.voting:
-                pred = majority_vote(per_copy)
-            else:
-                pred = per_copy[0].argmax(axis=1)
+            per_copy, _, _ = _forward(deployed, state.biases, xb, rng)
+            pred = majority_vote(per_copy)
             correct += int((pred == yb).sum())
         accs.append(correct / len(dataset.x_test))
     return accs

@@ -35,7 +35,7 @@ def test_default_hash_is_pinned():
         ("budget: {max_iterations: 1.5}", "'budget.max_iterations'"),
         ("nsga2: {mutation_prob: high}", "'nsga2.mutation_prob'"),
         ("space: {xbar_sizes: [32, big]}", "'space.xbar_sizes[1]'"),
-        ("resna: {voting: 1}", "'resna.voting'"),
+        ("noise: {thermal: 1}", "'noise.thermal' must be a boolean"),
         ("nsga2: [1, 2]", "'nsga2' must be a mapping"),
         # The space's corner designs are built with the default device, then
         # with the configured one; the first to fail names its section.
@@ -78,6 +78,18 @@ def test_default_hash_is_pinned():
         ("nsga2: {mutation_eta: -1.0}", "'nsga2': mutation_eta must be >= 0, got -1.0"),
         ("nsga2: {crossover_prob: 1.5}", "'nsga2': crossover_prob must lie in [0, 1], got 1.5"),
         ("nsga2: {mutation_prob: -0.1}", "'nsga2': mutation_prob must lie in [0, 1], got -0.1"),
+        # Hidden layers have one copy, the classifier always votes and every
+        # batch draws fresh programming noise: these keys are gone.
+        ("resna: {hidden_copies: 2}", "unknown config key 'resna.hidden_copies'"),
+        ("resna: {voting: 1}", "'resna.voting'"),
+        ("resna: {noise_resample: per_epoch}", "unknown config key 'resna.noise_resample'"),
+        # A search limit below one would turn the hyperparameter search or
+        # its refits off.
+        ("gp: {n_restarts: -4}", "'gp': n_restarts must be >= 1, got -4"),
+        ("gp: {n_restarts: 0}", "'gp': n_restarts must be >= 1, got 0"),
+        ("gp: {max_opt_iter: 0}", "'gp': max_opt_iter must be >= 1, got 0"),
+        ("mesmo: {gp_refit_every: 0}", "'mesmo': gp_refit_every must be >= 1, got 0"),
+        ("mesmo: {gp_refit_every: -3}", "'mesmo': gp_refit_every must be >= 1, got -3"),
     ],
 )
 def test_errors_carry_the_dotted_path(text, path):
@@ -130,6 +142,9 @@ def test_inner_nsga2_keeps_the_operator_constants():
         ("optimizer: nsga2\nnsga2: {crossover_eta: -1.0}\n", []),
         ("optimizer: nsga2\nnsga2: {mutation_eta: -1.0}\n", []),
         ("optimizer: nsga2\nnsga2: {pop: 0}\n", []),
+        ("gp: {n_restarts: -4}\n", []),
+        ("gp: {max_opt_iter: 0}\n", []),
+        ("mesmo: {gp_refit_every: 0}\n", []),
     ],
 )
 def test_run_rejects_a_bad_budget_before_writing(tmp_path, capsys, text, extra):

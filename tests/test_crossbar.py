@@ -130,7 +130,7 @@ class TestMapWeights:
         with pytest.raises(ValueError, match=r"codes need 7 bits but the design's bit_quan is 4"):
             map_weights(w, d, noise=QUIET)
         layer = program(map_weights(w, design(res_cell=2, res_adc=None), noise=QUIET))
-        np.testing.assert_array_equal(mvm(layer, np.array([[10, 20]])), [[1910, -1900]])
+        np.testing.assert_array_equal(mvm(layer, np.array([[10, 20]]))[0], [[1910, -1900]])
 
     def test_tiling_shape(self):
         # 2 row blocks x 2 col blocks of 64 share one whole-layer array.
@@ -196,7 +196,7 @@ class TestMvmIdealPath:
         qw = quantize(np.eye(2), 8)
         layer = program(map_weights(qw, d, noise=QUIET))
         x = quantize(np.array([[1.0, 0.0]]), 8)
-        y = mvm(layer, x)
+        y = mvm(layer, x)[0]
         np.testing.assert_array_equal(y, x.codes @ qw.codes)
 
     @pytest.mark.parametrize("res_cell", [1, 2, 3, 4, 8])
@@ -206,7 +206,7 @@ class TestMvmIdealPath:
         qw = quantize(rng.standard_normal((20, 12)), 8)
         layer = program(map_weights(qw, d, noise=QUIET))
         x = rng.integers(-127, 128, size=(6, 20))
-        np.testing.assert_array_equal(mvm(layer, x), x @ qw.codes)
+        np.testing.assert_array_equal(mvm(layer, x)[0], x @ qw.codes)
 
     def test_negating_weights_negates_output(self):
         rng = np.random.default_rng(4)
@@ -214,8 +214,8 @@ class TestMvmIdealPath:
         qw = quantize(rng.standard_normal((10, 7)), 8)
         qw_neg = QuantizedMatrix(codes=-qw.codes, scale=qw.scale, bits=8)
         x = rng.integers(-127, 128, size=(4, 10))
-        y = mvm(program(map_weights(qw, d, noise=QUIET)), x)
-        y_neg = mvm(program(map_weights(qw_neg, d, noise=QUIET)), x)
+        y = mvm(program(map_weights(qw, d, noise=QUIET)), x)[0]
+        y_neg = mvm(program(map_weights(qw_neg, d, noise=QUIET)), x)[0]
         np.testing.assert_array_equal(y_neg, -y)
 
     def test_tiling_invariance(self):
@@ -226,7 +226,7 @@ class TestMvmIdealPath:
         outs = []
         for xbar in (64, 128):
             d = design(res_cell=4, xbar=xbar, res_adc=None)
-            outs.append(mvm(program(map_weights(qw, d, noise=QUIET)), x))
+            outs.append(mvm(program(map_weights(qw, d, noise=QUIET)), x)[0])
         np.testing.assert_array_equal(outs[0], outs[1])
 
     def test_unprogrammed_rejected(self):
@@ -249,7 +249,7 @@ class TestMvmFixedPointOracle:
             qw = quantize(rng.standard_normal((8, 8)) * rng.uniform(0.5, 3.0), 8)
             layer = program(map_weights(qw, d, noise=QUIET))
             x = rng.integers(-127, 128, size=(1, 8))
-            got = mvm(layer, x)
+            got = mvm(layer, x)[0]
             want = fixed_point_oracle(qw.codes, x, d)
             np.testing.assert_array_equal(got, want, err_msg=f"case {case}")
 
@@ -260,7 +260,7 @@ class TestMvmFixedPointOracle:
         layer = program(map_weights(qw, d, noise=QUIET))
         x = rng.integers(0, 128, size=(2, 70))
         np.testing.assert_array_equal(
-            mvm(layer, x), fixed_point_oracle(qw.codes, x, d)
+            mvm(layer, x)[0], fixed_point_oracle(qw.codes, x, d)
         )
 
 
@@ -274,11 +274,11 @@ def _read_error_variance(dup: int, n_reads: int, seed: int) -> float:
     ideal = mvm(
         program(map_weights(qw, design(res_cell=8, xbar=32, res_adc=None), noise=QUIET), None),
         x,
-    ).astype(float)
+    )[0].astype(float)
     errs = np.empty(n_reads)
     for i in range(n_reads):
         layer = program(base, rng)
-        out = mvm(layer, x, rng, mode="average")
+        out = mvm(layer, x, rng).mean(axis=0)
         errs[i] = float(out[0, 0] - ideal[0, 0])
     return float(np.var(errs))
 
@@ -299,7 +299,7 @@ class TestDuplicationVariance:
 def per_tile_reference_mvm(layer, codes, rng):
     """Reference read: per tile and side, thermal, shot and RTN drawn on their own.
 
-    Averages the copies like mode="average"; needs res_adc=None.
+    Averages the copies' integer outputs; needs res_adc=None.
     """
     d, spec = layer.design, layer.noise
     assert d.res_adc is None
@@ -343,35 +343,27 @@ class TestMvmReadDistribution:
         layer = program(map_weights(quantize(rng.standard_normal((40, 8)), 8), d, dup=3), rng)
         x = rng.integers(-127, 128, size=(1, 40))
         n = 2000
-        got = np.array([mvm(layer, x, rng, mode="average")[0] for _ in range(n)])
+        got = np.array([mvm(layer, x, rng).mean(axis=0)[0] for _ in range(n)])
         want = np.array([per_tile_reference_mvm(layer, x, rng)[0] for _ in range(n)])
         assert got.var(axis=0).min() > 1.0  # read noise moves every output code
         for col in range(layer.cols):
             assert_same_mean_and_variance(got[:, col], want[:, col])
 
 
-class TestModes:
-    def test_roundrobin_assigns_copies(self):
+class TestCopies:
+    def test_every_copy_reads_every_input_with_its_own_noise(self):
         rng = np.random.default_rng(8)
-        d = design(res_cell=8)
-        qw = quantize(np.eye(4), 8)
-        layer = program(map_weights(qw, d, dup=2), rng)
-        x = np.tile([[10, 20, 30, 40]], (4, 1))
-        per_copy = mvm(layer, x, np.random.default_rng(1), mode="per_copy")
-        rr = mvm(layer, x, np.random.default_rng(1), mode="roundrobin")
-        assert per_copy.shape == (2, 4, 4)
-        np.testing.assert_array_equal(rr[0], per_copy[0, 0])
-        np.testing.assert_array_equal(rr[1], per_copy[1, 1])
-
-    def test_average_mode_returns_float_mean(self):
-        d = design(res_cell=8)
-        layer = program(map_weights(quantize(np.eye(3), 8), d, dup=3), np.random.default_rng(0))
-        out = mvm(layer, np.array([[5, 5, 5]]), np.random.default_rng(2), mode="average")
-        assert out.dtype == float
-
-    def test_unknown_mode(self):
-        d = design()
-        layer = program(map_weights(quantize(np.eye(2), 8), d, noise=QUIET))
-        with pytest.raises(ValueError):
-            mvm(layer, np.array([[1, 0]]), mode="bogus")
-
+        d = design(res_cell=2, xbar=32, res_adc=None)
+        qw = quantize(rng.standard_normal((40, 6)), 8)
+        x = rng.integers(0, 128, size=(5, 40))
+        quiet = mvm(program(map_weights(qw, d, dup=3, noise=QUIET)), x)
+        assert quiet.shape == (3, 5, 6) and quiet.dtype == np.int64
+        for copy in quiet:
+            np.testing.assert_array_equal(copy, x @ qw.codes)
+        # Without programming noise the copies hold equal conductances, so
+        # only their read noise can set them apart.
+        read_only = NoiseSpec(prog=False)
+        out = mvm(program(map_weights(qw, d, dup=3, noise=read_only)), x, rng)
+        assert out.shape == (3, 5, 6) and out.dtype == np.int64
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            assert not np.array_equal(out[a], out[b])

@@ -7,7 +7,7 @@ from reramopt.objectives import LayerShape, NetworkSpec, hw_area, hw_energy, hw_
 # res_cell=2 -> 4 slices per 8-bit weight; a 64x10 layer on 32x32 crossbars
 # is 2 row tiles x 1 column tile; three voting copies, 100 inputs.
 DESIGN = ReramDesign(res_cell=2, freq_hz=1e8, temperature_k=300.0, xbar_size=32)
-NET = NetworkSpec((LayerShape(rows=64, cols=10, copies=3, mode="vote"),), n_inputs=100)
+NET = NetworkSpec((LayerShape(rows=64, cols=10, copies=3),), n_inputs=100)
 
 
 def test_area_counts_every_crossbar_of_every_copy():
