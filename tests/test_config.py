@@ -14,7 +14,7 @@ from reramopt.config import (
 from reramopt.pareto import Nsga2Config
 
 # config_hash of the default config; artifacts embed it, so it must not drift.
-DEFAULT_HASH = "a1a1b06b5661c66f"
+DEFAULT_HASH = "2c28bbec936dfadb"
 
 
 def test_emit_defaults_round_trips():
