@@ -25,16 +25,22 @@ reproduces them bit-for-bit):
 * Every duplicate copy of a layer reads every input; mvm returns the
   outputs of all copies and leaves combining them to the caller (resna
   votes over the classifier's copies).
-* Programming noise is sampled at program() time, independently per cell
-  and per duplicate copy, in one draw per layer, and persists until
-  reprogramming. Read noise is resampled per cell in one draw per layer
-  and read pass. Stored and effective conductances are clamped to
-  [0, g_max].
+* A programmed layer holds its programming noise, sampled at program()
+  time independently per cell and per duplicate copy in one draw per
+  layer; it persists until reprogramming. Read noise is resampled per cell
+  in one draw per layer and read pass. Stored and effective conductances
+  are clamped to [0, g_max].
+* mvm reads an unprogrammed layer as a fresh deployment that is read
+  once, the way training redeploys on every batch: one Gaussian per cell
+  at the target carries the programming and the thermal-plus-shot
+  variance together, then RTN, then one clip to [0, g_max]
+  (``noise.sample_read``). Inputs with both signs program the layer first,
+  so both read passes see one deployment.
 * The samplers of ``noise.py`` read each layer's ``ReramDesign`` and
   ``NoiseSpec``; the spec alone decides which sources are drawn.
 
-A programmed layer is immutable during reads; concurrent mvm calls need
-independent generators. program() replaces the noisy arrays wholesale.
+A layer is immutable during reads; concurrent mvm calls need independent
+generators. program() replaces the noisy arrays wholesale.
 """
 
 from __future__ import annotations
@@ -172,12 +178,15 @@ def program(layer: MappedLayer, rng: np.random.Generator | None = None) -> Mappe
     d = layer.design
     if layer.noise.prog and rng is None:
         raise ValueError("programming with noise enabled requires a generator")
-    noisy = np.broadcast_to(
-        layer.target[:, None], (layer.rows, layer.dup) + layer.target.shape[1:]
-    )
+    noisy = _copies(layer)
     if layer.noise.prog and d.sigma_prog > 0.0:
         noisy = noisy + sample_write_noise(noisy, d, layer.noise, rng)
     return replace(layer, noisy=np.clip(noisy, 0.0, d.g_max))
+
+
+def _copies(layer: MappedLayer) -> np.ndarray:
+    """The targets as seen by every copy, (rows, dup, 2, n_slices, cols), as a view."""
+    return np.broadcast_to(layer.target[:, None], (layer.rows, layer.dup) + layer.target.shape[1:])
 
 
 def _adc(currents: np.ndarray, full_scale: float, res_adc: int | None) -> np.ndarray:
@@ -207,20 +216,27 @@ def mvm(
     sources the layer's NoiseSpec enables; ``rng`` may be None only when
     none of them is.
 
+    An unprogrammed layer is read as a fresh deployment that this call
+    alone sees: its programming error is drawn with the read noise, in one
+    Gaussian per cell at the target (see the module docstring). Such a read
+    needs ``rng`` whenever programming noise is enabled, as program() does.
+
     With noise off and res_adc=None every copy equals the exact integer
     matmul codes @ weight_codes.
     """
-    if not layer.programmed:
-        raise RuntimeError("layer must be programmed before mvm")
-
     codes = inputs.codes if isinstance(inputs, QuantizedMatrix) else inputs
     codes = np.asarray(codes, dtype=np.int64)
     if codes.ndim != 2 or codes.shape[1] != layer.rows:
         raise ValueError(f"inputs must have shape (B, {layer.rows}), got {codes.shape}")
 
+    if not layer.programmed and (codes > 0).any() and (codes < 0).any():
+        layer = program(layer, rng)
     d = layer.design
-    if rng is None and layer.noise.noisy_reads:
-        raise ValueError("mvm with read noise enabled requires a generator")
+    fresh = not layer.programmed
+    noisy = layer.noise.noisy_reads or (fresh and layer.noise.prog)
+    if rng is None and noisy:
+        raise ValueError("a noisy mvm requires a generator")
+    cells = _copies(layer) if fresh else layer.noisy
 
     dac_levels = (1 << d.res_dac) - 1
     v_step = d.v_r / dac_levels
@@ -233,9 +249,9 @@ def mvm(
         if not part.any():
             continue
         volts = part.astype(float) * v_step
-        g = layer.noisy
-        if layer.noise.noisy_reads:
-            g = np.clip(sample_read(g, d, layer.noise, rng), 0.0, d.g_max)
+        g = cells
+        if noisy:
+            g = np.clip(sample_read(cells, d, layer.noise, rng, fresh), 0.0, d.g_max)
         for r0 in range(0, layer.rows, d.xbar_size):
             r1 = min(r0 + d.xbar_size, layer.rows)
             fs = d.v_r * d.g_max * (r1 - r0)

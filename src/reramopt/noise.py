@@ -13,8 +13,21 @@ Thermal, shot and RTN perturb every read; programming noise is frozen at
 write time and persists until the cell is reprogrammed. A read
 (``sample_read``) draws thermal and shot noise together as one Gaussian:
 both are independent, zero-mean and have variances linear in G, so their
-sum is Gaussian with the summed variance. ``reramopt noise-hist`` reports
-every source on its own and keeps separate per-source draws.
+sum is Gaussian with the summed variance c*G. ``reramopt noise-hist``
+reports every source on its own and keeps separate per-source draws.
+
+A deployment that is read exactly once (ReSNA's training redeploys the
+weights on every batch) needs no stored programming error. Its read
+(``sample_read(..., fresh=True)``) folds the write error into the same
+Gaussian, taken at the target G, with variance
+
+    sigma^2 = sigma_prog^2 * G^2 + c * G.
+
+That is the total variance of writing and then reading the cell:
+Var(G_prog) + E[c * G_prog] = sigma_prog^2 * G^2 + c * G. The law differs
+from the two-draw path in two places only: the read sigma is taken at the
+target instead of the programmed G, and the caller clips once instead of
+after each draw.
 
 Every function takes the conductances ``g`` (a scalar or an ndarray) and
 the ``ReramDesign`` that sets V = v_r, Freq, T, sigma_prog and
@@ -100,23 +113,31 @@ def rtn_sample(g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator
     return amp
 
 
-def sample_read(g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator):
+def sample_read(
+    g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator, fresh: bool = False
+):
     """Conductances seen by one read: g plus fresh thermal, shot and RTN noise.
 
     Thermal and shot noise are independent zero-mean Gaussians whose
     variances are both linear in g, so the enabled ones are drawn as a single
     Gaussian with std sqrt(sigma_th^2 + sigma_sh^2); RTN is drawn after it.
-    Reproducible reads depend on that order of the draws. Disabled sources
-    draw nothing.
+    With ``fresh``, g holds the targets of a deployment that this read alone
+    sees, and the programming error (if enabled) joins the same Gaussian, as
+    the module docstring derives. Reproducible reads depend on that order of
+    the draws. Disabled sources draw nothing.
     """
     g = np.asarray(g, dtype=float)
     out = g
-    if spec.thermal or spec.shot:
+    write = fresh and spec.prog and design.sigma_prog > 0.0
+    if spec.thermal or spec.shot or write:
         var_per_siemens = (thermal_sigma(1.0, design) ** 2 if spec.thermal else 0.0) + (
             shot_sigma(1.0, design) ** 2 if spec.shot else 0.0
         )
+        var = var_per_siemens * g
+        if write:
+            var += prog_sigma(g, design) ** 2
         out = rng.standard_normal(g.shape)
-        out *= np.sqrt(var_per_siemens * g)
+        out *= np.sqrt(var)
         out += g
     if spec.rtn:
         out = out + rtn_sample(g, design, spec, rng)

@@ -4,14 +4,18 @@ The trainer keeps a noise-free master copy of the weights in full
 precision. Every forward pass quantizes the master weights, deploys them
 on crossbar tiles with fresh programming noise, and computes activations
 through the noisy analog pipeline; gradients flow back to the master copy
-with a straight-through estimator. Hidden layers run at the candidate
-design's operating point, the classification layer at a reduced one
-(100 MHz / 300 K by default), and at inference time the classifier is
-duplicated so a majority vote over the copies picks the prediction.
-Hidden layers always run on a single copy. ``MlpSpec`` is the config's
-``resna:`` section: the network, its training hyperparameters, the data
-set it learns, the voting inference and the epoch range that the
-optimizer's fidelity spans.
+with a straight-through estimator. A training deployment is read by one
+batch only, so it is never programmed: ``mvm`` reads the unprogrammed
+layer and draws each cell's programming and read noise as one Gaussian.
+Inference deployments serve many batches and copies, so ``infer``
+programs them and every read adds its own read noise. Hidden layers run
+at the candidate design's operating point, the classification layer at a
+reduced one (100 MHz / 300 K by default), and at inference time the
+classifier is duplicated so a majority vote over the copies picks the
+prediction. Hidden layers always run on a single copy. ``MlpSpec`` is
+the config's ``resna:`` section: the network, its training
+hyperparameters, the data set it learns, the voting inference and the
+epoch range that the optimizer's fidelity spans.
 
 Conventions: ReLU activations are quantized unsigned (codes 0..2^b - 1,
 using the full DAC range); weights use the symmetric signed quantizer.
@@ -209,12 +213,11 @@ def _deploy(
     designs: list[ReramDesign],
     classifier_copies: int,
     noise: NoiseSpec,
-    rng: np.random.Generator | None,
 ) -> list[MappedLayer]:
-    """Quantize and program every layer; only the classifier is duplicated."""
+    """Quantize and map every layer, unprogrammed; only the classifier is duplicated."""
     dups = [1] * (len(weights) - 1) + [classifier_copies]
     return [
-        program(map_weights(quantize(w, dsg.bit_quan), dsg, dup=dup, noise=noise), rng)
+        map_weights(quantize(w, dsg.bit_quan), dsg, dup=dup, noise=noise)
         for w, dsg, dup in zip(weights, designs, dups)
     ]
 
@@ -262,11 +265,12 @@ def train(
 ) -> TrainState:
     """SGD with momentum through the noisy crossbar forward pass.
 
-    Every batch deploys the current master weights with fresh programming
-    noise on a single classifier copy, and read noise is fresh on every
-    forward call. Gradients are straight-through: the noisy activations are
-    used, the analog pipeline is treated as the identity linear map of the
-    master weights.
+    Every batch deploys the current master weights on a single classifier
+    copy and reads that deployment once, so each cell's programming and
+    read noise are drawn together as one Gaussian at its target (see
+    ``crossbar.mvm``); no layer is programmed. Gradients are
+    straight-through: the noisy activations are used, the analog pipeline
+    is treated as the identity linear map of the master weights.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -283,7 +287,7 @@ def train(
         for start in range(0, n, spec.batch_size):
             idx = order[start : start + spec.batch_size]
             xb, yb = dataset.x_train[idx], dataset.y_train[idx]
-            deployed = _deploy(state.weights, designs, 1, noise, rng)
+            deployed = _deploy(state.weights, designs, 1, noise)
             logits, acts, pres = _forward(deployed, state.biases, xb, rng)
             loss, dz = _softmax_ce(logits[0], yb)
             if not np.isfinite(loss):
@@ -364,7 +368,8 @@ def infer(
     designs = _layer_designs(spec, design)
     accs = []
     for _ in range(runs):
-        deployed = _deploy(state.weights, designs, spec.vote_copies, noise, rng)
+        layers = _deploy(state.weights, designs, spec.vote_copies, noise)
+        deployed = [program(layer, rng) for layer in layers]
         correct = 0
         for start in range(0, len(dataset.x_test), eval_batch):
             xb = dataset.x_test[start : start + eval_batch]

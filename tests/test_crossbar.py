@@ -229,9 +229,19 @@ class TestMvmIdealPath:
             outs.append(mvm(program(map_weights(qw, d, noise=QUIET)), x)[0])
         np.testing.assert_array_equal(outs[0], outs[1])
 
-    def test_unprogrammed_rejected(self):
-        layer = map_weights(quantize(np.eye(2), 8), design())
-        with pytest.raises(RuntimeError):
+    def test_unprogrammed_quiet_read_equals_integer_matmul(self):
+        rng = np.random.default_rng(6)
+        qw = quantize(rng.standard_normal((20, 12)), 8)
+        layer = map_weights(qw, design(res_cell=2, res_adc=None), noise=QUIET)
+        # Unsigned inputs take one read pass; signed ones program the layer first.
+        for low in (0, -127):
+            x = rng.integers(low, 128, size=(6, 20))
+            np.testing.assert_array_equal(mvm(layer, x)[0], x @ qw.codes)
+
+    @pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec(thermal=False, shot=False, rtn=False)])
+    def test_unprogrammed_noisy_read_requires_rng(self, noise):
+        layer = map_weights(quantize(np.eye(2), 8), design(), noise=noise)
+        with pytest.raises(ValueError, match="requires a generator"):
             mvm(layer, np.array([[1, 0]]))
 
     def test_wrong_input_length(self):
@@ -346,6 +356,24 @@ class TestMvmReadDistribution:
         got = np.array([mvm(layer, x, rng).mean(axis=0)[0] for _ in range(n)])
         want = np.array([per_tile_reference_mvm(layer, x, rng)[0] for _ in range(n)])
         assert got.var(axis=0).min() > 1.0  # read noise moves every output code
+        for col in range(layer.cols):
+            assert_same_mean_and_variance(got[:, col], want[:, col])
+
+
+class TestFreshDeploymentRead:
+    @pytest.mark.parametrize("res_adc", [8, None])
+    @pytest.mark.parametrize("res_cell", [1, 2, 4, 8])
+    def test_one_draw_read_matches_program_then_read(self, res_cell, res_adc):
+        # An unprogrammed read folds the write error into the read Gaussian;
+        # its codes must match writing the cells and then reading them.
+        rng = np.random.default_rng(60 + res_cell)
+        d = design(res_cell=res_cell, xbar=32, res_adc=res_adc)
+        layer = map_weights(quantize(rng.standard_normal((40, 8)), 8), d)
+        x = rng.integers(0, 128, size=(1, 40))
+        n = 3000
+        got = np.array([mvm(layer, x, rng)[0, 0] for _ in range(n)])
+        want = np.array([mvm(program(layer, rng), x, rng)[0, 0] for _ in range(n)])
+        assert got.var(axis=0).max() > 1.0  # the noise moves the output codes
         for col in range(layer.cols):
             assert_same_mean_and_variance(got[:, col], want[:, col])
 

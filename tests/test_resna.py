@@ -105,6 +105,21 @@ def test_noiseless_inference_does_not_depend_on_the_generator(data, state):
     assert accs[0] == accs[1] == accs[2]
 
 
+def test_training_programs_no_layer_and_inference_each_layer_once_per_run(data, monkeypatch):
+    copies = []
+    real_program = resna.program
+
+    def counting_program(layer, rng=None):
+        copies.append(layer.dup)
+        return real_program(layer, rng)
+
+    monkeypatch.setattr(resna, "program", counting_program)
+    state = train(SPEC, DESIGN, data, 1, np.random.default_rng(0))
+    assert copies == []
+    infer(state, DESIGN, data, runs=3, rng=np.random.default_rng(1))
+    assert copies == [1, SPEC.vote_copies] * 3
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_activation_quantizer_rejects_non_finite_values(bad):
     with pytest.raises(ValueError, match="non-finite"):
