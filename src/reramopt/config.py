@@ -70,14 +70,12 @@ class MesmoSection:
     inner_gens: int = 40
 
     def __post_init__(self):
-        for name in (
-            "n_front_samples", "pool_size", "fidelity_levels", "rff_features", "gp_refit_every", "inner_pop"
-        ):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("n_init", "inner_gens"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # MesmoConfig checks the fields it shares with this section.
+        _project(MesmoConfig, self)
+        if self.inner_pop < 1:
+            raise ValueError(f"inner_pop must be >= 1, got {self.inner_pop}")
+        if self.inner_gens < 0:
+            raise ValueError(f"inner_gens must be >= 0, got {self.inner_gens}")
 
 
 @dataclass(frozen=True)

@@ -71,6 +71,13 @@ class MesmoConfig:
     # baseline keeps the full (100, 100) defaults.
     inner_nsga2: Nsga2Config = field(default_factory=lambda: Nsga2Config(pop=64, gens=40))
 
+    def __post_init__(self):
+        for name in ("n_front_samples", "pool_size", "fidelity_levels", "rff_features", "gp_refit_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.n_init < 0:
+            raise ValueError(f"n_init must be >= 0, got {self.n_init}")
+
 
 @dataclass(frozen=True)
 class Budget:
@@ -241,6 +248,15 @@ def run_random(
     return _run_campaign(problem, budget, seed, cfg, optimizer="random")
 
 
+def nsga2_evaluations(problem: MooProblem, budget: Budget) -> int:
+    """How many z* evaluations the budget buys run_nsga2.
+
+    Below two populations' worth, NSGA-II runs 0 generations: it evaluates
+    its initial population only and is random search.
+    """
+    return int(budget.total_cost // problem.cost(np.zeros(problem.dim), problem.z_star()))
+
+
 def run_nsga2(
     problem: MooProblem, budget: Budget, seed: int, cfg: Nsga2Config = Nsga2Config()
 ) -> CampaignResult:
@@ -252,7 +268,7 @@ def run_nsga2(
     point.
     """
     z_star = problem.z_star()
-    max_evals = int(budget.total_cost // problem.cost(np.zeros(problem.dim), z_star))
+    max_evals = nsga2_evaluations(problem, budget)
     ledger = _Ledger(problem, seed)
 
     def evaluate(x: np.ndarray) -> np.ndarray:

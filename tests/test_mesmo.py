@@ -31,6 +31,32 @@ def test_one_fidelity_level_evaluates_at_the_top():
     assert all(np.array_equal(row.z, problem.z_star()) for row in opt)
 
 
+def test_zero_refit_cadence_is_rejected_before_the_campaign_runs():
+    # Unchecked, this cadence divided by zero at the second iteration.
+    with pytest.raises(ValueError, match="gp_refit_every must be >= 1, got 0"):
+        run_cf_mesmo(
+            synthetic_cf_problem("branin-currin-cf"),
+            Budget(max_iterations=3),
+            0,
+            MesmoConfig(gp_refit_every=0, pool_size=50, n_front_samples=2, rff_features=50),
+        )
+
+
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("n_front_samples", 0, "n_front_samples must be >= 1, got 0"),
+        ("pool_size", -1, "pool_size must be >= 1, got -1"),
+        ("fidelity_levels", 0, "fidelity_levels must be >= 1, got 0"),
+        ("rff_features", 0, "rff_features must be >= 1, got 0"),
+        ("n_init", -1, "n_init must be >= 0, got -1"),
+    ],
+)
+def test_mesmo_config_checks_its_fields(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        MesmoConfig(**{field: value})
+
+
 def _failing(problem, exc_at: int, exc: Exception):
     calls = []
 
