@@ -22,7 +22,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .design_space import ReramDesign
-from .mesmo import CampaignResult, run_cf_mesmo, run_mesmo, run_nsga2, run_random
+from .mesmo import CampaignResult, nsga2_evaluations, run_cf_mesmo, run_mesmo, run_nsga2, run_random
 from .noise import rtn_sample, sample_write_noise, shot_sigma, thermal_sigma
 from .objectives import MooProblem
 from .pareto import dominated_hypervolume
@@ -174,6 +174,14 @@ def run_campaign(cfg: cfgmod.CampaignConfig, out_dir: Path) -> int:
     space = cfgmod.build_space(cfg) if cfg.problem.name == "reram" else None
 
     _write_lines(out_dir / "effective_config.yaml", [f"# config_hash={hash_}", cfgmod.dump_config(cfg).rstrip()])
+    if cfg.optimizer == "nsga2":
+        evals = nsga2_evaluations(problem, cfg.budget)
+        if evals < 2 * cfg.nsga2.pop:
+            print(
+                f"note: the budget buys {evals} evaluations, fewer than two populations of "
+                f"{cfg.nsga2.pop}, so NSGA-II runs 0 generations and is random search",
+                file=sys.stderr,
+            )
 
     results: list[CampaignResult] = []
     failed: list[int] = []

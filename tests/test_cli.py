@@ -53,6 +53,20 @@ def test_failed_seed_keeps_the_other_seeds_artifacts(tmp_path, monkeypatch, caps
     assert {"hv_vs_cost.csv", "fidelity_trace.csv", "effective_config.yaml"} <= written
 
 
+@pytest.mark.parametrize("budget,evals,note", [(30, 15, True), (32, 16, False), (48, 24, False)])
+def test_nsga2_says_when_the_budget_buys_no_generation(budget, evals, note, tmp_path, capsys):
+    # branin.yaml has pop 8 and a z* evaluation costs 2, so 16 evaluations
+    # are the least that leave room for one generation after the first.
+    argv = ["run", "--config", str(GOLDEN / "configs" / "branin.yaml"), "--optimizer", "nsga2"]
+    assert cli.main(argv + ["--budget", str(budget), "--out", str(tmp_path)]) == 0
+    err = capsys.readouterr().err
+    line = (
+        f"note: the budget buys {evals} evaluations, fewer than two populations of 8, "
+        "so NSGA-II runs 0 generations and is random search\n"
+    )
+    assert err == (line if note else "")
+
+
 def test_parallel_seeds_match_the_serial_golden(tmp_path):
     # Each worker re-parses the dumped config; only the config hash header differs.
     cfg = tmp_path / "cfg.yaml"
