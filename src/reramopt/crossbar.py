@@ -233,8 +233,8 @@ def mvm(
         layer = program(layer, rng)
     d = layer.design
     fresh = not layer.programmed
-    noisy = layer.noise.noisy_reads or (fresh and layer.noise.prog)
-    if rng is None and noisy:
+    noisy_read = layer.noise.noisy_reads or (fresh and layer.noise.prog)
+    if rng is None and noisy_read:
         raise ValueError("a noisy mvm requires a generator")
     cells = _copies(layer) if fresh else layer.noisy
 
@@ -250,7 +250,7 @@ def mvm(
             continue
         volts = part.astype(float) * v_step
         g = cells
-        if noisy:
+        if noisy_read:
             g = np.clip(sample_read(cells, d, layer.noise, rng, fresh), 0.0, d.g_max)
         for r0 in range(0, layer.rows, d.xbar_size):
             r1 = min(r0 + d.xbar_size, layer.rows)

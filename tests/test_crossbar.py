@@ -238,7 +238,11 @@ class TestMvmIdealPath:
             x = rng.integers(low, 128, size=(6, 20))
             np.testing.assert_array_equal(mvm(layer, x)[0], x @ qw.codes)
 
-    @pytest.mark.parametrize("noise", [NoiseSpec(), NoiseSpec(thermal=False, shot=False, rtn=False)])
+    @pytest.mark.parametrize(
+        "noise",
+        [NoiseSpec(), NoiseSpec(thermal=False, shot=False, rtn=False)],
+        ids=["all-sources", "programming-only"],
+    )
     def test_unprogrammed_noisy_read_requires_rng(self, noise):
         layer = map_weights(quantize(np.eye(2), 8), design(), noise=noise)
         with pytest.raises(ValueError, match="requires a generator"):
