@@ -42,21 +42,6 @@ def test_zero_refit_cadence_is_rejected_before_the_campaign_runs():
         )
 
 
-@pytest.mark.parametrize(
-    "field,value,message",
-    [
-        ("n_front_samples", 0, "n_front_samples must be >= 1, got 0"),
-        ("pool_size", -1, "pool_size must be >= 1, got -1"),
-        ("fidelity_levels", 0, "fidelity_levels must be >= 1, got 0"),
-        ("rff_features", 0, "rff_features must be >= 1, got 0"),
-        ("n_init", -1, "n_init must be >= 0, got -1"),
-    ],
-)
-def test_mesmo_config_checks_its_fields(field, value, message):
-    with pytest.raises(ValueError, match=message):
-        MesmoConfig(**{field: value})
-
-
 def _failing(problem, exc_at: int, exc: Exception):
     calls = []
 

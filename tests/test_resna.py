@@ -28,7 +28,7 @@ def data():
 
 @pytest.fixture(scope="module")
 def state(data):
-    # One noisy epoch: every forward pass programs and reads through the samplers.
+    # One noisy epoch: every forward pass reads a fresh deployment through the samplers.
     return train(SPEC, DESIGN, data, 1, np.random.default_rng(0))
 
 
