@@ -27,11 +27,8 @@ from .mesmo import (
     CampaignResult,
     MesmoConfig,
     entropy_term,
-    run_cf_mesmo,
-    run_mesmo,
-    run_nsga2,
-    run_random,
     sample_pareto_fronts,
+    search,
     select_next,
 )
 from .noise import (

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .design_space import ReramDesign
-from .mesmo import CampaignResult, nsga2_evaluations, run_cf_mesmo, run_mesmo, run_nsga2, run_random
+from .mesmo import CampaignResult, nsga2_evaluations, search
 from .noise import rtn_sample, sample_write_noise, shot_sigma, thermal_sigma
 from .objectives import MooProblem
 from .pareto import dominated_hypervolume
@@ -152,10 +152,7 @@ def _fidelity_csv(
 
 def run_one_seed(cfg: cfgmod.CampaignConfig, seed: int) -> CampaignResult:
     problem = cfgmod.build_problem(cfg)
-    if cfg.optimizer == "nsga2":
-        return run_nsga2(problem, cfg.budget, seed, cfg.nsga2)
-    runner = {"cf-mesmo": run_cf_mesmo, "mesmo": run_mesmo, "random": run_random}[cfg.optimizer]
-    return runner(problem, cfg.budget, seed, cfgmod.build_mesmo_config(cfg))
+    return search(problem, cfg.budget, seed, cfg.optimizer, cfg.mesmo, cfg.gp, cfg.nsga2)
 
 
 def _seed_worker(cfg_text: str, seed: int) -> CampaignResult:

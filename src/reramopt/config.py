@@ -1,9 +1,10 @@
 """Campaign configuration: YAML schema, defaults, and object builders.
 
 The effective configuration is a tree of frozen dataclasses; the gp,
-nsga2, budget, noise, resna and hw sections are the runtime classes
-themselves (``resna:`` is ``MlpSpec``, ``hw:`` is ``HwCostParams``), so
-their own checks run at parse time. Parsing is
+nsga2, budget, noise, resna, hw and mesmo sections are the runtime
+classes themselves (``resna:`` is ``MlpSpec``, ``hw:`` is
+``HwCostParams``, ``mesmo:`` is ``MesmoConfig``), so their own checks
+run at parse time. Parsing is
 strict: unknown keys are rejected with their dotted path, YAML syntax
 errors carry the line number, and an empty document yields the defaults.
 ``emit_defaults()`` round-trips through ``parse_config()`` to an equal
@@ -59,26 +60,6 @@ class SpaceSection:
 
 
 @dataclass(frozen=True)
-class MesmoSection:
-    n_front_samples: int = 10
-    pool_size: int = 2000
-    fidelity_levels: int = 10
-    n_init: int = 5
-    rff_features: int = 500
-    gp_refit_every: int = 3
-    inner_pop: int = 64
-    inner_gens: int = 40
-
-    def __post_init__(self):
-        # MesmoConfig checks the fields it shares with this section.
-        _project(MesmoConfig, self)
-        if self.inner_pop < 1:
-            raise ValueError(f"inner_pop must be >= 1, got {self.inner_pop}")
-        if self.inner_gens < 0:
-            raise ValueError(f"inner_gens must be >= 0, got {self.inner_gens}")
-
-
-@dataclass(frozen=True)
 class CampaignConfig:
     problem: ProblemSection = field(default_factory=ProblemSection)
     optimizer: str = "cf-mesmo"  # cf-mesmo | mesmo | random | nsga2
@@ -92,7 +73,7 @@ class CampaignConfig:
     resna: MlpSpec = field(default_factory=MlpSpec)
     hw: HwCostParams = field(default_factory=HwCostParams)
     gp: GpConfig = field(default_factory=GpConfig)
-    mesmo: MesmoSection = field(default_factory=MesmoSection)
+    mesmo: MesmoConfig = field(default_factory=MesmoConfig)
     nsga2: Nsga2Config = field(default_factory=Nsga2Config)
 
 
@@ -229,14 +210,8 @@ def config_hash(cfg: CampaignConfig) -> str:
 # Builders from config sections to runtime objects.
 
 
-def _project(cls, section, **extra):
-    """``cls`` built from the fields of ``section`` it shares by name, plus ``extra``."""
-    shared = {f.name for f in dataclasses.fields(cls)} & {f.name for f in dataclasses.fields(section)}
-    return cls(**{name: getattr(section, name) for name in shared - extra.keys()}, **extra)
-
-
 def build_space(cfg: CampaignConfig) -> DesignSpace:
-    return _project(DesignSpace, cfg.space, constants=dataclasses.asdict(cfg.device))
+    return DesignSpace(**dataclasses.asdict(cfg.space), constants=dataclasses.asdict(cfg.device))
 
 
 def build_mlp(cfg: CampaignConfig) -> MlpSpec:
@@ -245,12 +220,6 @@ def build_mlp(cfg: CampaignConfig) -> MlpSpec:
 
 def build_hw_params(cfg: CampaignConfig) -> HwCostParams:
     return cfg.hw
-
-
-def build_mesmo_config(cfg: CampaignConfig) -> MesmoConfig:
-    m = cfg.mesmo
-    inner = dataclasses.replace(cfg.nsga2, pop=m.inner_pop, gens=m.inner_gens)
-    return _project(MesmoConfig, m, gp=cfg.gp, inner_nsga2=inner)
 
 
 def build_problem(cfg: CampaignConfig) -> MooProblem:

@@ -23,7 +23,7 @@ does not load SciPy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,23 +60,29 @@ def entropy_term(gamma):
 
 @dataclass(frozen=True)
 class MesmoConfig:
+    """The config's ``mesmo:`` section: front sampling, candidate pool,
+    fidelity grid, initial design, surrogate refits and the inner NSGA-II."""
+
     n_front_samples: int = 10
     pool_size: int = 2000
     fidelity_levels: int = 10
     n_init: int = 5
     rff_features: int = 500
     gp_refit_every: int = 3  # hyperparameter re-optimization cadence (conditioning is per-iteration)
-    gp: GpConfig = field(default_factory=GpConfig)
     # Inner solver sized for sampled-function fronts; the outer NSGA-II
     # baseline keeps the full (100, 100) defaults.
-    inner_nsga2: Nsga2Config = field(default_factory=lambda: Nsga2Config(pop=64, gens=40))
+    inner_pop: int = 64
+    inner_gens: int = 40
 
     def __post_init__(self):
-        for name in ("n_front_samples", "pool_size", "fidelity_levels", "rff_features", "gp_refit_every"):
+        for name in (
+            "n_front_samples", "pool_size", "fidelity_levels", "rff_features", "gp_refit_every", "inner_pop"
+        ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.n_init < 0:
-            raise ValueError(f"n_init must be >= 0, got {self.n_init}")
+        for name in ("n_init", "inner_gens"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -87,10 +93,12 @@ class Budget:
     converge_window: int = 10
 
     def __post_init__(self):
-        if self.total_cost <= 0:
-            raise ValueError("total_cost must be positive")
+        if not (math.isfinite(self.total_cost) and self.total_cost > 0):
+            raise ValueError(f"total_cost must be positive and finite, got {self.total_cost}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if self.converge_window < 1:
+            raise ValueError(f"converge_window must be >= 1, got {self.converge_window}")
 
 
 @dataclass
@@ -214,7 +222,7 @@ def select_next(
     return candidates[pick_pool], z_grid[pick_level]
 
 
-def _fit_models(history_x, history_z, history_y, cfg: MesmoConfig, warm, optimize: bool):
+def _fit_models(history_x, history_z, history_y, gp: GpConfig, warm, optimize: bool):
     x = np.asarray(history_x)
     z = np.asarray(history_z)
     y = np.asarray(history_y)
@@ -222,50 +230,29 @@ def _fit_models(history_x, history_z, history_y, cfg: MesmoConfig, warm, optimiz
     for j in range(y.shape[1]):
         init = warm[j] if warm else None
         models.append(
-            fit(x, z[:, j], y[:, j], config=cfg.gp, init_params=init, optimize=optimize)
+            fit(x, z[:, j], y[:, j], config=gp, init_params=init, optimize=optimize)
         )
     return models
 
 
-def run_cf_mesmo(
-    problem: MooProblem, budget: Budget, seed: int, cfg: MesmoConfig = MesmoConfig()
-) -> CampaignResult:
-    """Full continuous-fidelity campaign (Pareto set, front and trace)."""
-    return _run_campaign(problem, budget, seed, cfg, optimizer="cf-mesmo")
-
-
-def run_mesmo(
-    problem: MooProblem, budget: Budget, seed: int, cfg: MesmoConfig = MesmoConfig()
-) -> CampaignResult:
-    """Single-fidelity variant: every evaluation runs at z*."""
-    return _run_campaign(problem, budget, seed, cfg, optimizer="mesmo")
-
-
-def run_random(
-    problem: MooProblem, budget: Budget, seed: int, cfg: MesmoConfig = MesmoConfig()
-) -> CampaignResult:
-    """Uniform random designs at z* until the budget is exhausted."""
-    return _run_campaign(problem, budget, seed, cfg, optimizer="random")
-
-
 def nsga2_evaluations(problem: MooProblem, budget: Budget) -> int:
-    """How many z* evaluations the budget buys run_nsga2.
+    """How many z* evaluations the budget buys NSGA-II.
 
-    Below two populations' worth, NSGA-II runs 0 generations: it evaluates
-    its initial population only and is random search.
+    Below two populations' worth, NSGA-II runs 0 generations and is
+    random search.
     """
     return int(budget.total_cost // problem.cost(np.zeros(problem.dim), problem.z_star()))
 
 
-def run_nsga2(
-    problem: MooProblem, budget: Budget, seed: int, cfg: Nsga2Config = Nsga2Config()
-) -> CampaignResult:
+def _run_nsga2(problem: MooProblem, budget: Budget, seed: int, cfg: Nsga2Config) -> CampaignResult:
     """Outer NSGA-II baseline: generations sized to the evaluation budget.
 
     Every individual is evaluated at z* and recorded in evaluation order,
     so hypervolume-vs-cost curves are comparable with the other
     optimizers. A diverged evaluation enters selection at the reference
-    point.
+    point. A budget below two populations evaluates the first
+    ``max_evals`` rows of the stream NSGA-II's initial population draws
+    from, so it is spent in full on random search.
     """
     z_star = problem.z_star()
     max_evals = nsga2_evaluations(problem, budget)
@@ -275,18 +262,16 @@ def run_nsga2(
         y = ledger.evaluate(x, z_star, _TAG_NSGA_EVAL, len(ledger.trace), "opt")
         return problem.hv_ref if y is None else y
 
-    pop = min(cfg.pop, max_evals)
-    if pop >= 2:
+    if max_evals < 2 * cfg.pop:
+        for x in np.random.default_rng(seed).random((max_evals, problem.dim)):
+            evaluate(x)
+    else:
         nsga2(
             lambda batch: np.stack([evaluate(row) for row in np.atleast_2d(batch)]),
             np.tile([0.0, 1.0], (problem.dim, 1)),
             seed=seed,
-            config=replace(cfg, pop=pop, gens=max(0, max_evals // pop - 1)),
+            config=replace(cfg, gens=max_evals // cfg.pop - 1),
         )
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_NSGA_EVAL]))
-        for _ in range(max_evals):
-            evaluate(rng.random(problem.dim))
     return ledger.result("nsga2", truncated=max_evals == 0, converged=False)
 
 
@@ -360,11 +345,29 @@ class _Ledger:
         )
 
 
-def _run_campaign(
-    problem: MooProblem, budget: Budget, seed: int, cfg: MesmoConfig, optimizer: str
+def search(
+    problem: MooProblem,
+    budget: Budget,
+    seed: int,
+    optimizer: str,
+    cfg: MesmoConfig = MesmoConfig(),
+    gp: GpConfig = GpConfig(),
+    operators: Nsga2Config = Nsga2Config(),
 ) -> CampaignResult:
+    """One campaign of ``optimizer`` on ``problem`` from ``seed``.
+
+    ``cf-mesmo`` picks (design, fidelity) pairs by entropy gain per unit
+    cost; ``mesmo`` is the same loop with every evaluation at z*;
+    ``random`` draws uniform designs at z*; ``nsga2`` runs the outer
+    NSGA-II baseline. ``cfg`` and ``gp`` drive the surrogate loop; the
+    ``operators`` serve both the outer NSGA-II and, resized to
+    ``cfg.inner_pop`` and ``cfg.inner_gens``, the inner front solves.
+    """
+    if optimizer == "nsga2":
+        return _run_nsga2(problem, budget, seed, operators)
     if optimizer not in ("cf-mesmo", "mesmo", "random"):
         raise ValueError(f"unknown optimizer {optimizer!r}")
+    inner = replace(operators, pop=cfg.inner_pop, gens=cfg.inner_gens)
     z_star = problem.z_star()
     ledger = _Ledger(problem, seed)
     init_rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_INIT]))
@@ -390,7 +393,7 @@ def _run_campaign(
         else:
             optimize_hypers = warm is None or (t % cfg.gp_refit_every == 0)
             models = _fit_models(
-                ledger.hist_x, ledger.hist_z, ledger.hist_y, cfg, warm, optimize_hypers
+                ledger.hist_x, ledger.hist_z, ledger.hist_y, gp, warm, optimize_hypers
             )
             warm = [m.params for m in models]
             front_maxima = sample_pareto_fronts(
@@ -398,7 +401,7 @@ def _run_campaign(
                 cfg.n_front_samples,
                 problem.dim,
                 np.random.SeedSequence([seed, _TAG_FRONT, t]),
-                inner=cfg.inner_nsga2,
+                inner=inner,
                 rff_features=cfg.rff_features,
             )
             x, z = select_next(

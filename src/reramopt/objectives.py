@@ -255,6 +255,26 @@ def _synth_cost_ratio(j: int, z) -> np.ndarray:
     return (_SYNTH_COST_C0 + _SYNTH_COST_C1 * z) / (_SYNTH_COST_C0 + _SYNTH_COST_C1)
 
 
+def _cf_problem(name: str, dim: int, f_true, bias, hv_ref) -> MooProblem:
+    """g(x, z) = f_true(x) - (1 - z) * bias(x) over [0,1]^dim, both objectives fidelity-bearing."""
+
+    def evaluate(x, z, rng=None) -> np.ndarray:
+        u = np.atleast_2d(np.asarray(x, dtype=float))
+        z = np.asarray(z, dtype=float)
+        y = f_true(u) - (1.0 - z)[None, :] * bias(u)
+        return y[0]
+
+    return MooProblem(
+        name=name,
+        dim=dim,
+        n_obj=2,
+        fidelity_mask=(True, True),
+        hv_ref=hv_ref,
+        evaluate=evaluate,
+        cost_ratio=_synth_cost_ratio,
+    )
+
+
 def _branin_currin_cf() -> MooProblem:
     def f_true(u: np.ndarray) -> np.ndarray:
         return np.stack([-_branin_raw(u), -_currin_raw(u)], axis=1)
@@ -264,24 +284,10 @@ def _branin_currin_cf() -> MooProblem:
         b2 = 0.8 + 1.2 * (1.0 - u[:, 0])
         return np.stack([b1, b2], axis=1)
 
-    def evaluate(x, z, rng=None) -> np.ndarray:
-        u = np.atleast_2d(np.asarray(x, dtype=float))
-        z = np.asarray(z, dtype=float)
-        y = f_true(u) - (1.0 - z)[None, :] * bias(u)
-        return y[0]
-
     # Reference sits ~25% beyond the true-front nadir (about (-17.5, -5.7)),
     # so hypervolume differences reflect front quality rather than the
     # volume of an oversized bounding box.
-    return MooProblem(
-        name="branin-currin-cf",
-        dim=2,
-        n_obj=2,
-        fidelity_mask=(True, True),
-        hv_ref=np.array([-22.0, -7.0]),
-        evaluate=evaluate,
-        cost_ratio=_synth_cost_ratio,
-    )
+    return _cf_problem("branin-currin-cf", 2, f_true, bias, np.array([-22.0, -7.0]))
 
 
 def _zdt1_cf(n_var: int = 6) -> MooProblem:
@@ -296,19 +302,4 @@ def _zdt1_cf(n_var: int = 6) -> MooProblem:
         b2 = 0.1 + 0.1 * (1.0 - u[:, 0])
         return np.stack([b1, b2], axis=1)
 
-    def evaluate(x, z, rng=None) -> np.ndarray:
-        u = np.atleast_2d(np.asarray(x, dtype=float))
-        z = np.asarray(z, dtype=float)
-        y = f_true(u) - (1.0 - z)[None, :] * bias(u)
-        return y[0]
-
-    return MooProblem(
-        name="zdt1",
-        dim=n_var,
-        n_obj=2,
-        fidelity_mask=(True, True),
-        hv_ref=np.array([-1.1, -1.1]),
-        evaluate=evaluate,
-        cost_ratio=_synth_cost_ratio,
-    )
-
+    return _cf_problem("zdt1", n_var, f_true, bias, np.array([-1.1, -1.1]))

@@ -67,6 +67,31 @@ def test_nsga2_says_when_the_budget_buys_no_generation(budget, evals, note, tmp_
     assert err == (line if note else "")
 
 
+# NSGA-II's initial population at seed 0 and pop 8, as the branin.yaml
+# runs have always drawn it.
+NSGA2_FIRST_X = [
+    (0.6369616873214543, 0.2697867137638703),
+    (0.04097352393619469, 0.016527635528529094),
+    (0.8132702392002724, 0.9127555772777217),
+    (0.6066357757671799, 0.7294965609839984),
+    (0.5436249914654229, 0.9350724237877682),
+    (0.8158535541215322, 0.002738500170148095),
+    (0.8574042765875693, 0.033585575305464355),
+    (0.7296554464299441, 0.17565562060255901),
+]
+
+
+def test_nsga2_spends_a_budget_below_two_populations(tmp_path):
+    # 15 evaluations buy no generation; all of them are still made, the
+    # first 8 at the designs of NSGA-II's initial population.
+    argv = ["run", "--config", str(GOLDEN / "configs" / "branin.yaml"), "--optimizer", "nsga2"]
+    assert cli.main(argv + ["--budget", "30", "--out", str(tmp_path)]) == 0
+    rows = list(csv.DictReader((tmp_path / "trace_seed0.csv").read_text(encoding="utf-8").splitlines()[1:]))
+    assert len(rows) == 15
+    assert all(r["ok"] == "1" and r["z1"] == r["z2"] == "1.0" for r in rows)
+    assert [(float(r["x0"]), float(r["x1"])) for r in rows[:8]] == NSGA2_FIRST_X
+
+
 def test_parallel_seeds_match_the_serial_golden(tmp_path):
     # Each worker re-parses the dumped config; only the config hash header differs.
     cfg = tmp_path / "cfg.yaml"

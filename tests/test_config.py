@@ -2,15 +2,8 @@ import re
 
 import pytest
 
-from reramopt import cli
-from reramopt.config import (
-    CampaignConfig,
-    ConfigError,
-    build_mesmo_config,
-    config_hash,
-    emit_defaults,
-    parse_config,
-)
+from reramopt import cli, mesmo
+from reramopt.config import CampaignConfig, ConfigError, config_hash, emit_defaults, parse_config
 from reramopt.pareto import Nsga2Config
 
 # config_hash of the default config; artifacts embed it, so it must not drift.
@@ -97,7 +90,18 @@ def test_errors_carry_the_dotted_path(text, path):
         parse_config(text)
 
 
-@pytest.mark.parametrize("text", ["budget: {max_iterations: 0}", "budget: {total_cost: 0}"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "budget: {max_iterations: 0}",
+        "budget: {total_cost: 0}",
+        "budget: {total_cost: .nan}",
+        "budget: {total_cost: .inf}",
+        "budget: {total_cost: -.inf}",
+        "budget: {converge_window: 0}",
+        "budget: {converge_window: -3}",
+    ],
+)
 def test_runtime_class_rejections_become_config_errors(text):
     with pytest.raises(ConfigError, match="'budget'"):
         parse_config(text)
@@ -108,9 +112,22 @@ def test_optimizers_without_surrogates_need_no_initial_design(optimizer):
     assert parse_config(f"optimizer: {optimizer}\nmesmo: {{n_init: 0}}").mesmo.n_init == 0
 
 
-def test_inner_nsga2_keeps_the_operator_constants():
-    cfg = parse_config("nsga2: {crossover_eta: 7.0}\nmesmo: {inner_pop: 5}")
-    assert build_mesmo_config(cfg).inner_nsga2 == Nsga2Config(pop=5, gens=40, crossover_eta=7.0)
+class _Solved(Exception):
+    pass
+
+
+def test_inner_nsga2_keeps_the_operator_constants(monkeypatch):
+    seen = []
+
+    def inner_solve(evaluators, bounds, seeds, config):
+        seen.append(config)
+        raise _Solved
+
+    monkeypatch.setattr(mesmo, "nsga2_lockstep", inner_solve)
+    cfg = parse_config("nsga2: {crossover_eta: 7.0}\nmesmo: {inner_pop: 5, inner_gens: 2}")
+    with pytest.raises(_Solved):
+        cli.run_one_seed(cfg, 0)
+    assert seen == [Nsga2Config(pop=5, gens=2, crossover_eta=7.0)]
 
 
 @pytest.mark.parametrize(
@@ -145,6 +162,8 @@ def test_inner_nsga2_keeps_the_operator_constants():
         ("gp: {n_restarts: -4}\n", []),
         ("gp: {max_opt_iter: 0}\n", []),
         ("mesmo: {gp_refit_every: 0}\n", []),
+        ("", ["--budget", "nan"]),
+        ("", ["--budget", "inf"]),
     ],
 )
 def test_run_rejects_a_bad_budget_before_writing(tmp_path, capsys, text, extra):

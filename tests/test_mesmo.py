@@ -5,27 +5,18 @@ import pytest
 
 from reramopt.design_space import fidelity_grid
 from reramopt.gp import SampledFunction, fit
-from reramopt.mesmo import (
-    Budget,
-    MesmoConfig,
-    run_cf_mesmo,
-    run_random,
-    sample_pareto_fronts,
-    select_next,
-)
+from reramopt.mesmo import Budget, MesmoConfig, sample_pareto_fronts, search, select_next
 from reramopt.objectives import synthetic_cf_problem
 from reramopt.pareto import Nsga2Config
 from reramopt.resna import TrainingDivergedError
 
-SMALL = MesmoConfig(
-    n_front_samples=2, pool_size=32, n_init=3, rff_features=30, inner_nsga2=Nsga2Config(pop=8, gens=2)
-)
+SMALL = MesmoConfig(n_front_samples=2, pool_size=32, n_init=3, rff_features=30, inner_pop=8, inner_gens=2)
 
 
 def test_one_fidelity_level_evaluates_at_the_top():
     problem = synthetic_cf_problem("branin-currin-cf")
     cfg = dataclasses.replace(SMALL, fidelity_levels=1)
-    result = run_cf_mesmo(problem, Budget(total_cost=100.0, max_iterations=3), 0, cfg)
+    result = search(problem, Budget(total_cost=100.0, max_iterations=3), 0, "cf-mesmo", cfg)
     opt = [row for row in result.trace if row.phase == "opt"]
     assert len(opt) == 3
     assert all(np.array_equal(row.z, problem.z_star()) for row in opt)
@@ -34,10 +25,11 @@ def test_one_fidelity_level_evaluates_at_the_top():
 def test_zero_refit_cadence_is_rejected_before_the_campaign_runs():
     # Unchecked, this cadence divided by zero at the second iteration.
     with pytest.raises(ValueError, match="gp_refit_every must be >= 1, got 0"):
-        run_cf_mesmo(
+        search(
             synthetic_cf_problem("branin-currin-cf"),
             Budget(max_iterations=3),
             0,
+            "cf-mesmo",
             MesmoConfig(gp_refit_every=0, pool_size=50, n_front_samples=2, rff_features=50),
         )
 
@@ -57,12 +49,12 @@ def _failing(problem, exc_at: int, exc: Exception):
 def test_bug_in_evaluate_propagates():
     problem = _failing(synthetic_cf_problem("branin-currin-cf"), 2, ValueError("bug"))
     with pytest.raises(ValueError, match="bug"):
-        run_random(problem, Budget(total_cost=100.0, max_iterations=3), 0, SMALL)
+        search(problem, Budget(total_cost=100.0, max_iterations=3), 0, "random", SMALL)
 
 
 def test_diverged_training_records_a_failed_row():
     problem = _failing(synthetic_cf_problem("branin-currin-cf"), 2, TrainingDivergedError(4))
-    result = run_random(problem, Budget(total_cost=100.0, max_iterations=3), 0, SMALL)
+    result = search(problem, Budget(total_cost=100.0, max_iterations=3), 0, "random", SMALL)
     assert [row.ok for row in result.trace] == [True, False, True, True, True, True]
     failed = result.trace[1]
     assert failed.y is None and failed.cost == 2.0 and failed.cum_cost == 4.0
@@ -72,7 +64,7 @@ def test_diverged_training_records_a_failed_row():
 def test_flat_zero_hypervolume_is_not_convergence():
     # The first 16 random designs all fall outside the reference box; a run
     # that stopped there would report converged with nothing found.
-    result = run_random(synthetic_cf_problem("branin-currin-cf"), Budget(), 0, MesmoConfig())
+    result = search(synthetic_cf_problem("branin-currin-cf"), Budget(), 0, "random")
     assert len(result.trace) == 27 and result.total_cost == 54.0
     assert result.trace[-1].hypervolume == pytest.approx(3.607, abs=1e-3)
     assert result.converged
@@ -87,8 +79,12 @@ def _seeded_models(seed: int, cfg: MesmoConfig = MesmoConfig()):
     levels = np.concatenate([np.ones(5), rng.choice(fidelity_grid(cfg.fidelity_levels), 10)])
     z = np.repeat(levels[:, None], problem.n_obj, axis=1)
     y = np.stack([problem.evaluate(xi, zi) for xi, zi in zip(x, z)])
-    models = [fit(x, z[:, j], y[:, j], config=cfg.gp) for j in range(problem.n_obj)]
+    models = [fit(x, z[:, j], y[:, j]) for j in range(problem.n_obj)]
     return problem, models
+
+
+def _inner(cfg: MesmoConfig) -> Nsga2Config:
+    return Nsga2Config(pop=cfg.inner_pop, gens=cfg.inner_gens)
 
 
 # select_next's pick after sample_pareto_fronts at the default MesmoConfig,
@@ -109,7 +105,7 @@ def test_default_pick_is_pinned(seed):
     cfg = MesmoConfig()
     problem, models = _seeded_models(seed, cfg)
     maxima = sample_pareto_fronts(
-        models, cfg.n_front_samples, problem.dim, seed, inner=cfg.inner_nsga2, rff_features=cfg.rff_features
+        models, cfg.n_front_samples, problem.dim, seed, inner=_inner(cfg), rff_features=cfg.rff_features
     )
     x, z = select_next(
         models, maxima, problem, pool=cfg.pool_size, fidelity_levels=cfg.fidelity_levels, seed=seed
@@ -134,7 +130,7 @@ def test_front_maxima_match_float64_features(monkeypatch):
 
     def maxima():
         return sample_pareto_fronts(
-            models, n_s, problem.dim, 7, inner=cfg.inner_nsga2, rff_features=cfg.rff_features
+            models, n_s, problem.dim, 7, inner=_inner(cfg), rff_features=cfg.rff_features
         )
 
     fast = maxima()
