@@ -70,7 +70,8 @@ class MesmoConfig:
     rff_features: int = 500
     gp_refit_every: int = 3  # hyperparameter re-optimization cadence (conditioning is per-iteration)
     # Inner solver sized for sampled-function fronts; the outer NSGA-II
-    # baseline keeps the full (100, 100) defaults.
+    # baseline keeps the nsga2: population and sizes its generations to
+    # the budget.
     inner_pop: int = 64
     inner_gens: int = 40
 
@@ -134,12 +135,14 @@ def sample_pareto_fronts(
     dim: int,
     seed,
     inner: Nsga2Config = Nsga2Config(),
+    gens: int = 100,
     rff_features: int = 500,
 ) -> np.ndarray:
     """Per-objective maxima of S independent sampled fronts, shape (S, k).
 
     Sample s draws one highest-fidelity function per objective and solves
-    the cheap deterministic MOO over them with NSGA-II on [0,1]^dim. The S
+    the cheap deterministic MOO over them with NSGA-II on [0,1]^dim, with
+    the ``inner`` operators for ``gens`` generations. The S
     solves advance in lockstep (``nsga2_lockstep``); each keeps its own
     generator and draw order, so the maxima equal those of S sequential
     ``nsga2`` runs bit for bit.
@@ -157,7 +160,7 @@ def sample_pareto_fronts(
         evaluators.append(evaluator)
         nsga_seeds.append(int(np.random.default_rng(base.spawn(1)[0]).integers(2**31)))
     bounds = np.tile([0.0, 1.0], (dim, 1))
-    fronts = nsga2_lockstep(evaluators, bounds, nsga_seeds, inner)
+    fronts = nsga2_lockstep(evaluators, bounds, nsga_seeds, inner, gens)
     return np.stack([y.max(axis=0) for _, y in fronts])
 
 
@@ -270,7 +273,8 @@ def _run_nsga2(problem: MooProblem, budget: Budget, seed: int, cfg: Nsga2Config)
             lambda batch: np.stack([evaluate(row) for row in np.atleast_2d(batch)]),
             np.tile([0.0, 1.0], (problem.dim, 1)),
             seed=seed,
-            config=replace(cfg, gens=max_evals // cfg.pop - 1),
+            config=cfg,
+            gens=max_evals // cfg.pop - 1,
         )
     return ledger.result("nsga2", truncated=max_evals == 0, converged=False)
 
@@ -367,7 +371,7 @@ def search(
         return _run_nsga2(problem, budget, seed, operators)
     if optimizer not in ("cf-mesmo", "mesmo", "random"):
         raise ValueError(f"unknown optimizer {optimizer!r}")
-    inner = replace(operators, pop=cfg.inner_pop, gens=cfg.inner_gens)
+    inner = replace(operators, pop=cfg.inner_pop)
     z_star = problem.z_star()
     ledger = _Ledger(problem, seed)
     init_rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_INIT]))
@@ -402,6 +406,7 @@ def search(
                 problem.dim,
                 np.random.SeedSequence([seed, _TAG_FRONT, t]),
                 inner=inner,
+                gens=cfg.inner_gens,
                 rff_features=cfg.rff_features,
             )
             x, z = select_next(

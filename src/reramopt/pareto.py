@@ -22,7 +22,6 @@ class Nsga2Config:
     """Operator constants for nsga2(); defaults follow the canonical recipe."""
 
     pop: int = 100
-    gens: int = 100
     crossover_prob: float = 0.9
     crossover_eta: float = 15.0
     mutation_eta: float = 20.0
@@ -31,8 +30,6 @@ class Nsga2Config:
     def __post_init__(self):
         if self.pop < 1:
             raise ValueError(f"pop must be >= 1, got {self.pop}")
-        if self.gens < 0:
-            raise ValueError(f"gens must be >= 0, got {self.gens}")
         for name in ("crossover_eta", "mutation_eta"):
             if not getattr(self, name) >= 0.0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
@@ -218,18 +215,20 @@ def _sbx(parents, mates, u_beta, u_take, u_pair, eta, crossover_prob):
 
 
 def nsga2_lockstep(
-    evaluators, bounds, seeds, config: Nsga2Config = Nsga2Config()
+    evaluators, bounds, seeds, config: Nsga2Config = Nsga2Config(), gens: int = 100
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """S independent NSGA-II solves advanced in lockstep; returns each
-    solve's final rank-0 rows as an (x, y) pair.
+    """S independent NSGA-II solves of ``gens`` generations advanced in
+    lockstep; returns each solve's final rank-0 rows as an (x, y) pair.
 
     Solve s evaluates ``evaluators[s]`` on (pop, d) batches and draws from
     its own ``np.random.default_rng(seeds[s])`` in the order and shapes of
     a solve run alone. Only those draws and the evaluator calls loop over
     S; tournament, variation, ranking, crowding and selection run batched
     on the (S, pop, d) population. So solve s equals ``nsga2(evaluators[s],
-    bounds, seeds[s], config)`` bit for bit.
+    bounds, seeds[s], config, gens)`` bit for bit.
     """
+    if gens < 0:
+        raise ValueError(f"gens must be >= 0, got {gens}")
     pop = config.pop
     bounds = np.asarray(bounds, dtype=float)
     lo, hi = bounds[:, 0], bounds[:, 1]
@@ -247,7 +246,7 @@ def nsga2_lockstep(
     ranks = _pareto_ranks(y, pop)
     crowd = _crowding(y, ranks)
 
-    for _ in range(config.gens):
+    for _ in range(gens):
         *variation, u, u_flip = (
             np.stack(a) for a in zip(*(_generation_draws(rng, pop, d) for rng in rngs))
         )
@@ -277,8 +276,11 @@ def nsga2_lockstep(
     return [(xs[r == 0], ys[r == 0]) for xs, ys, r in zip(x, y, ranks)]
 
 
-def nsga2(evaluator, bounds, seed: int = 0, config: Nsga2Config = Nsga2Config()) -> FrontSet:
-    """Canonical real-coded NSGA-II; returns the final rank-0 set.
+def nsga2(
+    evaluator, bounds, seed: int = 0, config: Nsga2Config = Nsga2Config(), gens: int = 100
+) -> FrontSet:
+    """Canonical real-coded NSGA-II over ``gens`` generations; returns the
+    final rank-0 set.
 
     ``evaluator`` maps a batch of rows (n, d) to objective values (n, k),
     maximization orientation. Selection uses binary tournaments on
@@ -287,7 +289,7 @@ def nsga2(evaluator, bounds, seed: int = 0, config: Nsga2Config = Nsga2Config())
     call of ``nsga2_lockstep``, whose solves each equal this function's
     result for their seed.
     """
-    [(x, y)] = nsga2_lockstep([evaluator], bounds, [seed], config)
+    [(x, y)] = nsga2_lockstep([evaluator], bounds, [seed], config, gens)
     return FrontSet.from_points(x, y)
 
 

@@ -52,8 +52,9 @@ class MlpSpec:
     """The crossbar MLP and how it is trained, fed and scored.
 
     The architecture and SGD hyperparameters come first. The data set is
-    ``n_train``/``n_test`` Gaussian blobs in R^widths[0] drawn from
-    ``data_seed``, or the rows of ``csv_path``. Accuracy is the mean over
+    ``n_train``/``n_test`` Gaussian blobs in R^widths[0], one per class of
+    the ``widths[-1]`` outputs, drawn from ``data_seed``, or the rows of
+    ``csv_path``. Accuracy is the mean over
     ``infer_runs`` deployments, each by majority vote of the
     ``vote_copies`` classifier copies. Fidelity z maps to training epochs
     affinely from ``min_epochs`` to ``max_epochs``.
@@ -68,7 +69,6 @@ class MlpSpec:
     batch_size: int = 8
     n_train: int = 2000
     n_test: int = 1000
-    n_classes: int = 10
     center_spread: float = 0.5
     csv_path: str | None = None
     data_seed: int = 7
@@ -79,8 +79,6 @@ class MlpSpec:
     def __post_init__(self):
         if len(self.widths) < 2:
             raise ValueError("need at least an input and an output layer")
-        if self.n_classes != self.widths[-1]:
-            raise ValueError(f"n_classes ({self.n_classes}) must equal widths[-1] ({self.widths[-1]})")
         if self.vote_copies < 1 or self.vote_copies % 2 == 0:
             raise ValueError("vote_copies must be odd and >= 1")
         if not 1 <= self.min_epochs <= self.max_epochs:
@@ -91,6 +89,10 @@ class MlpSpec:
     @property
     def n_layers(self) -> int:
         return len(self.widths) - 1
+
+    @property
+    def n_classes(self) -> int:
+        return self.widths[-1]
 
 
 @dataclass

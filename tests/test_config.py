@@ -7,7 +7,7 @@ from reramopt.config import CampaignConfig, ConfigError, config_hash, emit_defau
 from reramopt.pareto import Nsga2Config
 
 # config_hash of the default config; artifacts embed it, so it must not drift.
-DEFAULT_HASH = "2c28bbec936dfadb"
+DEFAULT_HASH = "298dc0aadd362e9e"
 
 
 def test_emit_defaults_round_trips():
@@ -42,7 +42,6 @@ def test_default_hash_is_pinned():
         ("noise: {rtn_p_occupancy: 1.5}", "'noise': rtn_p_occupancy"),
         # resna: and hw: are MlpSpec and HwCostParams, checked at parse time.
         ("resna: {vote_copies: 2}", "'resna': vote_copies"),
-        ("resna: {n_classes: 20}", "'resna': n_classes (20) must equal widths[-1] (10)"),
         ("hw: {columns_per_adc: 0}", "'hw': columns_per_adc"),
         # mesmo: sizes must allow at least one sample, candidate, level, feature
         # and inner individual; z=0 must be the cheapest fidelity.
@@ -66,16 +65,19 @@ def test_default_hash_is_pinned():
         ("gp: {signal_var_bounds: [0.05, .inf]}", "'gp': signal_var_bounds must be a finite pair"),
         ("gp: {lengthscale_bounds: [0.05]}", "'gp': lengthscale_bounds must be a finite pair"),
         ("nsga2: {pop: 0}", "'nsga2': pop must be >= 1, got 0"),
-        ("nsga2: {gens: -1}", "'nsga2': gens must be >= 0, got -1"),
         ("nsga2: {crossover_eta: -1.0}", "'nsga2': crossover_eta must be >= 0, got -1.0"),
         ("nsga2: {mutation_eta: -1.0}", "'nsga2': mutation_eta must be >= 0, got -1.0"),
         ("nsga2: {crossover_prob: 1.5}", "'nsga2': crossover_prob must lie in [0, 1], got 1.5"),
         ("nsga2: {mutation_prob: -0.1}", "'nsga2': mutation_prob must lie in [0, 1], got -0.1"),
-        # Hidden layers have one copy, the classifier always votes and every
-        # batch draws fresh programming noise: these keys are gone.
+        # Hidden layers have one copy, the classifier always votes, every
+        # batch draws fresh programming noise, the class count is widths[-1]
+        # and the outer NSGA-II sizes its generations to the budget: these
+        # keys are gone.
         ("resna: {hidden_copies: 2}", "unknown config key 'resna.hidden_copies'"),
         ("resna: {voting: 1}", "'resna.voting'"),
         ("resna: {noise_resample: per_epoch}", "unknown config key 'resna.noise_resample'"),
+        ("resna: {n_classes: 10}", "unknown config key 'resna.n_classes'"),
+        ("nsga2: {gens: 3}", "unknown config key 'nsga2.gens'"),
         # A search limit below one would turn the hyperparameter search or
         # its refits off.
         ("gp: {n_restarts: -4}", "'gp': n_restarts must be >= 1, got -4"),
@@ -119,15 +121,15 @@ class _Solved(Exception):
 def test_inner_nsga2_keeps_the_operator_constants(monkeypatch):
     seen = []
 
-    def inner_solve(evaluators, bounds, seeds, config):
-        seen.append(config)
+    def inner_solve(evaluators, bounds, seeds, config, gens):
+        seen.append((config, gens))
         raise _Solved
 
     monkeypatch.setattr(mesmo, "nsga2_lockstep", inner_solve)
     cfg = parse_config("nsga2: {crossover_eta: 7.0}\nmesmo: {inner_pop: 5, inner_gens: 2}")
     with pytest.raises(_Solved):
         cli.run_one_seed(cfg, 0)
-    assert seen == [Nsga2Config(pop=5, gens=2, crossover_eta=7.0)]
+    assert seen == [(Nsga2Config(pop=5, crossover_eta=7.0), 2)]
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,7 @@ from reramopt import cli, config
 
 cfg = config.parse_config(
     "problem: {name: reram}\\n"
-    "resna: {widths: [8, 6, 4], n_classes: 4, n_train: 16, n_test: 8,"
+    "resna: {widths: [8, 6, 4], n_train: 16, n_test: 8,"
     " min_epochs: 1, max_epochs: 2, infer_runs: 1}\\n"
 )
 problem = config.build_problem(cfg)

@@ -83,10 +83,6 @@ def _seeded_models(seed: int, cfg: MesmoConfig = MesmoConfig()):
     return problem, models
 
 
-def _inner(cfg: MesmoConfig) -> Nsga2Config:
-    return Nsga2Config(pop=cfg.inner_pop, gens=cfg.inner_gens)
-
-
 # select_next's pick after sample_pareto_fronts at the default MesmoConfig,
 # recorded with float64 feature cosines. A change that is meant to leave
 # front sampling's decisions alone must keep every pick.
@@ -105,7 +101,13 @@ def test_default_pick_is_pinned(seed):
     cfg = MesmoConfig()
     problem, models = _seeded_models(seed, cfg)
     maxima = sample_pareto_fronts(
-        models, cfg.n_front_samples, problem.dim, seed, inner=_inner(cfg), rff_features=cfg.rff_features
+        models,
+        cfg.n_front_samples,
+        problem.dim,
+        seed,
+        inner=Nsga2Config(pop=cfg.inner_pop),
+        gens=cfg.inner_gens,
+        rff_features=cfg.rff_features,
     )
     x, z = select_next(
         models, maxima, problem, pool=cfg.pool_size, fidelity_levels=cfg.fidelity_levels, seed=seed
@@ -130,7 +132,13 @@ def test_front_maxima_match_float64_features(monkeypatch):
 
     def maxima():
         return sample_pareto_fronts(
-            models, n_s, problem.dim, 7, inner=_inner(cfg), rff_features=cfg.rff_features
+            models,
+            n_s,
+            problem.dim,
+            7,
+            inner=Nsga2Config(pop=cfg.inner_pop),
+            gens=cfg.inner_gens,
+            rff_features=cfg.rff_features,
         )
 
     fast = maxima()

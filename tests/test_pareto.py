@@ -136,7 +136,7 @@ class TestNsga2:
         def ev(x):
             return np.hstack([x, 1.0 - x])
 
-        front = nsga2(ev, [[0.0, 1.0]], seed=0, config=Nsga2Config(pop=100, gens=100))
+        front = nsga2(ev, [[0.0, 1.0]], seed=0, config=Nsga2Config(pop=100), gens=100)
         xs = np.sort(front.x.ravel())
         assert xs[0] < 0.02 and xs[-1] > 0.98
         assert np.max(np.diff(xs)) < 0.05
@@ -145,15 +145,19 @@ class TestNsga2:
         def ev(x):
             return np.hstack([x, -x])
 
-        front = nsga2(ev, [[0.0, 1.0]], seed=3, config=Nsga2Config(pop=1, gens=10))
+        front = nsga2(ev, [[0.0, 1.0]], seed=3, config=Nsga2Config(pop=1), gens=10)
         assert len(front) >= 1
+
+    def test_negative_generation_count_rejected(self):
+        with pytest.raises(ValueError, match="gens must be >= 0, got -1"):
+            nsga2(lambda x: np.hstack([x, -x]), [[0.0, 1.0]], gens=-1)
 
     def test_deterministic(self):
         def ev(x):
             return np.hstack([np.sin(3 * x[:, :1]), np.cos(2 * x[:, 1:2])])
 
-        a = nsga2(ev, [[0, 1], [0, 1]], seed=11, config=Nsga2Config(pop=24, gens=15))
-        b = nsga2(ev, [[0, 1], [0, 1]], seed=11, config=Nsga2Config(pop=24, gens=15))
+        a = nsga2(ev, [[0, 1], [0, 1]], seed=11, config=Nsga2Config(pop=24), gens=15)
+        b = nsga2(ev, [[0, 1], [0, 1]], seed=11, config=Nsga2Config(pop=24), gens=15)
         np.testing.assert_array_equal(a.y, b.y)
 
     def test_default_inner_size_output_is_pinned(self):
@@ -166,7 +170,7 @@ class TestNsga2:
             f2 = g * (1.0 - np.sqrt(f1 / g))
             return -np.round(np.column_stack([f1, f2]), 2)
 
-        front = nsga2(ev, [[0.0, 1.0]] * 3, seed=5, config=Nsga2Config(pop=64, gens=40))
+        front = nsga2(ev, [[0.0, 1.0]] * 3, seed=5, config=Nsga2Config(pop=64), gens=40)
         digest = hashlib.sha256(front.x.tobytes() + front.y.tobytes()).hexdigest()
         assert digest == "a4ebc769cbb3294ad85d2c07520e2b2d56b90325c4633cbaa733d36627a81dfc"
 
@@ -174,7 +178,7 @@ class TestNsga2:
         def ev(x):
             return np.hstack([x[:, :1] ** 2, (1 - x[:, :1]) ** 2])
 
-        front = nsga2(ev, [[0, 1]], seed=2, config=Nsga2Config(pop=30, gens=20))
+        front = nsga2(ev, [[0, 1]], seed=2, config=Nsga2Config(pop=30), gens=20)
         assert brute_force_rank0(front.y) == set(range(len(front)))
 
 
@@ -208,13 +212,13 @@ class TestNsga2Lockstep:
         ],
     )
     def test_each_sample_equals_its_single_run(self, k, pop, gens, digest):
-        config = Nsga2Config(pop=pop, gens=gens)
+        config = Nsga2Config(pop=pop)
         bounds = [[0.0, 1.0]] * 3
-        singles = [nsga2(tied_objectives(k), bounds, seed=s, config=config) for s in LOCKSTEP_SEEDS]
+        singles = [nsga2(tied_objectives(k), bounds, s, config, gens) for s in LOCKSTEP_SEEDS]
         single_bytes = [f.x.tobytes() + f.y.tobytes() for f in singles]
         assert hashlib.sha256(b"".join(single_bytes)).hexdigest() == digest
         evaluators = [tied_objectives(k) for _ in LOCKSTEP_SEEDS]
-        fronts = nsga2_lockstep(evaluators, bounds, LOCKSTEP_SEEDS, config)
+        fronts = nsga2_lockstep(evaluators, bounds, LOCKSTEP_SEEDS, config, gens)
         assert len(fronts) == len(LOCKSTEP_SEEDS)
         for (x, y), single, expected in zip(fronts, singles, single_bytes):
             front = FrontSet.from_points(x, y)
@@ -231,8 +235,7 @@ class TestNsga2Lockstep:
 
             return ev
 
-        config = Nsga2Config(pop=6, gens=3)
-        nsga2_lockstep([recording(0), recording(1)], [[0.0, 1.0]] * 3, [1, 2], config)
+        nsga2_lockstep([recording(0), recording(1)], [[0.0, 1.0]] * 3, [1, 2], Nsga2Config(pop=6), 3)
         assert seen == [[(6, 3)] * 4, [(6, 3)] * 4]
 
 

@@ -17,7 +17,7 @@ from reramopt.resna import (
     train,
 )
 
-SPEC = MlpSpec(widths=(8, 6, 3), n_classes=3, n_train=40, n_test=30, data_seed=3)
+SPEC = MlpSpec(widths=(8, 6, 3), n_train=40, n_test=30, data_seed=3)
 DESIGN = ReramDesign(res_cell=2, freq_hz=5e8, temperature_k=350.0, xbar_size=32)
 
 
