@@ -98,6 +98,8 @@ class Budget:
             raise ValueError(f"total_cost must be positive and finite, got {self.total_cost}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        if not (math.isfinite(self.converge_eps) and self.converge_eps >= 0):
+            raise ValueError(f"converge_eps must be finite and >= 0, got {self.converge_eps}")
         if self.converge_window < 1:
             raise ValueError(f"converge_window must be >= 1, got {self.converge_window}")
 
@@ -363,9 +365,9 @@ def search(
     ``cf-mesmo`` picks (design, fidelity) pairs by entropy gain per unit
     cost; ``mesmo`` is the same loop with every evaluation at z*;
     ``random`` draws uniform designs at z*; ``nsga2`` runs the outer
-    NSGA-II baseline. ``cfg`` and ``gp`` drive the surrogate loop; the
-    ``operators`` serve both the outer NSGA-II and, resized to
-    ``cfg.inner_pop`` and ``cfg.inner_gens``, the inner front solves.
+    NSGA-II baseline. ``cfg`` and ``gp`` drive the surrogate loop. The
+    ``operators`` serve the outer NSGA-II and, at ``cfg.inner_pop`` for
+    ``cfg.inner_gens`` generations, the inner front solves.
     """
     if optimizer == "nsga2":
         return _run_nsga2(problem, budget, seed, operators)

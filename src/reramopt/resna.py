@@ -54,10 +54,10 @@ class MlpSpec:
     The architecture and SGD hyperparameters come first. The data set is
     ``n_train``/``n_test`` Gaussian blobs in R^widths[0], one per class of
     the ``widths[-1]`` outputs, drawn from ``data_seed``, or the rows of
-    ``csv_path``. Accuracy is the mean over
-    ``infer_runs`` deployments, each by majority vote of the
-    ``vote_copies`` classifier copies. Fidelity z maps to training epochs
-    affinely from ``min_epochs`` to ``max_epochs``.
+    ``csv_path``. Accuracy is the mean over ``infer_runs`` deployments,
+    each by majority vote of the ``vote_copies`` classifier copies.
+    Fidelity z maps to training epochs affinely from ``min_epochs`` to
+    ``max_epochs``.
     """
 
     widths: tuple[int, ...] = (64, 32, 10)

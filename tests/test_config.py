@@ -102,6 +102,8 @@ def test_errors_carry_the_dotted_path(text, path):
         "budget: {total_cost: -.inf}",
         "budget: {converge_window: 0}",
         "budget: {converge_window: -3}",
+        "budget: {converge_eps: .nan}",
+        "budget: {converge_eps: -0.1}",
     ],
 )
 def test_runtime_class_rejections_become_config_errors(text):
