@@ -30,6 +30,8 @@ RUNS = {
     "reram-nsga2": [
         "run", "--config", "reram.yaml", "--seed", "0", "--optimizer", "nsga2", "--budget", "96",
     ],
+    # The 6-D problem, where the float32 feature error of a draw is largest.
+    "zdt1-cf-mesmo": ["run", "--config", "zdt1.yaml", "--seed", "0", "--optimizer", "cf-mesmo"],
     "noise-hist": [
         "noise-hist", "--res-cell", "2", "--samples", "300", "--bins", "6", "--levels", "2",
         "--seed", "0",
