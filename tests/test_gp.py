@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg import cho_solve, cholesky
 
-from reramopt.gp import GpConfig, GpParams, _kernel, fit, posterior, sample_function
+from reramopt.gp import (
+    GpConfig,
+    GpParams,
+    _cho_solve,
+    _chol_with_jitter,
+    _cholesky,
+    _kernel,
+    fit,
+    posterior,
+    sample_function,
+)
 
 
 def toy_data(seed, n=30, d=2):
@@ -71,6 +81,31 @@ class TestFit:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             fit(np.array([[0.1]]), np.array([1.0]), np.array([1.0]))
+
+    @pytest.mark.parametrize("name", ["x", "z", "y"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_non_finite_inputs_are_rejected_by_name(self, name, bad, optimize):
+        data = dict(zip("xzy", toy_data(3, n=8)))
+        data[name][(4, 0) if name == "x" else 4] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            fit(data["x"], data["z"], data["y"], optimize=optimize)
+
+    def test_indefinite_matrix_raises_linalg_error(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        with pytest.raises(np.linalg.LinAlgError):
+            _chol_with_jitter(-np.eye(3))
+
+    @pytest.mark.parametrize("n", [10, 40])
+    def test_direct_lapack_matches_the_scipy_wrappers_bit_for_bit(self, n):
+        x, z, y = toy_data(n, n=n)
+        model = fit(x, z, y)
+        k = _kernel(model.xz, model.xz, model.params) + model.params.noise_var * np.eye(n)
+        low = _cholesky(k)
+        np.testing.assert_array_equal(low, cholesky(k, lower=True))
+        for rhs in (y, np.eye(n)):
+            np.testing.assert_array_equal(_cho_solve(low, rhs), cho_solve((low, True), rhs))
 
 
 class TestPosterior:
@@ -156,21 +191,36 @@ class TestSampledFunctions:
         grid = np.random.default_rng(4).random((200, 2)) * 3 - 1
         assert np.all(np.isfinite(f(grid)))
 
-    def test_float32_cos_stays_within_1e5_of_the_prior_sd(self):
-        # The shortest lengthscales give the largest arguments (|arg| up to
-        # 142 here), where float32 rounding of the argument is coarsest.
-        rng = np.random.default_rng(11)
-        x, z = rng.random((30, 4)), rng.random(30)
-        y = np.sin(6 * x).sum(axis=1) + z
+    def test_float32_draw_stays_within_1e5_of_the_prior_sd(self):
+        # The shortest lengthscales give the largest arguments, where float32
+        # rounding is coarsest; d = 2, 4 and 6 are the widths of branin, ReRAM
+        # and zdt1. The reference is the float64 formula on the float64
+        # fields that define the draw.
         short = GpConfig().lengthscale_bounds[0]
-        params = GpParams(signal_var=1.7, lengthscales=(short,) * 5, noise_var=1e-3)
-        model = fit(x, z, y, optimize=False, init_params=params)
-        f = sample_function(model, seed=3)
-        assert f.freqs.shape == (4, 500) and f.freqs.flags.c_contiguous
-        pts = rng.random((200, 4))
-        exact = f.y_mean + f.y_std * f.feature_scale * (np.cos(pts @ f.freqs + f.offset) @ f.weights)
-        err = np.max(np.abs(f(pts) - exact))
-        assert err <= 1e-5 * model.y_std * np.sqrt(model.params.signal_var)
+        for d in (2, 4, 6):
+            rng = np.random.default_rng(11)
+            x, z = rng.random((30, d)), rng.random(30)
+            y = np.sin(6 * x).sum(axis=1) + z
+            params = GpParams(signal_var=1.7, lengthscales=(short,) * (d + 1), noise_var=1e-3)
+            model = fit(x, z, y, optimize=False, init_params=params)
+            pts = rng.random((500, d))
+            for seed in range(5):
+                f = sample_function(model, seed=seed)
+                assert f.freqs.shape == (d, 500) and f.freqs.flags.c_contiguous
+                exact = f.y_mean + f.y_std * f.feature_scale * (
+                    np.cos(pts @ f.freqs + f.offset) @ f.weights
+                )
+                err = np.max(np.abs(f(pts) - exact))
+                assert err <= 1e-5 * model.y_std * np.sqrt(model.params.signal_var), (d, seed)
+
+    def test_draw_returns_float64_on_the_target_scale(self):
+        x, z, y = toy_data(12)
+        y = 1e6 + 1e3 * y
+        f = sample_function(fit(x, z, y), seed=0)
+        out = f(np.random.default_rng(5).random((7, 2)))
+        assert out.dtype == np.float64 and out.shape == (7,)
+        assert np.all(np.abs(out - f.y_mean) < 10 * f.y_std)
+        assert f(np.array([0.2, 0.3])).shape == (1,)
 
     @pytest.mark.slow
     def test_covariance_matches_exact_posterior(self):

@@ -1,11 +1,20 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from reramopt.config import build_problem, load_config
 from reramopt.design_space import fidelity_grid
 from reramopt.gp import SampledFunction, fit
-from reramopt.mesmo import Budget, MesmoConfig, sample_pareto_fronts, search, select_next
+from reramopt.mesmo import (
+    Budget,
+    MesmoConfig,
+    fidelity_vectors,
+    sample_pareto_fronts,
+    search,
+    select_next,
+)
 from reramopt.objectives import synthetic_cf_problem
 from reramopt.pareto import Nsga2Config
 from reramopt.resna import TrainingDivergedError
@@ -70,17 +79,23 @@ def test_flat_zero_hypervolume_is_not_convergence():
     assert result.converged
 
 
-def _seeded_models(seed: int, cfg: MesmoConfig = MesmoConfig()):
-    """branin-currin-cf surrogates fitted to 15 seeded points: 5 at z=1 and
-    10 at levels drawn from the default fidelity grid."""
-    problem = synthetic_cf_problem("branin-currin-cf")
+def _seeded_models(seed: int, cfg: MesmoConfig = MesmoConfig(), problem=None):
+    """Surrogates of ``problem`` (branin-currin-cf by default) fitted to 15
+    seeded points: 5 at z* and 10 at levels drawn from the default fidelity
+    grid."""
+    problem = problem or synthetic_cf_problem("branin-currin-cf")
     rng = np.random.default_rng(seed)
     x = rng.random((15, problem.dim))
     levels = np.concatenate([np.ones(5), rng.choice(fidelity_grid(cfg.fidelity_levels), 10)])
-    z = np.repeat(levels[:, None], problem.n_obj, axis=1)
-    y = np.stack([problem.evaluate(xi, zi) for xi, zi in zip(x, z)])
+    z = fidelity_vectors(problem, levels)
+    y = np.stack([problem.evaluate(xi, zi, rng) for xi, zi in zip(x, z)])
     models = [fit(x, z[:, j], y[:, j]) for j in range(problem.n_obj)]
     return problem, models
+
+
+# The 4-objective, 4-D ReRAM problem with the golden config's small ReSNA.
+def _reram_problem():
+    return build_problem(load_config(str(Path(__file__).parent / "golden" / "configs" / "reram.yaml")))
 
 
 # select_next's pick after sample_pareto_fronts at the default MesmoConfig,
@@ -121,21 +136,16 @@ def _float64_call(self, x):
     return self.y_mean + self.y_std * (phi @ self.weights)
 
 
-@pytest.mark.slow
-def test_front_maxima_match_float64_features(monkeypatch):
-    # Same draws, same inner seeds: only the precision of the feature cosines
-    # differs, so the sampled maxima may move by far less than their own
-    # Monte-Carlo error.
-    cfg = MesmoConfig()
-    problem, models = _seeded_models(7, cfg)
-    n_s = 24
+def _front_maxima_shift_in_se(monkeypatch, problem, models, seed, cfg=MesmoConfig(), n_s=24):
+    """Shift of the mean sampled front maxima, float32 draws against the
+    float64 formula on the same draws, in units of its Monte-Carlo s.e."""
 
     def maxima():
         return sample_pareto_fronts(
             models,
             n_s,
             problem.dim,
-            7,
+            seed,
             inner=Nsga2Config(pop=cfg.inner_pop),
             gens=cfg.inner_gens,
             rff_features=cfg.rff_features,
@@ -146,4 +156,27 @@ def test_front_maxima_match_float64_features(monkeypatch):
     exact = maxima()
     se = exact.std(axis=0, ddof=1) / np.sqrt(n_s)
     assert np.all(se > 0)
-    assert np.all(np.abs(fast.mean(axis=0) - exact.mean(axis=0)) <= 0.1 * se)
+    return np.abs(fast.mean(axis=0) - exact.mean(axis=0)) / se
+
+
+# Same draws, same inner seeds: only the precision of the sampled functions
+# differs, so the sampled maxima may move by far less than their own
+# Monte-Carlo error. The reference evaluates the float64 fields that define
+# each draw, never its float32 copies.
+@pytest.mark.slow
+def test_front_maxima_match_float64_features(monkeypatch):
+    problem, models = _seeded_models(7)
+    assert np.all(_front_maxima_shift_in_se(monkeypatch, problem, models, 7) <= 0.1)
+
+
+@pytest.mark.slow
+def test_reram_front_maxima_match_float64_features(monkeypatch):
+    # The 4-objective, 4-D shape of the ReRAM campaign. Here the inner solves
+    # branch apart on differences far below 1e-5 of the prior sd: single
+    # maxima move by up to 1.7 of their sd at either precision, so the mean
+    # moves by a good share of its s.e. (0.46 on seed 7; a float32 cos of a
+    # float64 argument gave 0.50). The gate asks that the moved mean stay
+    # inside the Monte-Carlo error of the maxima the acquisition reads.
+    problem, models = _seeded_models(7, problem=_reram_problem())
+    assert problem.n_obj == 4 and problem.dim == 4
+    assert np.all(_front_maxima_shift_in_se(monkeypatch, problem, models, 7) <= 1.0)
