@@ -7,6 +7,8 @@ classes themselves (``resna:`` is ``MlpSpec``, ``hw:`` is
 run at parse time. Parsing is
 strict: unknown keys are rejected with their dotted path, YAML syntax
 errors carry the line number, and an empty document yields the defaults.
+Plain scalars such as ``1e9`` and ``1.0e9`` are floats, as in YAML 1.2;
+PyYAML's YAML 1.1 resolver would leave them strings.
 ``emit_defaults()`` round-trips through ``parse_config()`` to an equal
 config.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import re
 import types
 import typing
 from dataclasses import dataclass, field
@@ -81,10 +84,22 @@ OPTIMIZERS = ("cf-mesmo", "mesmo", "random", "nsga2")
 PROBLEMS = ("reram", "branin-currin-cf", "zdt1")
 
 
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that also resolves the YAML 1.2 core-schema floats that
+    YAML 1.1 reads as strings: an exponent without a sign or without a dot."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
 def parse_config(text: str) -> CampaignConfig:
     """Parse YAML text into a validated CampaignConfig (empty -> defaults)."""
     try:
-        data = yaml.safe_load(text)
+        data = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = f" at line {mark.line + 1}" if mark is not None else ""

@@ -357,13 +357,19 @@ def _hv_2d(q: np.ndarray) -> float:
 
 
 def dominated_hypervolume(points, ref) -> float:
-    """Hypervolume of an arbitrary point set: members not dominating ref are ignored."""
+    """Hypervolume of an arbitrary point set: members not dominating ref are ignored.
+
+    Raises ValueError for a NaN or infinite ``ref``, which would otherwise
+    read as an empty dominated region.
+    """
+    ref = np.asarray(ref, dtype=float)
+    if not np.isfinite(ref).all():
+        raise ValueError(f"hypervolume reference point must be finite, got {ref.tolist()}")
     y = np.asarray(points, dtype=float)
     if y.ndim == 1:
         y = y.reshape(1, -1)
     if len(y) == 0:
         return 0.0
-    ref = np.asarray(ref, dtype=float)
     ok = np.all(y >= ref, axis=1) & np.any(y > ref, axis=1)
     if not ok.any():
         return 0.0

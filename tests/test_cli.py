@@ -32,6 +32,14 @@ def test_hv_rejects_a_reference_of_the_wrong_length(capsys):
     assert "3 values for 2 objectives" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ref,shown", [("nan,0", "[nan, 0.0]"), ("0,inf", "[0.0, inf]"), ("-inf,-7", "[-inf, -7.0]")])
+def test_hv_rejects_a_non_finite_reference(ref, shown, capsys):
+    front = GOLDEN / "branin-cf-mesmo" / "front_seed0.csv"
+    assert cli.main(["hv", "--front", str(front), f"--ref={ref}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and f"must be finite, got {shown}" in err
+
+
 def test_failed_seed_keeps_the_other_seeds_artifacts(tmp_path, monkeypatch, capsys):
     cfg = parse_config("optimizer: random\nseeds: [0, 1, 2]\nbudget: {total_cost: 10}")
     run_one_seed = cli.run_one_seed

@@ -20,6 +20,19 @@ def test_default_hash_is_pinned():
     assert config_hash(parse_config(emit_defaults())) == DEFAULT_HASH
 
 
+def test_exponent_floats_are_numbers():
+    # YAML 1.1 reads an exponent with no sign or no dot as a string.
+    assert parse_config("budget: {total_cost: 1e9}").budget.total_cost == 1e9
+    assert parse_config("budget: {total_cost: 2.5E-1}").budget.total_cost == 0.25
+    same = parse_config("space: {freq_bounds_hz: [1.0e7, 1.0e9]}")
+    assert same == CampaignConfig() and config_hash(same) == DEFAULT_HASH
+
+
+def test_quoted_exponent_stays_a_string():
+    with pytest.raises(ConfigError, match="'budget.total_cost' must be a number"):
+        parse_config("budget: {total_cost: '1e9'}")
+
+
 @pytest.mark.parametrize(
     "text,path",
     [

@@ -366,3 +366,10 @@ class TestDominatedHypervolume:
 
     def test_empty_when_nothing_dominates(self):
         assert dominated_hypervolume([[-1, -1]], [0, 0]) == 0.0
+
+    @pytest.mark.parametrize("ref", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0]])
+    def test_non_finite_reference_rejected(self, ref):
+        # Before the check, these read 0.0 for any front, empty or not.
+        for pts in ([[3, 1], [1, 3]], np.empty((0, 2))):
+            with pytest.raises(ValueError, match="must be finite"):
+                dominated_hypervolume(pts, ref)
