@@ -203,8 +203,8 @@ class TestSampledFunctions:
             y = np.sin(6 * x).sum(axis=1) + z
             params = GpParams(signal_var=1.7, lengthscales=(short,) * (d + 1), noise_var=1e-3)
             model = fit(x, z, y, optimize=False, init_params=params)
-            pts = rng.random((500, d))
-            for seed in range(5):
+            pts = rng.random((1000, d))
+            for seed in range(10):
                 f = sample_function(model, seed=seed)
                 assert f.freqs.shape == (d, 500) and f.freqs.flags.c_contiguous
                 exact = f.y_mean + f.y_std * f.feature_scale * (
