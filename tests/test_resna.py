@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -132,3 +133,41 @@ def test_overflowing_step_is_reported_as_divergence(data):
     spec = replace(SPEC, lr=1e155)
     with pytest.raises(TrainingDivergedError), np.errstate(over="ignore", invalid="ignore"):
         train(spec, DESIGN, data, 4, np.random.default_rng(0))
+
+
+# Byte pins of 2 training epochs and 2 inference runs with every noise source
+# on, per (res_cell, xbar_size): a digest of the weights, biases and losses,
+# and one of the accuracies. The first layer's 40 rows span two row blocks at
+# xbar 32 and one at 128. Any reordered, resized or dropped draw, or any
+# change to the arithmetic of a batch, moves them.
+PIN_SPEC = MlpSpec(widths=(40, 12, 3), n_train=32, n_test=60, lr=0.03, center_spread=1.0, data_seed=5)
+TRAIN_INFER_PINS = {
+    (1, 32): ("9678a3b68513f508", "403c7cc5dbff3ee8"),
+    (1, 128): ("00a483ff192b5b0e", "7153a03a06db4790"),
+    (2, 32): ("c714bece27549847", "526f5dc7d46588d4"),
+    (2, 128): ("00a6c64dc2545fc1", "c94b73c5a3e9c614"),
+    (3, 32): ("f541615707e517c1", "f86c4ed7c286d160"),
+    (3, 128): ("3c169c7797a18bba", "3d1e2185c46afad6"),
+    (4, 32): ("9a819a430b94097e", "beb3cc6228f9fea9"),
+    (4, 128): ("b8ef563143b4c331", "ea70fa77e2139d90"),
+    (8, 32): ("43ab1af3edddd12e", "2bca4f549a8a4197"),
+    (8, 128): ("2fdcc15012ed23fd", "5d796fc0f278c561"),
+}
+
+
+def _digest(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.asarray(a, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("res_cell,xbar", sorted(TRAIN_INFER_PINS))
+def test_training_and_inference_bytes_are_pinned(res_cell, xbar):
+    data = make_dataset(PIN_SPEC)
+    design = ReramDesign(res_cell=res_cell, freq_hz=5e8, temperature_k=350.0, xbar_size=xbar)
+    rng = np.random.default_rng([res_cell, xbar])
+    state = train(PIN_SPEC, design, data, 2, rng)
+    accs = infer(state, design, data, runs=2, rng=rng)
+    trained = _digest(state.weights + state.biases + [state.losses])
+    assert (trained, _digest([accs])) == TRAIN_INFER_PINS[res_cell, xbar]
