@@ -90,12 +90,14 @@ def quantize(values: np.ndarray, bits: int) -> QuantizedMatrix:
     # bits=1 degenerates under the signed two's-complement range; use the
     # standard ternary {-1, 0, 1} convention so symmetry survives.
     qmax = max((1 << (bits - 1)) - 1, 1)
-    vmax = float(np.max(np.abs(values)))
+    vmax = float(np.abs(values).max())
     if not math.isfinite(vmax):
         raise ValueError("cannot quantize non-finite values")
     scale = vmax / qmax if vmax > 0.0 else 1.0
-    codes = np.clip(np.rint(values / scale), -qmax, qmax).astype(np.int64)
-    return QuantizedMatrix(codes=codes, scale=scale, bits=bits)
+    codes = values / scale
+    np.rint(codes, out=codes)
+    codes.clip(-qmax, qmax, out=codes)
+    return QuantizedMatrix(codes=codes.astype(np.int64), scale=scale, bits=bits)
 
 
 @dataclass(frozen=True)
@@ -146,15 +148,19 @@ def map_weights(
     if dup < 1:
         raise ValueError("duplication factor must be >= 1")
 
-    # |code| on the side of its sign, 0 on the other: (rows, 2, cols).
-    side_codes = np.stack([np.maximum(w.codes, 0), np.maximum(-w.codes, 0)], axis=1)
-    need = int(side_codes.max()).bit_length()
+    codes = w.codes
+    need = max(int(codes.max()), -int(codes.min()), 0).bit_length()
     if need > design.bit_quan:
         raise ValueError(f"codes need {need} bits but the design's bit_quan is {design.bit_quan}")
-    step = (design.g_max - design.g_min) / ((1 << design.res_cell) - 1)
-    n_slices = design.slices_per_weight
-    shifts = design.res_cell * np.arange(n_slices - 1, -1, -1)
-    digits = (side_codes[:, :, None, :] >> shifts[:, None]) & ((1 << design.res_cell) - 1)
+    # |code| on the side of its sign, 0 on the other: (rows, 2, cols). At
+    # most bit_quan <= 8 bits, so the digits are sliced in uint8.
+    side_codes = np.empty((w.rows, 2, w.cols), dtype=np.uint8)
+    np.maximum(codes, 0, out=side_codes[:, 0], casting="unsafe")
+    np.maximum(-codes, 0, out=side_codes[:, 1], casting="unsafe")
+    digits = side_codes[:, :, None, :] >> design.slice_shifts[:, None]
+    digits &= (1 << design.res_cell) - 1
+    target = digits * design.g_step
+    target += design.g_min
 
     return MappedLayer(
         design=design,
@@ -163,8 +169,8 @@ def map_weights(
         cols=w.cols,
         scale=w.scale,
         dup=dup,
-        slice_weights=(1 << shifts).astype(float),
-        target=design.g_min + digits * step,
+        slice_weights=design.slice_weights,
+        target=target,
     )
 
 
@@ -178,27 +184,29 @@ def program(layer: MappedLayer, rng: np.random.Generator | None = None) -> Mappe
     d = layer.design
     if layer.noise.prog and rng is None:
         raise ValueError("programming with noise enabled requires a generator")
-    noisy = _copies(layer)
+    targets = _copies(layer)
     if layer.noise.prog and d.sigma_prog > 0.0:
-        noisy = noisy + sample_write_noise(noisy, d, layer.noise, rng)
-    return replace(layer, noisy=np.clip(noisy, 0.0, d.g_max))
+        noisy = sample_write_noise(targets, d, layer.noise, rng)
+        noisy += targets
+    else:
+        noisy = targets.copy()
+    noisy.clip(0.0, d.g_max, out=noisy)
+    return replace(layer, noisy=noisy)
 
 
 def _copies(layer: MappedLayer) -> np.ndarray:
     """The targets as seen by every copy, (rows, dup, 2, n_slices, cols), as a view."""
-    return np.broadcast_to(layer.target[:, None], (layer.rows, layer.dup) + layer.target.shape[1:])
+    one = layer.target[:, None]
+    return one if layer.dup == 1 else np.broadcast_to(one, (layer.rows, layer.dup) + one.shape[2:])
 
 
-def _adc(currents: np.ndarray, full_scale: float, res_adc: int | None) -> np.ndarray:
-    if res_adc is None:
-        return currents
-    levels = (1 << res_adc) - 1
-    codes = currents / full_scale
-    codes *= levels
-    np.rint(codes, out=codes)
-    np.clip(codes, 0, levels, out=codes)
-    codes *= full_scale / levels
-    return codes
+def _adc(currents: np.ndarray, full_scale: float, levels: int) -> None:
+    """Digitize the currents in place to ``levels`` steps of [0, full_scale]."""
+    currents /= full_scale
+    currents *= levels
+    np.rint(currents, out=currents)
+    currents.clip(0, levels, out=currents)
+    currents *= full_scale / levels
 
 
 def mvm(
@@ -224,12 +232,16 @@ def mvm(
     With noise off and res_adc=None every copy equals the exact integer
     matmul codes @ weight_codes.
     """
-    codes = inputs.codes if isinstance(inputs, QuantizedMatrix) else inputs
-    codes = np.asarray(codes, dtype=np.int64)
+    codes = inputs.codes if isinstance(inputs, QuantizedMatrix) else np.asarray(inputs)
+    if codes.dtype.kind not in "iu":
+        raise ValueError(f"input codes must have an integer dtype, got {codes.dtype}")
     if codes.ndim != 2 or codes.shape[1] != layer.rows:
         raise ValueError(f"inputs must have shape (B, {layer.rows}), got {codes.shape}")
+    # A sign pass reads only if some input has that sign.
+    has_pos = codes.max(initial=0) > 0
+    has_neg = codes.dtype.kind == "i" and codes.min(initial=0) < 0
 
-    if not layer.programmed and (codes > 0).any() and (codes < 0).any():
+    if not layer.programmed and has_pos and has_neg:
         layer = program(layer, rng)
     d = layer.design
     fresh = not layer.programmed
@@ -238,26 +250,34 @@ def mvm(
         raise ValueError("a noisy mvm requires a generator")
     cells = _copies(layer) if fresh else layer.noisy
 
-    dac_levels = (1 << d.res_dac) - 1
-    v_step = d.v_r / dac_levels
-    g_step = (d.g_max - d.g_min) / ((1 << d.res_cell) - 1)
     n_b = codes.shape[0]
     acc = np.zeros((n_b, layer.dup, layer.cols))
 
-    for sign in (1, -1):
-        part = np.clip(sign * codes, 0, dac_levels)
-        if not part.any():
+    for sign, active in ((1, has_pos), (-1, has_neg)):
+        if not active:
             continue
-        volts = part.astype(float) * v_step
+        volts = codes.astype(float) if sign > 0 else np.negative(codes, dtype=float)
+        volts.clip(0, d.dac_levels, out=volts)
+        volts *= d.v_step
         g = cells
         if noisy_read:
-            g = np.clip(sample_read(cells, d, layer.noise, rng, fresh), 0.0, d.g_max)
+            g = sample_read(cells, d, layer.noise, rng, fresh)
+            if g is not cells:  # something was drawn: clip that sample in place
+                g.clip(0.0, d.g_max, out=g)
+        flat = g.reshape(layer.rows, -1)
         for r0 in range(0, layer.rows, d.xbar_size):
             r1 = min(r0 + d.xbar_size, layer.rows)
-            fs = d.v_r * d.g_max * (r1 - r0)
             # (B, r) @ (r, dup*2*S*cols) -> currents (B, dup, 2, S, cols)
-            cur = volts[:, r0:r1] @ g[r0:r1].reshape(r1 - r0, -1)
-            cur = _adc(cur, fs, d.res_adc).reshape((n_b,) + g.shape[1:])
-            acc += sign * (layer.slice_weights @ (cur[:, :, 0] - cur[:, :, 1]))
+            cur = volts[:, r0:r1] @ flat[r0:r1]
+            if d.adc_levels is not None:
+                _adc(cur, d.v_r * d.g_max * (r1 - r0), d.adc_levels)
+            cur = cur.reshape((n_b,) + g.shape[1:])
+            part = layer.slice_weights @ (cur[:, :, 0] - cur[:, :, 1])
+            if sign > 0:
+                acc += part
+            else:
+                acc -= part
 
-    return np.rint(acc / (g_step * v_step)).astype(np.int64).swapaxes(0, 1)
+    acc /= d.g_step * d.v_step
+    np.rint(acc, out=acc)
+    return acc.astype(np.int64).swapaxes(0, 1)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -67,18 +68,67 @@ class ReramDesign:
         adc_ok = self.res_adc is None or self.res_adc >= 1
         if not (1 <= self.bit_quan <= 8 and self.res_dac >= 1 and adc_ok):
             raise ValueError("need 1 <= bit_quan <= 8, res_dac >= 1 and res_adc >= 1")
+        if self.res_dac < self.bit_quan:
+            # Activations are quantized to bit_quan bits; a narrower DAC
+            # would clip their codes without an error.
+            raise ValueError(f"res_dac ({self.res_dac}) is narrower than bit_quan ({self.bit_quan})")
 
-    @property
+    # Constants of the deploy and read path, computed once per design; a
+    # design made by ``with_context`` or ``replace`` computes its own.
+
+    @cached_property
     def g_min(self) -> float:
         return 1.0 / self.r_off
 
-    @property
+    @cached_property
     def g_max(self) -> float:
         return 1.0 / self.r_on
+
+    @cached_property
+    def g_step(self) -> float:
+        """Conductance between adjacent cell levels."""
+        return (self.g_max - self.g_min) / ((1 << self.res_cell) - 1)
 
     @property
     def slices_per_weight(self) -> int:
         return math.ceil(self.bit_quan / self.res_cell)
+
+    @cached_property
+    def slice_shifts(self) -> np.ndarray:
+        """Right shift of each weight digit, most significant first (uint8)."""
+        return _frozen(self.res_cell * np.arange(self.slices_per_weight - 1, -1, -1, dtype=np.uint8))
+
+    @cached_property
+    def slice_weights(self) -> np.ndarray:
+        """Digital shift-add weight of each slice, most significant first."""
+        return _frozen((1 << self.slice_shifts.astype(np.int64)).astype(float))
+
+    @cached_property
+    def dac_levels(self) -> int:
+        return (1 << self.res_dac) - 1
+
+    @cached_property
+    def v_step(self) -> float:
+        """Read voltage of one DAC input code."""
+        return self.v_r / self.dac_levels
+
+    @cached_property
+    def adc_levels(self) -> int | None:
+        return None if self.res_adc is None else (1 << self.res_adc) - 1
+
+    @cached_property
+    def thermal_var(self) -> float:
+        """Thermal read-noise variance per siemens of conductance."""
+        from .noise import thermal_sigma
+
+        return thermal_sigma(1.0, self) ** 2
+
+    @cached_property
+    def shot_var(self) -> float:
+        """Shot read-noise variance per siemens of conductance."""
+        from .noise import shot_sigma
+
+        return shot_sigma(1.0, self) ** 2
 
     def with_context(self, freq_hz: float, temperature_k: float) -> "ReramDesign":
         """Same device, different operating point (used for reduced-noise layers)."""
@@ -155,6 +205,11 @@ class DesignSpace:
 
 
 DEFAULT_SPACE = DesignSpace()
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def _ordinal_to_unit(index: int, levels: int) -> float:

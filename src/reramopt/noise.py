@@ -101,15 +101,28 @@ def rtn_amplitude(g, design: ReramDesign, spec: NoiseSpec):
     Algebraically a*g_min + b*g; defined as 0 at g = 0 (no current path).
     """
     g = np.asarray(g, dtype=float)
-    amp = spec.rtn_amp_a * design.g_min + spec.rtn_amp_b * g
-    return np.where(g > 0.0, amp, 0.0)
+    return np.where(g > 0.0, _rtn_jump(g, design, spec), 0.0)
 
 
-def rtn_sample(g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator):
-    """One RTN draw: the trap amplitude with probability rtn_p_occupancy, else 0."""
+def _rtn_jump(g: np.ndarray, design: ReramDesign, spec: NoiseSpec) -> np.ndarray:
+    """a*g_min + b*g: the RTN amplitude wherever g > 0."""
+    amp = spec.rtn_amp_b * g
+    amp += spec.rtn_amp_a * design.g_min
+    return amp
+
+
+def rtn_sample(
+    g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator, fresh: bool = False
+):
+    """One RTN draw: the trap amplitude with probability rtn_p_occupancy, else 0.
+
+    With ``fresh``, g holds deployment targets, all at least g_min > 0, so
+    the g = 0 case of ``rtn_amplitude`` cannot arise and is not masked.
+    """
     g = np.asarray(g, dtype=float)
-    amp = rtn_amplitude(g, design, spec)
-    amp *= rng.random(g.shape) < spec.rtn_p_occupancy
+    occupied = rng.random(g.shape) < spec.rtn_p_occupancy
+    amp = _rtn_jump(g, design, spec) if fresh else rtn_amplitude(g, design, spec)
+    amp *= occupied
     return amp
 
 
@@ -124,24 +137,34 @@ def sample_read(
     With ``fresh``, g holds the targets of a deployment that this read alone
     sees, and the programming error (if enabled) joins the same Gaussian, as
     the module docstring derives. Reproducible reads depend on that order of
-    the draws. Disabled sources draw nothing.
+    the draws. Disabled sources draw nothing, and with none enabled g itself
+    is returned; otherwise the result is a new array.
     """
     g = np.asarray(g, dtype=float)
     out = g
     write = fresh and spec.prog and design.sigma_prog > 0.0
     if spec.thermal or spec.shot or write:
-        var_per_siemens = (thermal_sigma(1.0, design) ** 2 if spec.thermal else 0.0) + (
-            shot_sigma(1.0, design) ** 2 if spec.shot else 0.0
-        )
-        var = var_per_siemens * g
-        if write:
-            var += prog_sigma(g, design) ** 2
         out = rng.standard_normal(g.shape)
-        out *= np.sqrt(var)
+        out *= _read_std(g, design, spec, write)
         out += g
     if spec.rtn:
-        out = out + rtn_sample(g, design, spec, rng)
+        rtn = rtn_sample(g, design, spec, rng, fresh)
+        rtn += out
+        out = rtn
     return out
+
+
+def _read_std(g: np.ndarray, design: ReramDesign, spec: NoiseSpec, write: bool) -> np.ndarray:
+    """Std of a read's one Gaussian: enabled thermal and shot, plus the write error if ``write``."""
+    var_per_siemens = (design.thermal_var if spec.thermal else 0.0) + (
+        design.shot_var if spec.shot else 0.0
+    )
+    var = np.asarray(var_per_siemens * g)  # 0-d for a scalar g, so it updates in place
+    if write:
+        prog_var = prog_sigma(g, design)
+        prog_var *= prog_var
+        var += prog_var
+    return np.sqrt(var, out=var)
 
 
 def sample_write_noise(g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator):
@@ -149,4 +172,6 @@ def sample_write_noise(g, design: ReramDesign, spec: NoiseSpec, rng: np.random.G
     g = np.asarray(g, dtype=float)
     if not spec.prog:
         return np.zeros(g.shape)
-    return rng.standard_normal(g.shape) * prog_sigma(g, design)
+    err = rng.standard_normal(g.shape)
+    err *= prog_sigma(g, design)
+    return err

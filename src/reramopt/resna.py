@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crossbar import MappedLayer, NoiseSpec, QuantizedMatrix, map_weights, mvm, program, quantize
+from .crossbar import MappedLayer, NoiseSpec, map_weights, mvm, program, quantize
 from .design_space import ReramDesign
 
 
@@ -193,16 +193,18 @@ def _load_csv_dataset(spec: MlpSpec) -> Dataset:
     )
 
 
-def _quantize_unsigned(values: np.ndarray, bits: int) -> QuantizedMatrix:
-    """Activation quantizer: non-negative codes over the full DAC range."""
+def _quantize_unsigned(values: np.ndarray, bits: int) -> tuple[np.ndarray, float]:
+    """Activation quantizer: non-negative uint8 codes over the full DAC range, and their scale."""
     values = np.asarray(values, dtype=float)
-    if not np.isfinite(values).all():
+    vmax = float(values.max(initial=0.0))
+    if not (math.isfinite(vmax) and math.isfinite(values.min(initial=0.0))):
         raise ValueError("cannot quantize non-finite activations")
     qmax = (1 << bits) - 1
-    vmax = float(values.max()) if values.size else 0.0
     scale = vmax / qmax if vmax > 0.0 else 1.0
-    codes = np.clip(np.rint(values / scale), 0, qmax).astype(np.int64)
-    return QuantizedMatrix(codes=codes, scale=scale, bits=bits)
+    codes = values / scale
+    np.rint(codes, out=codes)
+    codes.clip(0, qmax, out=codes)
+    return codes.astype(np.uint8), scale
 
 
 def _layer_designs(spec: MlpSpec, design: ReramDesign) -> list[ReramDesign]:
@@ -239,22 +241,24 @@ def _forward(
     acts, pres = [], []
     for layer, b in zip(deployed, biases):
         acts.append(a)
-        q_in = _quantize_unsigned(a, layer.design.bit_quan)
-        pre = mvm(layer, q_in, rng) * (q_in.scale * layer.scale) + b
+        codes, scale = _quantize_unsigned(a, layer.design.bit_quan)
+        pre = mvm(layer, codes, rng) * (scale * layer.scale)
+        pre += b
         pres.append(pre[0])
         a = np.maximum(pre[0], 0.0)
     return pre, acts, pres
 
 
 def _softmax_ce(logits: np.ndarray, labels: np.ndarray):
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - logz
-    loss = -logp[np.arange(len(labels)), labels].mean()
-    probs = np.exp(logp)
-    grad = probs
-    grad[np.arange(len(labels)), labels] -= 1.0
-    return loss, grad / len(labels)
+    """Mean cross-entropy of the labels and its gradient in the logits."""
+    rows = np.arange(len(labels))
+    logp = logits - logits.max(axis=1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    loss = -logp[rows, labels].mean()
+    grad = np.exp(logp, out=logp)
+    grad[rows, labels] -= 1.0
+    grad /= len(labels)
+    return loss, grad
 
 
 def train(
@@ -292,7 +296,7 @@ def train(
             deployed = _deploy(state.weights, designs, 1, noise)
             logits, acts, pres = _forward(deployed, state.biases, xb, rng)
             loss, dz = _softmax_ce(logits[0], yb)
-            if not np.isfinite(loss):
+            if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             epoch_loss += loss * len(idx)
             _sgd_step(state, acts, pres, dz)
@@ -316,20 +320,22 @@ def _init_state(spec: MlpSpec, rng: np.random.Generator) -> TrainState:
 
 
 def _sgd_step(state: TrainState, acts, pres, dz):
+    """Backpropagate from the last layer, updating each layer once its gradient is used."""
     spec = state.spec
-    grads_w = [None] * spec.n_layers
-    grads_b = [None] * spec.n_layers
     for l in range(spec.n_layers - 1, -1, -1):
-        grads_w[l] = acts[l].T @ dz
-        grads_b[l] = dz.sum(axis=0)
+        grad_w = acts[l].T @ dz
+        grad_b = dz.sum(axis=0)
         if l > 0:
-            da = dz @ state.weights[l].T
-            dz = da * (pres[l - 1] > 0.0)
-    for l in range(spec.n_layers):
-        state.velocities_w[l] = spec.momentum * state.velocities_w[l] - spec.lr * grads_w[l]
-        state.velocities_b[l] = spec.momentum * state.velocities_b[l] - spec.lr * grads_b[l]
-        state.weights[l] += state.velocities_w[l]
-        state.biases[l] += state.velocities_b[l]
+            dz = dz @ state.weights[l].T
+            dz *= pres[l - 1] > 0.0
+        for param, velocity, grad in (
+            (state.weights[l], state.velocities_w[l], grad_w),
+            (state.biases[l], state.velocities_b[l], grad_b),
+        ):
+            velocity *= spec.momentum
+            grad *= spec.lr
+            velocity -= grad
+            param += velocity
 
 
 def majority_vote(per_copy_logits: np.ndarray) -> np.ndarray:

@@ -51,6 +51,8 @@ def test_quoted_exponent_stays_a_string():
         ("device: {v_r: 0}", "'device': v_r"),
         ("device: {bit_quan: 9}", "'device': need 1 <= bit_quan <= 8"),
         ("device: {res_dac: 0}", "'device': need 1 <= bit_quan <= 8"),
+        # Activations are quantized to bit_quan bits, so the DAC must resolve them.
+        ("device: {res_dac: 4}", "'device': res_dac (4) is narrower than bit_quan (8)"),
         ("device: {res_adc: 0}", "'device': need 1 <= bit_quan <= 8"),
         ("noise: {rtn_p_occupancy: 1.5}", "'noise': rtn_p_occupancy"),
         # resna: and hw: are MlpSpec and HwCostParams, checked at parse time.

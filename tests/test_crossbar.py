@@ -248,6 +248,15 @@ class TestMvmIdealPath:
         with pytest.raises(ValueError, match="requires a generator"):
             mvm(layer, np.array([[1, 0]]))
 
+    @pytest.mark.parametrize("codes", [[[2.7, 1.2]], [[2.0, 1.0]], [[True, False]]])
+    def test_non_integer_codes_rejected(self, codes):
+        # Cast to int64, [[2.7, 1.2]] would read as [[2, 1]]: 318, not 419.7.
+        w = QuantizedMatrix(codes=np.array([[127], [64]]), scale=1.0, bits=8)
+        layer = program(map_weights(w, design(res_adc=None), noise=QUIET))
+        np.testing.assert_array_equal(mvm(layer, np.array([[2, 1]]))[0], [[318]])
+        with pytest.raises(ValueError, match="integer dtype"):
+            mvm(layer, np.array(codes))
+
     def test_wrong_input_length(self):
         layer = program(map_weights(quantize(np.eye(3), 8), design(), noise=QUIET))
         with pytest.raises(ValueError):

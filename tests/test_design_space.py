@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -141,3 +143,50 @@ def test_space_constants_flow_into_designs():
     space = DEFAULT_SPACE
     d = space.decode([0.5, 0.5, 0.5, 0.5])
     assert d.bit_quan == 8 and d.v_r == 1.65 and d.sigma_prog == 0.0658
+
+
+def test_dac_narrower_than_the_activation_quantizer_rejected():
+    # A 4-bit DAC would clip 8-bit activation codes at 15 without an error.
+    with pytest.raises(ValueError, match=r"res_dac \(4\) is narrower than bit_quan \(8\)"):
+        make(res_dac=4)
+    assert make(res_dac=4, bit_quan=4).res_dac == 4
+
+
+PER_DESIGN_CONSTANTS = (
+    "g_min",
+    "g_max",
+    "g_step",
+    "slice_shifts",
+    "slice_weights",
+    "dac_levels",
+    "v_step",
+    "adc_levels",
+    "thermal_var",
+    "shot_var",
+)
+
+
+def test_equal_designs_get_equal_constants():
+    warm, cold = make(res_cell=3, xbar=128), make(res_cell=3, xbar=128)
+    for name in PER_DESIGN_CONSTANTS:
+        getattr(warm, name)
+    for name in PER_DESIGN_CONSTANTS:
+        np.testing.assert_array_equal(getattr(warm, name), getattr(cold, name))
+    assert warm == cold and hash(warm) == hash(cold)
+
+
+def test_replaced_design_computes_its_own_constants():
+    d = make(res_cell=2, temp=300.0, res_adc=8)
+    assert (d.g_step, d.thermal_var, d.adc_levels, len(d.slice_weights)) == (
+        (d.g_max - d.g_min) / 3,
+        d.thermal_var,
+        255,
+        4,
+    )
+    hot = d.with_context(d.freq_hz, 400.0)
+    wide = dataclasses.replace(d, res_cell=4, res_adc=None)
+    assert hot.thermal_var == pytest.approx(d.thermal_var * 4.0 / 3.0, rel=1e-12)
+    assert hot.shot_var == d.shot_var
+    assert wide.g_step == (d.g_max - d.g_min) / 15 and wide.adc_levels is None
+    np.testing.assert_array_equal(wide.slice_shifts, [4, 0])
+    np.testing.assert_array_equal(wide.slice_weights, [16.0, 1.0])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,30 @@ class TestReadDistribution:
         for level in range(4):
             cells = slice(level * 250_000, (level + 1) * 250_000)
             assert_same_mean_and_variance(got[cells], want[cells])
+
+
+def formula_fresh_read(g, design, spec, rng):
+    """A fresh-deployment read spelled out from the noise functions, every source on."""
+    var_per_siemens = thermal_sigma(1.0, design) ** 2 + shot_sigma(1.0, design) ** 2
+    var = var_per_siemens * g + prog_sigma(g, design) ** 2
+    out = g + rng.standard_normal(g.shape) * np.sqrt(var)
+    occupied = rng.random(g.shape) < spec.rtn_p_occupancy
+    return out + np.where(occupied, rtn_amplitude(g, design, spec), 0.0)
+
+
+class TestPerDesignConstants:
+    @pytest.mark.parametrize(
+        "change", [{"temperature_k": 390.0}, {"freq_hz": 2e7}, {"v_r": 0.9}, {"r_off": 1e6}]
+    )
+    def test_replaced_design_reads_with_its_own_constants(self, change):
+        spec = NoiseSpec()
+        g = D.g_min + np.arange(4) * D.g_step
+        sample_read(g, D, spec, np.random.default_rng(0), fresh=True)  # fills D's constants
+        other = dataclasses.replace(D, **change)
+        for design in (D, other):
+            got = sample_read(g, design, spec, np.random.default_rng(9), fresh=True)
+            want = formula_fresh_read(g, design, spec, np.random.default_rng(9))
+            np.testing.assert_array_equal(got, want)
 
 
 class TestValidation:

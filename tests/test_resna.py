@@ -7,6 +7,7 @@ import pytest
 from reramopt import resna
 from reramopt.crossbar import NoiseSpec
 from reramopt.design_space import ReramDesign
+from reramopt.noise import shot_sigma, thermal_sigma
 from reramopt.resna import (
     MlpSpec,
     TrainingDivergedError,
@@ -88,6 +89,14 @@ def test_majority_vote_breaks_ties_by_summed_logit():
 def test_majority_vote_of_one_copy_is_its_argmax():
     logits = np.random.default_rng(4).standard_normal((1, 50, 10))
     np.testing.assert_array_equal(majority_vote(logits), logits[0].argmax(axis=1))
+
+
+def test_classifier_design_has_its_own_read_variance():
+    hidden, classifier = resna._layer_designs(SPEC, DESIGN)
+    assert hidden is DESIGN and (classifier.freq_hz, classifier.temperature_k) == (1e8, 300.0)
+    assert hidden.thermal_var > 0.0 and hidden.shot_var > 0.0  # fills the hidden design's cache
+    assert classifier.thermal_var == thermal_sigma(1.0, classifier) ** 2 < hidden.thermal_var
+    assert classifier.shot_var == shot_sigma(1.0, classifier) ** 2 < hidden.shot_var
 
 
 def test_training_is_reproducible_for_a_seed(data, state):
