@@ -19,7 +19,6 @@ from .design_space import (
     DesignSpace,
     ReramDesign,
     fidelity_grid,
-    space_cardinality,
 )
 from .gp import CfGpModel, GpConfig, GpParams, SampledFunction, fit, posterior, sample_function
 from .mesmo import (
@@ -54,7 +53,6 @@ from .pareto import (
     FrontSet,
     Nsga2Config,
     dominated_hypervolume,
-    dominates,
     hypervolume,
     non_dominated_sort,
     nsga2,

@@ -70,15 +70,12 @@ class QuantizedMatrix:
     def cols(self) -> int:
         return self.codes.shape[1]
 
-    def dequantize(self) -> np.ndarray:
-        return self.codes.astype(float) * self.scale
-
 
 def quantize(values: np.ndarray, bits: int) -> QuantizedMatrix:
     """Symmetric uniform quantization: max |value| maps to 2**(bits-1)-1.
 
-    An all-zero input keeps scale 1 by convention. Round-tripping via
-    dequantize() is within one quantization step of the input.
+    An all-zero input keeps scale 1 by convention. codes * scale is
+    within half a quantization step of the input.
     """
     if not (1 <= bits <= 8):
         raise ValueError(f"bits must be in [1,8], got {bits}")

@@ -22,11 +22,6 @@ XBAR_SIZES = (32, 64, 128)
 FREQ_BOUNDS_HZ = (1.0e7, 1.0e9)
 TEMPERATURE_BOUNDS_K = (300.0, 400.0)
 
-# Level counts reproducing the published design-space size of ~1.485e7:
-# 5 cell resolutions x 991 frequency steps (1 MHz) x 1000 temperature
-# steps (0.1 K) x 3 crossbar sizes.
-PAPER_RESOLUTIONS = (5, 991, 1000, 3)
-
 
 @dataclass(frozen=True)
 class ReramDesign:
@@ -187,13 +182,6 @@ class DesignSpace:
             **self.constants,
         )
 
-    def sample_designs(self, n: int, rng: np.random.Generator) -> list[ReramDesign]:
-        """Draw n designs uniformly over the encoded space (decode of U[0,1]^4)."""
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
-        u = rng.random((n, self.dim))
-        return [self.decode(row) for row in u]
-
     def corners(self) -> list[ReramDesign]:
         """Every ordinal level at every continuous bound; building them validates the space."""
         return [
@@ -221,17 +209,6 @@ def _unit_to_ordinal(value: float, levels: int) -> int:
     if levels == 1:
         return 0
     return int(min(levels - 1, math.floor(value * (levels - 1) + 0.5)))
-
-
-def space_cardinality(resolutions=PAPER_RESOLUTIONS) -> int:
-    """Number of distinct designs given per-variable level counts."""
-    total = 1
-    for levels in resolutions:
-        levels = int(levels)
-        if levels < 1:
-            raise ValueError("every variable needs at least one level")
-        total *= levels
-    return total
 
 
 def fidelity_grid(n_levels: int) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Cost-aware max-value entropy search over designs and fidelities.
 
 Each iteration samples S highest-fidelity Pareto fronts from the
-surrogates (posterior function draws solved in lockstep by the cheap inner
-NSGA-II), then picks the (design, fidelity) pair maximizing
+surrogates, as the per-objective maxima of posterior function draws found
+by direct search, then picks the (design, fidelity) pair maximizing
 
     alpha(x, z) = sum_j sum_s [ g*phi(g)/(2*Phi(g)) - ln Phi(g) ] / (C(x,z)*S)
 
@@ -22,15 +22,16 @@ does not load SciPy.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .design_space import fidelity_grid
-from .gp import CfGpModel, GpConfig, GpParams, fit, posterior, sample_function
+from .gp import CfGpModel, GpConfig, GpParams, SampledFunction, fit, posterior, sample_function
 from .objectives import MooProblem
-from .pareto import FrontSet, Nsga2Config, dominated_hypervolume, nsga2, nsga2_lockstep
+from .pareto import FrontSet, Nsga2Config, dominated_hypervolume, nsga2
 from .resna import TrainingDivergedError
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -61,7 +62,7 @@ def entropy_term(gamma):
 @dataclass(frozen=True)
 class MesmoConfig:
     """The config's ``mesmo:`` section: front sampling, candidate pool,
-    fidelity grid, initial design, surrogate refits and the inner NSGA-II."""
+    fidelity grid, initial design and surrogate refits."""
 
     n_front_samples: int = 10
     pool_size: int = 2000
@@ -69,21 +70,13 @@ class MesmoConfig:
     n_init: int = 5
     rff_features: int = 500
     gp_refit_every: int = 3  # hyperparameter re-optimization cadence (conditioning is per-iteration)
-    # Inner solver sized for sampled-function fronts; the outer NSGA-II
-    # baseline keeps the nsga2: population and sizes its generations to
-    # the budget.
-    inner_pop: int = 64
-    inner_gens: int = 40
 
     def __post_init__(self):
-        for name in (
-            "n_front_samples", "pool_size", "fidelity_levels", "rff_features", "gp_refit_every", "inner_pop"
-        ):
+        for name in ("n_front_samples", "pool_size", "fidelity_levels", "rff_features", "gp_refit_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("n_init", "inner_gens"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.n_init < 0:
+            raise ValueError(f"n_init must be >= 0, got {self.n_init}")
 
 
 @dataclass(frozen=True)
@@ -131,39 +124,77 @@ class CampaignResult:
     model_params: list[GpParams] | None = None
 
 
+# Front sampling's direct search: uniform pool size, ascent starts per
+# function, and projected Adam steps and step size in the unit box.
+_POOL, _STARTS, _STEPS, _LR = 256, 16, 30, 0.02
+
+
 def sample_pareto_fronts(
-    models: list[CfGpModel],
-    n_samples: int,
-    dim: int,
-    seed,
-    inner: Nsga2Config = Nsga2Config(),
-    gens: int = 100,
-    rff_features: int = 500,
+    models: list[CfGpModel], n_samples: int, dim: int, seed, rff_features: int = 500
 ) -> np.ndarray:
     """Per-objective maxima of S independent sampled fronts, shape (S, k).
 
-    Sample s draws one highest-fidelity function per objective and solves
-    the cheap deterministic MOO over them with NSGA-II on [0,1]^dim, with
-    the ``inner`` operators for ``gens`` generations. The S
-    solves advance in lockstep (``nsga2_lockstep``); each keeps its own
-    generator and draw order, so the maxima equal those of S sequential
-    ``nsga2`` runs bit for bit.
+    Sample s draws one highest-fidelity function per objective. The maximum
+    of objective j over the exact front of those functions is the maximum
+    of f_j over [0,1]^dim, since a maximizer of f_j is weakly
+    Pareto-optimal, so each function is maximized on its own. Its values
+    over ``_POOL`` uniform points, drawn from the sample's own spawned
+    generator, and the 2**dim corners pick ``_STARTS`` starts; ``_maximize``
+    climbs from them, all S*k functions at once. Each sample spawns one
+    seed per model for its draws, then one for its pool, so the draws do
+    not depend on the search's sizes.
     """
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    evaluators, nsga_seeds = [], []
+    corners = np.array(list(itertools.product((0.0, 1.0), repeat=dim)))
+    funcs, starts = [], []
     for _ in range(n_samples):
-        funcs = [
-            sample_function(m, base.spawn(1)[0], n_features=rff_features) for m in models
-        ]
+        sample = [sample_function(m, base.spawn(1)[0], n_features=rff_features) for m in models]
+        pool = np.vstack([np.random.default_rng(base.spawn(1)[0]).random((_POOL, dim)), corners])
+        for f in sample:
+            top = np.argsort(-f(pool), kind="stable")[:_STARTS]
+            funcs.append(f)
+            starts.append(pool[top])
+    return _maximize(funcs, np.stack(starts)).reshape(n_samples, len(models))
 
-        def evaluator(x: np.ndarray, funcs=funcs) -> np.ndarray:
-            return np.stack([f(x) for f in funcs], axis=1)
 
-        evaluators.append(evaluator)
-        nsga_seeds.append(int(np.random.default_rng(base.spawn(1)[0]).integers(2**31)))
-    bounds = np.tile([0.0, 1.0], (dim, 1))
-    fronts = nsga2_lockstep(evaluators, bounds, nsga_seeds, inner, gens)
-    return np.stack([y.max(axis=0) for _, y in fronts])
+def _maximize(funcs: list[SampledFunction], starts: np.ndarray) -> np.ndarray:
+    """Largest value of each sampled function over its starts (B, n, d) and
+    the ends of projected Adam ascent from them, evaluated in float64.
+
+    The ascent climbs the standardized draw s(x) = cos(x @ freqs + offset)
+    @ weights, whose gradient is -freqs @ (weights * sin(x @ freqs +
+    offset)), batched over the B functions. The gradient is computed on the
+    draws' centred float32 copies, as ``SampledFunction.__call__`` computes
+    values, because float64 sin is not vectorized; it only steers the
+    ascent, and the values compared are float64.
+    """
+    freqs = np.stack([f.freqs for f in funcs])  # (B, d, m)
+    offset = np.stack([f.offset for f in funcs])[:, None, :]
+    weights = np.stack([f.weights for f in funcs])[:, None, :]
+    freqs32 = np.stack([f.freqs32 for f in funcs])
+    freqs32_t = freqs32.transpose(0, 2, 1).copy()
+    offset32 = np.stack([f.offset32 for f in funcs])[:, None, :]
+    weights32 = np.stack([f.weights32 for f in funcs])[:, None, :]
+
+    def standardized(x):
+        return (np.cos(x @ freqs + offset) * weights).sum(axis=-1)
+
+    x = starts
+    m1 = np.zeros_like(x)
+    m2 = np.zeros_like(x)
+    for t in range(1, _STEPS + 1):
+        phi = (x - 0.5).astype(np.float32) @ freqs32
+        phi += offset32
+        np.sin(phi, out=phi)
+        phi *= weights32
+        grad = -(phi @ freqs32_t).astype(float)
+        m1 = 0.9 * m1 + 0.1 * grad
+        m2 = 0.999 * m2 + 0.001 * grad * grad
+        step = _LR * (m1 / (1.0 - 0.9**t)) / (np.sqrt(m2 / (1.0 - 0.999**t)) + 1e-8)
+        x = np.clip(x + step, 0.0, 1.0)
+    best = np.maximum(standardized(starts), standardized(x)).max(axis=1)
+    scale = np.array([f.y_std * f.feature_scale for f in funcs])
+    return np.array([f.y_mean for f in funcs]) + scale * best
 
 
 _SIGMA_FLOOR = 1e-9
@@ -365,15 +396,13 @@ def search(
     ``cf-mesmo`` picks (design, fidelity) pairs by entropy gain per unit
     cost; ``mesmo`` is the same loop with every evaluation at z*;
     ``random`` draws uniform designs at z*; ``nsga2`` runs the outer
-    NSGA-II baseline. ``cfg`` and ``gp`` drive the surrogate loop. The
-    ``operators`` serve the outer NSGA-II and, at ``cfg.inner_pop`` for
-    ``cfg.inner_gens`` generations, the inner front solves.
+    NSGA-II baseline with the ``operators``. ``cfg`` and ``gp`` drive the
+    surrogate loop.
     """
     if optimizer == "nsga2":
         return _run_nsga2(problem, budget, seed, operators)
     if optimizer not in ("cf-mesmo", "mesmo", "random"):
         raise ValueError(f"unknown optimizer {optimizer!r}")
-    inner = replace(operators, pop=cfg.inner_pop)
     z_star = problem.z_star()
     ledger = _Ledger(problem, seed)
     init_rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_INIT]))
@@ -407,8 +436,6 @@ def search(
                 cfg.n_front_samples,
                 problem.dim,
                 np.random.SeedSequence([seed, _TAG_FRONT, t]),
-                inner=inner,
-                gens=cfg.inner_gens,
                 rff_features=cfg.rff_features,
             )
             x, z = select_next(

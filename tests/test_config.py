@@ -2,12 +2,11 @@ import re
 
 import pytest
 
-from reramopt import cli, mesmo
+from reramopt import cli
 from reramopt.config import CampaignConfig, ConfigError, config_hash, emit_defaults, parse_config
-from reramopt.pareto import Nsga2Config
 
 # config_hash of the default config; artifacts embed it, so it must not drift.
-DEFAULT_HASH = "298dc0aadd362e9e"
+DEFAULT_HASH = "b5e517b1f61a66a5"
 
 
 def test_emit_defaults_round_trips():
@@ -58,14 +57,12 @@ def test_quoted_exponent_stays_a_string():
         # resna: and hw: are MlpSpec and HwCostParams, checked at parse time.
         ("resna: {vote_copies: 2}", "'resna': vote_copies"),
         ("hw: {columns_per_adc: 0}", "'hw': columns_per_adc"),
-        # mesmo: sizes must allow at least one sample, candidate, level, feature
-        # and inner individual; z=0 must be the cheapest fidelity.
+        # mesmo: sizes must allow at least one sample, candidate, level and
+        # feature; z=0 must be the cheapest fidelity.
         ("mesmo: {n_front_samples: 0}", "'mesmo': n_front_samples must be >= 1, got 0"),
         ("mesmo: {pool_size: 0}", "'mesmo': pool_size must be >= 1, got 0"),
         ("mesmo: {fidelity_levels: 0}", "'mesmo': fidelity_levels must be >= 1, got 0"),
         ("mesmo: {rff_features: 0}", "'mesmo': rff_features must be >= 1, got 0"),
-        ("mesmo: {inner_pop: 0}", "'mesmo': inner_pop must be >= 1, got 0"),
-        ("mesmo: {inner_gens: -1}", "'mesmo': inner_gens must be >= 0, got -1"),
         ("resna: {min_epochs: 4, max_epochs: 1}", "'resna': need 1 <= min_epochs (4) <= max_epochs (1)"),
         ("resna: {min_epochs: 0}", "'resna': need 1 <= min_epochs (0) <= max_epochs (100)"),
         # cf-mesmo and mesmo fit surrogates to the initial design; random does not.
@@ -85,14 +82,17 @@ def test_quoted_exponent_stays_a_string():
         ("nsga2: {crossover_prob: 1.5}", "'nsga2': crossover_prob must lie in [0, 1], got 1.5"),
         ("nsga2: {mutation_prob: -0.1}", "'nsga2': mutation_prob must lie in [0, 1], got -0.1"),
         # Hidden layers have one copy, the classifier always votes, every
-        # batch draws fresh programming noise, the class count is widths[-1]
-        # and the outer NSGA-II sizes its generations to the budget: these
-        # keys are gone.
+        # batch draws fresh programming noise, the class count is widths[-1],
+        # the outer NSGA-II sizes its generations to the budget and front
+        # sampling maximizes each sampled function directly: these keys are
+        # gone.
         ("resna: {hidden_copies: 2}", "unknown config key 'resna.hidden_copies'"),
         ("resna: {voting: 1}", "'resna.voting'"),
         ("resna: {noise_resample: per_epoch}", "unknown config key 'resna.noise_resample'"),
         ("resna: {n_classes: 10}", "unknown config key 'resna.n_classes'"),
         ("nsga2: {gens: 3}", "unknown config key 'nsga2.gens'"),
+        ("mesmo: {inner_pop: 0}", "unknown config key 'mesmo.inner_pop'"),
+        ("mesmo: {inner_gens: -1}", "unknown config key 'mesmo.inner_gens'"),
         # A search limit below one would turn the hyperparameter search or
         # its refits off.
         ("gp: {n_restarts: -4}", "'gp': n_restarts must be >= 1, got -4"),
@@ -129,24 +129,6 @@ def test_runtime_class_rejections_become_config_errors(text):
 @pytest.mark.parametrize("optimizer", ["random", "nsga2"])
 def test_optimizers_without_surrogates_need_no_initial_design(optimizer):
     assert parse_config(f"optimizer: {optimizer}\nmesmo: {{n_init: 0}}").mesmo.n_init == 0
-
-
-class _Solved(Exception):
-    pass
-
-
-def test_inner_nsga2_keeps_the_operator_constants(monkeypatch):
-    seen = []
-
-    def inner_solve(evaluators, bounds, seeds, config, gens):
-        seen.append((config, gens))
-        raise _Solved
-
-    monkeypatch.setattr(mesmo, "nsga2_lockstep", inner_solve)
-    cfg = parse_config("nsga2: {crossover_eta: 7.0}\nmesmo: {inner_pop: 5, inner_gens: 2}")
-    with pytest.raises(_Solved):
-        cli.run_one_seed(cfg, 0)
-    assert seen == [(Nsga2Config(pop=5, crossover_eta=7.0), 2)]
 
 
 @pytest.mark.parametrize(

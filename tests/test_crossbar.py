@@ -82,7 +82,7 @@ class TestQuantize:
         rng = np.random.default_rng(bits)
         v = rng.standard_normal((16, 16)) * 3.0
         q = quantize(v, bits)
-        assert np.max(np.abs(q.dequantize() - v)) <= q.scale / 2 + 1e-12
+        assert np.max(np.abs(q.codes * q.scale - v)) <= q.scale / 2 + 1e-12
 
     def test_bits_bounds(self):
         with pytest.raises(ValueError):

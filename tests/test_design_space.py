@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 
 from reramopt.design_space import (
     DEFAULT_SPACE,
-    PAPER_RESOLUTIONS,
     RES_CELL_LEVELS,
     XBAR_SIZES,
     ReramDesign,
     fidelity_grid,
-    space_cardinality,
 )
 
 
@@ -88,37 +86,17 @@ class TestRoundTrip:
 
 
 class TestSampling:
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            DEFAULT_SPACE.sample_designs(0, np.random.default_rng(0))
-
-    def test_deterministic(self):
-        a = DEFAULT_SPACE.sample_designs(5, np.random.default_rng(7))
-        b = DEFAULT_SPACE.sample_designs(5, np.random.default_rng(7))
-        assert a == b
-
+    # Campaigns sample designs as the decode of uniform coordinates.
     def test_law_of_large_numbers(self):
-        designs = DEFAULT_SPACE.sample_designs(10000, np.random.default_rng(11))
+        designs = [DEFAULT_SPACE.decode(u) for u in np.random.default_rng(11).random((10000, 4))]
         coords = np.array([DEFAULT_SPACE.encode(d) for d in designs])
         # Ordinal coordinates snap to grid levels whose mean is still 0.5.
         assert np.all(np.abs(coords.mean(axis=0) - 0.5) < 0.02)
 
     def test_all_valid(self):
-        for d in DEFAULT_SPACE.sample_designs(100, np.random.default_rng(3)):
+        for u in np.random.default_rng(3).random((100, 4)):
+            d = DEFAULT_SPACE.decode(u)
             assert d.res_cell in RES_CELL_LEVELS and d.xbar_size in XBAR_SIZES
-
-
-class TestCardinality:
-    def test_paper_resolution(self):
-        n = space_cardinality(PAPER_RESOLUTIONS)
-        assert n == 5 * 991 * 1000 * 3
-        assert abs(n - 1.485e7) / 1.485e7 < 2e-3
-
-    def test_single_level(self):
-        assert space_cardinality((1, 1, 1, 1)) == 1
-
-    def test_two_each(self):
-        assert space_cardinality((2, 2, 2, 2)) == 16
 
 
 class TestFidelityGrid:

@@ -1,12 +1,15 @@
 import dataclasses
+import hashlib
+import itertools
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from reramopt import mesmo
 from reramopt.config import build_problem, load_config
 from reramopt.design_space import fidelity_grid
-from reramopt.gp import SampledFunction, fit
+from reramopt.gp import SampledFunction, fit, sample_function
 from reramopt.mesmo import (
     Budget,
     MesmoConfig,
@@ -16,10 +19,9 @@ from reramopt.mesmo import (
     select_next,
 )
 from reramopt.objectives import synthetic_cf_problem
-from reramopt.pareto import Nsga2Config
 from reramopt.resna import TrainingDivergedError
 
-SMALL = MesmoConfig(n_front_samples=2, pool_size=32, n_init=3, rff_features=30, inner_pop=8, inner_gens=2)
+SMALL = MesmoConfig(n_front_samples=2, pool_size=32, n_init=3, rff_features=30)
 
 
 def test_one_fidelity_level_evaluates_at_the_top():
@@ -98,6 +100,11 @@ def _reram_problem():
     return build_problem(load_config(str(Path(__file__).parent / "golden" / "configs" / "reram.yaml")))
 
 
+# sha256 of the freqs, offset and weights bytes of the six functions that
+# sample_pareto_fronts draws for 3 samples at seed 5 on _seeded_models(0).
+DRAWS_DIGEST = "9617230fe8734276403fc2da76047396f213966bcb591e2b40327e2d59d10b2d"
+
+
 # select_next's pick after sample_pareto_fronts at the default MesmoConfig,
 # recorded with float64 feature cosines. A change that is meant to leave
 # front sampling's decisions alone must keep every pick.
@@ -115,15 +122,7 @@ PINNED_PICKS = {
 def test_default_pick_is_pinned(seed):
     cfg = MesmoConfig()
     problem, models = _seeded_models(seed, cfg)
-    maxima = sample_pareto_fronts(
-        models,
-        cfg.n_front_samples,
-        problem.dim,
-        seed,
-        inner=Nsga2Config(pop=cfg.inner_pop),
-        gens=cfg.inner_gens,
-        rff_features=cfg.rff_features,
-    )
+    maxima = sample_pareto_fronts(models, cfg.n_front_samples, problem.dim, seed, cfg.rff_features)
     x, z = select_next(
         models, maxima, problem, pool=cfg.pool_size, fidelity_levels=cfg.fidelity_levels, seed=seed
     )
@@ -141,15 +140,7 @@ def _front_maxima_shift_in_se(monkeypatch, problem, models, seed, cfg=MesmoConfi
     float64 formula on the same draws, in units of its Monte-Carlo s.e."""
 
     def maxima():
-        return sample_pareto_fronts(
-            models,
-            n_s,
-            problem.dim,
-            seed,
-            inner=Nsga2Config(pop=cfg.inner_pop),
-            gens=cfg.inner_gens,
-            rff_features=cfg.rff_features,
-        )
+        return sample_pareto_fronts(models, n_s, problem.dim, seed, cfg.rff_features)
 
     fast = maxima()
     monkeypatch.setattr(SampledFunction, "__call__", _float64_call)
@@ -159,7 +150,7 @@ def _front_maxima_shift_in_se(monkeypatch, problem, models, seed, cfg=MesmoConfi
     return np.abs(fast.mean(axis=0) - exact.mean(axis=0)) / se
 
 
-# Same draws, same inner seeds: only the precision of the sampled functions
+# Same draws, same pools: only the precision of the sampled functions
 # differs, so the sampled maxima may move by far less than their own
 # Monte-Carlo error. The reference evaluates the float64 fields that define
 # each draw, never its float32 copies.
@@ -171,12 +162,94 @@ def test_front_maxima_match_float64_features(monkeypatch):
 
 @pytest.mark.slow
 def test_reram_front_maxima_match_float64_features(monkeypatch):
-    # The 4-objective, 4-D shape of the ReRAM campaign. Here the inner solves
-    # branch apart on differences far below 1e-5 of the prior sd: single
-    # maxima move by up to 1.7 of their sd at either precision, so the mean
-    # moves by a good share of its s.e. (0.46 on seed 7; a float32 cos of a
-    # float64 argument gave 0.50). The gate asks that the moved mean stay
-    # inside the Monte-Carlo error of the maxima the acquisition reads.
+    # The 4-objective, 4-D shape of the ReRAM campaign, under the same bound:
+    # only the choice of ascent starts reads the float32 values.
     problem, models = _seeded_models(7, problem=_reram_problem())
     assert problem.n_obj == 4 and problem.dim == 4
-    assert np.all(_front_maxima_shift_in_se(monkeypatch, problem, models, 7) <= 1.0)
+    assert np.all(_front_maxima_shift_in_se(monkeypatch, problem, models, 7) <= 0.1)
+
+
+def _recorded_draws(monkeypatch, models, n_samples, dim, seed):
+    """sample_pareto_fronts' maxima and the functions it drew, in order."""
+    drawn = []
+
+    def recording(*args, **kwargs):
+        drawn.append(sample_function(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(mesmo, "sample_function", recording)
+    maxima = sample_pareto_fronts(models, n_samples, dim, seed)
+    monkeypatch.undo()
+    return maxima, drawn
+
+
+def test_front_sampling_draws_are_pinned(monkeypatch):
+    # Recorded when an inner NSGA-II solved the sampled fronts; the direct
+    # search that replaced it keeps every draw.
+    problem, models = _seeded_models(0)
+    _, drawn = _recorded_draws(monkeypatch, models, 3, problem.dim, 5)
+    assert len(drawn) == 6
+    data = b"".join(f.freqs.tobytes() + f.offset.tobytes() + f.weights.tobytes() for f in drawn)
+    assert hashlib.sha256(data).hexdigest() == DRAWS_DIGEST
+
+
+def _thorough_maxima(funcs, rng):
+    """Reference maxima of sampled functions (d, m as drawn).
+
+    Per function, the best 32 of 4,096 uniform points and the 2**d corners
+    are climbed by 200 projected Adam steps with a decaying step size, and
+    L-BFGS-B polishes the best end on the standardized function (the raw
+    scale can sit below L-BFGS-B's gradient tolerance). On the cases of
+    ``test_front_maxima_match_a_thorough_search`` this equalled L-BFGS-B
+    run from each of the 32 starts, to 1e-5 of the prior sd, at a sixth of
+    its time.
+    """
+    from scipy.optimize import minimize
+
+    d = funcs[0].freqs.shape[0]
+    corners = np.array(list(itertools.product((0.0, 1.0), repeat=d)))
+    pools = [np.vstack([rng.random((4096, d)), corners]) for _ in funcs]
+    x = np.stack([p[np.argsort(-f(p), kind="stable")[:32]] for f, p in zip(funcs, pools)])
+    freqs32 = np.stack([f.freqs32 for f in funcs])
+    offset32 = np.stack([f.offset32 for f in funcs])[:, None, :]
+    weights32 = np.stack([f.weights32 for f in funcs])[:, None, :]
+    m1, m2 = np.zeros_like(x), np.zeros_like(x)
+    for t in range(1, 201):
+        phi = (x - 0.5).astype(np.float32) @ freqs32 + offset32
+        grad = -((np.sin(phi) * weights32) @ freqs32.transpose(0, 2, 1)).astype(float)
+        m1 = 0.9 * m1 + 0.1 * grad
+        m2 = 0.999 * m2 + 0.001 * grad * grad
+        step = (m1 / (1 - 0.9**t)) / (np.sqrt(m2 / (1 - 0.999**t)) + 1e-8)
+        x = np.clip(x + 0.02 * 0.98**t * step, 0.0, 1.0)
+    out = []
+    for f, ends in zip(funcs, x):
+
+        def negative(u, f=f):
+            phi = u @ f.freqs + f.offset
+            return -np.cos(phi) @ f.weights, f.freqs @ (np.sin(phi) * f.weights)
+
+        values = np.cos(ends @ f.freqs + f.offset) @ f.weights
+        polished = minimize(
+            negative, ends[values.argmax()], jac=True, method="L-BFGS-B", bounds=[(0.0, 1.0)] * d
+        )
+        out.append(f.y_mean + f.y_std * f.feature_scale * max(values.max(), -polished.fun))
+    return np.array(out)
+
+
+# The front maxima CF-MESMO's acquisition reads: ten samples at each of seeds
+# 0-4, so 50 draws per objective and shape, may fall short of a thorough
+# search by at most this share of each model's prior sd.
+THOROUGH_GAP_SD = 0.05
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("shape", ["branin-currin-cf", "reram"])
+def test_front_maxima_match_a_thorough_search(monkeypatch, shape):
+    gaps = []
+    for seed in range(5):
+        problem, models = _seeded_models(seed, problem=_reram_problem() if shape == "reram" else None)
+        maxima, drawn = _recorded_draws(monkeypatch, models, 10, problem.dim, seed)
+        reference = _thorough_maxima(drawn, np.random.default_rng([seed, 1])).reshape(maxima.shape)
+        prior_sd = np.array([m.y_std * np.sqrt(m.params.signal_var) for m in models])
+        gaps.append((reference - maxima) / prior_sd)
+    assert np.max(gaps) <= THOROUGH_GAP_SD

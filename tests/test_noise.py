@@ -87,6 +87,14 @@ class TestRtn:
         spec = NoiseSpec(rtn_amp_a=4e-4, rtn_amp_b=2e-3)
         assert rtn_amplitude(5e-6, D, spec) == pytest.approx(4e-4 * G_LOW + 2e-3 * 5e-6)
 
+    def test_amplitude_masks_g_zero_exactly_as_the_where_form(self):
+        spec = NoiseSpec(rtn_amp_a=4e-4, rtn_amp_b=2e-3)
+        g = np.concatenate([[0.0], np.geomspace(1e-12, 1e-3, 200), np.linspace(0.0, 2e-4, 101)])
+        jump = spec.rtn_amp_a * D.g_min + spec.rtn_amp_b * g
+        reference = np.where(g > 0.0, jump, 0.0)
+        assert rtn_amplitude(g, D, spec).tobytes() == reference.tobytes()
+        assert rtn_amplitude(0.0, D, spec) == 0.0
+
     def test_empirical_occupancy(self):
         p = 0.37
         spec = NoiseSpec(rtn_p_occupancy=p)
