@@ -2,9 +2,11 @@
 
 All objectives are maximized throughout the package; callers negate
 minimization metrics before they get here. NSGA-II is the outer baseline
-optimizer. Its ranking, crowding and selection kernels take a leading
-batch axis of independent sets; ``nsga2`` holds its population as one
-such set, and ``non_dominated_sort`` sorts one.
+optimizer. There is one implementation, ``nsga2_lockstep``: it
+advances S independent solves in lockstep as one (S, pop, d) population,
+and ``nsga2`` is its S = 1 call. Each solve keeps its own generator and
+makes its draws in the order of a solve run alone, so every lockstep
+result equals the sequential run bit for bit.
 """
 
 from __future__ import annotations
@@ -166,8 +168,8 @@ def _select(x_all, y_all, pop):
 
 
 def _generation_draws(rng, pop: int, d: int) -> tuple[np.ndarray, ...]:
-    """One generation's draws, in the order and shapes the operators use
-    them: tournament pairs, mating permutation, the three SBX
+    """One sample's draws for one generation, in the order and shapes the
+    operators use them: tournament pairs, mating permutation, the three SBX
     arrays and the two mutation arrays (only the mutation pair when
     pop < 2)."""
     if pop < 2:
@@ -202,16 +204,18 @@ def _sbx(parents, mates, u_beta, u_take, u_pair, eta, crossover_prob):
     return children
 
 
-def nsga2(
-    evaluator, bounds, seed: int = 0, config: Nsga2Config = Nsga2Config(), gens: int = 100
-) -> FrontSet:
-    """Canonical real-coded NSGA-II over ``gens`` generations; returns the
-    final rank-0 set.
+def nsga2_lockstep(
+    evaluators, bounds, seeds, config: Nsga2Config = Nsga2Config(), gens: int = 100
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """S independent NSGA-II solves of ``gens`` generations advanced in
+    lockstep; returns each solve's final rank-0 rows as an (x, y) pair.
 
-    ``evaluator`` maps a batch of rows (pop, d) to objective values
-    (pop, k), maximization orientation. Selection uses binary tournaments on
-    (rank, crowding distance); ties in the crowding sort are broken by
-    index, so a fixed seed reproduces the run exactly.
+    Solve s evaluates ``evaluators[s]`` on (pop, d) batches and draws from
+    its own ``np.random.default_rng(seeds[s])`` in the order and shapes of
+    a solve run alone. Only those draws and the evaluator calls loop over
+    S; tournament, variation, ranking, crowding and selection run batched
+    on the (S, pop, d) population. So solve s equals ``nsga2(evaluators[s],
+    bounds, seeds[s], config, gens)`` bit for bit.
     """
     if gens < 0:
         raise ValueError(f"gens must be >= 0, got {gens}")
@@ -221,19 +225,21 @@ def nsga2(
     d = len(lo)
     mutation_prob = 1.0 / d if config.mutation_prob is None else config.mutation_prob
     eta_m = 1.0 / (config.mutation_eta + 1.0)
-    rng = np.random.default_rng(seed)
-    rows = np.zeros((1, 1), dtype=np.intp)  # the one set of the batched kernels
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    rows = np.arange(len(rngs))[:, None]
 
     def evaluate(x):
-        return np.asarray(evaluator(x[0]), dtype=float)[None]
+        return np.stack([np.asarray(ev(xs), dtype=float) for ev, xs in zip(evaluators, x)])
 
-    x = lo + rng.random((1, pop, d)) * (hi - lo)
+    x = lo + np.stack([rng.random((pop, d)) for rng in rngs]) * (hi - lo)
     y = evaluate(x)
     ranks = _pareto_ranks(y, pop)
     crowd = _crowding(y, ranks)
 
     for _ in range(gens):
-        *variation, u, u_flip = (a[None] for a in _generation_draws(rng, pop, d))
+        *variation, u, u_flip = (
+            np.stack(a) for a in zip(*(_generation_draws(rng, pop, d) for rng in rngs))
+        )
         if pop >= 2:
             cand, perm, u_beta, u_take, u_pair = variation
             # Binary tournament: lower rank, then larger crowding, then index.
@@ -257,8 +263,24 @@ def nsga2(
             np.concatenate([x, children], axis=1), np.concatenate([y, y_children], axis=1), pop
         )
 
-    front = ranks[0] == 0
-    return FrontSet.from_points(x[0][front], y[0][front])
+    return [(xs[r == 0], ys[r == 0]) for xs, ys, r in zip(x, y, ranks)]
+
+
+def nsga2(
+    evaluator, bounds, seed: int = 0, config: Nsga2Config = Nsga2Config(), gens: int = 100
+) -> FrontSet:
+    """Canonical real-coded NSGA-II over ``gens`` generations; returns the
+    final rank-0 set.
+
+    ``evaluator`` maps a batch of rows (n, d) to objective values (n, k),
+    maximization orientation. Selection uses binary tournaments on
+    (rank, crowding distance); ties in the crowding sort are broken by
+    index, so a fixed seed reproduces the run exactly. This is the one-solve
+    call of ``nsga2_lockstep``, whose solves each equal this function's
+    result for their seed.
+    """
+    [(x, y)] = nsga2_lockstep([evaluator], bounds, [seed], config, gens)
+    return FrontSet.from_points(x, y)
 
 
 def hypervolume(front, ref) -> float:

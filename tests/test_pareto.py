@@ -16,6 +16,7 @@ from reramopt.pareto import (
     hypervolume,
     non_dominated_sort,
     nsga2,
+    nsga2_lockstep,
 )
 
 
@@ -200,12 +201,12 @@ def tied_objectives(k):
     return ev
 
 
-PINNED_SEEDS = [0, 7, 123, 2**31 - 1, 98765]
+LOCKSTEP_SEEDS = [0, 7, 123, 2**31 - 1, 98765]
 
 
-class TestNsga2Pinned:
-    # Each digest covers the nsga2 fronts over PINNED_SEEDS, recorded from
-    # the sequential solver that the batched kernels replaced.
+class TestNsga2Lockstep:
+    # Each digest covers the single-solve nsga2 fronts over LOCKSTEP_SEEDS and
+    # was recorded from the sequential solver that the lockstep one replaced.
     @pytest.mark.parametrize(
         "k,pop,gens,digest",
         [
@@ -219,22 +220,32 @@ class TestNsga2Pinned:
             (2, 13, 12, "7f5fa94f7d0cf3d1c599fba57f7a1f04bfba9e2ac4059bdb0b1e26f306309413"),
         ],
     )
-    def test_fronts_are_pinned(self, k, pop, gens, digest):
+    def test_each_sample_equals_its_single_run(self, k, pop, gens, digest):
         config = Nsga2Config(pop=pop)
         bounds = [[0.0, 1.0]] * 3
-        fronts = [nsga2(tied_objectives(k), bounds, s, config, gens) for s in PINNED_SEEDS]
-        data = b"".join(f.x.tobytes() + f.y.tobytes() for f in fronts)
-        assert hashlib.sha256(data).hexdigest() == digest
+        singles = [nsga2(tied_objectives(k), bounds, s, config, gens) for s in LOCKSTEP_SEEDS]
+        single_bytes = [f.x.tobytes() + f.y.tobytes() for f in singles]
+        assert hashlib.sha256(b"".join(single_bytes)).hexdigest() == digest
+        evaluators = [tied_objectives(k) for _ in LOCKSTEP_SEEDS]
+        fronts = nsga2_lockstep(evaluators, bounds, LOCKSTEP_SEEDS, config, gens)
+        assert len(fronts) == len(LOCKSTEP_SEEDS)
+        for (x, y), single, expected in zip(fronts, singles, single_bytes):
+            front = FrontSet.from_points(x, y)
+            assert front.x.tobytes() + front.y.tobytes() == expected
+            assert y.max(axis=0).tobytes() == single.y.max(axis=0).tobytes()
 
-    def test_evaluates_pop_rows_per_generation(self):
-        seen = []
+    def test_each_sample_calls_its_own_evaluator_on_pop_rows(self):
+        seen = [[], []]
 
-        def ev(x):
-            seen.append(x.shape)
-            return tied_objectives(2)(x)
+        def recording(s):
+            def ev(x):
+                seen[s].append(x.shape)
+                return tied_objectives(2)(x)
 
-        nsga2(ev, [[0.0, 1.0]] * 3, 1, Nsga2Config(pop=6), 3)
-        assert seen == [(6, 3)] * 4
+            return ev
+
+        nsga2_lockstep([recording(0), recording(1)], [[0.0, 1.0]] * 3, [1, 2], Nsga2Config(pop=6), 3)
+        assert seen == [[(6, 3)] * 4, [(6, 3)] * 4]
 
 
 def per_front_crowding(y):
