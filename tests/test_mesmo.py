@@ -194,14 +194,14 @@ def test_front_sampling_draws_are_pinned(monkeypatch):
 
 
 def _thorough_maxima(funcs, rng):
-    """Reference maxima of sampled functions (d, m as drawn).
+    """Reference maxima of sampled functions, one per function.
 
     Per function, the best 32 of 4,096 uniform points and the 2**d corners
     are climbed by 200 projected Adam steps with a decaying step size, and
     L-BFGS-B polishes the best end on the standardized function (the raw
-    scale can sit below L-BFGS-B's gradient tolerance). On the cases of
+    scale can sit below L-BFGS-B's gradient tolerance). On the draws of
     ``test_front_maxima_match_a_thorough_search`` this equalled L-BFGS-B
-    run from each of the 32 starts, to 1e-5 of the prior sd, at a sixth of
+    run from each of the 32 starts, to 1e-5 of the prior sd, in a third of
     its time.
     """
     from scipy.optimize import minimize

@@ -170,9 +170,10 @@ class TestNsga2:
         np.testing.assert_array_equal(a.y, b.y)
 
     def test_default_inner_size_output_is_pinned(self):
-        # The inner solver's default size on objectives rounded so that the
-        # population holds ties; a dominance or sorting change that is meant
-        # to be exact must leave this digest as it is.
+        # Population 64 for 40 generations, once the inner solver's size, on
+        # objectives rounded so that the population holds ties; a dominance
+        # or sorting change that is meant to be exact must leave this digest
+        # as it is.
         def ev(x):
             f1 = x[:, 0]
             g = 1.0 + 9.0 * x[:, 1:].mean(axis=1)
