@@ -53,7 +53,6 @@ from .pareto import (
     FrontSet,
     Nsga2Config,
     dominated_hypervolume,
-    hypervolume,
     non_dominated_sort,
     nsga2,
 )

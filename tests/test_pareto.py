@@ -13,10 +13,8 @@ from reramopt.pareto import (
     _domination_matrix,
     _pareto_ranks,
     dominated_hypervolume,
-    hypervolume,
     non_dominated_sort,
     nsga2,
-    nsga2_lockstep,
 )
 
 
@@ -202,12 +200,14 @@ def tied_objectives(k):
     return ev
 
 
-LOCKSTEP_SEEDS = [0, 7, 123, 2**31 - 1, 98765]
+PINNED_SEEDS = [0, 7, 123, 2**31 - 1, 98765]
 
 
-class TestNsga2Lockstep:
-    # Each digest covers the single-solve nsga2 fronts over LOCKSTEP_SEEDS and
-    # was recorded from the sequential solver that the lockstep one replaced.
+class TestNsga2Pins:
+    # Each digest covers the nsga2 fronts over PINNED_SEEDS, one solve per
+    # seed, on objectives that tie. They pin the draw order and every
+    # operator: a change to either that is meant to be exact must leave
+    # these digests as they are.
     @pytest.mark.parametrize(
         "k,pop,gens,digest",
         [
@@ -221,32 +221,22 @@ class TestNsga2Lockstep:
             (2, 13, 12, "7f5fa94f7d0cf3d1c599fba57f7a1f04bfba9e2ac4059bdb0b1e26f306309413"),
         ],
     )
-    def test_each_sample_equals_its_single_run(self, k, pop, gens, digest):
+    def test_fronts_are_pinned(self, k, pop, gens, digest):
         config = Nsga2Config(pop=pop)
         bounds = [[0.0, 1.0]] * 3
-        singles = [nsga2(tied_objectives(k), bounds, s, config, gens) for s in LOCKSTEP_SEEDS]
-        single_bytes = [f.x.tobytes() + f.y.tobytes() for f in singles]
-        assert hashlib.sha256(b"".join(single_bytes)).hexdigest() == digest
-        evaluators = [tied_objectives(k) for _ in LOCKSTEP_SEEDS]
-        fronts = nsga2_lockstep(evaluators, bounds, LOCKSTEP_SEEDS, config, gens)
-        assert len(fronts) == len(LOCKSTEP_SEEDS)
-        for (x, y), single, expected in zip(fronts, singles, single_bytes):
-            front = FrontSet.from_points(x, y)
-            assert front.x.tobytes() + front.y.tobytes() == expected
-            assert y.max(axis=0).tobytes() == single.y.max(axis=0).tobytes()
+        fronts = [nsga2(tied_objectives(k), bounds, s, config, gens) for s in PINNED_SEEDS]
+        data = b"".join(f.x.tobytes() + f.y.tobytes() for f in fronts)
+        assert hashlib.sha256(data).hexdigest() == digest
 
-    def test_each_sample_calls_its_own_evaluator_on_pop_rows(self):
-        seen = [[], []]
+    def test_calls_its_evaluator_on_pop_rows_once_per_generation(self):
+        seen = []
 
-        def recording(s):
-            def ev(x):
-                seen[s].append(x.shape)
-                return tied_objectives(2)(x)
+        def ev(x):
+            seen.append(x.shape)
+            return tied_objectives(2)(x)
 
-            return ev
-
-        nsga2_lockstep([recording(0), recording(1)], [[0.0, 1.0]] * 3, [1, 2], Nsga2Config(pop=6), 3)
-        assert seen == [[(6, 3)] * 4, [(6, 3)] * 4]
+        nsga2(ev, [[0.0, 1.0]] * 3, 1, Nsga2Config(pop=6), 3)
+        assert seen == [(6, 3)] * 4
 
 
 def per_front_crowding(y):
@@ -270,26 +260,24 @@ class TestBatchedKernels:
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_ranks_and_crowding_match_per_front_loops(self, k, data):
-        sets = data.draw(st.integers(1, 4))
         n = data.draw(st.integers(1, 12))
         values = st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 1.0, np.inf, np.nan])
-        y = data.draw(arrays(float, (sets, n, k), elements=values))
+        y = data.draw(arrays(float, (n, k), elements=values))
         limit = data.draw(st.integers(1, n))
         ranks = _pareto_ranks(y, limit)
         with np.errstate(invalid="ignore"):
             crowd = _crowding(y, ranks)
-        for s in range(sets):
-            true = np.array(brute_force_ranks(y[s]))
-            ranked = ranks[s] < n
-            # Whole fronts, at least `limit` rows, each with its true rank.
-            assert ranked.sum() >= limit
-            assert (ranks[s][ranked] == true[ranked]).all()
-            assert (ranked == (true <= true[ranked].max())).all()
-            for r in range(true[ranked].max() + 1):
-                front = np.flatnonzero(ranks[s] == r)
-                with np.errstate(invalid="ignore"):
-                    reference = per_front_crowding(y[s][front])
-                assert crowd[s][front].tobytes() == reference.tobytes()
+        true = np.array(brute_force_ranks(y))
+        ranked = ranks < n
+        # Whole fronts, at least `limit` rows, each with its true rank.
+        assert ranked.sum() >= limit
+        assert (ranks[ranked] == true[ranked]).all()
+        assert (ranked == (true <= true[ranked].max())).all()
+        for r in range(true[ranked].max() + 1):
+            front = np.flatnonzero(ranks == r)
+            with np.errstate(invalid="ignore"):
+                reference = per_front_crowding(y[front])
+            assert crowd[front].tobytes() == reference.tobytes()
 
 
 def mc_hypervolume(front, ref, n, seed):
@@ -310,20 +298,14 @@ def mc_hypervolume(front, ref, n, seed):
 
 class TestHypervolume:
     def test_reference_triangle(self):
-        assert hypervolume([[3, 1], [2, 2], [1, 3]], [0, 0]) == pytest.approx(6.0)
+        assert dominated_hypervolume([[3, 1], [2, 2], [1, 3]], [0, 0]) == pytest.approx(6.0)
 
     def test_single_point_box(self):
-        assert hypervolume([[2.0, 3.0, 4.0]], [1.0, 1.0, 1.0]) == pytest.approx(6.0)
-
-    def test_ref_not_dominated_rejected(self):
-        with pytest.raises(ValueError):
-            hypervolume([[1.0, 1.0]], [2.0, 0.0])
-        with pytest.raises(ValueError):
-            hypervolume([[1.0, 1.0]], [1.0, 1.0])
+        assert dominated_hypervolume([[2.0, 3.0, 4.0]], [1.0, 1.0, 1.0]) == pytest.approx(6.0)
 
     def test_duplicate_and_dominated_points_ignored(self):
-        base = hypervolume([[3, 1], [1, 3]], [0, 0])
-        padded = hypervolume([[3, 1], [1, 3], [3, 1], [1, 1]], [0, 0])
+        base = dominated_hypervolume([[3, 1], [1, 3]], [0, 0])
+        padded = dominated_hypervolume([[3, 1], [1, 3], [3, 1], [1, 1]], [0, 0])
         assert padded == pytest.approx(base)
 
     @pytest.mark.parametrize("k", [2, 3, 4])
@@ -332,7 +314,7 @@ class TestHypervolume:
         for case in range(3):
             pts = 1.0 + rng.random((8, k)) * 2.0
             ref = np.zeros(k)
-            exact = hypervolume(pts, ref)
+            exact = dominated_hypervolume(pts, ref)
             approx, se = mc_hypervolume(pts, ref, 1_000_000, seed=900 + case)
             assert abs(exact - approx) < 3 * se + 1e-12
 
@@ -341,41 +323,46 @@ class TestHypervolume:
         for _ in range(20):
             pts = rng.random((6, 3)) + 0.5
             ref = np.zeros(3)
-            before = hypervolume(pts, ref)
+            before = dominated_hypervolume(pts, ref)
             extra = rng.random(3) + 0.5
-            after = hypervolume(np.vstack([pts, extra]), ref)
+            after = dominated_hypervolume(np.vstack([pts, extra]), ref)
             assert after >= before - 1e-12
 
     def test_axis_permutation_invariance(self):
         rng = np.random.default_rng(5)
         pts = rng.random((10, 4)) + 1.0
         ref = np.full(4, 0.5)
-        base = hypervolume(pts, ref)
+        base = dominated_hypervolume(pts, ref)
         for perm in ([1, 0, 2, 3], [3, 2, 1, 0], [2, 3, 0, 1]):
-            assert hypervolume(pts[:, perm], ref[perm]) == pytest.approx(base, rel=1e-12)
+            assert dominated_hypervolume(pts[:, perm], ref[perm]) == pytest.approx(base, rel=1e-12)
 
     def test_member_permutation_invariance(self):
         rng = np.random.default_rng(6)
         pts = rng.random((12, 3)) + 1.0
         ref = np.zeros(3)
-        base = hypervolume(pts, ref)
+        base = dominated_hypervolume(pts, ref)
         shuffled = pts[rng.permutation(12)]
-        assert hypervolume(shuffled, ref) == pytest.approx(base, rel=1e-12)
+        assert dominated_hypervolume(shuffled, ref) == pytest.approx(base, rel=1e-12)
 
     def test_k5_rejected(self):
         with pytest.raises(ValueError):
-            hypervolume([[1] * 5], [0] * 5)
+            dominated_hypervolume([[1] * 5], [0] * 5)
 
 
 class TestDominatedHypervolume:
     def test_filters_points_not_dominating_ref(self):
         pts = [[3, 1], [1, 3], [-5, 10]]
         assert dominated_hypervolume(pts, [0, 0]) == pytest.approx(
-            hypervolume([[3, 1], [1, 3]], [0, 0])
+            dominated_hypervolume([[3, 1], [1, 3]], [0, 0])
         )
 
     def test_empty_when_nothing_dominates(self):
         assert dominated_hypervolume([[-1, -1]], [0, 0]) == 0.0
+
+    @pytest.mark.parametrize("ref", [[5.0], [0.0], [0.0, 0.0, 0.0]])
+    def test_reference_of_the_wrong_dimension_rejected(self, ref):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            dominated_hypervolume([[1.0, 2.0]], ref)
 
     @pytest.mark.parametrize("ref", [[np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0]])
     def test_non_finite_reference_rejected(self, ref):
