@@ -125,6 +125,9 @@ def _validate(cfg: CampaignConfig) -> None:
         raise ConfigError(f"problem.name must be one of {PROBLEMS}, got {cfg.problem.name!r}")
     if not cfg.seeds:
         raise ConfigError("seeds must not be empty")
+    # Each seed names its own artifacts and generator stream.
+    if min(cfg.seeds) < 0 or len(set(cfg.seeds)) < len(cfg.seeds):
+        raise ConfigError(f"seeds must be distinct and >= 0, got {list(cfg.seeds)}")
     if cfg.workers < 1:
         raise ConfigError("workers must be >= 1")
     # The surrogates need two observations before the first pick; random

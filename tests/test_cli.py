@@ -177,3 +177,10 @@ def test_noise_hist_rejects_counts_below_one(flag, value, tmp_path, capsys):
     assert out == "" and err.strip() == f"{flag} must be >= 1, got {value}"
     assert cli.main(["noise-hist", *args, "--out", str(tmp_path / "hist.csv")]) == 1
     assert not (tmp_path / "hist.csv").exists()
+
+
+def test_run_rejects_a_negative_seed_before_writing(tmp_path, capsys):
+    argv = ["run", "--config", str(GOLDEN / "configs" / "branin.yaml"), "--seed", "-1"]
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "seeds must be distinct and >= 0, got [-1]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

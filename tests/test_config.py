@@ -1,9 +1,19 @@
+import dataclasses
 import re
 
 import pytest
 
 from reramopt import cli
-from reramopt.config import CampaignConfig, ConfigError, config_hash, emit_defaults, parse_config
+from reramopt.config import (
+    CampaignConfig,
+    ConfigError,
+    DeviceSection,
+    SpaceSection,
+    config_hash,
+    emit_defaults,
+    parse_config,
+)
+from reramopt.design_space import DesignSpace, ReramDesign
 
 # config_hash of the default config; artifacts embed it, so it must not drift.
 DEFAULT_HASH = "b5e517b1f61a66a5"
@@ -17,6 +27,19 @@ def test_emit_defaults_round_trips():
 def test_default_hash_is_pinned():
     assert config_hash(CampaignConfig()) == DEFAULT_HASH
     assert config_hash(parse_config(emit_defaults())) == DEFAULT_HASH
+
+
+def test_device_and_space_sections_default_to_the_reference_device():
+    # The config restates these defaults. Were one copy changed alone,
+    # `reramopt evaluate` (built from the config) and reram_problem()'s
+    # default space would model different devices without an error.
+    constants = {
+        f.name: f.default for f in dataclasses.fields(ReramDesign) if f.default is not dataclasses.MISSING
+    }
+    assert dataclasses.asdict(DeviceSection()) == constants
+    space = {f.name: getattr(DesignSpace(), f.name) for f in dataclasses.fields(DesignSpace)}
+    del space["constants"]
+    assert dataclasses.asdict(SpaceSection()) == space
 
 
 def test_exponent_floats_are_numbers():
@@ -100,6 +123,10 @@ def test_quoted_exponent_stays_a_string():
         ("gp: {max_opt_iter: 0}", "'gp': max_opt_iter must be >= 1, got 0"),
         ("mesmo: {gp_refit_every: 0}", "'mesmo': gp_refit_every must be >= 1, got 0"),
         ("mesmo: {gp_refit_every: -3}", "'mesmo': gp_refit_every must be >= 1, got -3"),
+        # A repeated seed would write its trace rows twice and weigh its
+        # curve twice in the median; a negative one fails in SeedSequence.
+        ("seeds: [1, 1]", "seeds must be distinct and >= 0, got [1, 1]"),
+        ("seeds: [0, -1]", "seeds must be distinct and >= 0, got [0, -1]"),
     ],
 )
 def test_errors_carry_the_dotted_path(text, path):
