@@ -160,7 +160,6 @@ def fit(
     config: GpConfig = GpConfig(),
     optimize: bool = True,
     init_params: GpParams | None = None,
-    seed: int = 0,
 ) -> CfGpModel:
     """Fit the surrogate on (x_i, z_i, y_i) triples.
 
@@ -168,7 +167,8 @@ def fit(
     constant target keeps std 1 and drives the signal variance to its
     lower bound, so degenerate data still fits). The search runs
     ``n_restarts`` L-BFGS starts: the provided/default parameters first,
-    then deterministic log-uniform draws within the bounds.
+    then log-uniform draws within the bounds from ``default_rng(0)``, so a
+    fit is deterministic.
     """
     from scipy.optimize import minimize
 
@@ -213,7 +213,7 @@ def fit(
 
     if optimize:
         starts = [theta0]
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         for _ in range(config.n_restarts - 1):
             u = rng.random(dims + 2)
             starts.append(np.log(bounds_lo) + u * (np.log(bounds_hi) - np.log(bounds_lo)))

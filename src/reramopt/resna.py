@@ -34,6 +34,8 @@ import numpy as np
 from .crossbar import MappedLayer, NoiseSpec, map_weights, mvm, program, quantize
 from .design_space import ReramDesign
 
+_EVAL_BATCH = 250  # test rows read per inference batch
+
 
 class TrainingDivergedError(RuntimeError):
     """Loss became non-finite; carries the epoch index where it happened."""
@@ -364,7 +366,6 @@ def infer(
     runs: int = 10,
     rng: np.random.Generator | None = None,
     noise: NoiseSpec = NoiseSpec(),
-    eval_batch: int = 250,
 ) -> list[float]:
     """Test accuracy of each of ``runs`` independent deployments.
 
@@ -379,9 +380,9 @@ def infer(
         layers = _deploy(state.weights, designs, spec.vote_copies, noise)
         deployed = [program(layer, rng) for layer in layers]
         correct = 0
-        for start in range(0, len(dataset.x_test), eval_batch):
-            xb = dataset.x_test[start : start + eval_batch]
-            yb = dataset.y_test[start : start + eval_batch]
+        for start in range(0, len(dataset.x_test), _EVAL_BATCH):
+            xb = dataset.x_test[start : start + _EVAL_BATCH]
+            yb = dataset.y_test[start : start + _EVAL_BATCH]
             per_copy, _, _ = _forward(deployed, state.biases, xb, rng)
             pred = majority_vote(per_copy)
             correct += int((pred == yb).sum())

@@ -13,6 +13,7 @@ from reramopt.gp import SampledFunction, fit, sample_function
 from reramopt.mesmo import (
     Budget,
     MesmoConfig,
+    entropy_term,
     fidelity_vectors,
     sample_pareto_fronts,
     search,
@@ -22,6 +23,19 @@ from reramopt.objectives import synthetic_cf_problem
 from reramopt.resna import TrainingDivergedError
 
 SMALL = MesmoConfig(n_front_samples=2, pool_size=32, n_init=3, rff_features=30)
+
+
+def test_entropy_term_is_the_truncated_gaussian_entropy_gap():
+    from scipy.stats import norm, truncnorm
+
+    assert entropy_term(0.0) == pytest.approx(np.log(2.0), rel=1e-15)
+    values = entropy_term(np.linspace(-40.0, 10.0, 2001))
+    assert np.isfinite(values).all() and (values >= 0.0).all()
+    assert (np.diff(values) <= 0.0).all()
+    # truncnorm(-inf, gamma) gives NaN; a lower bound at -30 sd cuts nothing.
+    gamma = np.linspace(-5.0, 5.0, 201)
+    gap = norm().entropy() - truncnorm(-30.0, gamma).entropy()
+    np.testing.assert_allclose(entropy_term(gamma), gap, rtol=0.0, atol=1e-9)
 
 
 def test_one_fidelity_level_evaluates_at_the_top():
