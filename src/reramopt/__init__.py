@@ -6,14 +6,7 @@ trainer to an information-theoretic multi-objective optimizer that selects
 """
 
 from .config import CampaignConfig, ConfigError, emit_defaults, load_config, parse_config
-from .crossbar import (
-    MappedLayer,
-    QuantizedMatrix,
-    map_weights,
-    mvm,
-    program,
-    quantize,
-)
+from .crossbar import MappedLayer, map_weights, mvm, program, quantize
 from .design_space import (
     DEFAULT_SPACE,
     DesignSpace,

@@ -233,6 +233,14 @@ def _design_from_args(cfg: cfgmod.CampaignConfig, args) -> ReramDesign:
     )
 
 
+def _seed(text: str) -> int:
+    """The argparse type of --seed: a non-negative integer, as the config's seeds are."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _load_cfg(args) -> cfgmod.CampaignConfig:
     if getattr(args, "config", None):
         return cfgmod.load_config(args.config)
@@ -404,14 +412,14 @@ def main(argv=None) -> int:
     _add_design_flags(p_eval)
     p_eval.add_argument("--x", help="comma-separated coordinates for synthetic problems")
     p_eval.add_argument("--z", default="1.0")
-    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval.add_argument("--seed", type=_seed, default=0)
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_train = sub.add_parser("train-one", help="train one design at one fidelity")
     p_train.add_argument("--config")
     _add_design_flags(p_train)
     p_train.add_argument("--z", type=float, default=1.0)
-    p_train.add_argument("--seed", type=int, default=0)
+    p_train.add_argument("--seed", type=_seed, default=0)
     p_train.set_defaults(func=_cmd_train_one)
 
     p_hist = sub.add_parser("noise-hist", help="dump relative-noise histograms per level")
@@ -420,7 +428,7 @@ def main(argv=None) -> int:
     p_hist.add_argument("--samples", type=int, default=10000)
     p_hist.add_argument("--bins", type=int, default=50)
     p_hist.add_argument("--levels", type=int, help="restrict to the first N conductance levels")
-    p_hist.add_argument("--seed", type=int, default=0)
+    p_hist.add_argument("--seed", type=_seed, default=0)
     p_hist.add_argument("--out")
     p_hist.set_defaults(func=_cmd_noise_hist)
 

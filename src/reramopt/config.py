@@ -138,7 +138,10 @@ def _validate(cfg: CampaignConfig) -> None:
         )
     # A corner that fails with the default device is the space's fault;
     # one that fails only with the configured device is the device's.
-    space = build_space(cfg)
+    try:
+        space = build_space(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"'space': {exc}") from exc
     for section, constants in (("space", {}), ("device", space.constants)):
         try:
             dataclasses.replace(space, constants=constants).corners()

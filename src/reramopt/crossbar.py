@@ -14,8 +14,7 @@ reproduces them bit-for-bit):
   Physically it is tiled into xbar_size x xbar_size crossbars, one per
   side, slice, copy and tile (``objectives._crossbar_count`` counts them).
 * DACs are full-parallel voltage mode: input code q >= 0 drives
-  v_r * q / (2**res_dac - 1). Signed inputs are handled as two read passes
-  (positive and negative parts) subtracted digitally.
+  v_r * q / (2**res_dac - 1).
 * ADCs digitize each tile column current to res_adc bits over the fixed
   full scale [0, v_r * g_max * rows_in_tile]; res_adc=None is an ideal
   converter. Each slice is quantized before the digital shift-add. Every
@@ -28,14 +27,13 @@ reproduces them bit-for-bit):
 * A programmed layer holds its programming noise, sampled at program()
   time independently per cell and per duplicate copy in one draw per
   layer; it persists until reprogramming. Read noise is resampled per cell
-  in one draw per layer and read pass. Stored and effective conductances
+  in one draw per layer and mvm call. Stored and effective conductances
   are clamped to [0, g_max].
 * mvm reads an unprogrammed layer as a fresh deployment that is read
   once, the way training redeploys on every batch: one Gaussian per cell
   at the target carries the programming and the thermal-plus-shot
   variance together, then RTN, then one clip to [0, g_max]
-  (``noise.sample_read``). Inputs with both signs program the layer first,
-  so both read passes see one deployment.
+  (``noise.sample_read``).
 * The samplers of ``noise.py`` read each layer's ``ReramDesign`` and
   ``NoiseSpec``; the spec alone decides which sources are drawn.
 
@@ -54,36 +52,18 @@ from .design_space import ReramDesign
 from .noise import NoiseSpec, sample_read, sample_write_noise
 
 
-@dataclass(frozen=True)
-class QuantizedMatrix:
-    """Signed integer codes plus the code->value scale factor."""
+def quantize(values: np.ndarray, bits: int) -> tuple[np.ndarray, float]:
+    """Symmetric uniform quantization of a matrix: max |value| maps to 2**(bits-1)-1.
 
-    codes: np.ndarray
-    scale: float
-    bits: int
-
-    @property
-    def rows(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.codes.shape[1]
-
-
-def quantize(values: np.ndarray, bits: int) -> QuantizedMatrix:
-    """Symmetric uniform quantization: max |value| maps to 2**(bits-1)-1.
-
-    An all-zero input keeps scale 1 by convention. codes * scale is
-    within half a quantization step of the input.
+    Returns the int64 codes and their scale. An all-zero input keeps scale
+    1 by convention. codes * scale is within half a quantization step of
+    the input.
     """
     if not (1 <= bits <= 8):
         raise ValueError(f"bits must be in [1,8], got {bits}")
     values = np.asarray(values, dtype=float)
-    if values.ndim == 1:
-        values = values.reshape(1, -1)
-    if values.size == 0:
-        raise ValueError("cannot quantize an empty matrix")
+    if values.ndim != 2 or values.size == 0:
+        raise ValueError(f"can only quantize a non-empty matrix, got shape {values.shape}")
     # bits=1 degenerates under the signed two's-complement range; use the
     # standard ternary {-1, 0, 1} convention so symmetry survives.
     qmax = max((1 << (bits - 1)) - 1, 1)
@@ -94,7 +74,7 @@ def quantize(values: np.ndarray, bits: int) -> QuantizedMatrix:
     codes = values / scale
     np.rint(codes, out=codes)
     codes.clip(-qmax, qmax, out=codes)
-    return QuantizedMatrix(codes=codes.astype(np.int64), scale=scale, bits=bits)
+    return codes.astype(np.int64), scale
 
 
 @dataclass(frozen=True)
@@ -114,13 +94,12 @@ class MappedLayer:
     cols: int
     scale: float
     dup: int
-    slice_weights: np.ndarray  # digital shift-add weights, most significant first
     target: np.ndarray
     noisy: np.ndarray | None = None
 
     @property
     def n_slices(self) -> int:
-        return len(self.slice_weights)
+        return self.design.slices_per_weight
 
     @property
     def programmed(self) -> bool:
@@ -128,46 +107,39 @@ class MappedLayer:
 
 
 def map_weights(
-    w: QuantizedMatrix,
+    codes: np.ndarray,
+    scale: float,
     design: ReramDesign,
     dup: int = 1,
     noise: NoiseSpec = NoiseSpec(),
 ) -> MappedLayer:
-    """Deploy quantized weights onto bit-sliced differential crossbars.
+    """Deploy signed integer weight codes, worth ``scale`` each, onto crossbars.
 
     ``dup`` physical copies share the same targets but are programmed with
     independent noise. The layer is returned unprogrammed. Codes whose
     magnitude needs more than ``design.bit_quan`` bits are rejected rather
     than sliced without their high digits.
     """
-    if w.rows < 1 or w.cols < 1:
-        raise ValueError("weight matrix must be non-empty")
+    if codes.ndim != 2 or codes.size == 0:
+        raise ValueError(f"weight codes must be a non-empty matrix, got shape {codes.shape}")
     if dup < 1:
         raise ValueError("duplication factor must be >= 1")
 
-    codes = w.codes
+    rows, cols = codes.shape
     need = max(int(codes.max()), -int(codes.min()), 0).bit_length()
     if need > design.bit_quan:
         raise ValueError(f"codes need {need} bits but the design's bit_quan is {design.bit_quan}")
     # |code| on the side of its sign, 0 on the other: (rows, 2, cols). At
     # most bit_quan <= 8 bits, so the digits are sliced in uint8.
-    side_codes = np.empty((w.rows, 2, w.cols), dtype=np.uint8)
+    side_codes = np.empty((rows, 2, cols), dtype=np.uint8)
     np.maximum(codes, 0, out=side_codes[:, 0], casting="unsafe")
     np.maximum(-codes, 0, out=side_codes[:, 1], casting="unsafe")
     digits = side_codes[:, :, None, :] >> design.slice_shifts[:, None]
     digits &= (1 << design.res_cell) - 1
     target = digits * design.g_step
     target += design.g_min
-
     return MappedLayer(
-        design=design,
-        noise=noise,
-        rows=w.rows,
-        cols=w.cols,
-        scale=w.scale,
-        dup=dup,
-        slice_weights=design.slice_weights,
-        target=target,
+        design=design, noise=noise, rows=rows, cols=cols, scale=scale, dup=dup, target=target
     )
 
 
@@ -208,18 +180,18 @@ def _adc(currents: np.ndarray, full_scale: float, levels: int) -> None:
 
 def mvm(
     layer: MappedLayer,
-    inputs: QuantizedMatrix | np.ndarray,
+    inputs: np.ndarray,
     rng: np.random.Generator | None = None,
 ) -> np.ndarray:
     """Noisy integer matrix product through the crossbar pipeline.
 
-    ``inputs`` holds integer activation codes of shape (B, rows), one row
-    per analog read pass (a QuantizedMatrix or a raw code array). Every row
-    is read through all ``dup`` copies; the result holds the integer
-    outputs of each copy as (dup, B, cols). Read noise is drawn once per
-    cell per call, independently per copy and per sign pass, from the
-    sources the layer's NoiseSpec enables; ``rng`` may be None only when
-    none of them is.
+    ``inputs`` holds non-negative integer activation codes of shape
+    (B, rows), all read in one analog pass; a negative code raises
+    ValueError. Every row is read through all ``dup`` copies; the result
+    holds the integer outputs of each copy as (dup, B, cols). Read noise is
+    drawn once per cell per call, independently per copy, from the sources
+    the layer's NoiseSpec enables; ``rng`` may be None only when none of
+    them is. A batch of all zeros reads nothing and draws nothing.
 
     An unprogrammed layer is read as a fresh deployment that this call
     alone sees: its programming error is drawn with the read noise, in one
@@ -229,32 +201,24 @@ def mvm(
     With noise off and res_adc=None every copy equals the exact integer
     matmul codes @ weight_codes.
     """
-    codes = inputs.codes if isinstance(inputs, QuantizedMatrix) else np.asarray(inputs)
+    codes = np.asarray(inputs)
     if codes.dtype.kind not in "iu":
         raise ValueError(f"input codes must have an integer dtype, got {codes.dtype}")
     if codes.ndim != 2 or codes.shape[1] != layer.rows:
         raise ValueError(f"inputs must have shape (B, {layer.rows}), got {codes.shape}")
-    # A sign pass reads only if some input has that sign.
-    has_pos = codes.max(initial=0) > 0
-    has_neg = codes.dtype.kind == "i" and codes.min(initial=0) < 0
+    if codes.min(initial=0) < 0:
+        raise ValueError("input codes must be non-negative")
 
-    if not layer.programmed and has_pos and has_neg:
-        layer = program(layer, rng)
     d = layer.design
     fresh = not layer.programmed
     noisy_read = layer.noise.noisy_reads or (fresh and layer.noise.prog)
     if rng is None and noisy_read:
         raise ValueError("a noisy mvm requires a generator")
-    cells = _copies(layer) if fresh else layer.noisy
-
     n_b = codes.shape[0]
     acc = np.zeros((n_b, layer.dup, layer.cols))
-
-    for sign, active in ((1, has_pos), (-1, has_neg)):
-        if not active:
-            continue
-        volts = codes.astype(float) if sign > 0 else np.negative(codes, dtype=float)
-        volts.clip(0, d.dac_levels, out=volts)
+    if codes.max(initial=0) > 0:
+        cells = _copies(layer) if fresh else layer.noisy
+        volts = np.minimum(codes, d.dac_levels, dtype=float)
         volts *= d.v_step
         g = cells
         if noisy_read:
@@ -269,11 +233,7 @@ def mvm(
             if d.adc_levels is not None:
                 _adc(cur, d.v_r * d.g_max * (r1 - r0), d.adc_levels)
             cur = cur.reshape((n_b,) + g.shape[1:])
-            part = layer.slice_weights @ (cur[:, :, 0] - cur[:, :, 1])
-            if sign > 0:
-                acc += part
-            else:
-                acc -= part
+            acc += d.slice_weights @ (cur[:, :, 0] - cur[:, :, 1])
 
     acc /= d.g_step * d.v_step
     np.rint(acc, out=acc)

@@ -148,6 +148,16 @@ class DesignSpace:
 
     dim: ClassVar[int] = 4
 
+    def __post_init__(self):
+        for name in ("res_cell_levels", "xbar_sizes"):
+            levels = getattr(self, name)
+            if not levels or len(set(levels)) < len(levels):
+                raise ValueError(f"{name} must be non-empty and distinct, got {list(levels)}")
+        for name in ("freq_bounds_hz", "temperature_bounds_k"):
+            bounds = getattr(self, name)
+            if len(bounds) != 2 or not bounds[0] < bounds[1]:
+                raise ValueError(f"{name} must be a (lo, hi) pair with lo < hi, got {list(bounds)}")
+
     def encode(self, design: ReramDesign) -> np.ndarray:
         """Map a valid design to its normalized coordinate vector."""
         if design.res_cell not in self.res_cell_levels:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -286,9 +286,9 @@ def _run_nsga2(problem: MooProblem, budget: Budget, seed: int, cfg: Nsga2Config)
     Every individual is evaluated at z* and recorded in evaluation order,
     so hypervolume-vs-cost curves are comparable with the other
     optimizers. A diverged evaluation enters selection at the reference
-    point. A budget below two populations evaluates the first
-    ``max_evals`` rows of the stream NSGA-II's initial population draws
-    from, so it is spent in full on random search.
+    point. A budget below two populations buys one initial population of
+    ``max_evals`` rows and no generation, so it is spent in full on random
+    search.
     """
     z_star = problem.z_star()
     max_evals = nsga2_evaluations(problem, budget)
@@ -298,16 +298,14 @@ def _run_nsga2(problem: MooProblem, budget: Budget, seed: int, cfg: Nsga2Config)
         y = ledger.evaluate(x, z_star, _TAG_NSGA_EVAL, len(ledger.trace), "opt")
         return problem.hv_ref if y is None else y
 
-    if max_evals < 2 * cfg.pop:
-        for x in np.random.default_rng(seed).random((max_evals, problem.dim)):
-            evaluate(x)
-    else:
+    if max_evals > 0:
+        short = max_evals < 2 * cfg.pop
         nsga2(
             lambda batch: np.stack([evaluate(row) for row in np.atleast_2d(batch)]),
             np.tile([0.0, 1.0], (problem.dim, 1)),
             seed=seed,
-            config=cfg,
-            gens=max_evals // cfg.pop - 1,
+            config=replace(cfg, pop=max_evals) if short else cfg,
+            gens=0 if short else max_evals // cfg.pop - 1,
         )
     return ledger.result("nsga2", truncated=max_evals == 0, converged=False)
 

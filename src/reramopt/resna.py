@@ -18,7 +18,8 @@ hyperparameters, the data set it learns, the voting inference and the
 epoch range that the optimizer's fidelity spans.
 
 Conventions: ReLU activations are quantized unsigned (codes 0..2^b - 1,
-using the full DAC range); weights use the symmetric signed quantizer.
+using the full DAC range), so ``mvm`` reads each batch in one pass;
+weights use the symmetric signed quantizer.
 Biases stay in the digital domain and see no analog noise.
 """
 
@@ -223,7 +224,7 @@ def _deploy(
     """Quantize and map every layer, unprogrammed; only the classifier is duplicated."""
     dups = [1] * (len(weights) - 1) + [classifier_copies]
     return [
-        map_weights(quantize(w, dsg.bit_quan), dsg, dup=dup, noise=noise)
+        map_weights(*quantize(w, dsg.bit_quan), dsg, dup=dup, noise=noise)
         for w, dsg, dup in zip(weights, designs, dups)
     ]
 

@@ -184,3 +184,12 @@ def test_run_rejects_a_negative_seed_before_writing(tmp_path, capsys):
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert "seeds must be distinct and >= 0, got [-1]" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train-one", "noise-hist"])
+def test_negative_seed_is_a_usage_error(command, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--seed", "-1"])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "argument --seed: must be >= 0, got -1" in err

@@ -127,6 +127,13 @@ def test_quoted_exponent_stays_a_string():
         # curve twice in the median; a negative one fails in SeedSequence.
         ("seeds: [1, 1]", "seeds must be distinct and >= 0, got [1, 1]"),
         ("seeds: [0, -1]", "seeds must be distinct and >= 0, got [0, -1]"),
+        # An empty level set has no design to decode, and an empty or
+        # inverted bound interval cannot be encoded onto [0, 1].
+        ("space: {res_cell_levels: []}", "'space': res_cell_levels must be non-empty and distinct, got []"),
+        ("space: {xbar_sizes: [32, 64, 32]}", "'space': xbar_sizes must be non-empty and distinct"),
+        ("space: {freq_bounds_hz: [1.0e9, 1.0e7]}", "'space': freq_bounds_hz must be a (lo, hi) pair with lo < hi"),
+        ("space: {freq_bounds_hz: [1.0e7]}", "'space': freq_bounds_hz must be a (lo, hi) pair with lo < hi"),
+        ("space: {temperature_bounds_k: [350.0, 350.0]}", "'space': temperature_bounds_k must be a (lo, hi) pair"),
     ],
 )
 def test_errors_carry_the_dotted_path(text, path):
@@ -192,6 +199,9 @@ def test_optimizers_without_surrogates_need_no_initial_design(optimizer):
         ("mesmo: {gp_refit_every: 0}\n", []),
         ("", ["--budget", "nan"]),
         ("", ["--budget", "inf"]),
+        ("problem: {name: reram}\nspace: {res_cell_levels: []}\n", []),
+        ("problem: {name: reram}\nspace: {freq_bounds_hz: [1.0e9, 1.0e7]}\n", []),
+        ("problem: {name: reram}\nspace: {temperature_bounds_k: [350.0, 350.0]}\n", []),
     ],
 )
 def test_run_rejects_a_bad_budget_before_writing(tmp_path, capsys, text, extra):
