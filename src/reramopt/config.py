@@ -144,9 +144,14 @@ def _validate(cfg: CampaignConfig) -> None:
         raise ConfigError(f"'space': {exc}") from exc
     for section, constants in (("space", {}), ("device", space.constants)):
         try:
-            dataclasses.replace(space, constants=constants).corners()
+            corners = dataclasses.replace(space, constants=constants).corners()
         except ValueError as exc:
             raise ConfigError(f"'{section}': {exc}") from exc
+    # Every design runs its classifier layer at the resna: operating point.
+    try:
+        corners[0].with_context(cfg.resna.classifier_freq_hz, cfg.resna.classifier_temperature_k)
+    except ValueError as exc:
+        raise ConfigError(f"'resna': classifier operating point: {exc}") from exc
 
 
 def _from_mapping(cls, data: dict, path: str):

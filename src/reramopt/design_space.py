@@ -58,8 +58,10 @@ class ReramDesign:
             raise ValueError(f"temperature_k {self.temperature_k} outside {TEMPERATURE_BOUNDS_K}")
         if not (0.0 < self.r_on < self.r_off):
             raise ValueError("need 0 < r_on < r_off")
-        if self.v_r <= 0.0:
-            raise ValueError("v_r must be positive")
+        if not (math.isfinite(self.v_r) and self.v_r > 0.0):
+            raise ValueError(f"v_r must be positive and finite, got {self.v_r}")
+        if not (math.isfinite(self.sigma_prog) and self.sigma_prog >= 0.0):
+            raise ValueError(f"sigma_prog must be finite and >= 0, got {self.sigma_prog}")
         adc_ok = self.res_adc is None or self.res_adc >= 1
         if not (1 <= self.bit_quan <= 8 and self.res_dac >= 1 and adc_ok):
             raise ValueError("need 1 <= bit_quan <= 8, res_dac >= 1 and res_adc >= 1")

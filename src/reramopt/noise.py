@@ -40,6 +40,7 @@ Monte-Carlo sweeps can be parallelized with per-worker substreams.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,9 @@ class NoiseSpec:
     def __post_init__(self):
         if not (0.0 <= self.rtn_p_occupancy <= 1.0):
             raise ValueError("rtn_p_occupancy must lie in [0,1]")
-        if self.rtn_amp_a < 0.0 or self.rtn_amp_b < 0.0:
-            raise ValueError("RTN amplitude coefficients must be >= 0")
+        amps = (self.rtn_amp_a, self.rtn_amp_b)
+        if not all(math.isfinite(a) and a >= 0.0 for a in amps):
+            raise ValueError(f"RTN amplitude coefficients must be finite and >= 0, got {list(amps)}")
 
     @classmethod
     def disabled(cls) -> "NoiseSpec":

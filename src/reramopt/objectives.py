@@ -71,6 +71,16 @@ class HwCostParams:
     n_inputs: int = 1000
 
     def __post_init__(self):
+        for name in (
+            "area_per_cell_mm2",
+            "area_per_dac_mm2",
+            "area_per_adc_mm2",
+            "energy_per_dac_j",
+            "energy_per_adc_j",
+        ):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if self.columns_per_adc < 1:
             raise ValueError("columns_per_adc must be >= 1")
         if self.dac_cycles < 0:

@@ -82,6 +82,17 @@ class MlpSpec:
     def __post_init__(self):
         if len(self.widths) < 2:
             raise ValueError("need at least an input and an output layer")
+        if min(self.widths) < 1:
+            raise ValueError(f"widths must all be >= 1, got {list(self.widths)}")
+        for name in ("batch_size", "n_train", "n_test", "infer_runs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (math.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not math.isfinite(self.center_spread):
+            raise ValueError(f"center_spread must be finite, got {self.center_spread}")
         if self.vote_copies < 1 or self.vote_copies % 2 == 0:
             raise ValueError("vote_copies must be odd and >= 1")
         if not 1 <= self.min_epochs <= self.max_epochs:

@@ -80,6 +80,29 @@ def test_quoted_exponent_stays_a_string():
         # resna: and hw: are MlpSpec and HwCostParams, checked at parse time.
         ("resna: {vote_copies: 2}", "'resna': vote_copies"),
         ("hw: {columns_per_adc: 0}", "'hw': columns_per_adc"),
+        # Values that break training or inference mid-run, or that quietly
+        # turn a noise source off or make a cost negative, fail at parse time.
+        ("resna: {widths: [8, 0, 4]}", "'resna': widths must all be >= 1, got [8, 0, 4]"),
+        ("resna: {batch_size: 0}", "'resna': batch_size must be >= 1, got 0"),
+        ("resna: {n_train: 0}", "'resna': n_train must be >= 1, got 0"),
+        ("resna: {n_test: 0}", "'resna': n_test must be >= 1, got 0"),
+        ("resna: {infer_runs: 0}", "'resna': infer_runs must be >= 1, got 0"),
+        ("resna: {lr: .nan}", "'resna': lr must be positive and finite, got nan"),
+        ("resna: {lr: 0}", "'resna': lr must be positive and finite, got 0.0"),
+        ("resna: {lr: .inf}", "'resna': lr must be positive and finite, got inf"),
+        ("resna: {momentum: 1.0}", "'resna': momentum must lie in [0, 1), got 1.0"),
+        ("resna: {momentum: -0.1}", "'resna': momentum must lie in [0, 1), got -0.1"),
+        ("resna: {center_spread: .nan}", "'resna': center_spread must be finite, got nan"),
+        ("resna: {classifier_freq_hz: 5.0}", "'resna': classifier operating point: freq_hz 5.0 outside"),
+        ("resna: {classifier_temperature_k: 500.0}", "'resna': classifier operating point: temperature_k 500.0"),
+        ("device: {sigma_prog: .nan}", "'device': sigma_prog must be finite and >= 0, got nan"),
+        ("device: {sigma_prog: -0.1}", "'device': sigma_prog must be finite and >= 0, got -0.1"),
+        ("device: {v_r: .nan}", "'device': v_r must be positive and finite, got nan"),
+        ("device: {v_r: .inf}", "'device': v_r must be positive and finite, got inf"),
+        ("noise: {rtn_amp_a: .nan}", "'noise': RTN amplitude coefficients must be finite and >= 0, got [nan, 0.002]"),
+        ("noise: {rtn_amp_b: .inf}", "'noise': RTN amplitude coefficients must be finite and >= 0, got [0.0004, inf]"),
+        ("hw: {energy_per_adc_j: -1.0}", "'hw': energy_per_adc_j must be finite and >= 0, got -1.0"),
+        ("hw: {area_per_cell_mm2: .nan}", "'hw': area_per_cell_mm2 must be finite and >= 0, got nan"),
         # mesmo: sizes must allow at least one sample, candidate, level and
         # feature; z=0 must be the cheapest fidelity.
         ("mesmo: {n_front_samples: 0}", "'mesmo': n_front_samples must be >= 1, got 0"),
@@ -202,6 +225,14 @@ def test_optimizers_without_surrogates_need_no_initial_design(optimizer):
         ("problem: {name: reram}\nspace: {res_cell_levels: []}\n", []),
         ("problem: {name: reram}\nspace: {freq_bounds_hz: [1.0e9, 1.0e7]}\n", []),
         ("problem: {name: reram}\nspace: {temperature_bounds_k: [350.0, 350.0]}\n", []),
+        ("problem: {name: reram}\noptimizer: random\nresna: {infer_runs: 0}\n", []),
+        ("problem: {name: reram}\noptimizer: random\nresna: {batch_size: 0}\n", []),
+        ("problem: {name: reram}\nresna: {n_test: 0}\n", []),
+        ("problem: {name: reram}\nresna: {n_train: 0}\n", []),
+        ("problem: {name: reram}\nresna: {classifier_freq_hz: 5.0}\n", []),
+        ("problem: {name: reram}\ndevice: {sigma_prog: .nan}\n", []),
+        ("problem: {name: reram}\nnoise: {rtn_amp_a: .nan}\n", []),
+        ("problem: {name: reram}\nhw: {energy_per_adc_j: -1.0}\n", []),
     ],
 )
 def test_run_rejects_a_bad_budget_before_writing(tmp_path, capsys, text, extra):

@@ -143,6 +143,134 @@ def test_default_pick_is_pinned(seed):
     assert (tuple(x), tuple(z)) == PINNED_PICKS[seed]
 
 
+def _full_grid_pick(models, front_maxima, problem, pool, fidelity_levels=10, seed=0, single_fidelity=False):
+    """select_next's pick by scoring every (candidate, level) pair: the
+    oracle for its bound-pruned search."""
+    candidates = np.random.default_rng(seed).random((pool, problem.dim))
+    levels = fidelity_grid(1 if single_fidelity else fidelity_levels)
+    z_grid = fidelity_vectors(problem, levels)
+    grid_costs = np.array([problem.cost(candidates[0], zv) for zv in z_grid])
+    gains = np.zeros((pool, len(levels)))
+    for j, model in enumerate(models):
+        lv = np.unique(z_grid[:, j])
+        mu, sigma = mesmo.posterior(model, np.repeat(candidates, len(lv), axis=0), np.tile(lv, pool))
+        sigma = np.maximum(sigma, mesmo._SIGMA_FLOOR)
+        gamma = (front_maxima[None, :, j] - mu[:, None]) / sigma[:, None]
+        terms = entropy_term(gamma).sum(axis=1).reshape(pool, len(lv))
+        gains += terms[:, np.searchsorted(lv, z_grid[:, j])]
+    alpha = gains / (grid_costs[None, :] * len(front_maxima))
+    tied = np.argwhere(alpha == alpha.max())
+    pick, level = tied[np.lexsort((tied[:, 1], tied[:, 0], grid_costs[tied[:, 1]]))[0]]
+    return candidates[pick], z_grid[level]
+
+
+def _model_sets(seeds=range(10)):
+    """Seeded model sets on each of branin-currin-cf, zdt1 and the ReRAM shape."""
+    shapes = [synthetic_cf_problem("branin-currin-cf"), synthetic_cf_problem("zdt1"), _reram_problem()]
+    for problem in shapes:
+        for seed in seeds:
+            yield seed, *_seeded_models(seed, problem=problem)
+
+
+def _same_pick(a, b):
+    return all(u.tobytes() == v.tobytes() for u, v in zip(a, b))
+
+
+# The 30 model sets, with sampled maxima and with maxima lowered by one
+# prior sd, which puts some pairs' gamma below the bound's trusted range.
+def test_pruned_pick_equals_the_full_grid():
+    for seed, problem, models in _model_sets():
+        prior_sd = np.array([m.y_std * np.sqrt(m.params.signal_var) for m in models])
+        for n_s in (1, 3, 10):
+            sampled = sample_pareto_fronts(models, n_s, problem.dim, seed, rff_features=100)
+            for maxima, pool, single in itertools.product(
+                (sampled, sampled - prior_sd), (1, 50), (False, True)
+            ):
+                args = (models, maxima, problem, pool, 10, seed, single)
+                assert _same_pick(select_next(*args), _full_grid_pick(*args)), (seed, n_s, pool, single)
+
+
+@pytest.mark.parametrize("single", [False, True])
+def test_pruned_pick_equals_the_full_grid_at_the_default_pool(single):
+    for seed, problem, models in _model_sets(seeds=(0, 5)):
+        maxima = sample_pareto_fronts(models, 10, problem.dim, seed, rff_features=100)
+        args = (models, maxima, problem, 2000, 10, seed, single)
+        assert _same_pick(select_next(*args), _full_grid_pick(*args)), seed
+
+
+@pytest.mark.parametrize("single,falling", [(False, False), (True, False), (False, True)])
+def test_all_zero_gains_tie_on_cost_then_index(single, falling):
+    # Maxima 1e3 posterior sd above every mean: every gain underflows to 0,
+    # so every pair ties and the cheapest level of candidate 0 wins. With
+    # costs that fall with fidelity, that level is the top one.
+    problem, models = _seeded_models(3)
+    if falling:
+        problem = dataclasses.replace(problem, cost_ratio=lambda j, z: 2.0 - z)
+    candidates = np.random.default_rng(3).random((50, problem.dim))
+    maxima = []
+    for model in models:
+        mu, sigma = mesmo.posterior(model, np.repeat(candidates, 10, axis=0), np.tile(fidelity_grid(10), 50))
+        maxima.append(np.max(mu + 1e3 * np.maximum(sigma, 1e-9)))
+    maxima = np.tile(maxima, (3, 1))
+    x, z = select_next(models, maxima, problem, pool=50, seed=3, single_fidelity=single)
+    assert _same_pick((x, z), _full_grid_pick(models, maxima, problem, 50, 10, 3, single))
+    assert x.tobytes() == candidates[0].tobytes()
+    assert tuple(z) == ((1.0, 1.0) if single or falling else (0.0, 0.0))
+
+
+def test_pairs_below_the_trusted_gamma_range_are_always_scored(monkeypatch):
+    # entropy_term is not monotone far below zero: between these two gammas
+    # near -1000 it rises by 1e-5 of itself. Pair A (candidate 0) has both
+    # on objective 0, so its bound, taken at the lower one, falls short of
+    # its exact value. Pair B's exact value is set between the two, so a
+    # bound trusted there would drop A and pick B.
+    from scipy.optimize import brentq
+
+    lo, hi = -999.999998049, -999.999998048
+    h_lo, h_hi = entropy_term(lo), entropy_term(hi)
+    assert h_hi > h_lo * (1.0 + 1e-6)
+    b_rest = entropy_term(-30.0) + entropy_term(-30.0 + (hi - lo))
+    t = brentq(lambda g: b_rest + 2.0 * entropy_term(g) - (1.5 * h_lo + 0.5 * h_hi), -30.0, 8.0)
+    table = {  # (mu, sigma) of candidates A and B per objective
+        "f0": (np.array([0.0, lo + 30.0]), np.ones(2)),
+        "f1": (np.array([-1000.0, -t]), np.ones(2)),
+    }
+    monkeypatch.setattr(mesmo, "posterior", lambda model, x, z: table[model])
+    problem = synthetic_cf_problem("branin-currin-cf")
+    args = (["f0", "f1"], np.array([[lo, 0.0], [hi, 0.0]]), problem, 2, 10, 0, True)
+    pick = select_next(*args)
+    assert _same_pick(pick, _full_grid_pick(*args))
+    assert pick[0].tobytes() == np.random.default_rng(0).random((2, 2))[0].tobytes()
+
+
+def test_pruned_search_scores_a_fraction_of_the_grid(monkeypatch):
+    # The full grid hands entropy_term pool * levels * S * k = 400,000
+    # gammas at the defaults; the bound takes a tenth of that.
+    problem, models = _seeded_models(0)
+    maxima = sample_pareto_fronts(models, 10, problem.dim, 0, rff_features=100)
+    sizes = []
+    monkeypatch.setattr(mesmo, "entropy_term", lambda g: sizes.append(np.size(g)) or entropy_term(g))
+    select_next(models, maxima, problem, seed=0)
+    assert sizes[:2] == [20_000, 20_000] and sum(sizes) < 60_000
+
+
+@pytest.mark.parametrize(
+    "maxima,n_models,match",
+    [
+        (np.array([[1.0, np.nan]]), 2, "all finite"),
+        (np.array([[1.0, np.inf], [0.0, 0.0]]), 2, "all finite"),
+        (np.empty((0, 2)), 2, "at least one sample"),
+        (np.ones((2, 3)), 2, r"must be \(S, 2\) for 2 models"),
+        (np.ones(2), 2, r"must be \(S, 2\)"),
+        (np.ones((2, 2)), 1, r"for 1 models of a 2-objective problem"),
+    ],
+)
+def test_bad_front_maxima_are_rejected(maxima, n_models, match):
+    problem, models = _seeded_models(0)
+    with pytest.raises(ValueError, match=match):
+        select_next(models[:n_models], maxima, problem, pool=8)
+
+
 def _float64_call(self, x):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     phi = self.feature_scale * np.cos(x @ self.freqs + self.offset)
