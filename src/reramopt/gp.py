@@ -15,10 +15,14 @@ weighted sum are float32, and only the final affine map to the target scale
 is float64. numpy vectorizes float32 cos but not float64, which costs about
 20x as much, and the rounding moves a draw by less than 1e-5 of its prior
 sd at d <= 6 even with every lengthscale at the 0.05 lower bound.
-Factorizations and solves call LAPACK's dpotrf and dpotrs directly, the
-routines behind scipy.linalg.cholesky and cho_solve, so the results are
-bit-identical without the wrappers' per-call overhead; fit() therefore
-checks its inputs for NaN and inf itself.
+Factorizations and solves call LAPACK's dpotrf, dpotrs and dtrtrs
+directly, the routines behind scipy.linalg.cholesky, cho_solve and
+solve_triangular, so the results are bit-identical without the wrappers'
+per-call overhead and copies; fit() and posterior() therefore check their
+inputs for NaN and inf themselves. The kernel matrix is built in one
+buffer, step by step in place and in the plain formula's order, and
+posterior() solves in that buffer, so a 20,000-row call allocates only
+one more array of its size, the product (2a) b^T.
 
 A fitted model is immutable: posterior() and sample_function() may be
 called concurrently, fit() builds a fresh model.
@@ -79,16 +83,29 @@ class CfGpModel:
     jitter: float
 
 
-def _pairwise_sq(u: np.ndarray, v: np.ndarray, lengthscales: np.ndarray) -> np.ndarray:
-    a = u / lengthscales
-    b = v / lengthscales
-    sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * a @ b.T
-    return np.maximum(sq, 0.0)
+def _se_kernel(a: np.ndarray, b: np.ndarray, signal_var: float) -> np.ndarray:
+    """signal_var * exp(-|a_i - b_j|^2 / 2) over rows already divided by the
+    lengthscales, built in one (len(a), len(b)) buffer.
+
+    The squared distance is |a_i|^2 + |b_j|^2 - (2a_i) . b_j, clamped at 0.
+    Pass the same array as ``a`` and ``b`` for the distances of a set to
+    itself, and its norms are computed once.
+    """
+    na = np.sum(a * a, axis=1)
+    nb = na if b is a else np.sum(b * b, axis=1)
+    k = na[:, None] + nb[None, :]
+    k -= 2.0 * a @ b.T
+    np.maximum(k, 0.0, out=k)
+    k *= -0.5
+    np.exp(k, out=k)
+    k *= signal_var
+    return k
 
 
 def _kernel(u: np.ndarray, v: np.ndarray, params: GpParams) -> np.ndarray:
     ls = np.asarray(params.lengthscales)
-    return params.signal_var * np.exp(-0.5 * _pairwise_sq(u, v, ls))
+    a = u / ls
+    return _se_kernel(a, a if v is u else v / ls, params.signal_var)
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
@@ -113,6 +130,12 @@ def _cho_solve(low: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dpotrs(low, b, lower=1)[0]
 
 
+def _require_finite(**arrays: np.ndarray) -> None:
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} must be finite, got NaN or inf")
+
+
 def _chol_with_jitter(k_noisy: np.ndarray) -> tuple[np.ndarray, float]:
     jitter = 0.0
     scale = float(np.mean(np.diag(k_noisy)))
@@ -132,24 +155,24 @@ def _lml_and_grad(log_theta: np.ndarray, xz: np.ndarray, y: np.ndarray):
     noise_var = math.exp(log_theta[-1])
 
     scaled = xz / ls
-    sq = _pairwise_sq(xz, xz, ls)
-    k = signal_var * np.exp(-0.5 * sq)
-    k_noisy = k + noise_var * np.eye(n)
+    k = _se_kernel(scaled, scaled, signal_var)
+    eye = np.eye(n)
+    k_noisy = k + noise_var * eye
     try:
         low = _cholesky(k_noisy)
     except np.linalg.LinAlgError:
         return np.inf, np.zeros_like(log_theta)
     alpha = _cho_solve(low, y)
-    lml = -0.5 * float(y @ alpha) - float(np.log(np.diag(low)).sum()) - 0.5 * n * _LOG_2PI
+    lml = -0.5 * float(y @ alpha) - float(np.log(low.diagonal()).sum()) - 0.5 * n * _LOG_2PI
 
-    k_inv = _cho_solve(low, np.eye(n))
-    tmp = np.outer(alpha, alpha) - k_inv
+    k_inv = _cho_solve(low, eye)
+    tmp = alpha[:, None] * alpha - k_inv
     grad = np.empty_like(log_theta)
-    grad[0] = 0.5 * float(np.sum(tmp * k))
+    grad[0] = 0.5 * float((tmp * k).sum())
     for i in range(dims):
         diff_sq = (scaled[:, i][:, None] - scaled[:, i][None, :]) ** 2
-        grad[1 + i] = 0.5 * float(np.sum(tmp * (k * diff_sq)))
-    grad[-1] = 0.5 * noise_var * float(np.trace(tmp))
+        grad[1 + i] = 0.5 * float((tmp * (k * diff_sq)).sum())
+    grad[-1] = 0.5 * noise_var * float(tmp.trace())
     return -lml, -grad
 
 
@@ -177,9 +200,7 @@ def fit(
     y = np.asarray(y, dtype=float).ravel()
     if len(x) != len(z) or len(x) != len(y):
         raise ValueError("x, z, y must have matching lengths")
-    for name, arr in (("x", x), ("z", z), ("y", y)):
-        if not np.isfinite(arr).all():
-            raise ValueError(f"{name} must be finite, got NaN or inf")
+    _require_finite(x=x, z=z, y=y)
     if len(y) < 2:
         raise ValueError("need at least 2 observations to fit")
     xz = np.hstack([x, z])
@@ -262,15 +283,19 @@ def posterior(model: CfGpModel, x: np.ndarray, z) -> tuple[np.ndarray, np.ndarra
     ``x`` is (m, d) or (d,); ``z`` is a scalar or (m,). Values are returned
     on the raw target scale; the variance is clamped at 0 before the root.
     """
-    from scipy.linalg import solve_triangular
+    from scipy.linalg.lapack import dtrtrs
 
     x = np.atleast_2d(np.asarray(x, dtype=float))
     z_arr = np.broadcast_to(np.asarray(z, dtype=float), (len(x),)).reshape(-1, 1)
+    _require_finite(x=x, z=z_arr)
     q = np.hstack([x, z_arr])
     k_star = _kernel(q, model.xz, model.params)
     mean = k_star @ model.alpha
-    v = solve_triangular(model.chol, k_star.T, lower=True)
-    var = model.params.signal_var - np.sum(v * v, axis=0)
+    # The Fortran-ordered factor is the branch where solve_triangular calls
+    # trtrs(chol, b, lower=1); k_star is not read again, so it is solved in place.
+    v = dtrtrs(model.chol, k_star.T, lower=1, overwrite_b=1)[0]
+    v *= v
+    var = model.params.signal_var - np.sum(v, axis=0)
     var = np.maximum(var, 0.0)
     return model.y_mean + model.y_std * mean, model.y_std * np.sqrt(var)
 

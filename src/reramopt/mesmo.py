@@ -14,7 +14,11 @@ scores in full only the pairs whose bound reaches within a relative 1e-9
 of the best exact value of the 64 pairs with the largest bounds, and
 always scores a pair whose g_min,j falls where h rounds by more than that
 margin. So it picks exactly the pair, ties included, that scoring the
-whole grid would.
+whole grid would. Front sampling spends float64 the same way: each draw's
+ascent starts and ends are scored on its float32 copy, and only the points
+within twice a proven bound on the float32 error of the draw's best get a
+float64 value, so every maximum is the one a float64 pass over all points
+gives.
 The same loop with the fidelity pinned to z* is the single-fidelity
 baseline; the random-search and NSGA-II baselines share the bookkeeping.
 
@@ -176,35 +180,119 @@ def _maximize(funcs: list[SampledFunction], starts: np.ndarray) -> np.ndarray:
     offset)), batched over the B functions. The gradient is computed on the
     draws' centred float32 copies, as ``SampledFunction.__call__`` computes
     values, because float64 sin is not vectorized; it only steers the
-    ascent, and the values compared are float64.
+    ascent.
+
+    The n starts and n ends of draw b are then scored with the same centred
+    float32 formula, from u = float32(x - 1/2), and ``_screen_margin``
+    bounds |float32 value - float64 value| of draw b by E_b. A point more
+    than 2 E_b below the draw's best float32 value is below that best point
+    in float64 as well, so only the other points get a float64 value: the
+    batched matmul over all n rows, as before (a gathered one-row matmul
+    goes to gemv, whose bits can differ), then, on the kept rows only, the
+    same cosine, product and row sum. The maxima are bit-identical to
+    scoring every point in float64. Per draw the screen kept a median of
+    41% of the points (19-53% from the 10th to the 90th percentile) on
+    three campaign-synth campaigns and 12% (3-28%) on three campaign-reram
+    ones, where the float64 cosines cost about 20 times the float32 ones.
     """
+    n_funcs, n = starts.shape[:2]
     freqs = np.stack([f.freqs for f in funcs])  # (B, d, m)
-    offset = np.stack([f.offset for f in funcs])[:, None, :]
-    weights = np.stack([f.weights for f in funcs])[:, None, :]
+    offset = np.stack([f.offset for f in funcs])
+    weights = np.stack([f.weights for f in funcs])
     freqs32 = np.stack([f.freqs32 for f in funcs])
     freqs32_t = freqs32.transpose(0, 2, 1).copy()
     offset32 = np.stack([f.offset32 for f in funcs])[:, None, :]
-    weights32 = np.stack([f.weights32 for f in funcs])[:, None, :]
+    weights32 = np.stack([f.weights32 for f in funcs])
+    work = np.empty((n_funcs, n, freqs.shape[2]), dtype=np.float32)
 
-    def standardized(x):
-        return (np.cos(x @ freqs + offset) * weights).sum(axis=-1)
+    def features32(x, trig):
+        np.matmul((x - 0.5).astype(np.float32), freqs32, out=work)
+        np.add(work, offset32, out=work)
+        return trig(work, out=work)
 
     x = starts
     m1 = np.zeros_like(x)
     m2 = np.zeros_like(x)
     for t in range(1, _STEPS + 1):
-        phi = (x - 0.5).astype(np.float32) @ freqs32
-        phi += offset32
-        np.sin(phi, out=phi)
-        phi *= weights32
+        phi = features32(x, np.sin)
+        phi *= weights32[:, None, :]
         grad = -(phi @ freqs32_t).astype(float)
         m1 = 0.9 * m1 + 0.1 * grad
         m2 = 0.999 * m2 + 0.001 * grad * grad
         step = _LR * (m1 / (1.0 - 0.9**t)) / (np.sqrt(m2 / (1.0 - 0.999**t)) + 1e-8)
         x = np.clip(x + step, 0.0, 1.0)
-    best = np.maximum(standardized(starts), standardized(x)).max(axis=1)
+
+    points = (starts, x)
+    fast = [(features32(p, np.cos) @ weights32[:, :, None])[..., 0] for p in points]
+    floor = np.maximum(fast[0].max(axis=1), fast[1].max(axis=1))
+    floor -= 2.0 * _screen_margin(freqs, offset, weights)
+    best = np.full(n_funcs, -np.inf)
+    for p, v32 in zip(points, fast):
+        b, r = np.nonzero(v32 >= floor[:, None])
+        phi = (p @ freqs)[b, r]
+        phi += offset[b]
+        np.cos(phi, out=phi)
+        phi *= weights[b]
+        exact = np.full((n_funcs, n), -np.inf)
+        exact[b, r] = phi.sum(axis=-1)
+        np.maximum(best, exact.max(axis=1), out=best)
     scale = np.array([f.y_std * f.feature_scale for f in funcs])
     return np.array([f.y_mean for f in funcs]) + scale * best
+
+
+# Unit roundoffs of float32 and float64. _COS_ERR is four times the largest
+# |np.cos(a) - cos(a)| over every float32 a with |a| < 2**16, 7.2e-8 at
+# a = 3.926 (numpy 2.4 on x86-64 with AVX-512; float64 cos as reference).
+# Within _COS_REACH every float32 argument of a screened draw stays in that
+# measured range.
+_U32, _U64 = 2.0**-24, 2.0**-53
+_COS_ERR, _COS_REACH = 4 * 7.2e-8, 2.0**15
+
+
+def _gamma(n: int, u: float) -> float:
+    """Bound on the relative rounding of an n-term dot product at unit roundoff u."""
+    return n * u / (1.0 - n * u)
+
+
+def _screen_margin(freqs: np.ndarray, offset: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """E_b: a bound on |float32 - float64| standardized value of draw b
+    anywhere in [0, 1]^d, from the draw's float64 fields (B, d, m), (B, m)
+    and (B, m).
+
+    Let u = 2**-24 and e = 2**-53, F_i = sum_k |freqs_ki| and W = sum_i
+    |w_i|. Both values are compared with the exact sum_i w_i cos(theta_i),
+    theta_i = (x - 1/2) . f_i + offset_i + f_i.sum() / 2, which equals the
+    uncentred argument mod 2 pi.
+
+    - float32 argument, to first order in u: rounding x - 1/2 and f_i gives
+      u F_i, the d-term float32 product sum d u F_i / 2, the rounded
+      centred offset 2 pi u, and the final float32 add u (F_i / 2 + 2 pi).
+      Twice that sum, u ((d + 3) F_i + 8 pi), covers every higher-order
+      term. Reducing the offset in float64 adds e (2 |offset_i| + (d + 1)
+      F_i + 4 pi).
+    - float32 cosine: _COS_ERR, plus e for the float64 reference it was
+      measured against, while every argument is inside _COS_REACH; past
+      it E_b is infinite and the draw is evaluated in float64 everywhere.
+    - float32 weights and the m-term weighted sum: W (1 + _COS_ERR) (u +
+      gamma_{m+1}), which also covers the screen's own float64 rounding.
+    - float64 value: gamma_{d+1} (F_i + |offset_i|) for the argument, 2e
+      for the cosine (within 1 ulp), and gamma_{m+2} W for the weighted
+      sum.
+
+    cos is 1-Lipschitz, so each argument bound enters weighted by |w_i|.
+    """
+    d, m = freqs.shape[1:]
+    f = np.abs(freqs).sum(axis=1)
+    o = np.abs(offset)
+    w = np.abs(weights)
+    arg32 = _U32 * ((d + 3) * f + 8.0 * np.pi) + _U64 * (2.0 * o + (d + 1) * f + 4.0 * np.pi)
+    arg64 = _gamma(d + 1, _U64) * (f + o)
+    per_feature = arg32 + arg64 + _COS_ERR + 3.0 * _U64
+    total = (w * per_feature).sum(axis=1) + w.sum(axis=1) * (
+        (1.0 + _COS_ERR) * (_U32 + _gamma(m + 1, _U32)) + _gamma(m + 2, _U64)
+    )
+    reach = 0.5 * f.max(axis=1) + 2.0 * np.pi
+    return np.where(reach < _COS_REACH, total, np.inf)
 
 
 _SIGMA_FLOOR = 1e-9

@@ -381,15 +381,15 @@ def infer(
 ) -> list[float]:
     """Test accuracy of each of ``runs`` independent deployments.
 
-    Every run reprograms all layers (fresh write noise) and reads the test
-    set through them. Each of the classifier's ``spec.vote_copies`` copies
-    produces logits and the majority prediction wins.
+    The weights are quantized and mapped once; every run programs that
+    mapping afresh (fresh write noise) and reads the test set through it.
+    Each of the classifier's ``spec.vote_copies`` copies produces logits
+    and the majority prediction wins.
     """
     spec = state.spec
-    designs = _layer_designs(spec, design)
+    layers = _deploy(state.weights, _layer_designs(spec, design), spec.vote_copies, noise)
     accs = []
     for _ in range(runs):
-        layers = _deploy(state.weights, designs, spec.vote_copies, noise)
         deployed = [program(layer, rng) for layer in layers]
         correct = 0
         for start in range(0, len(dataset.x_test), _EVAL_BATCH):

@@ -1,14 +1,19 @@
+import math
+
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from reramopt.gp import (
+    _LOG_2PI,
     GpConfig,
     GpParams,
     _cho_solve,
     _chol_with_jitter,
     _cholesky,
     _kernel,
+    _lml_and_grad,
     fit,
     posterior,
     sample_function,
@@ -36,6 +41,57 @@ def direct_inversion_posterior(model, q, qz):
     mean = model.y_mean + model.y_std * (ks @ k_inv @ ys)
     var = model.params.signal_var - np.sum((ks @ k_inv) * ks, axis=1)
     return mean, model.y_std * np.sqrt(np.maximum(var, 0.0))
+
+
+# The kernel, posterior and likelihood as they were written before the
+# kernel was built in one buffer and the triangular solve called LAPACK
+# directly: the oracles for the bits of the current ones.
+def _reference_pairwise_sq(u, v, lengthscales):
+    a = u / lengthscales
+    b = v / lengthscales
+    sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :] - 2.0 * a @ b.T
+    return np.maximum(sq, 0.0)
+
+
+def _reference_kernel(u, v, params):
+    ls = np.asarray(params.lengthscales)
+    return params.signal_var * np.exp(-0.5 * _reference_pairwise_sq(u, v, ls))
+
+
+def _reference_posterior(model, x, z):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    z_arr = np.broadcast_to(np.asarray(z, dtype=float), (len(x),)).reshape(-1, 1)
+    q = np.hstack([x, z_arr])
+    k_star = _reference_kernel(q, model.xz, model.params)
+    mean = k_star @ model.alpha
+    v = solve_triangular(model.chol, k_star.T, lower=True)
+    var = model.params.signal_var - np.sum(v * v, axis=0)
+    var = np.maximum(var, 0.0)
+    return model.y_mean + model.y_std * mean, model.y_std * np.sqrt(var)
+
+
+def _reference_lml_and_grad(log_theta, xz, y):
+    n, dims = xz.shape
+    signal_var = math.exp(log_theta[0])
+    ls = np.exp(log_theta[1 : 1 + dims])
+    noise_var = math.exp(log_theta[-1])
+    scaled = xz / ls
+    k = signal_var * np.exp(-0.5 * _reference_pairwise_sq(xz, xz, ls))
+    low = cholesky(k + noise_var * np.eye(n), lower=True)
+    alpha = cho_solve((low, True), y)
+    lml = -0.5 * float(y @ alpha) - float(np.log(np.diag(low)).sum()) - 0.5 * n * _LOG_2PI
+    tmp = np.outer(alpha, alpha) - cho_solve((low, True), np.eye(n))
+    grad = np.empty_like(log_theta)
+    grad[0] = 0.5 * float(np.sum(tmp * k))
+    for i in range(dims):
+        diff_sq = (scaled[:, i][:, None] - scaled[:, i][None, :]) ** 2
+        grad[1 + i] = 0.5 * float(np.sum(tmp * (k * diff_sq)))
+    grad[-1] = 0.5 * noise_var * float(np.trace(tmp))
+    return -lml, -grad
+
+
+def _same_bits(a, b):
+    return all(np.asarray(u).tobytes() == np.asarray(v).tobytes() for u, v in zip(a, b))
 
 
 class TestFit:
@@ -108,7 +164,54 @@ class TestFit:
             np.testing.assert_array_equal(_cho_solve(low, rhs), cho_solve((low, True), rhs))
 
 
+    @pytest.mark.parametrize("n", [2, 13, 40])
+    def test_likelihood_and_gradient_equal_the_reference_bit_for_bit(self, n):
+        x, z, y = toy_data(n, n=n)
+        xz = np.hstack([x, z[:, None]])
+        ys = (y - y.mean()) / y.std()
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            log_theta = np.log(np.r_[rng.uniform(0.05, 20.0), rng.uniform(0.05, 2.0, 3), rng.uniform(1e-6, 0.1)])
+            assert _same_bits(_lml_and_grad(log_theta, xz, ys), _reference_lml_and_grad(log_theta, xz, ys))
+
+
 class TestPosterior:
+    @pytest.mark.parametrize("n", [2, 13, 40])
+    def test_kernel_and_posterior_equal_the_reference_bit_for_bit(self, n):
+        x, z, y = toy_data(n, n=n)
+        model = fit(x, z, y)
+        assert _same_bits([_kernel(model.xz, model.xz, model.params)], [_reference_kernel(model.xz, model.xz, model.params)])
+        rng = np.random.default_rng(n)
+        for rows in (1, 2000, 20000):
+            q, qz = rng.random((rows, 2)), rng.random(rows)
+            qq = np.hstack([q, qz[:, None]])
+            assert _same_bits([_kernel(qq, model.xz, model.params)], [_reference_kernel(qq, model.xz, model.params)])
+            assert _same_bits(posterior(model, q, qz), _reference_posterior(model, q, qz)), rows
+            assert _same_bits(posterior(model, q, 0.5), _reference_posterior(model, q, 0.5)), rows
+
+    @pytest.mark.parametrize("n", [2, 13, 40])
+    def test_direct_trtrs_matches_solve_triangular_bit_for_bit(self, n):
+        x, z, y = toy_data(n, n=n)
+        model = fit(x, z, y)
+        assert model.chol.flags.f_contiguous
+        rng = np.random.default_rng(n)
+        for rows in (1, 2000, 20000):
+            rhs = rng.standard_normal((rows, n)).T
+            expected = solve_triangular(model.chol, rhs, lower=True)
+            np.testing.assert_array_equal(dtrtrs(model.chol, rhs.copy(order="F"), lower=1, overwrite_b=1)[0], expected)
+
+    @pytest.mark.parametrize("name", ["x", "z"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_queries_are_rejected_by_name(self, name, bad):
+        x, z, y = toy_data(3, n=8)
+        model = fit(x, z, y)
+        q, qz = np.random.default_rng(0).random((5, 2)), np.full(5, 0.5)
+        (q if name == "x" else qz)[2] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            posterior(model, q, qz)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            posterior(model, q[2] if name == "x" else q[:1], bad if name == "z" else 0.5)
+
     def test_interpolates_with_tiny_noise(self):
         x, z, y = toy_data(2, n=20)
         params = GpParams(signal_var=1.0, lengthscales=(0.5, 0.5, 0.5), noise_var=1e-8)

@@ -9,7 +9,7 @@ import pytest
 from reramopt import mesmo
 from reramopt.config import build_problem, load_config
 from reramopt.design_space import fidelity_grid
-from reramopt.gp import SampledFunction, fit, sample_function
+from reramopt.gp import GpConfig, GpParams, SampledFunction, fit, sample_function
 from reramopt.mesmo import (
     Budget,
     MesmoConfig,
@@ -333,6 +333,126 @@ def test_front_sampling_draws_are_pinned(monkeypatch):
     assert len(drawn) == 6
     data = b"".join(f.freqs.tobytes() + f.offset.tobytes() + f.weights.tobytes() for f in drawn)
     assert hashlib.sha256(data).hexdigest() == DRAWS_DIGEST
+
+
+def _unscreened_maximize(funcs, starts):
+    """_maximize before its float32 screen: the same ascent, then every start
+    and end evaluated in float64. The oracle for the screened maxima."""
+    freqs = np.stack([f.freqs for f in funcs])
+    offset = np.stack([f.offset for f in funcs])[:, None, :]
+    weights = np.stack([f.weights for f in funcs])[:, None, :]
+    freqs32 = np.stack([f.freqs32 for f in funcs])
+    freqs32_t = freqs32.transpose(0, 2, 1).copy()
+    offset32 = np.stack([f.offset32 for f in funcs])[:, None, :]
+    weights32 = np.stack([f.weights32 for f in funcs])[:, None, :]
+
+    def standardized(x):
+        return (np.cos(x @ freqs + offset) * weights).sum(axis=-1)
+
+    x = starts
+    m1 = np.zeros_like(x)
+    m2 = np.zeros_like(x)
+    for t in range(1, mesmo._STEPS + 1):
+        phi = (x - 0.5).astype(np.float32) @ freqs32
+        phi += offset32
+        np.sin(phi, out=phi)
+        phi *= weights32
+        grad = -(phi @ freqs32_t).astype(float)
+        m1 = 0.9 * m1 + 0.1 * grad
+        m2 = 0.999 * m2 + 0.001 * grad * grad
+        step = mesmo._LR * (m1 / (1.0 - 0.9**t)) / (np.sqrt(m2 / (1.0 - 0.999**t)) + 1e-8)
+        x = np.clip(x + step, 0.0, 1.0)
+    best = np.maximum(standardized(starts), standardized(x)).max(axis=1)
+    scale = np.array([f.y_std * f.feature_scale for f in funcs])
+    return np.array([f.y_mean for f in funcs]) + scale * best
+
+
+def _maximize_inputs(monkeypatch, models, n_samples, dim, seed):
+    """The draws and starts that sample_pareto_fronts hands _maximize."""
+    seen = []
+    real = mesmo._maximize
+    monkeypatch.setattr(mesmo, "_maximize", lambda funcs, starts: seen.append((funcs, starts)) or real(funcs, starts))
+    sample_pareto_fronts(models, n_samples, dim, seed)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def test_screened_maxima_equal_the_float64_evaluation_of_every_point(monkeypatch):
+    for seed, problem, models in _model_sets():
+        funcs, starts = _maximize_inputs(monkeypatch, models, 10, problem.dim, seed)
+        assert mesmo._maximize(funcs, starts).tobytes() == _unscreened_maximize(funcs, starts).tobytes(), (
+            problem.name,
+            seed,
+        )
+
+
+def _draw(freqs, offset, weights):
+    """A hand-made standardized draw: y_mean 0, y_std and feature_scale 1."""
+    return SampledFunction(
+        freqs=np.array(freqs, dtype=float),
+        offset=np.array(offset, dtype=float),
+        weights=np.array(weights, dtype=float),
+        feature_scale=1.0,
+        y_mean=0.0,
+        y_std=1.0,
+    )
+
+
+def _values32(f, x):
+    """The standardized draw at points x (n, d) by the screen's float32 formula."""
+    phi = (x - 0.5).astype(np.float32) @ f.freqs32 + f.offset32
+    return (np.cos(phi) @ f.weights32).astype(float)
+
+
+def _values64(f, x):
+    return np.cos(x @ f.freqs + f.offset) @ f.weights
+
+
+def _margin(f):
+    return mesmo._screen_margin(f.freqs[None], f.offset[None], f.weights[None])[0]
+
+
+def test_screen_keeps_a_near_tied_maximum_that_float32_misorders():
+    # s(x) = -cos(2x - 1) + 1e-12 sin(x - 1/2): the first term ties x = 0 and
+    # x = 1, the ascent stays at both, and x = 1 wins by 1e-12. Moving the
+    # first feature's float32 centred offset by -2.4e-6 raises the float32
+    # value at 0 and lowers it at 1 by 2.0e-6 each, about 0.8 E_b: inside
+    # the bound, yet more than E_b apart in all, so a screen at E_b rather
+    # than 2 E_b would drop x = 1.
+    f = _draw([[2.0, 1.0]], [-1.0, -0.5 - np.pi / 2], [-1.0, 1e-12])
+    object.__setattr__(f, "offset32", f.offset32 + np.float32([-2.4e-6, 0.0]))
+    x = np.array([[0.0], [1.0]])
+    v32, v64 = _values32(f, x), _values64(f, x)
+    assert v64[1] - v64[0] > 5e-13
+    assert np.all(np.abs(v32 - v64) < _margin(f))
+    assert v32[0] - v32[1] > _margin(f)
+    best = mesmo._maximize([f], x[None])
+    assert best[0] > v64[0] + 5e-13
+    assert best.tobytes() == _unscreened_maximize([f], x[None]).tobytes()
+
+
+def test_a_draw_past_the_measured_cos_range_is_scored_in_float64_everywhere():
+    wide = _draw([[7e4, 1.0]], [0.3, 0.1], [0.8, -0.5])
+    narrow = _draw([[2.0, 1.0]], [0.3, 0.1], [0.8, -0.5])
+    assert _margin(wide) == np.inf and np.isfinite(_margin(narrow))
+    starts = np.random.default_rng(0).random((2, 16, 1))
+    funcs = [wide, narrow]
+    assert mesmo._maximize(funcs, starts).tobytes() == _unscreened_maximize(funcs, starts).tobytes()
+
+
+def test_screen_margin_bounds_the_float32_error_of_real_draws():
+    # The shortest lengthscales give the largest arguments; d = 2, 4 and 6
+    # are the widths of branin, ReRAM and zdt1. The corners are included.
+    short = GpConfig().lengthscale_bounds[0]
+    for d in (2, 4, 6):
+        rng = np.random.default_rng(d)
+        x, z = rng.random((30, d)), rng.random(30)
+        params = GpParams(signal_var=1.7, lengthscales=(short,) * (d + 1), noise_var=1e-3)
+        model = fit(x, z, np.sin(6 * x).sum(axis=1) + z, optimize=False, init_params=params)
+        pts = np.vstack([rng.random((2000, d)), list(itertools.product((0.0, 1.0), repeat=d))])
+        for seed in range(10):
+            f = sample_function(model, seed=seed)
+            assert np.max(np.abs(_values32(f, pts) - _values64(f, pts))) <= _margin(f), (d, seed)
 
 
 def _thorough_maxima(funcs, rng):
