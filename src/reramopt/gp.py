@@ -169,9 +169,9 @@ def _lml_and_grad(log_theta: np.ndarray, xz: np.ndarray, y: np.ndarray):
     tmp = alpha[:, None] * alpha - k_inv
     grad = np.empty_like(log_theta)
     grad[0] = 0.5 * float((tmp * k).sum())
+    diff_sq = (scaled[:, None, :] - scaled[None, :, :]) ** 2
     for i in range(dims):
-        diff_sq = (scaled[:, i][:, None] - scaled[:, i][None, :]) ** 2
-        grad[1 + i] = 0.5 * float((tmp * (k * diff_sq)).sum())
+        grad[1 + i] = 0.5 * float((tmp * (k * diff_sq[:, :, i])).sum())
     grad[-1] = 0.5 * noise_var * float(tmp.trace())
     return -lml, -grad
 
