@@ -187,14 +187,14 @@ def _maximize(funcs: list[SampledFunction], starts: np.ndarray) -> np.ndarray:
     bounds |float32 value - float64 value| of draw b by E_b. A point more
     than 2 E_b below the draw's best float32 value is below that best point
     in float64 as well, so only the other points get a float64 value: the
-    batched matmul over all n rows, as before (a gathered one-row matmul
-    goes to gemv, whose bits can differ), then, on the kept rows only, the
-    same cosine, product and row sum. The maxima are bit-identical to
-    scoring every point in float64, whose cosines cost about 20 times the
-    float32 ones because numpy vectorizes only float32 cos. Per draw the
-    screen kept a median of 41% of the points (19-53% from the 10th to the
-    90th percentile) on three campaign-synth campaigns and 12% (3-28%) on
-    three campaign-reram ones.
+    batched matmul over all n rows of every draw (a gathered one-row
+    matmul would go to gemv, whose bits can differ from gemm's), then, on
+    the kept rows only, the cosine, product and row sum. The maxima are
+    bit-identical to scoring every point in float64, whose cosines cost
+    about 20 times the float32 ones because numpy vectorizes only float32
+    cos. Per draw the screen kept a median of 41% of the points (19-53%
+    from the 10th to the 90th percentile) on three campaign-synth
+    campaigns and 12% (3-28%) on three campaign-reram ones.
     """
     n_funcs, n = starts.shape[:2]
     freqs = np.stack([f.freqs for f in funcs])  # (B, d, m)
