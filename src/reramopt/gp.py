@@ -8,13 +8,14 @@ the log marginal likelihood with a multi-start L-BFGS search over log
 parameters. Posterior function draws use a random-Fourier-feature
 expansion of the kernel followed by Bayesian linear regression on the
 feature weights; the weight posterior is sampled exactly through
-Matheron's update so only n x n factorizations are ever needed. A finished
-draw is evaluated in float32 from end to end: the argument is centred at
-x = 1/2 with its offset reduced mod 2 pi in float64, the cosines and their
-weighted sum are float32, and only the final affine map to the target scale
-is float64. numpy vectorizes float32 cos but not float64, which costs about
-20x as much, and the rounding moves a draw by less than 1e-5 of its prior
-sd at d <= 6 even with every lengthscale at the 0.05 lower bound.
+Matheron's update so only n x n factorizations are ever needed.
+
+``_bounds``, ``_pack`` and ``_unpack`` own the hyperparameter layout,
+``_kernel`` and ``_gram`` the kernel and its gradient, ``_lml`` the
+likelihood. ``sample_function`` draws the spectral frequencies, maps the
+data to random features and folds z* into a draw; ``features32`` is the
+one float32 formula of a draw, with its error analysis.
+
 Factorizations and solves call LAPACK's dpotrf, dpotrs and dtrtrs
 directly, the routines behind scipy.linalg.cholesky, cho_solve and
 solve_triangular, so the results are bit-identical without the wrappers'
@@ -83,6 +84,29 @@ class CfGpModel:
     jitter: float
 
 
+def _bounds(config: GpConfig, dims: int) -> np.ndarray:
+    """Lower and upper bounds, (2, dims + 2), of the hyperparameter vector over
+    ``dims`` input columns, in its order: signal_var, lengthscales, noise_var."""
+    return np.array([config.signal_var_bounds, *[config.lengthscale_bounds] * dims, config.noise_var_bounds]).T
+
+
+def _pack(params: GpParams, dims: int) -> np.ndarray:
+    """``params`` as the vector of ``_bounds``, or a ValueError naming a bad field."""
+    if len(params.lengthscales) != dims:
+        got = len(params.lengthscales)
+        raise ValueError(f"lengthscales must hold {dims} values, one per column of [x, z], got {got}")
+    for name in ("signal_var", "lengthscales", "noise_var"):
+        value = np.asarray(getattr(params, name), dtype=float)
+        if not ((value > 0.0) & (value < np.inf)).all():
+            raise ValueError(f"{name} must be finite and positive, got {getattr(params, name)}")
+    return np.array([params.signal_var, *params.lengthscales, params.noise_var], dtype=float)
+
+
+def _unpack(log_theta: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """signal_var, lengthscales and noise_var from the log of a ``_pack`` vector."""
+    return math.exp(log_theta[0]), np.exp(log_theta[1:-1]), math.exp(log_theta[-1])
+
+
 def _se_kernel(a: np.ndarray, b: np.ndarray, signal_var: float) -> np.ndarray:
     """signal_var * exp(-|a_i - b_j|^2 / 2) over rows already divided by the
     lengthscales, built in one (len(a), len(b)) buffer.
@@ -106,6 +130,15 @@ def _kernel(u: np.ndarray, v: np.ndarray, params: GpParams) -> np.ndarray:
     ls = np.asarray(params.lengthscales)
     a = u / ls
     return _se_kernel(a, a if v is u else v / ls, params.signal_var)
+
+
+def _gram(xz: np.ndarray, signal_var: float, ls: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """K over the rows of ``xz`` and dK/dlog theta_p for each kernel
+    hyperparameter p in the order of ``_bounds``: signal_var, lengthscales."""
+    scaled = xz / ls
+    k = _se_kernel(scaled, scaled, signal_var)
+    diff_sq = (scaled.T[:, :, None] - scaled.T[:, None, :]) ** 2
+    return k, [k, *(k * d for d in diff_sq)]
 
 
 def _cholesky(a: np.ndarray) -> np.ndarray:
@@ -147,33 +180,27 @@ def _chol_with_jitter(k_noisy: np.ndarray) -> tuple[np.ndarray, float]:
     raise np.linalg.LinAlgError("kernel matrix not positive definite even with jitter")
 
 
-def _lml_and_grad(log_theta: np.ndarray, xz: np.ndarray, y: np.ndarray):
-    """Negative LML and gradient w.r.t. log(signal_var, lengthscales, noise_var)."""
-    n, dims = xz.shape
-    signal_var = math.exp(log_theta[0])
-    ls = np.exp(log_theta[1 : 1 + dims])
-    noise_var = math.exp(log_theta[-1])
+def _lml(low: np.ndarray, alpha: np.ndarray, y: np.ndarray) -> float:
+    """Log marginal likelihood of y from the Cholesky factor of its covariance C and C^-1 y."""
+    return -0.5 * float(y @ alpha) - float(np.log(low.diagonal()).sum()) - 0.5 * len(y) * _LOG_2PI
 
-    scaled = xz / ls
-    k = _se_kernel(scaled, scaled, signal_var)
-    eye = np.eye(n)
-    k_noisy = k + noise_var * eye
+
+def _lml_and_grad(log_theta: np.ndarray, xz: np.ndarray, y: np.ndarray):
+    """Negative LML and its gradient w.r.t. the log hyperparameters of ``_bounds``."""
+    signal_var, ls, noise_var = _unpack(log_theta)
+    k, k_grads = _gram(xz, signal_var, ls)
+    eye = np.eye(len(y))
     try:
-        low = _cholesky(k_noisy)
+        low = _cholesky(k + noise_var * eye)
     except np.linalg.LinAlgError:
         return np.inf, np.zeros_like(log_theta)
     alpha = _cho_solve(low, y)
-    lml = -0.5 * float(y @ alpha) - float(np.log(low.diagonal()).sum()) - 0.5 * n * _LOG_2PI
-
-    k_inv = _cho_solve(low, eye)
-    tmp = alpha[:, None] * alpha - k_inv
+    tmp = alpha[:, None] * alpha - _cho_solve(low, eye)
     grad = np.empty_like(log_theta)
-    grad[0] = 0.5 * float((tmp * k).sum())
-    diff_sq = (scaled[:, None, :] - scaled[None, :, :]) ** 2
-    for i in range(dims):
-        grad[1 + i] = 0.5 * float((tmp * (k * diff_sq[:, :, i])).sum())
-    grad[-1] = 0.5 * noise_var * float(tmp.trace())
-    return -lml, -grad
+    for p, dk in enumerate(k_grads):
+        grad[p] = 0.5 * float((tmp * dk).sum())
+    grad[-1] = 0.5 * noise_var * float(tmp.trace())  # dK/dlog noise_var = noise_var * I
+    return -_lml(low, alpha, y), -grad
 
 
 def fit(
@@ -190,8 +217,8 @@ def fit(
     constant target keeps std 1 and drives the signal variance to its
     lower bound, so degenerate data still fits). The search runs
     ``n_restarts`` L-BFGS starts: the provided/default parameters first,
-    then log-uniform draws within the bounds from ``default_rng(0)``, so a
-    fit is deterministic.
+    clipped into the bounds, then log-uniform draws within the bounds from
+    ``default_rng(0)``, so a fit is deterministic.
     """
     from scipy.optimize import minimize
 
@@ -213,32 +240,16 @@ def fit(
 
     if init_params is None:
         init_params = GpParams(1.0, (0.5,) * dims, 1e-2)
-    bounds_lo = np.array(
-        [config.signal_var_bounds[0]]
-        + [config.lengthscale_bounds[0]] * dims
-        + [config.noise_var_bounds[0]]
-    )
-    bounds_hi = np.array(
-        [config.signal_var_bounds[1]]
-        + [config.lengthscale_bounds[1]] * dims
-        + [config.noise_var_bounds[1]]
-    )
-    theta0 = np.log(
-        np.clip(
-            np.array([init_params.signal_var, *init_params.lengthscales, init_params.noise_var]),
-            bounds_lo,
-            bounds_hi,
-        )
-    )
-    log_bounds = list(zip(np.log(bounds_lo), np.log(bounds_hi)))
+    lo, hi = _bounds(config, dims)
+    theta = np.log(np.clip(_pack(init_params, dims), lo, hi))
 
     if optimize:
-        starts = [theta0]
+        log_lo, log_hi = np.log(lo), np.log(hi)
+        starts = [theta]
         rng = np.random.default_rng(0)
         for _ in range(config.n_restarts - 1):
-            u = rng.random(dims + 2)
-            starts.append(np.log(bounds_lo) + u * (np.log(bounds_hi) - np.log(bounds_lo)))
-        best_theta, best_val = None, np.inf
+            starts.append(log_lo + rng.random(len(lo)) * (log_hi - log_lo))
+        best_val = np.inf
         for start in starts:
             res = minimize(
                 _lml_and_grad,
@@ -246,24 +257,16 @@ def fit(
                 args=(xz, ys),
                 jac=True,
                 method="L-BFGS-B",
-                bounds=log_bounds,
+                bounds=list(zip(log_lo, log_hi)),
                 options={"maxiter": config.max_opt_iter},
             )
             if res.fun < best_val:
-                best_val, best_theta = res.fun, res.x
-        theta = best_theta
-    else:
-        theta = theta0
+                best_val, theta = res.fun, res.x
 
-    signal_var = math.exp(theta[0])
-    lengthscales = tuple(np.exp(theta[1 : 1 + dims]))
-    noise_var = math.exp(theta[-1])
-    params = GpParams(signal_var, lengthscales, noise_var)
-
-    k_noisy = _kernel(xz, xz, params) + noise_var * np.eye(len(xz))
-    low, jitter = _chol_with_jitter(k_noisy)
+    signal_var, ls, noise_var = _unpack(theta)
+    params = GpParams(signal_var, tuple(ls), noise_var)
+    low, jitter = _chol_with_jitter(_kernel(xz, xz, params) + noise_var * np.eye(len(xz)))
     alpha = _cho_solve(low, ys)
-    lml = -0.5 * float(ys @ alpha) - float(np.log(np.diag(low)).sum()) - 0.5 * len(ys) * _LOG_2PI
     return CfGpModel(
         xz=xz,
         y=y,
@@ -272,7 +275,7 @@ def fit(
         params=params,
         chol=low,
         alpha=alpha,
-        lml=lml,
+        lml=_lml(low, alpha, ys),
         jitter=jitter,
     )
 
@@ -300,22 +303,33 @@ def posterior(model: CfGpModel, x: np.ndarray, z) -> tuple[np.ndarray, np.ndarra
     return model.y_mean + model.y_std * mean, model.y_std * np.sqrt(var)
 
 
+def features32(x: np.ndarray, freqs32, offset32, trig, out=None) -> np.ndarray:
+    """trig(float32(x - 1/2) @ freqs32 + offset32): a draw's float32 features
+    at points x (..., n, d), written into ``out`` if given.
+
+    The argument is centred at x = 1/2 with offset32 = offset + freqs.sum(0)
+    / 2 reduced mod 2 pi in float64 before it is rounded, so every term
+    stays small; x - 1/2 is rounded after the float64 subtraction, the order
+    ``mesmo._screen_margin`` bounds. The cosines and their weighted sum are
+    float32, and only the final affine map is float64: numpy vectorizes
+    float32 cos and sin, not float64, which costs about 20x as much. Against
+    the float64 formula, with every lengthscale at the 0.05 bound, the
+    largest error over 100 draws x 2,000 points in [0, 1]^d was 3.4e-6 (d =
+    2), 3.7e-6 (d = 4) and 4.8e-6 (d = 6) of y_std * sqrt(signal_var), and
+    9.8e-6 at d = 6 without the centring.
+    """
+    phi = np.matmul((x - 0.5).astype(np.float32), freqs32, out=out)
+    phi += offset32
+    return trig(phi, out=phi)
+
+
 @dataclass(frozen=True)
 class SampledFunction:
     """One analytic draw of the highest-fidelity function g(., z*=1).
 
     g(x) = y_mean + y_std * feature_scale * cos(x @ freqs + offset) @ weights,
-    with the constant fidelity column z* folded into ``offset``. These
-    float64 fields define the draw. Evaluation runs in float32 on copies
-    made once per draw: the argument is centred at x = 1/2, as
-    (x - 1/2) @ freqs + offset', where offset' = offset + freqs.sum(0) / 2
-    is reduced mod 2 pi in float64 before it is rounded, so every term of the
-    argument stays small; the cosines and their weighted sum are float32,
-    and only the final affine map runs in float64. Against the float64
-    formula, with every lengthscale at the 0.05 bound, the largest error
-    over 100 draws x 2,000 points in [0, 1]^d was 4.0e-6 (d = 2), 4.6e-6
-    (d = 4) and 5.5e-6 (d = 6) of y_std * sqrt(signal_var), inside 1e-5.
-    Without the centring the d = 6 error was 9.8e-6.
+    with z* folded into ``offset``. These float64 fields define the draw; a
+    call evaluates it by ``features32`` on float32 copies made once per draw.
     """
 
     freqs: np.ndarray  # (d, m) design-dimension frequencies, C-contiguous
@@ -335,13 +349,8 @@ class SampledFunction:
         object.__setattr__(self, "weights32", self.weights.astype(np.float32))
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        u = np.array(x, dtype=np.float32, ndmin=2)
-        u -= 0.5
-        phi = u @ self.freqs32
-        phi += self.offset32
-        np.cos(phi, out=phi)
-        s = phi @ self.weights32
-        return self.y_mean + self.y_std * self.feature_scale * s.astype(float)
+        phi = features32(np.atleast_2d(np.asarray(x, dtype=float)), self.freqs32, self.offset32, np.cos)
+        return self.y_mean + self.y_std * self.feature_scale * (phi @ self.weights32).astype(float)
 
 
 def sample_function(model: CfGpModel, seed: int, n_features: int = 500) -> SampledFunction:

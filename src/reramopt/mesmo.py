@@ -40,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .design_space import fidelity_grid
-from .gp import CfGpModel, GpConfig, GpParams, SampledFunction, fit, posterior, sample_function
+from .gp import CfGpModel, GpConfig, GpParams, SampledFunction, features32, fit, posterior, sample_function
 from .objectives import MooProblem
 from .pareto import FrontSet, Nsga2Config, dominated_hypervolume, nsga2
 from .resna import TrainingDivergedError
@@ -177,24 +177,20 @@ def _maximize(funcs: list[SampledFunction], starts: np.ndarray) -> np.ndarray:
 
     The ascent climbs the standardized draw s(x) = cos(x @ freqs + offset)
     @ weights, whose gradient is -freqs @ (weights * sin(x @ freqs +
-    offset)), batched over the B functions. The gradient is computed on the
-    draws' centred float32 copies, as ``SampledFunction.__call__`` computes
-    values, because float64 sin is not vectorized; it only steers the
-    ascent.
+    offset)), batched over the B functions. It takes the sines from
+    ``gp.features32``, the float32 formula of ``SampledFunction.__call__``.
 
-    The n starts and n ends of draw b are then scored with the same centred
-    float32 formula, from u = float32(x - 1/2), and ``_screen_margin``
-    bounds |float32 value - float64 value| of draw b by E_b. A point more
-    than 2 E_b below the draw's best float32 value is below that best point
-    in float64 as well, so only the other points get a float64 value: the
-    batched matmul over all n rows of every draw (a gathered one-row
-    matmul would go to gemv, whose bits can differ from gemm's), then, on
-    the kept rows only, the cosine, product and row sum. The maxima are
-    bit-identical to scoring every point in float64, whose cosines cost
-    about 20 times the float32 ones because numpy vectorizes only float32
-    cos. Per draw the screen kept a median of 41% of the points (19-53%
-    from the 10th to the 90th percentile) on three campaign-synth
-    campaigns and 12% (3-28%) on three campaign-reram ones.
+    The n starts and n ends of draw b are then scored with its cosines, and
+    ``_screen_margin`` bounds |float32 value - float64 value| of draw b by
+    E_b. A point more than 2 E_b below the draw's best float32 value is
+    below that best point in float64 as well, so only the other points get
+    a float64 value: the batched matmul over all n rows of every draw (a
+    gathered one-row matmul would go to gemv, whose bits can differ from
+    gemm's), then, on the kept rows only, the cosine, product and row sum.
+    The maxima are bit-identical to scoring every point in float64. Per
+    draw the screen kept a median of 41% of the points (19-53% from the
+    10th to the 90th percentile) on three campaign-synth campaigns and 12%
+    (3-28%) on three campaign-reram ones.
     """
     n_funcs, n = starts.shape[:2]
     freqs = np.stack([f.freqs for f in funcs])  # (B, d, m)
@@ -206,16 +202,11 @@ def _maximize(funcs: list[SampledFunction], starts: np.ndarray) -> np.ndarray:
     weights32 = np.stack([f.weights32 for f in funcs])
     work = np.empty((n_funcs, n, freqs.shape[2]), dtype=np.float32)
 
-    def features32(x, trig):
-        np.matmul((x - 0.5).astype(np.float32), freqs32, out=work)
-        np.add(work, offset32, out=work)
-        return trig(work, out=work)
-
     x = starts
     m1 = np.zeros_like(x)
     m2 = np.zeros_like(x)
     for t in range(1, _STEPS + 1):
-        phi = features32(x, np.sin)
+        phi = features32(x, freqs32, offset32, np.sin, work)
         phi *= weights32[:, None, :]
         grad = -(phi @ freqs32_t).astype(float)
         m1 = 0.9 * m1 + 0.1 * grad
@@ -224,7 +215,7 @@ def _maximize(funcs: list[SampledFunction], starts: np.ndarray) -> np.ndarray:
         x = np.clip(x + step, 0.0, 1.0)
 
     points = (starts, x)
-    fast = [(features32(p, np.cos) @ weights32[:, :, None])[..., 0] for p in points]
+    fast = [(features32(p, freqs32, offset32, np.cos, work) @ weights32[:, :, None])[..., 0] for p in points]
     floor = np.maximum(fast[0].max(axis=1), fast[1].max(axis=1))
     floor -= 2.0 * _screen_margin(freqs, offset, weights)
     best = np.full(n_funcs, -np.inf)

@@ -164,6 +164,43 @@ class TestFit:
             np.testing.assert_array_equal(_cho_solve(low, rhs), cho_solve((low, True), rhs))
 
 
+    @pytest.mark.parametrize("optimize", [True, False])
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_init_params_need_one_lengthscale_per_input_column(self, count, optimize):
+        x, z, y = toy_data(3, n=8)
+        params = GpParams(signal_var=1.0, lengthscales=(0.5,) * count, noise_var=1e-2)
+        with pytest.raises(ValueError, match=f"^lengthscales must hold 3 values, .* got {count}$"):
+            fit(x, z, y, optimize=optimize, init_params=params)
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.5])
+    @pytest.mark.parametrize("name", ["signal_var", "lengthscales", "noise_var"])
+    def test_non_finite_or_non_positive_init_params_are_rejected_by_name(self, name, bad, optimize):
+        x, z, y = toy_data(3, n=8)
+        fields = {"signal_var": 1.0, "lengthscales": (0.5, 0.5, 0.5), "noise_var": 1e-2}
+        fields[name] = (0.5, bad, 0.5) if name == "lengthscales" else bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
+            fit(x, z, y, optimize=optimize, init_params=GpParams(**fields))
+
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    def test_gradient_equals_central_differences_of_the_likelihood(self, d):
+        # An independent check of the gradient formulas, which
+        # _reference_lml_and_grad repeats. Central differences with step 1e-5
+        # in log theta agree to about 5e-8 of max(1, |gradient|) here; a wrong
+        # term is off by O(1).
+        rng = np.random.default_rng(d)
+        x, z = rng.random((25, d)), rng.random(25)
+        y = np.sin(3 * x).sum(axis=1) + 0.3 * z
+        xz = np.hstack([x, z[:, None]])
+        ys = (y - y.mean()) / y.std()
+        h = 1e-5
+        for _ in range(5):
+            log_theta = np.log(np.r_[rng.uniform(0.05, 20.0), rng.uniform(0.05, 2.0, d + 1), rng.uniform(1e-3, 0.1)])
+            _, grad = _lml_and_grad(log_theta, xz, ys)
+            for p, step in enumerate(h * np.eye(len(log_theta))):
+                upper, lower = _lml_and_grad(log_theta + step, xz, ys)[0], _lml_and_grad(log_theta - step, xz, ys)[0]
+                assert abs((upper - lower) / (2 * h) - grad[p]) <= 1e-6 * max(1.0, abs(grad[p])), (d, p)
+
     @pytest.mark.parametrize("n", [2, 13, 40])
     def test_likelihood_and_gradient_equal_the_reference_bit_for_bit(self, n):
         x, z, y = toy_data(n, n=n)

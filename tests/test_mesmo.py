@@ -455,6 +455,25 @@ def test_screen_margin_bounds_the_float32_error_of_real_draws():
             assert np.max(np.abs(_values32(f, pts) - _values64(f, pts))) <= _margin(f), (d, seed)
 
 
+def test_a_draw_evaluates_the_screens_float32_formula_bit_for_bit():
+    # SampledFunction.__call__ picks the ascent starts and _maximize screens
+    # with the same float32 formula, whose error _screen_margin bounds:
+    # float32(x - 1/2), not float32(x) - 1/2. Points below 1/4 are where the
+    # two orders round differently most often.
+    short = GpConfig().lengthscale_bounds[0]
+    for d in (2, 4, 6):
+        rng = np.random.default_rng(d)
+        x, z = rng.random((30, d)), rng.random(30)
+        params = GpParams(signal_var=1.7, lengthscales=(short,) * (d + 1), noise_var=1e-3)
+        model = fit(x, z, np.sin(6 * x).sum(axis=1) + z, optimize=False, init_params=params)
+        corners = list(itertools.product((0.0, 1.0), repeat=d))
+        pts = np.vstack([rng.random((1000, d)), rng.random((1000, d)) / 4, corners])
+        for seed in range(5):
+            f = sample_function(model, seed=seed)
+            expected = f.y_mean + f.y_std * f.feature_scale * _values32(f, pts)
+            assert f(pts).tobytes() == expected.tobytes(), (d, seed)
+
+
 def _thorough_maxima(funcs, rng):
     """Reference maxima of sampled functions, one per function.
 
