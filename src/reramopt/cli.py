@@ -64,7 +64,7 @@ def _trace_csv(result: CampaignResult, problem: MooProblem, space, hash_: str) -
         vals += list(row.x)
         if space is not None:
             vals += _design_fields(space, row.x)
-        vals += list(row.z)
+        vals += list(problem.fidelity_vector(row.z))
         vals += list(row.y) if row.y is not None else [""] * k
         vals += [row.cost, row.cum_cost, row.hypervolume, row.ok]
         lines.append(",".join(_fmt(v) if v != "" else "" for v in vals))
@@ -137,16 +137,12 @@ def _aggregate_csv(results: list[CampaignResult], budget: float, hash_: str) -> 
     return lines
 
 
-def _fidelity_csv(
-    results: list[CampaignResult], problem: MooProblem, hash_: str
-) -> list[str]:
-    bearing = [j for j, b in enumerate(problem.fidelity_mask) if b]
+def _fidelity_csv(results: list[CampaignResult], hash_: str) -> list[str]:
     lines = [f"# config_hash={hash_} seed=all", "seed,iteration,mean_fidelity"]
     for result in results:
         opt_rows = [r for r in result.trace if r.phase == "opt"]
         for i, row in enumerate(opt_rows):
-            zbar = float(np.mean([row.z[j] for j in bearing])) if bearing else 1.0
-            lines.append(",".join(_fmt(v) for v in (result.seed, i, zbar)))
+            lines.append(",".join(_fmt(v) for v in (result.seed, i, row.z)))
     return lines
 
 
@@ -208,7 +204,7 @@ def run_campaign(cfg: cfgmod.CampaignConfig, out_dir: Path) -> int:
         )
     if results:
         _write_lines(out_dir / "hv_vs_cost.csv", _aggregate_csv(results, cfg.budget.total_cost, hash_))
-        _write_lines(out_dir / "fidelity_trace.csv", _fidelity_csv(results, problem, hash_))
+        _write_lines(out_dir / "fidelity_trace.csv", _fidelity_csv(results, hash_))
     if failed:
         print(f"campaign failed for seeds {failed}", file=sys.stderr)
         return 1
@@ -281,22 +277,15 @@ def _cmd_evaluate(args) -> int:
         if not np.all((x >= 0.0) & (x <= 1.0)):
             print("--x values must lie in [0, 1]", file=sys.stderr)
             return 1
-    z_vals = [float(v) for v in args.z.split(",")]
-    if len(z_vals) == 1:
-        z = np.where(problem.fidelity_mask, z_vals[0], 1.0)
-    elif len(z_vals) == problem.n_obj:
-        z = np.array(z_vals)
-    else:
-        print(f"--z needs 1 or {problem.n_obj} values", file=sys.stderr)
-        return 1
-    if not np.all((z >= 0.0) & (z <= 1.0)):
+    if not 0.0 <= args.z <= 1.0:
         print("--z values must lie in [0, 1]", file=sys.stderr)
         return 1
+    z = problem.fidelity_vector(args.z)
     rng = np.random.default_rng(args.seed)
     y = problem.evaluate(x, z, rng)
     print(
         json.dumps(
-            {"y": [float(v) for v in y], "cost": problem.cost(x, z), "z": [float(v) for v in z]},
+            {"y": [float(v) for v in y], "cost": problem.cost(args.z), "z": [float(v) for v in z]},
             sort_keys=True,
         )
     )
@@ -411,7 +400,7 @@ def main(argv=None) -> int:
     p_eval.add_argument("--config")
     _add_design_flags(p_eval)
     p_eval.add_argument("--x", help="comma-separated coordinates for synthetic problems")
-    p_eval.add_argument("--z", default="1.0")
+    p_eval.add_argument("--z", type=float, default=1.0, help="fidelity level in [0, 1]")
     p_eval.add_argument("--seed", type=_seed, default=0)
     p_eval.set_defaults(func=_cmd_evaluate)
 

@@ -226,8 +226,9 @@ def _unit_to_ordinal(value: float, levels: int) -> int:
 def fidelity_grid(n_levels: int) -> np.ndarray:
     """Evenly spaced fidelity levels in [0,1]; the top level is exactly 1.0.
 
-    Fidelity vectors themselves are plain float arrays with one entry per
-    objective (z_j = 1 is the highest fidelity for objective j).
+    An evaluation's fidelity is one of these levels, a plain float shared
+    by the fidelity-bearing objectives (``MooProblem.fidelity_vector``);
+    z = 1 is the highest fidelity.
     """
     if n_levels < 1:
         raise ValueError("need at least one fidelity level")

@@ -2,13 +2,15 @@
 
 Each iteration samples S highest-fidelity Pareto fronts from the
 surrogates, as the per-objective maxima of posterior function draws found
-by direct search, then picks the (design, fidelity) pair maximizing
+by direct search, then picks the (design, fidelity level) pair maximizing
 
-    alpha(x, z) = sum_j sum_s [ g*phi(g)/(2*Phi(g)) - ln Phi(g) ] / (C(x,z)*S)
+    alpha(x, z) = sum_j sum_s [ g*phi(g)/(2*Phi(g)) - ln Phi(g) ] / (C(z)*S)
 
 with g = (f_s^{j*} - mu_j(x, z_j)) / sigma_j(x, z_j): the expected entropy
 reduction of the front's per-objective maxima per unit normalized cost.
-The bracket h(g) is non-increasing, so sum_j h(g_min,j) / C(x,z), with
+The level z is one float; z_j is z for a fidelity-bearing objective and 1
+for the others (``MooProblem.fidelity_vector``).
+The bracket h(g) is non-increasing, so sum_j h(g_min,j) / C(z), with
 g_min,j taken at min_s f_s^{j*}, bounds alpha from above. ``select_next``
 scores in full only the pairs whose bound reaches within a relative 1e-9
 of the best exact value of the 64 pairs with the largest bounds, and
@@ -19,7 +21,7 @@ ascent starts and ends are scored on its float32 copy, and only the points
 within twice a proven bound on the float32 error of the draw's best get a
 float64 value, so every maximum is the one a float64 pass over all points
 gives.
-The same loop with the fidelity pinned to z* is the single-fidelity
+The same loop with the fidelity pinned to 1 is the single-fidelity
 baseline; the random-search and NSGA-II baselines share the bookkeeping.
 
 The outer loop is sequential by nature; within an iteration every random
@@ -116,7 +118,7 @@ class TraceRow:
     iteration: int
     phase: str  # "init" or "opt"
     x: np.ndarray
-    z: np.ndarray
+    z: float  # fidelity level
     y: np.ndarray | None
     cost: float
     cum_cost: float
@@ -290,13 +292,6 @@ def _screen_margin(freqs: np.ndarray, offset: np.ndarray, weights: np.ndarray) -
 _SIGMA_FLOOR = 1e-9
 
 
-def fidelity_vectors(problem: MooProblem, levels: np.ndarray) -> np.ndarray:
-    """Grid of fidelity vectors: one shared level for the fidelity-bearing
-    objectives, non-bearing objectives pinned at z*=1."""
-    mask = np.asarray(problem.fidelity_mask)
-    return np.where(mask[None, :], levels[:, None], 1.0)
-
-
 # select_next scores exactly the _PROBE pairs with the largest bounds, then
 # every pair whose bound reaches within _MARGIN of the best of those, less
 # _TINY for subnormal values. Below _GAMMA_LO, entropy_term rounds by more
@@ -312,16 +307,17 @@ def select_next(
     fidelity_levels: int = 10,
     seed=0,
     single_fidelity: bool = False,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Arg-max of the acquisition over a candidate pool x fidelity grid.
+) -> tuple[np.ndarray, float]:
+    """Arg-max of the acquisition over a candidate pool x fidelity grid:
+    the picked design and its fidelity level.
 
     ``front_maxima`` is the (S, k) output of ``sample_pareto_fronts``: it
     must be finite, with S >= 1 and k == len(models) == problem.n_obj.
-    The pool is ``default_rng(seed).random((pool, dim))``. The grid is
-    ``fidelity_grid(fidelity_levels)``, or z* alone with
-    ``single_fidelity``: shared fidelity values for the bearing objectives,
-    everything else pinned at z*. Posteriors are evaluated once per
-    (candidate, level, objective).
+    The pool is ``default_rng(seed).random((pool, dim))``. The levels are
+    ``fidelity_grid(fidelity_levels)``, or 1 alone with ``single_fidelity``
+    or when no objective bears fidelity, and ``problem.cost`` gives their
+    costs. A fidelity-bearing objective's posterior is evaluated once per
+    (candidate, level), any other objective's once per candidate, at 1.
 
     Only the pairs that can win are scored in full. ``entropy_term`` is
     non-increasing, so with gamma_min_j = (min_s f*_sj - mu_j) / sigma_j
@@ -354,21 +350,20 @@ def select_next(
         raise ValueError("front_maxima must hold at least one sample, all finite")
     rng = np.random.default_rng(seed)
     candidates = rng.random((pool, problem.dim))
-    levels = fidelity_grid(1 if single_fidelity else fidelity_levels)
-    z_grid = fidelity_vectors(problem, levels)  # (L, k)
-    grid_costs = np.array([problem.cost(candidates[0], zv) for zv in z_grid])
+    levels = fidelity_grid(1 if single_fidelity or not any(problem.fidelity_mask) else fidelity_levels)
+    grid_costs = np.array([problem.cost(z) for z in levels])
     n_l, n_s = len(levels), len(front_maxima)
 
     # Per objective: posterior at (candidate, own level), shape (pool, L_j),
-    # and the level column of each grid row.
+    # and the column of each grid level.
     posts = []
     bound = np.zeros((pool, n_l))
-    for j, model in enumerate(models):
-        lv = np.unique(z_grid[:, j])
+    for j, (model, bearing) in enumerate(zip(models, problem.fidelity_mask)):
+        lv = levels if bearing else np.ones(1)
         mu, sigma = posterior(model, np.repeat(candidates, len(lv), axis=0), np.tile(lv, pool))
         mu = mu.reshape(pool, len(lv))
         sigma = np.maximum(sigma, _SIGMA_FLOOR).reshape(pool, len(lv))
-        col_of = np.searchsorted(lv, z_grid[:, j])
+        col_of = np.arange(n_l) if bearing else np.zeros(n_l, dtype=int)
         g_min = (front_maxima[:, j].min() - mu) / sigma
         bound += np.where(g_min < _GAMMA_LO, np.inf, entropy_term(g_min))[:, col_of]
         posts.append((mu, sigma, col_of))
@@ -389,12 +384,12 @@ def select_next(
     alpha = exact(live)
     cand, lvl = np.divmod(live[alpha == alpha.max()], n_l)
     pick = np.lexsort((lvl, cand, grid_costs[lvl]))[0]
-    return candidates[cand[pick]], z_grid[lvl[pick]]
+    return candidates[cand[pick]], float(levels[lvl[pick]])
 
 
-def _fit_models(history_x, history_z, history_y, gp: GpConfig, warm, optimize: bool):
+def _fit_models(problem: MooProblem, history_x, history_z, history_y, gp: GpConfig, warm, optimize: bool):
     x = np.asarray(history_x)
-    z = np.asarray(history_z)
+    z = problem.fidelity_vector(np.asarray(history_z)[:, None])
     y = np.asarray(history_y)
     models = []
     for j in range(y.shape[1]):
@@ -406,30 +401,29 @@ def _fit_models(history_x, history_z, history_y, gp: GpConfig, warm, optimize: b
 
 
 def nsga2_evaluations(problem: MooProblem, budget: Budget) -> int:
-    """How many z* evaluations the budget buys NSGA-II.
+    """How many highest-fidelity evaluations the budget buys NSGA-II.
 
     Below two populations' worth, NSGA-II runs 0 generations and is
     random search.
     """
-    return int(budget.total_cost // problem.cost(np.zeros(problem.dim), problem.z_star()))
+    return int(budget.total_cost // problem.cost(1.0))
 
 
 def _run_nsga2(problem: MooProblem, budget: Budget, seed: int, cfg: Nsga2Config) -> CampaignResult:
     """Outer NSGA-II baseline: generations sized to the evaluation budget.
 
-    Every individual is evaluated at z* and recorded in evaluation order,
+    Every individual is evaluated at z=1 and recorded in evaluation order,
     so hypervolume-vs-cost curves are comparable with the other
     optimizers. A diverged evaluation enters selection at the reference
     point. A budget below two populations buys one initial population of
     ``max_evals`` rows and no generation, so it is spent in full on random
     search.
     """
-    z_star = problem.z_star()
     max_evals = nsga2_evaluations(problem, budget)
     ledger = _Ledger(problem, seed)
 
     def evaluate(x: np.ndarray) -> np.ndarray:
-        y = ledger.evaluate(x, z_star, _TAG_NSGA_EVAL, len(ledger.trace), "opt")
+        y = ledger.evaluate(x, 1.0, _TAG_NSGA_EVAL, len(ledger.trace), "opt")
         return problem.hv_ref if y is None else y
 
     if max_evals > 0:
@@ -451,36 +445,32 @@ class _Ledger:
     def __init__(self, problem: MooProblem, seed: int):
         self.problem = problem
         self.seed = seed
-        self.bearing = [j for j, b in enumerate(problem.fidelity_mask) if b]
         self.trace: list[TraceRow] = []
         self.hist_x, self.hist_z, self.hist_y = [], [], []
         self.star_x, self.star_y = [], []
         self.cum = 0.0
 
-    def at_top(self, z) -> bool:
-        """True when every fidelity-bearing objective is at its highest fidelity."""
-        return all(z[j] >= 1.0 for j in self.bearing)
-
-    def evaluate(self, x, z, tag: int, index: int, phase: str) -> np.ndarray | None:
-        """Evaluate (x, z) on substream (seed, tag, index) and record the row.
+    def evaluate(self, x, z: float, tag: int, index: int, phase: str) -> np.ndarray | None:
+        """Evaluate design x at fidelity level z on substream (seed, tag,
+        index) and record the row; level 1 points join the front.
 
         Diverged training is recorded as a failed row and returns None;
         any other exception from the problem propagates.
         """
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, tag, index]))
-        cost = self.problem.cost(x, z)
+        cost = self.problem.cost(z)
         try:
-            y = np.asarray(self.problem.evaluate(x, z, rng), dtype=float)
+            y = np.asarray(self.problem.evaluate(x, self.problem.fidelity_vector(z), rng), dtype=float)
         except TrainingDivergedError:
             y = None
         x = np.asarray(x, dtype=float)
-        z = np.asarray(z, dtype=float)
+        z = float(z)
         self.cum += cost
         if y is not None:
             self.hist_x.append(x)
             self.hist_z.append(z)
             self.hist_y.append(y)
-            if self.at_top(z):
+            if z >= 1.0:
                 self.star_x.append(x)
                 self.star_y.append(y)
         hv = 0.0
@@ -526,8 +516,8 @@ def search(
     """One campaign of ``optimizer`` on ``problem`` from ``seed``.
 
     ``cf-mesmo`` picks (design, fidelity) pairs by entropy gain per unit
-    cost; ``mesmo`` is the same loop with every evaluation at z*;
-    ``random`` draws uniform designs at z*; ``nsga2`` runs the outer
+    cost; ``mesmo`` is the same loop with every evaluation at z=1;
+    ``random`` draws uniform designs at z=1; ``nsga2`` runs the outer
     NSGA-II baseline with the ``operators``. ``cfg`` and ``gp`` drive the
     surrogate loop.
     """
@@ -535,11 +525,10 @@ def search(
         return _run_nsga2(problem, budget, seed, operators)
     if optimizer not in ("cf-mesmo", "mesmo", "random"):
         raise ValueError(f"unknown optimizer {optimizer!r}")
-    z_star = problem.z_star()
     ledger = _Ledger(problem, seed)
     init_rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_INIT]))
     for i in range(cfg.n_init):
-        ledger.evaluate(init_rng.random(problem.dim), z_star, _TAG_INIT, i, "init")
+        ledger.evaluate(init_rng.random(problem.dim), 1.0, _TAG_INIT, i, "init")
 
     truncated = ledger.cum > budget.total_cost
     converged = False
@@ -554,13 +543,13 @@ def search(
         and not converged
     ):
         if optimizer == "random":
-            x, z = sel_rng.random(problem.dim), z_star
+            x, z = sel_rng.random(problem.dim), 1.0
         elif len(ledger.hist_y) < 2:
             break
         else:
             optimize_hypers = warm is None or (t % cfg.gp_refit_every == 0)
             models = _fit_models(
-                ledger.hist_x, ledger.hist_z, ledger.hist_y, gp, warm, optimize_hypers
+                problem, ledger.hist_x, ledger.hist_z, ledger.hist_y, gp, warm, optimize_hypers
             )
             warm = [m.params for m in models]
             front_maxima = sample_pareto_fronts(
@@ -583,7 +572,7 @@ def search(
         # The front only moves on highest-fidelity evaluations, so the
         # convergence window advances on those alone; cheap evaluations
         # must not be mistaken for stagnation.
-        if ledger.at_top(z):
+        if z >= 1.0:
             hv_series.append(ledger.trace[-1].hypervolume)
             converged = _has_converged(hv_series, budget)
         t += 1

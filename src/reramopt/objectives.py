@@ -3,6 +3,8 @@
 The ReRAM problem evaluates four objectives over (design, fidelity):
 noisy-inference accuracy from the crossbar trainer (fidelity = training
 epochs) and three analytic hardware metrics (area, latency, energy).
+An evaluation has one fidelity level z in [0,1]: the fidelity-bearing
+objectives, here the accuracy, run at z and the others at 1.
 Everything is oriented for maximization, so the hardware metrics enter
 the objective vector negated; the hw_* functions themselves return raw
 positive quantities.
@@ -145,12 +147,16 @@ def hw_energy(design: ReramDesign, network: NetworkSpec, params: HwCostParams = 
 
 @dataclass(frozen=True)
 class MooProblem:
-    """A maximization problem over [0,1]^dim with per-objective fidelities.
+    """A maximization problem over designs in [0,1]^dim and one fidelity
+    level z in [0,1] per evaluation.
 
-    ``evaluate(x, z, rng)`` returns the objective vector at design x and
-    fidelity vector z; ``cost_ratio(j, z)`` is C_j(x,z)/C_j(x,z*) (our cost
-    models do not depend on x), so the normalized evaluation cost is their
-    sum and equals n_obj at the highest fidelities.
+    An evaluation runs the fidelity-bearing objectives (``fidelity_mask``)
+    at level z and every other objective at its only fidelity, 1;
+    ``fidelity_vector(z)`` spells that out per objective, the form
+    ``evaluate(x, z_vector, rng)`` takes. ``fidelity_cost(z)`` is
+    C_j(z)/C_j(1) of a fidelity-bearing objective (our cost models do not
+    depend on x), and ``cost(z)`` is the normalized evaluation cost: the
+    sum over objectives of their cost ratios, n_obj at z=1.
     """
 
     name: str
@@ -159,14 +165,18 @@ class MooProblem:
     fidelity_mask: tuple[bool, ...]
     hv_ref: np.ndarray
     evaluate: Callable[[np.ndarray, np.ndarray, np.random.Generator], np.ndarray]
-    cost_ratio: Callable[[int, np.ndarray], np.ndarray]
+    fidelity_cost: Callable[[float], float]
 
-    def cost(self, x: np.ndarray, z: np.ndarray) -> float:
-        z = np.asarray(z, dtype=float)
-        return float(sum(self.cost_ratio(j, z[j]) for j in range(self.n_obj)))
+    def fidelity_vector(self, z) -> np.ndarray:
+        """Per-objective fidelities of an evaluation at level z: z for the
+        fidelity-bearing objectives, 1 for the others. A column of n levels
+        gives an (n, n_obj) array."""
+        return np.where(self.fidelity_mask, z, 1.0)
 
-    def z_star(self) -> np.ndarray:
-        return np.ones(self.n_obj)
+    def cost(self, z: float) -> float:
+        """Normalized cost of an evaluation at level z, summed in objective order."""
+        ratio = self.fidelity_cost(z)
+        return float(sum(ratio if bearing else 1.0 for bearing in self.fidelity_mask))
 
 
 def reram_problem(
@@ -180,8 +190,8 @@ def reram_problem(
     Objective 1 is the mean noisy-inference accuracy over ``mlp.infer_runs``
     (fidelity-bearing: epochs run from min_epochs at z=0 to max_epochs at
     z=1, so its cost ratio is epochs/max_epochs). Objectives 2-4 are the
-    negated analytic hardware metrics, evaluated only at their highest
-    fidelity with cost ratio 1. The dataset is built once per problem so
+    negated analytic hardware metrics, which have one fidelity and cost
+    ratio 1. The dataset is built once per problem so
     every design trains on the same task.
     """
     dataset = make_dataset(mlp)
@@ -203,10 +213,8 @@ def reram_problem(
         )
         return np.concatenate([[float(np.mean(accs))], _hw_vector(design)])
 
-    def cost_ratio(j: int, z) -> np.ndarray:
-        if j == 0:
-            return epochs_for_fidelity(float(z), mlp.min_epochs, mlp.max_epochs) / mlp.max_epochs
-        return np.ones_like(np.asarray(z, dtype=float))
+    def fidelity_cost(z: float) -> float:
+        return epochs_for_fidelity(float(z), mlp.min_epochs, mlp.max_epochs) / mlp.max_epochs
 
     # Reference point: strictly dominated by any reachable evaluation
     # (accuracy >= 0; hardware metrics bounded by the worst corner, and
@@ -223,7 +231,7 @@ def reram_problem(
         fidelity_mask=(True, False, False, False),
         hv_ref=hv_ref,
         evaluate=evaluate,
-        cost_ratio=cost_ratio,
+        fidelity_cost=fidelity_cost,
     )
 
 
@@ -260,8 +268,7 @@ def synthetic_cf_problem(name: str) -> MooProblem:
     raise ValueError(f"unknown synthetic problem {name!r}")
 
 
-def _synth_cost_ratio(j: int, z) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
+def _synth_fidelity_cost(z: float) -> float:
     return (_SYNTH_COST_C0 + _SYNTH_COST_C1 * z) / (_SYNTH_COST_C0 + _SYNTH_COST_C1)
 
 
@@ -281,7 +288,7 @@ def _cf_problem(name: str, dim: int, f_true, bias, hv_ref) -> MooProblem:
         fidelity_mask=(True, True),
         hv_ref=hv_ref,
         evaluate=evaluate,
-        cost_ratio=_synth_cost_ratio,
+        fidelity_cost=_synth_fidelity_cost,
     )
 
 

@@ -151,7 +151,7 @@ def test_noise_hist_leaves_disabled_sources_at_zero(tmp_path, capsys):
         (["--x", "3,-2"], "--x values must lie in [0, 1]"),
         (["--x", "0.5,nan"], "--x values must lie in [0, 1]"),
         (["--x", "0.5,0.5", "--z", "1.7"], "--z values must lie in [0, 1]"),
-        (["--x", "0.5,0.5", "--z", "0.5,-0.1"], "--z values must lie in [0, 1]"),
+        (["--x", "0.5,0.5", "--z", "nan"], "--z values must lie in [0, 1]"),
     ],
 )
 def test_evaluate_rejects_inputs_off_the_unit_box(flags, message, capsys):
@@ -161,10 +161,20 @@ def test_evaluate_rejects_inputs_off_the_unit_box(flags, message, capsys):
     assert out == "" and err.strip() == message
 
 
+def test_evaluate_rejects_a_list_of_fidelities_as_a_usage_error(capsys):
+    # An evaluation has one fidelity level, shared by both branin objectives.
+    config = str(GOLDEN / "configs" / "branin.yaml")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["evaluate", "--config", config, "--x", "0.5,0.5", "--z", "0.5,1"])
+    out, err = capsys.readouterr()
+    assert exit_.value.code == 2 and out == "" and "--z" in err
+
+
 def test_evaluate_accepts_the_unit_box_corners(capsys):
     config = str(GOLDEN / "configs" / "branin.yaml")
-    assert cli.main(["evaluate", "--config", config, "--x", "0,1", "--z", "0,1"]) == 0
-    assert json.loads(capsys.readouterr().out)["z"] == [0.0, 1.0]
+    for z in (0.0, 1.0):
+        assert cli.main(["evaluate", "--config", config, "--x", "0,1", "--z", repr(z)]) == 0
+        assert json.loads(capsys.readouterr().out)["z"] == [z, z]
 
 
 @pytest.mark.parametrize(

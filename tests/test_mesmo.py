@@ -14,7 +14,6 @@ from reramopt.mesmo import (
     Budget,
     MesmoConfig,
     entropy_term,
-    fidelity_vectors,
     sample_pareto_fronts,
     search,
     select_next,
@@ -44,7 +43,7 @@ def test_one_fidelity_level_evaluates_at_the_top():
     result = search(problem, Budget(total_cost=100.0, max_iterations=3), 0, "cf-mesmo", cfg)
     opt = [row for row in result.trace if row.phase == "opt"]
     assert len(opt) == 3
-    assert all(np.array_equal(row.z, problem.z_star()) for row in opt)
+    assert all(row.z == 1.0 for row in opt)
 
 
 def test_zero_refit_cadence_is_rejected_before_the_campaign_runs():
@@ -103,7 +102,7 @@ def _seeded_models(seed: int, cfg: MesmoConfig = MesmoConfig(), problem=None):
     rng = np.random.default_rng(seed)
     x = rng.random((15, problem.dim))
     levels = np.concatenate([np.ones(5), rng.choice(fidelity_grid(cfg.fidelity_levels), 10)])
-    z = fidelity_vectors(problem, levels)
+    z = problem.fidelity_vector(levels[:, None])
     y = np.stack([problem.evaluate(xi, zi, rng) for xi, zi in zip(x, z)])
     models = [fit(x, z[:, j], y[:, j]) for j in range(problem.n_obj)]
     return problem, models
@@ -140,7 +139,7 @@ def test_default_pick_is_pinned(seed):
     x, z = select_next(
         models, maxima, problem, pool=cfg.pool_size, fidelity_levels=cfg.fidelity_levels, seed=seed
     )
-    assert (tuple(x), tuple(z)) == PINNED_PICKS[seed]
+    assert (tuple(x), tuple(problem.fidelity_vector(z))) == PINNED_PICKS[seed]
 
 
 def _full_grid_pick(models, front_maxima, problem, pool, fidelity_levels=10, seed=0, single_fidelity=False):
@@ -148,8 +147,8 @@ def _full_grid_pick(models, front_maxima, problem, pool, fidelity_levels=10, see
     oracle for its bound-pruned search."""
     candidates = np.random.default_rng(seed).random((pool, problem.dim))
     levels = fidelity_grid(1 if single_fidelity else fidelity_levels)
-    z_grid = fidelity_vectors(problem, levels)
-    grid_costs = np.array([problem.cost(candidates[0], zv) for zv in z_grid])
+    z_grid = problem.fidelity_vector(levels[:, None])
+    grid_costs = np.array([problem.cost(z) for z in levels])
     gains = np.zeros((pool, len(levels)))
     for j, model in enumerate(models):
         lv = np.unique(z_grid[:, j])
@@ -161,7 +160,7 @@ def _full_grid_pick(models, front_maxima, problem, pool, fidelity_levels=10, see
     alpha = gains / (grid_costs[None, :] * len(front_maxima))
     tied = np.argwhere(alpha == alpha.max())
     pick, level = tied[np.lexsort((tied[:, 1], tied[:, 0], grid_costs[tied[:, 1]]))[0]]
-    return candidates[pick], z_grid[level]
+    return candidates[pick], float(levels[level])
 
 
 def _model_sets(seeds=range(10)):
@@ -173,7 +172,7 @@ def _model_sets(seeds=range(10)):
 
 
 def _same_pick(a, b):
-    return all(u.tobytes() == v.tobytes() for u, v in zip(a, b))
+    return (a[0].tobytes(), a[1]) == (b[0].tobytes(), b[1])
 
 
 # The 30 model sets, with sampled maxima and with maxima lowered by one
@@ -205,7 +204,7 @@ def test_all_zero_gains_tie_on_cost_then_index(single, falling):
     # costs that fall with fidelity, that level is the top one.
     problem, models = _seeded_models(3)
     if falling:
-        problem = dataclasses.replace(problem, cost_ratio=lambda j, z: 2.0 - z)
+        problem = dataclasses.replace(problem, fidelity_cost=lambda z: 2.0 - z)
     candidates = np.random.default_rng(3).random((50, problem.dim))
     maxima = []
     for model in models:
@@ -215,7 +214,36 @@ def test_all_zero_gains_tie_on_cost_then_index(single, falling):
     x, z = select_next(models, maxima, problem, pool=50, seed=3, single_fidelity=single)
     assert _same_pick((x, z), _full_grid_pick(models, maxima, problem, 50, 10, 3, single))
     assert x.tobytes() == candidates[0].tobytes()
-    assert tuple(z) == ((1.0, 1.0) if single or falling else (0.0, 0.0))
+    assert z == (1.0 if single or falling else 0.0)
+
+
+@pytest.mark.parametrize("shape", ["branin-currin-cf", "reram"])
+def test_pick_is_a_python_float_level_of_the_grid(shape):
+    problem, models = _seeded_models(1, problem=_reram_problem() if shape == "reram" else None)
+    maxima = sample_pareto_fronts(models, 3, problem.dim, 1, rff_features=50)
+    for levels in (1, 4, 10):
+        _, z = select_next(models, maxima, problem, pool=50, fidelity_levels=levels, seed=1)
+        assert type(z) is float and z in fidelity_grid(levels)
+        _, z = select_next(models, maxima, problem, pool=50, fidelity_levels=levels, seed=1, single_fidelity=True)
+        assert type(z) is float and z == 1.0
+
+
+def test_reram_hardware_models_are_fitted_at_the_top_fidelity(monkeypatch):
+    # Only the accuracy bears fidelity: the area, latency and energy models
+    # see z = 1 in every row, also after the campaign picks a cheaper level.
+    cfg = load_config(str(Path(__file__).parent / "golden" / "configs" / "reram.yaml"))
+    fitted = []
+
+    def recording(x, z, y, **kwargs):
+        fitted.append(np.array(z))
+        return fit(x, z, y, **kwargs)
+
+    monkeypatch.setattr(mesmo, "fit", recording)
+    search(build_problem(cfg), cfg.budget, 0, "cf-mesmo", cfg.mesmo, cfg.gp)
+    assert len(fitted) == 4 * cfg.budget.max_iterations
+    accuracy, hardware = fitted[0::4], [z for i, z in enumerate(fitted) if i % 4]
+    assert any((z < 1.0).any() for z in accuracy)
+    assert all((z == 1.0).all() for z in hardware)
 
 
 def test_pairs_below_the_trusted_gamma_range_are_always_scored(monkeypatch):

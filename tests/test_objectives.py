@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
 
-from reramopt.design_space import ReramDesign
-from reramopt.objectives import LayerShape, NetworkSpec, hw_area, hw_energy, hw_latency, reram_problem
+from reramopt.design_space import ReramDesign, fidelity_grid
+from reramopt.objectives import (
+    LayerShape,
+    NetworkSpec,
+    hw_area,
+    hw_energy,
+    hw_latency,
+    reram_problem,
+    synthetic_cf_problem,
+)
+from reramopt.resna import MlpSpec, epochs_for_fidelity
 
 # res_cell=2 -> 4 slices per 8-bit weight; a 64x10 layer on 32x32 crossbars
 # is 2 row tiles x 1 column tile; three voting copies, 100 inputs.
@@ -34,6 +43,26 @@ def test_energy_sums_cell_reads_and_conversions():
 
 def test_reram_cost_is_the_epoch_share_plus_three_hardware_objectives():
     problem = reram_problem()
-    x = np.full(problem.dim, 0.5)
-    assert problem.cost(x, np.zeros(4)) == pytest.approx(3.1)
-    assert problem.cost(x, np.ones(4)) == pytest.approx(4.0)
+    assert problem.cost(0.0) == pytest.approx(3.1)
+    assert problem.cost(1.0) == pytest.approx(4.0)
+
+
+def _per_objective_cost(name: str, z: float) -> float:
+    """The cost as a sum of one ratio C_j(z_j)/C_j(1) per objective, added
+    in objective order from 0; the hardware objectives run at z_j = 1."""
+    if name == "reram":
+        mlp = MlpSpec()
+        ratios = [epochs_for_fidelity(z, mlp.min_epochs, mlp.max_epochs) / mlp.max_epochs, 1.0, 1.0, 1.0]
+    else:
+        ratios = [(0.1 + 0.9 * z) / (0.1 + 0.9)] * 2
+    total = 0
+    for ratio in ratios:
+        total += ratio
+    return float(total)
+
+
+@pytest.mark.parametrize("name", ["reram", "branin-currin-cf", "zdt1"])
+def test_cost_of_a_level_is_the_per_objective_sum_bit_for_bit(name):
+    problem = reram_problem() if name == "reram" else synthetic_cf_problem(name)
+    for z in fidelity_grid(10):
+        assert problem.cost(z).hex() == _per_objective_cost(name, float(z)).hex(), z
