@@ -43,11 +43,11 @@ from .objectives import (
     synthetic_cf_problem,
 )
 from .pareto import (
-    FrontSet,
     Nsga2Config,
     dominated_hypervolume,
     non_dominated_sort,
     nsga2,
+    pareto_front,
 )
 from .resna import (
     Dataset,

@@ -103,26 +103,16 @@ def _campaign_json(result: CampaignResult, cfg, hash_: str) -> str:
         "pareto_front": [list(map(float, y)) for y in result.pareto_y],
         "gp_hyperparameters": None
         if result.model_params is None
-        else [
-            {
-                "signal_var": p.signal_var,
-                "lengthscales": list(p.lengthscales),
-                "noise_var": p.noise_var,
-            }
-            for p in result.model_params
-        ],
+        else [dataclasses.asdict(p) for p in result.model_params],
     }
     return json.dumps(payload, sort_keys=True, indent=2)
 
 
 def _hv_at_costs(result: CampaignResult, grid: np.ndarray) -> np.ndarray:
+    """Hypervolume of the last row at or below each cost of the grid, 0 before the first."""
     costs = np.array([r.cum_cost for r in result.trace])
-    hvs = np.array([r.hypervolume for r in result.trace])
-    out = np.zeros(len(grid))
-    for i, c in enumerate(grid):
-        idx = np.searchsorted(costs, c, side="right") - 1
-        out[i] = hvs[idx] if idx >= 0 else 0.0
-    return out
+    hvs = np.array([0.0] + [r.hypervolume for r in result.trace])
+    return hvs[np.searchsorted(costs, grid, side="right")]
 
 
 def _aggregate_csv(results: list[CampaignResult], budget: float, hash_: str) -> list[str]:
@@ -159,7 +149,8 @@ def run_campaign(cfg: cfgmod.CampaignConfig, out_dir: Path) -> int:
     """Execute all seeds and write the artifact set; 0 iff all completed.
 
     A seed that raises is named on stderr; the artifacts of the seeds that
-    completed are still written.
+    completed are still written. So is a surrogate campaign that has no
+    opt row within its budget: fewer than two initial evaluations succeeded.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     hash_ = cfgmod.config_hash(cfg)
@@ -197,6 +188,14 @@ def run_campaign(cfg: cfgmod.CampaignConfig, out_dir: Path) -> int:
             collect(s, lambda: run_one_seed(cfg, s))
 
     for result in results:
+        rows = result.trace
+        surrogate = result.optimizer in ("cf-mesmo", "mesmo") and not result.truncated
+        if surrogate and all(r.phase == "init" for r in rows):
+            print(
+                f"note: seed {result.seed} stopped before its first iteration: {sum(r.ok for r in rows)} "
+                f"of {len(rows)} initial evaluations succeeded, and the surrogates need two",
+                file=sys.stderr,
+            )
         _write_lines(out_dir / f"trace_seed{result.seed}.csv", _trace_csv(result, problem, space, hash_))
         _write_lines(out_dir / f"front_seed{result.seed}.csv", _front_csv(result, problem, space, hash_))
         (out_dir / f"campaign_seed{result.seed}.json").write_text(

@@ -21,8 +21,9 @@ ascent starts and ends are scored on its float32 copy, and only the points
 within twice a proven bound on the float32 error of the draw's best get a
 float64 value, so every maximum is the one a float64 pass over all points
 gives.
-The same loop with the fidelity pinned to 1 is the single-fidelity
-baseline; the random-search and NSGA-II baselines share the bookkeeping.
+The same loop over the single level 1 is the MESMO baseline. Every
+optimizer, the random-search and NSGA-II baselines included, records its
+evaluations in one trace, and the campaign's state is read from it.
 
 The outer loop is sequential by nature; within an iteration every random
 draw comes from an indexed substream of the campaign seed, so reruns are
@@ -44,7 +45,7 @@ import numpy as np
 from .design_space import fidelity_grid
 from .gp import CfGpModel, GpConfig, GpParams, SampledFunction, features32, fit, posterior, sample_function
 from .objectives import MooProblem
-from .pareto import FrontSet, Nsga2Config, dominated_hypervolume, nsga2
+from .pareto import Nsga2Config, dominated_hypervolume, nsga2, pareto_front
 from .resna import TrainingDivergedError
 
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
@@ -134,10 +135,14 @@ class CampaignResult:
     pareto_x: np.ndarray
     pareto_y: np.ndarray
     trace: list[TraceRow]
-    total_cost: float
     truncated: bool
     converged: bool
     model_params: list[GpParams] | None = None
+
+    @property
+    def total_cost(self) -> float:
+        """The cost spent, the last row's ``cum_cost``."""
+        return self.trace[-1].cum_cost if self.trace else 0.0
 
 
 # Front sampling's direct search: uniform pool size, ascent starts per
@@ -306,7 +311,6 @@ def select_next(
     pool: int = 2000,
     fidelity_levels: int = 10,
     seed=0,
-    single_fidelity: bool = False,
 ) -> tuple[np.ndarray, float]:
     """Arg-max of the acquisition over a candidate pool x fidelity grid:
     the picked design and its fidelity level.
@@ -314,9 +318,9 @@ def select_next(
     ``front_maxima`` is the (S, k) output of ``sample_pareto_fronts``: it
     must be finite, with S >= 1 and k == len(models) == problem.n_obj.
     The pool is ``default_rng(seed).random((pool, dim))``. The levels are
-    ``fidelity_grid(fidelity_levels)``, or 1 alone with ``single_fidelity``
-    or when no objective bears fidelity, and ``problem.cost`` gives their
-    costs. A fidelity-bearing objective's posterior is evaluated once per
+    ``fidelity_grid(fidelity_levels)``, or 1 alone when no objective bears
+    fidelity, and ``problem.cost`` gives their costs; one level is the
+    MESMO baseline. A fidelity-bearing objective's posterior is evaluated once per
     (candidate, level), any other objective's once per candidate, at 1.
 
     Only the pairs that can win are scored in full. ``entropy_term`` is
@@ -350,7 +354,7 @@ def select_next(
         raise ValueError("front_maxima must hold at least one sample, all finite")
     rng = np.random.default_rng(seed)
     candidates = rng.random((pool, problem.dim))
-    levels = fidelity_grid(1 if single_fidelity or not any(problem.fidelity_mask) else fidelity_levels)
+    levels = fidelity_grid(fidelity_levels if any(problem.fidelity_mask) else 1)
     grid_costs = np.array([problem.cost(z) for z in levels])
     n_l, n_s = len(levels), len(front_maxima)
 
@@ -387,10 +391,10 @@ def select_next(
     return candidates[cand[pick]], float(levels[lvl[pick]])
 
 
-def _fit_models(problem: MooProblem, history_x, history_z, history_y, gp: GpConfig, warm, optimize: bool):
-    x = np.asarray(history_x)
-    z = problem.fidelity_vector(np.asarray(history_z)[:, None])
-    y = np.asarray(history_y)
+def _fit_models(problem: MooProblem, rows: list[TraceRow], gp: GpConfig, warm, optimize: bool):
+    x = np.asarray([r.x for r in rows])
+    z = problem.fidelity_vector(np.asarray([r.z for r in rows])[:, None])
+    y = np.asarray([r.y for r in rows])
     models = []
     for j in range(y.shape[1]):
         init = warm[j] if warm else None
@@ -430,7 +434,7 @@ def _run_nsga2(problem: MooProblem, budget: Budget, seed: int, cfg: Nsga2Config)
         short = max_evals < 2 * cfg.pop
         nsga2(
             lambda batch: np.stack([evaluate(row) for row in np.atleast_2d(batch)]),
-            np.tile([0.0, 1.0], (problem.dim, 1)),
+            problem.dim,
             seed=seed,
             config=replace(cfg, pop=max_evals) if short else cfg,
             gens=0 if short else max_evals // cfg.pop - 1,
@@ -439,20 +443,26 @@ def _run_nsga2(problem: MooProblem, budget: Budget, seed: int, cfg: Nsga2Config)
 
 
 class _Ledger:
-    """One campaign's evaluations in order: the trace, the GP history and
-    the highest-fidelity points behind the reported hypervolume and front."""
+    """One campaign's evaluations in order. The trace is the only record:
+    the running cost is the last row's, the GP history is the ok rows, and
+    the hypervolume and front come from the ok rows at level 1."""
 
     def __init__(self, problem: MooProblem, seed: int):
         self.problem = problem
         self.seed = seed
         self.trace: list[TraceRow] = []
-        self.hist_x, self.hist_z, self.hist_y = [], [], []
-        self.star_x, self.star_y = [], []
-        self.cum = 0.0
+
+    @property
+    def cost(self) -> float:
+        return self.trace[-1].cum_cost if self.trace else 0.0
+
+    def ok_rows(self, top: bool = False) -> list[TraceRow]:
+        """The rows with a result in order; with ``top``, those at level 1."""
+        return [r for r in self.trace if r.ok and (r.z >= 1.0 or not top)]
 
     def evaluate(self, x, z: float, tag: int, index: int, phase: str) -> np.ndarray | None:
         """Evaluate design x at fidelity level z on substream (seed, tag,
-        index) and record the row; level 1 points join the front.
+        index) and append its row.
 
         Diverged training is recorded as a failed row and returns None;
         any other exception from the problem propagates.
@@ -464,32 +474,19 @@ class _Ledger:
         except TrainingDivergedError:
             y = None
         x = np.asarray(x, dtype=float)
-        z = float(z)
-        self.cum += cost
-        if y is not None:
-            self.hist_x.append(x)
-            self.hist_z.append(z)
-            self.hist_y.append(y)
-            if z >= 1.0:
-                self.star_x.append(x)
-                self.star_y.append(y)
-        hv = 0.0
-        if self.star_y:
-            hv = dominated_hypervolume(np.asarray(self.star_y), self.problem.hv_ref)
-        self.trace.append(
-            TraceRow(len(self.trace), phase, x, z, y, cost, self.cum, hv, ok=y is not None)
-        )
+        row = TraceRow(len(self.trace), phase, x, float(z), y, cost, self.cost + cost, 0.0, ok=y is not None)
+        self.trace.append(row)
+        top = self.ok_rows(top=True)
+        if top:
+            row.hypervolume = dominated_hypervolume(np.asarray([r.y for r in top]), self.problem.hv_ref)
         return y
 
     def result(
         self, optimizer: str, truncated: bool, converged: bool, model_params=None
     ) -> CampaignResult:
-        if self.star_y:
-            front = FrontSet.from_points(np.asarray(self.star_x), np.asarray(self.star_y))
-            pareto_x, pareto_y = front.x, front.y
-        else:
-            pareto_x = np.empty((0, self.problem.dim))
-            pareto_y = np.empty((0, self.problem.n_obj))
+        top = self.ok_rows(top=True)
+        x = np.reshape([r.x for r in top], (-1, self.problem.dim))
+        pareto_x, pareto_y = pareto_front(x, np.reshape([r.y for r in top], (-1, self.problem.n_obj)))
         return CampaignResult(
             problem_name=self.problem.name,
             optimizer=optimizer,
@@ -497,7 +494,6 @@ class _Ledger:
             pareto_x=pareto_x,
             pareto_y=pareto_y,
             trace=self.trace,
-            total_cost=self.cum,
             truncated=truncated,
             converged=converged,
             model_params=model_params,
@@ -530,27 +526,24 @@ def search(
     for i in range(cfg.n_init):
         ledger.evaluate(init_rng.random(problem.dim), 1.0, _TAG_INIT, i, "init")
 
-    truncated = ledger.cum > budget.total_cost
+    truncated = ledger.cost > budget.total_cost
     converged = False
     warm = None  # latest GP hyperparameters, reported with the result
-    hv_series: list[float] = []
     sel_rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_POOL]))
     t = 0
     while (
         not truncated
-        and ledger.cum <= budget.total_cost
+        and ledger.cost <= budget.total_cost
         and t < budget.max_iterations
         and not converged
     ):
         if optimizer == "random":
             x, z = sel_rng.random(problem.dim), 1.0
-        elif len(ledger.hist_y) < 2:
+        elif len(ledger.ok_rows()) < 2:
             break
         else:
             optimize_hypers = warm is None or (t % cfg.gp_refit_every == 0)
-            models = _fit_models(
-                problem, ledger.hist_x, ledger.hist_z, ledger.hist_y, gp, warm, optimize_hypers
-            )
+            models = _fit_models(problem, ledger.ok_rows(), gp, warm, optimize_hypers)
             warm = [m.params for m in models]
             front_maxima = sample_pareto_fronts(
                 models,
@@ -564,26 +557,25 @@ def search(
                 front_maxima,
                 problem,
                 pool=cfg.pool_size,
-                fidelity_levels=cfg.fidelity_levels,
+                fidelity_levels=1 if optimizer == "mesmo" else cfg.fidelity_levels,
                 seed=np.random.SeedSequence([seed, _TAG_POOL, t]),
-                single_fidelity=(optimizer == "mesmo"),
             )
         ledger.evaluate(x, z, _TAG_EVAL, t, "opt")
-        # The front only moves on highest-fidelity evaluations, so the
-        # convergence window advances on those alone; cheap evaluations
-        # must not be mistaken for stagnation.
         if z >= 1.0:
-            hv_series.append(ledger.trace[-1].hypervolume)
-            converged = _has_converged(hv_series, budget)
+            converged = _has_converged(ledger.trace, budget)
         t += 1
     return ledger.result(optimizer, truncated, converged, model_params=warm)
 
 
-def _has_converged(hv_series: list[float], budget: Budget) -> bool:
+def _has_converged(trace: list[TraceRow], budget: Budget) -> bool:
+    """Whether the hypervolume of the last converge_window + 1 level-1 opt
+    rows, failed ones included, moved by under converge_eps at each step.
+    Cheap evaluations, which cannot move the front, are not stagnation."""
+    series = [r.hypervolume for r in trace if r.phase == "opt" and r.z >= 1.0]
     w = budget.converge_window
-    if len(hv_series) < w + 1:
+    if len(series) < w + 1:
         return False
-    recent = hv_series[-(w + 1) :]
+    recent = series[-(w + 1) :]
     if recent[-1] <= 0.0:  # an empty dominated region has not converged, it has not started
         return False
     for prev, cur in zip(recent[:-1], recent[1:]):

@@ -161,11 +161,14 @@ class MooProblem:
 
     name: str
     dim: int
-    n_obj: int
     fidelity_mask: tuple[bool, ...]
     hv_ref: np.ndarray
     evaluate: Callable[[np.ndarray, np.ndarray, np.random.Generator], np.ndarray]
     fidelity_cost: Callable[[float], float]
+
+    @property
+    def n_obj(self) -> int:
+        return len(self.fidelity_mask)
 
     def fidelity_vector(self, z) -> np.ndarray:
         """Per-objective fidelities of an evaluation at level z: z for the
@@ -227,7 +230,6 @@ def reram_problem(
     return MooProblem(
         name="reram",
         dim=space.dim,
-        n_obj=4,
         fidelity_mask=(True, False, False, False),
         hv_ref=hv_ref,
         evaluate=evaluate,
@@ -284,7 +286,6 @@ def _cf_problem(name: str, dim: int, f_true, bias, hv_ref) -> MooProblem:
     return MooProblem(
         name=name,
         dim=dim,
-        n_obj=2,
         fidelity_mask=(True, True),
         hv_ref=hv_ref,
         evaluate=evaluate,

@@ -2,9 +2,9 @@
 
 All objectives are maximized throughout the package; callers negate
 minimization metrics before they get here. NSGA-II is the outer baseline
-optimizer: ``nsga2`` runs one solve over a (pop, d) population, with
-every draw from one seeded generator in the order its docstring states,
-so a fixed seed reproduces a run bit for bit.
+optimizer: ``nsga2`` runs one solve over a (pop, d) population in the
+unit box, with every draw from one seeded generator in the order its
+docstring states, so a fixed seed reproduces a run bit for bit.
 """
 
 from __future__ import annotations
@@ -87,32 +87,16 @@ def non_dominated_mask(y: np.ndarray) -> np.ndarray:
     return ~dom.any(axis=0)
 
 
-@dataclass(frozen=True)
-class FrontSet:
-    """A mutually non-dominated set of objective vectors with their inputs."""
-
-    x: np.ndarray  # (n, d)
-    y: np.ndarray  # (n, k)
-
-    def __post_init__(self):
-        if len(self.x) != len(self.y):
-            raise ValueError("inputs and objective vectors must pair up")
-        if len(self.y) and _domination_matrix(self.y).any():
-            raise ValueError("front members must be mutually non-dominated")
-
-    def __len__(self) -> int:
-        return len(self.y)
-
-    @classmethod
-    def from_points(cls, x, y) -> "FrontSet":
-        """Extract the non-dominated subset (exact duplicate vectors collapsed)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        keep = non_dominated_mask(y)
-        x, y = x[keep], y[keep]
-        _, unique_idx = np.unique(y, axis=0, return_index=True)
-        unique_idx.sort()
-        return cls(x[unique_idx], y[unique_idx])
+def pareto_front(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """The non-dominated rows of inputs x (n, d) and objectives y (n, k) in
+    first-seen order, keeping the first of exact duplicate vectors."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    keep = non_dominated_mask(y)
+    x, y = x[keep], y[keep]
+    _, first = np.unique(y, axis=0, return_index=True)
+    first.sort()
+    return x[first], y[first]
 
 
 def _crowding(y: np.ndarray, ranks: np.ndarray) -> np.ndarray:
@@ -169,12 +153,12 @@ def _sbx(parents, mates, u_beta, u_take, u_pair, eta, crossover_prob):
 
 
 def nsga2(
-    evaluator, bounds, seed: int = 0, config: Nsga2Config = Nsga2Config(), gens: int = 100
-) -> FrontSet:
-    """Canonical real-coded NSGA-II over ``gens`` generations; returns the
-    final rank-0 set.
+    evaluator, dim: int, seed: int = 0, config: Nsga2Config = Nsga2Config(), gens: int = 100
+) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical real-coded NSGA-II over ``gens`` generations in [0, 1]^dim;
+    returns the ``pareto_front`` of the final rank-0 set.
 
-    ``evaluator`` maps a batch of rows (pop, d) to objective values
+    ``evaluator`` maps a batch of rows (pop, dim) to objective values
     (pop, k), maximization orientation; it is called gens + 1 times.
     Selection uses binary tournaments on (rank, crowding distance); ties in
     the crowding sort are broken by index. All draws come from one
@@ -186,14 +170,11 @@ def nsga2(
     if gens < 0:
         raise ValueError(f"gens must be >= 0, got {gens}")
     pop = config.pop
-    bounds = np.asarray(bounds, dtype=float)
-    lo, hi = bounds[:, 0], bounds[:, 1]
-    d = len(lo)
-    mutation_prob = 1.0 / d if config.mutation_prob is None else config.mutation_prob
+    mutation_prob = 1.0 / dim if config.mutation_prob is None else config.mutation_prob
     eta_m = 1.0 / (config.mutation_eta + 1.0)
     rng = np.random.default_rng(seed)
 
-    x = lo + rng.random((pop, d)) * (hi - lo)
+    x = rng.random((pop, dim))
     y = np.asarray(evaluator(x), dtype=float)
     ranks = _pareto_ranks(y, pop)
     crowd = _crowding(y, ranks)
@@ -203,7 +184,7 @@ def nsga2(
             a, b = rng.integers(0, pop, size=(2, pop))
             perm = rng.permutation(pop)
             n_pairs = pop // 2
-            u_sbx = rng.random((n_pairs, d)), rng.random((n_pairs, d)), rng.random((n_pairs, 1))
+            u_sbx = rng.random((n_pairs, dim)), rng.random((n_pairs, dim)), rng.random((n_pairs, 1))
             # Binary tournament: lower rank, then larger crowding, then index.
             ra, rb, ca, cb = ranks[a], ranks[b], crowd[a], crowd[b]
             a_wins = (ra < rb) | ((ra == rb) & ((ca > cb) | ((ca == cb) & (a <= b))))
@@ -211,20 +192,20 @@ def nsga2(
             children = _sbx(
                 parents, parents[perm], *u_sbx, config.crossover_eta, config.crossover_prob
             )
-            children = np.clip(children, lo, hi)
+            children = np.clip(children, 0.0, 1.0)
         else:
             children = x
         # Polynomial mutation.
-        u, u_flip = rng.random((pop, d)), rng.random((pop, d))
+        u, u_flip = rng.random((pop, dim)), rng.random((pop, dim))
         delta = np.where(u < 0.5, (2.0 * u) ** eta_m - 1.0, 1.0 - (2.0 * (1.0 - u)) ** eta_m)
-        children = np.where(u_flip < mutation_prob, children + delta * (hi - lo), children)
-        children = np.clip(children, lo, hi)
+        children = np.where(u_flip < mutation_prob, children + delta, children)
+        children = np.clip(children, 0.0, 1.0)
         y_children = np.asarray(evaluator(children), dtype=float)
         x, y, ranks, crowd = _select(
             np.concatenate([x, children]), np.concatenate([y, y_children]), pop
         )
 
-    return FrontSet.from_points(x[ranks == 0], y[ranks == 0])
+    return pareto_front(x[ranks == 0], y[ranks == 0])
 
 
 def _hv_recursive(q: np.ndarray) -> float:

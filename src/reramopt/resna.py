@@ -115,7 +115,6 @@ class Dataset:
     y_train: np.ndarray
     x_test: np.ndarray
     y_test: np.ndarray
-    n_classes: int
 
 
 @dataclass
@@ -127,8 +126,11 @@ class TrainState:
     biases: list[np.ndarray]
     velocities_w: list[np.ndarray]
     velocities_b: list[np.ndarray]
-    epoch: int = 0
-    losses: list[float] = field(default_factory=list)
+    losses: list[float] = field(default_factory=list)  # mean loss per completed epoch
+
+    @property
+    def epoch(self) -> int:
+        return len(self.losses)
 
 
 def make_dataset(spec: MlpSpec) -> Dataset:
@@ -165,7 +167,7 @@ def make_dataset(spec: MlpSpec) -> Dataset:
     span = np.where(hi > lo, hi - lo, 1.0)
     x_train = (x_train - lo) / span
     x_test = np.clip((x_test - lo) / span, 0.0, 1.0)
-    return Dataset(x_train, y_train, x_test, y_test, spec.n_classes)
+    return Dataset(x_train, y_train, x_test, y_test)
 
 
 def _balanced_counts(n: int, classes: int) -> list[int]:
@@ -202,9 +204,7 @@ def _load_csv_dataset(spec: MlpSpec) -> Dataset:
         raise DatasetFormatError(f"{spec.csv_path}: need {need} rows, found {len(rows)}")
     x = np.array([r[0] for r in rows[:need]])
     y = np.array([r[1] for r in rows[:need]], dtype=np.int64)
-    return Dataset(
-        x[: spec.n_train], y[: spec.n_train], x[spec.n_train :], y[spec.n_train :], spec.n_classes
-    )
+    return Dataset(x[: spec.n_train], y[: spec.n_train], x[spec.n_train :], y[spec.n_train :])
 
 
 def _quantize_unsigned(values: np.ndarray, bits: int) -> tuple[np.ndarray, float]:
@@ -318,7 +318,6 @@ def train(
             # diverges here rather than failing the next deployment.
             if not all(np.isfinite(p).all() for p in state.weights + state.biases):
                 raise TrainingDivergedError(epoch)
-        state.epoch = epoch + 1
         state.losses.append(epoch_loss / n)
     return state
 

@@ -1,12 +1,14 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reramopt import cli
+from reramopt import cli, config
 from reramopt.config import build_problem, load_config, parse_config
+from reramopt.resna import TrainingDivergedError
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -73,6 +75,28 @@ def test_nsga2_says_when_the_budget_buys_no_generation(budget, evals, note, tmp_
         "so NSGA-II runs 0 generations and is random search\n"
     )
     assert err == (line if note else "")
+
+
+@pytest.mark.parametrize("optimizer", ["cf-mesmo", "mesmo", "random"])
+def test_a_surrogate_campaign_that_cannot_start_says_so(optimizer, tmp_path, monkeypatch, capsys):
+    # Every evaluation diverges, so the surrogates never get the two results
+    # they need; random search does not fit them and goes on.
+    problem = build_problem(load_config(str(GOLDEN / "configs" / "branin.yaml")))
+
+    def diverging(x, z, rng):
+        raise TrainingDivergedError(0)
+
+    monkeypatch.setattr(config, "build_problem", lambda cfg: dataclasses.replace(problem, evaluate=diverging))
+    argv = ["run", "--config", str(GOLDEN / "configs" / "branin.yaml"), "--optimizer", optimizer]
+    assert cli.main(argv + ["--seed", "3", "--out", str(tmp_path)]) == 0
+    err = capsys.readouterr().err
+    note = (
+        "note: seed 3 stopped before its first iteration: 0 of 3 initial evaluations succeeded, "
+        "and the surrogates need two\n"
+    )
+    assert err == ("" if optimizer == "random" else note)
+    rows = (tmp_path / "trace_seed3.csv").read_text(encoding="utf-8").splitlines()[2:]
+    assert len(rows) == (7 if optimizer == "random" else 3)
 
 
 # NSGA-II's initial population at seed 0 and pop 8, as the branin.yaml

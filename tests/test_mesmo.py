@@ -19,6 +19,7 @@ from reramopt.mesmo import (
     select_next,
 )
 from reramopt.objectives import synthetic_cf_problem
+from reramopt.pareto import Nsga2Config, dominated_hypervolume, pareto_front
 from reramopt.resna import TrainingDivergedError
 
 SMALL = MesmoConfig(n_front_samples=2, pool_size=32, n_init=3, rff_features=30)
@@ -94,6 +95,39 @@ def test_flat_zero_hypervolume_is_not_convergence():
     assert result.converged
 
 
+@pytest.mark.parametrize(
+    "optimizer,diverge_at",
+    [("cf-mesmo", None), ("mesmo", None), ("random", None), ("nsga2", None), ("cf-mesmo", 2), ("random", 5)],
+)
+def test_campaign_invariants_hold_on_the_trace(optimizer, diverge_at):
+    # Read from the trace alone: each row's hypervolume is that of the ok
+    # level-1 rows up to and including it, cum_cost is the running sum of
+    # cost, and the front is the pareto_front of the ok level-1 rows. The
+    # reference lies below every objective value in the box, so every ok
+    # level-1 row counts and the hypervolume moves within a short budget.
+    problem = dataclasses.replace(synthetic_cf_problem("branin-currin-cf"), hv_ref=np.array([-400.0, -20.0]))
+    if diverge_at is not None:
+        problem = _failing(problem, diverge_at, TrainingDivergedError(0))
+    budget = Budget(total_cost=24.0, max_iterations=6)
+    result = search(problem, budget, 0, optimizer, SMALL, operators=Nsga2Config(pop=4))
+    trace = result.trace
+    assert any(row.phase == "opt" for row in trace)
+    assert all(row.ok for row in trace) == (diverge_at is None)
+    spent = 0.0
+    for i, row in enumerate(trace):
+        top = [r.y for r in trace[: i + 1] if r.ok and r.z >= 1.0]
+        assert row.hypervolume == (dominated_hypervolume(np.stack(top), problem.hv_ref) if top else 0.0)
+        spent += row.cost
+        assert row.cum_cost == spent
+    assert result.total_cost == trace[-1].cum_cost
+    assert 0.0 < trace[0].hypervolume < trace[-1].hypervolume
+    top = [r for r in trace if r.ok and r.z >= 1.0]
+    front_x, front_y = pareto_front(np.stack([r.x for r in top]), np.stack([r.y for r in top]))
+    np.testing.assert_array_equal(result.pareto_x, front_x)
+    np.testing.assert_array_equal(result.pareto_y, front_y)
+    assert dominated_hypervolume(result.pareto_y, problem.hv_ref) == trace[-1].hypervolume
+
+
 def _seeded_models(seed: int, cfg: MesmoConfig = MesmoConfig(), problem=None):
     """Surrogates of ``problem`` (branin-currin-cf by default) fitted to 15
     seeded points: 5 at z* and 10 at levels drawn from the default fidelity
@@ -142,11 +176,11 @@ def test_default_pick_is_pinned(seed):
     assert (tuple(x), tuple(problem.fidelity_vector(z))) == PINNED_PICKS[seed]
 
 
-def _full_grid_pick(models, front_maxima, problem, pool, fidelity_levels=10, seed=0, single_fidelity=False):
+def _full_grid_pick(models, front_maxima, problem, pool, fidelity_levels=10, seed=0):
     """select_next's pick by scoring every (candidate, level) pair: the
     oracle for its bound-pruned search."""
     candidates = np.random.default_rng(seed).random((pool, problem.dim))
-    levels = fidelity_grid(1 if single_fidelity else fidelity_levels)
+    levels = fidelity_grid(fidelity_levels)
     z_grid = problem.fidelity_vector(levels[:, None])
     grid_costs = np.array([problem.cost(z) for z in levels])
     gains = np.zeros((pool, len(levels)))
@@ -182,18 +216,18 @@ def test_pruned_pick_equals_the_full_grid():
         prior_sd = np.array([m.y_std * np.sqrt(m.params.signal_var) for m in models])
         for n_s in (1, 3, 10):
             sampled = sample_pareto_fronts(models, n_s, problem.dim, seed, rff_features=100)
-            for maxima, pool, single in itertools.product(
-                (sampled, sampled - prior_sd), (1, 50), (False, True)
+            for maxima, pool, levels in itertools.product(
+                (sampled, sampled - prior_sd), (1, 50), (10, 1)
             ):
-                args = (models, maxima, problem, pool, 10, seed, single)
-                assert _same_pick(select_next(*args), _full_grid_pick(*args)), (seed, n_s, pool, single)
+                args = (models, maxima, problem, pool, levels, seed)
+                assert _same_pick(select_next(*args), _full_grid_pick(*args)), (seed, n_s, pool, levels)
 
 
 @pytest.mark.parametrize("single", [False, True])
 def test_pruned_pick_equals_the_full_grid_at_the_default_pool(single):
     for seed, problem, models in _model_sets(seeds=(0, 5)):
         maxima = sample_pareto_fronts(models, 10, problem.dim, seed, rff_features=100)
-        args = (models, maxima, problem, 2000, 10, seed, single)
+        args = (models, maxima, problem, 2000, 1 if single else 10, seed)
         assert _same_pick(select_next(*args), _full_grid_pick(*args)), seed
 
 
@@ -211,8 +245,9 @@ def test_all_zero_gains_tie_on_cost_then_index(single, falling):
         mu, sigma = mesmo.posterior(model, np.repeat(candidates, 10, axis=0), np.tile(fidelity_grid(10), 50))
         maxima.append(np.max(mu + 1e3 * np.maximum(sigma, 1e-9)))
     maxima = np.tile(maxima, (3, 1))
-    x, z = select_next(models, maxima, problem, pool=50, seed=3, single_fidelity=single)
-    assert _same_pick((x, z), _full_grid_pick(models, maxima, problem, 50, 10, 3, single))
+    levels = 1 if single else 10
+    x, z = select_next(models, maxima, problem, pool=50, fidelity_levels=levels, seed=3)
+    assert _same_pick((x, z), _full_grid_pick(models, maxima, problem, 50, levels, 3))
     assert x.tobytes() == candidates[0].tobytes()
     assert z == (1.0 if single or falling else 0.0)
 
@@ -224,8 +259,6 @@ def test_pick_is_a_python_float_level_of_the_grid(shape):
     for levels in (1, 4, 10):
         _, z = select_next(models, maxima, problem, pool=50, fidelity_levels=levels, seed=1)
         assert type(z) is float and z in fidelity_grid(levels)
-        _, z = select_next(models, maxima, problem, pool=50, fidelity_levels=levels, seed=1, single_fidelity=True)
-        assert type(z) is float and z == 1.0
 
 
 def test_reram_hardware_models_are_fitted_at_the_top_fidelity(monkeypatch):
@@ -265,7 +298,7 @@ def test_pairs_below_the_trusted_gamma_range_are_always_scored(monkeypatch):
     }
     monkeypatch.setattr(mesmo, "posterior", lambda model, x, z: table[model])
     problem = synthetic_cf_problem("branin-currin-cf")
-    args = (["f0", "f1"], np.array([[lo, 0.0], [hi, 0.0]]), problem, 2, 10, 0, True)
+    args = (["f0", "f1"], np.array([[lo, 0.0], [hi, 0.0]]), problem, 2, 1, 0)
     pick = select_next(*args)
     assert _same_pick(pick, _full_grid_pick(*args))
     assert pick[0].tobytes() == np.random.default_rng(0).random((2, 2))[0].tobytes()

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from reramopt.pareto import (
-    FrontSet,
     Nsga2Config,
     _crowding,
     _domination_matrix,
@@ -15,6 +14,7 @@ from reramopt.pareto import (
     dominated_hypervolume,
     non_dominated_sort,
     nsga2,
+    pareto_front,
 )
 
 
@@ -124,16 +124,12 @@ class TestNonDominatedSort:
         assert sorted(all_idx) == list(range(60))
 
 
-class TestFrontSet:
-    def test_rejects_dominated_members(self):
-        with pytest.raises(ValueError):
-            FrontSet(x=np.zeros((2, 1)), y=np.array([[1.0, 1.0], [2.0, 2.0]]))
-
+class TestParetoFront:
     def test_from_points_filters_and_dedupes(self):
         y = np.array([[1, 3], [3, 1], [0, 0], [1, 3]])
         x = np.arange(8, dtype=float).reshape(4, 2)
-        front = FrontSet.from_points(x, y)
-        assert len(front) == 2
+        front_x, front_y = pareto_front(x, y)
+        assert len(front_x) == len(front_y) == 2
 
 
 class TestNsga2:
@@ -143,8 +139,8 @@ class TestNsga2:
         def ev(x):
             return np.hstack([x, 1.0 - x])
 
-        front = nsga2(ev, [[0.0, 1.0]], seed=0, config=Nsga2Config(pop=100), gens=100)
-        xs = np.sort(front.x.ravel())
+        front_x, _ = nsga2(ev, 1, seed=0, config=Nsga2Config(pop=100), gens=100)
+        xs = np.sort(front_x.ravel())
         assert xs[0] < 0.02 and xs[-1] > 0.98
         assert np.max(np.diff(xs)) < 0.05
 
@@ -152,20 +148,20 @@ class TestNsga2:
         def ev(x):
             return np.hstack([x, -x])
 
-        front = nsga2(ev, [[0.0, 1.0]], seed=3, config=Nsga2Config(pop=1), gens=10)
-        assert len(front) >= 1
+        _, front_y = nsga2(ev, 1, seed=3, config=Nsga2Config(pop=1), gens=10)
+        assert len(front_y) >= 1
 
     def test_negative_generation_count_rejected(self):
         with pytest.raises(ValueError, match="gens must be >= 0, got -1"):
-            nsga2(lambda x: np.hstack([x, -x]), [[0.0, 1.0]], gens=-1)
+            nsga2(lambda x: np.hstack([x, -x]), 1, gens=-1)
 
     def test_deterministic(self):
         def ev(x):
             return np.hstack([np.sin(3 * x[:, :1]), np.cos(2 * x[:, 1:2])])
 
-        a = nsga2(ev, [[0, 1], [0, 1]], seed=11, config=Nsga2Config(pop=24), gens=15)
-        b = nsga2(ev, [[0, 1], [0, 1]], seed=11, config=Nsga2Config(pop=24), gens=15)
-        np.testing.assert_array_equal(a.y, b.y)
+        _, a = nsga2(ev, 2, seed=11, config=Nsga2Config(pop=24), gens=15)
+        _, b = nsga2(ev, 2, seed=11, config=Nsga2Config(pop=24), gens=15)
+        np.testing.assert_array_equal(a, b)
 
     def test_default_inner_size_output_is_pinned(self):
         # Population 64 for 40 generations, once the inner solver's size, on
@@ -178,16 +174,16 @@ class TestNsga2:
             f2 = g * (1.0 - np.sqrt(f1 / g))
             return -np.round(np.column_stack([f1, f2]), 2)
 
-        front = nsga2(ev, [[0.0, 1.0]] * 3, seed=5, config=Nsga2Config(pop=64), gens=40)
-        digest = hashlib.sha256(front.x.tobytes() + front.y.tobytes()).hexdigest()
+        front_x, front_y = nsga2(ev, 3, seed=5, config=Nsga2Config(pop=64), gens=40)
+        digest = hashlib.sha256(front_x.tobytes() + front_y.tobytes()).hexdigest()
         assert digest == "a4ebc769cbb3294ad85d2c07520e2b2d56b90325c4633cbaa733d36627a81dfc"
 
     def test_returns_mutually_non_dominated(self):
         def ev(x):
             return np.hstack([x[:, :1] ** 2, (1 - x[:, :1]) ** 2])
 
-        front = nsga2(ev, [[0, 1]], seed=2, config=Nsga2Config(pop=30), gens=20)
-        assert brute_force_rank0(front.y) == set(range(len(front)))
+        _, front_y = nsga2(ev, 1, seed=2, config=Nsga2Config(pop=30), gens=20)
+        assert brute_force_rank0(front_y) == set(range(len(front_y)))
 
 
 def tied_objectives(k):
@@ -223,9 +219,8 @@ class TestNsga2Pins:
     )
     def test_fronts_are_pinned(self, k, pop, gens, digest):
         config = Nsga2Config(pop=pop)
-        bounds = [[0.0, 1.0]] * 3
-        fronts = [nsga2(tied_objectives(k), bounds, s, config, gens) for s in PINNED_SEEDS]
-        data = b"".join(f.x.tobytes() + f.y.tobytes() for f in fronts)
+        fronts = [nsga2(tied_objectives(k), 3, s, config, gens) for s in PINNED_SEEDS]
+        data = b"".join(front_x.tobytes() + front_y.tobytes() for front_x, front_y in fronts)
         assert hashlib.sha256(data).hexdigest() == digest
 
     def test_calls_its_evaluator_on_pop_rows_once_per_generation(self):
@@ -235,7 +230,7 @@ class TestNsga2Pins:
             seen.append(x.shape)
             return tied_objectives(2)(x)
 
-        nsga2(ev, [[0.0, 1.0]] * 3, 1, Nsga2Config(pop=6), 3)
+        nsga2(ev, 3, 1, Nsga2Config(pop=6), 3)
         assert seen == [(6, 3)] * 4
 
 
