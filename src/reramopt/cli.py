@@ -43,9 +43,12 @@ def _write_lines(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+# The decoded design's columns in the trace and front CSVs, in order.
+_DESIGN_COLUMNS = ("res_cell", "freq_hz", "temperature_k", "xbar_size")
+
+
 def _design_fields(space, x: np.ndarray) -> list:
-    d = space.decode(x)
-    return [d.res_cell, d.freq_hz, d.temperature_k, d.xbar_size]
+    return [getattr(space.decode(x), c) for c in _DESIGN_COLUMNS]
 
 
 def _trace_csv(result: CampaignResult, problem: MooProblem, space, hash_: str) -> list[str]:
@@ -54,7 +57,7 @@ def _trace_csv(result: CampaignResult, problem: MooProblem, space, hash_: str) -
     cols = ["iteration", "phase"]
     cols += [f"x{i}" for i in range(d)]
     if space is not None:
-        cols += ["res_cell", "freq_hz", "temperature_k", "xbar_size"]
+        cols += _DESIGN_COLUMNS
     cols += [f"z{j + 1}" for j in range(k)]
     cols += [f"y{j + 1}" for j in range(k)]
     cols += ["cost", "cum_cost", "hypervolume", "ok"]
@@ -76,7 +79,7 @@ def _front_csv(result: CampaignResult, problem: MooProblem, space, hash_: str) -
     d = problem.dim
     cols = [f"x{i}" for i in range(d)]
     if space is not None:
-        cols += ["res_cell", "freq_hz", "temperature_k", "xbar_size"]
+        cols += _DESIGN_COLUMNS
     cols += [f"y{j + 1}" for j in range(k)]
     lines = [f"# config_hash={hash_} seed={result.seed}", ",".join(cols)]
     for x, y in zip(result.pareto_x, result.pareto_y):

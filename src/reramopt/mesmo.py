@@ -10,17 +10,14 @@ with g = (f_s^{j*} - mu_j(x, z_j)) / sigma_j(x, z_j): the expected entropy
 reduction of the front's per-objective maxima per unit normalized cost.
 The level z is one float; z_j is z for a fidelity-bearing objective and 1
 for the others (``MooProblem.fidelity_vector``).
-The bracket h(g) is non-increasing, so sum_j h(g_min,j) / C(z), with
-g_min,j taken at min_s f_s^{j*}, bounds alpha from above. ``select_next``
-scores in full only the pairs whose bound reaches within a relative 1e-9
-of the best exact value of the 64 pairs with the largest bounds, and
-always scores a pair whose g_min,j falls where h rounds by more than that
-margin. So it picks exactly the pair, ties included, that scoring the
-whole grid would. Front sampling spends float64 the same way: each draw's
-ascent starts and ends are scored on its float32 copy, and only the points
-within twice a proven bound on the float32 error of the draw's best get a
-float64 value, so every maximum is the one a float64 pass over all points
-gives.
+``select_next`` has two homes: ``_candidate_grid`` draws the designs and
+levels and evaluates each objective's posterior on that grid, and
+``_mes_gain`` scores the grid, in full only where a bound on alpha says a
+pair can win, so the pick is the whole grid's, ties included. Front
+sampling spends float64 the same way: each draw's ascent starts and ends
+are scored on its float32 copy, and only the points within twice a proven
+bound on the float32 error of the draw's best get a float64 value, so
+every maximum is the one a float64 pass over all points gives.
 The same loop over the single level 1 is the MESMO baseline. Every
 optimizer, the random-search and NSGA-II baselines included, records its
 evaluations in one trace, and the campaign's state is read from it.
@@ -240,10 +237,10 @@ def _maximize(funcs: list[SampledFunction], starts: np.ndarray) -> np.ndarray:
 
 
 # Unit roundoffs of float32 and float64. _COS_ERR is four times the largest
-# |np.cos(a) - cos(a)| over every float32 a with |a| < 2**16, 7.2e-8 at
-# a = 3.926 (numpy 2.4 on x86-64 with AVX-512; float64 cos as reference).
-# Within _COS_REACH every float32 argument of a screened draw stays in that
-# measured range.
+# |np.cos(a) - cos(a)| over every float32 a with |a| < 2**16, 7.18e-8 at
+# a = 3.9258246 (numpy 2.4 on x86-64 with AVX-512; float64 cos as
+# reference), rounded up to 7.2e-8. Within _COS_REACH every float32
+# argument of a screened draw stays in that measured range.
 _U32, _U64 = 2.0**-24, 2.0**-53
 _COS_ERR, _COS_REACH = 4 * 7.2e-8, 2.0**15
 
@@ -297,11 +294,63 @@ def _screen_margin(freqs: np.ndarray, offset: np.ndarray, weights: np.ndarray) -
 _SIGMA_FLOOR = 1e-9
 
 
-# select_next scores exactly the _PROBE pairs with the largest bounds, then
-# every pair whose bound reaches within _MARGIN of the best of those, less
-# _TINY for subnormal values. Below _GAMMA_LO, entropy_term rounds by more
-# than _MARGIN, so a pair with gamma_min there is always scored.
-_PROBE, _MARGIN, _TINY, _GAMMA_LO = 64, 1e-9, 1e-300, -30.0
+def _candidate_grid(models: list[CfGpModel], problem: MooProblem, pool: int, fidelity_levels: int, seed):
+    """The (candidate, level) grid: the pool, the levels, their costs and
+    each objective's posterior (mu, sigma), (pool, L) up to broadcasting."""
+    candidates = np.random.default_rng(seed).random((pool, problem.dim))
+    levels = fidelity_grid(fidelity_levels if any(problem.fidelity_mask) else 1)
+    posts = []
+    for model, bearing in zip(models, problem.fidelity_mask):
+        lv = levels if bearing else np.ones(1)
+        mu, sigma = posterior(model, np.repeat(candidates, len(lv), axis=0), np.tile(lv, pool))
+        posts.append((mu.reshape(pool, len(lv)), np.maximum(sigma, _SIGMA_FLOOR).reshape(pool, len(lv))))
+    return candidates, levels, np.array([problem.cost(z) for z in levels]), posts
+
+
+_PROBE, _MARGIN, _TINY, _GAMMA_LO = 64, 1e-9, 1e-300, -30.0  # derived in _mes_gain
+
+
+def _mes_gain(front_maxima: np.ndarray, posts: list, costs: np.ndarray) -> np.ndarray:
+    """Flat indices candidate * L + level of the grid pairs with the largest
+    alpha, from the (S, k) front maxima, ``_candidate_grid``'s posteriors
+    and the L level costs.
+
+    Only the pairs that can win are scored in full. ``entropy_term`` is
+    non-increasing, so with gamma_min_j = (min_s f*_sj - mu_j) / sigma_j
+    the bound U(x, l) = sum_j h(gamma_min_j) / C_l is at least alpha(x, l).
+    Alpha is computed exactly for the ``_PROBE`` = 64 pairs with the
+    largest U, the best of which is alpha_0, and then for every pair with
+    U >= (1 - _MARGIN) * alpha_0 - _TINY, with _MARGIN = 1e-9 and _TINY =
+    1e-300. For gamma >= _GAMMA_LO = -30 ``entropy_term`` is within 2.5e-11
+    of h relatively while h is a normal float, so the relative margin
+    covers its rounding and that of the sums, and the absolute one covers
+    subnormal values and an alpha_0 of 0. Below -30 its error grows past
+    the margin (1.7e-10 at -100), so U is infinite for a pair with any
+    gamma_min_j < -30. A pair below the line has alpha < alpha_0: it can
+    neither win nor tie, and the result is the full grid's. Exact alpha
+    keeps the full grid's arithmetic and order: a row sum over s per
+    objective, accumulated over j from zero, divided by C_l * S.
+    """
+    pool, n_l = len(posts[0][0]), len(costs)
+    bound = np.zeros((pool, n_l))
+    for fm, (mu, sigma) in zip(front_maxima.T, posts):
+        g_min = (fm.min() - mu) / sigma
+        bound += np.where(g_min < _GAMMA_LO, np.inf, entropy_term(g_min))
+    bound = (bound / costs).ravel()
+
+    def exact(flat):
+        """Alpha at flat grid indices."""
+        cand, lvl = np.divmod(flat, n_l)
+        gains = np.zeros(len(flat))
+        for fm, post in zip(front_maxima.T, posts):
+            mu, sigma = (np.broadcast_to(a, (pool, n_l))[cand, lvl][:, None] for a in post)
+            gains += entropy_term((fm[None, :] - mu) / sigma).sum(axis=1)
+        return gains / (costs[lvl] * len(front_maxima))
+
+    probe = np.argpartition(bound, -_PROBE)[-_PROBE:] if len(bound) > _PROBE else np.arange(len(bound))
+    live = np.flatnonzero(bound >= (1.0 - _MARGIN) * exact(probe).max() - _TINY)
+    alpha = exact(live)
+    return live[alpha == alpha.max()]
 
 
 def select_next(
@@ -317,29 +366,15 @@ def select_next(
 
     ``front_maxima`` is the (S, k) output of ``sample_pareto_fronts``: it
     must be finite, with S >= 1 and k == len(models) == problem.n_obj.
-    The pool is ``default_rng(seed).random((pool, dim))``. The levels are
-    ``fidelity_grid(fidelity_levels)``, or 1 alone when no objective bears
-    fidelity, and ``problem.cost`` gives their costs; one level is the
-    MESMO baseline. A fidelity-bearing objective's posterior is evaluated once per
-    (candidate, level), any other objective's once per candidate, at 1.
-
-    Only the pairs that can win are scored in full. ``entropy_term`` is
-    non-increasing, so with gamma_min_j = (min_s f*_sj - mu_j) / sigma_j
-    the bound U(x, l) = sum_j h(gamma_min_j) / C_l is at least alpha(x, l).
-    Alpha is computed exactly for the ``_PROBE`` pairs with the largest U,
-    the best of which is alpha_0, and then for every pair with
-    U >= (1 - 1e-9) * alpha_0 - 1e-300. For gamma >= -30 ``entropy_term``
-    is within 2.5e-11 of h relatively while h is a normal float, so the
-    relative margin covers its rounding and that of the sums, and the
-    absolute one covers subnormal values and an alpha_0 of 0. Below -30
-    its error grows past the margin (1.7e-10 at -100), so U is infinite
-    for a pair with any gamma_min_j < -30. A pair below the line has
-    alpha < alpha_0: it can neither win nor tie, and the pick is the full
-    grid's. Exact alpha keeps the full grid's arithmetic and order: a row
-    sum over s per objective, accumulated over j from zero, divided by
-    C_l * S. An objective with one level is scored once per candidate, not
-    per level. Exact ties go to the cheaper pair, then to the lower
-    (candidate, level) index.
+    ``_candidate_grid`` draws the pool ``default_rng(seed).random((pool,
+    dim))`` and takes the levels ``fidelity_grid(fidelity_levels)``, or 1
+    alone when no objective bears fidelity, with their ``problem.cost``;
+    one level is the MESMO baseline. Its posterior pass evaluates a
+    fidelity-bearing objective once per (candidate, level), shape (pool,
+    L), and any other once per candidate, at 1, shape (pool, 1).
+    ``_mes_gain`` returns the pairs with the largest alpha and states the
+    bound that spares it scoring the rest. Exact ties go to the cheaper
+    pair, then to the lower (candidate, level) index.
     """
     if pool < 1:
         raise ValueError("pool must hold at least one candidate")
@@ -352,42 +387,9 @@ def select_next(
         )
     if len(front_maxima) < 1 or not np.isfinite(front_maxima).all():
         raise ValueError("front_maxima must hold at least one sample, all finite")
-    rng = np.random.default_rng(seed)
-    candidates = rng.random((pool, problem.dim))
-    levels = fidelity_grid(fidelity_levels if any(problem.fidelity_mask) else 1)
-    grid_costs = np.array([problem.cost(z) for z in levels])
-    n_l, n_s = len(levels), len(front_maxima)
-
-    # Per objective: posterior at (candidate, own level), shape (pool, L_j),
-    # and the column of each grid level.
-    posts = []
-    bound = np.zeros((pool, n_l))
-    for j, (model, bearing) in enumerate(zip(models, problem.fidelity_mask)):
-        lv = levels if bearing else np.ones(1)
-        mu, sigma = posterior(model, np.repeat(candidates, len(lv), axis=0), np.tile(lv, pool))
-        mu = mu.reshape(pool, len(lv))
-        sigma = np.maximum(sigma, _SIGMA_FLOOR).reshape(pool, len(lv))
-        col_of = np.arange(n_l) if bearing else np.zeros(n_l, dtype=int)
-        g_min = (front_maxima[:, j].min() - mu) / sigma
-        bound += np.where(g_min < _GAMMA_LO, np.inf, entropy_term(g_min))[:, col_of]
-        posts.append((mu, sigma, col_of))
-    bound = (bound / grid_costs).ravel()
-
-    def exact(flat):
-        """Alpha at flat grid indices candidate * L + level."""
-        cand, lvl = np.divmod(flat, n_l)
-        gains = np.zeros(len(flat))
-        for fm, (mu, sigma, col_of) in zip(front_maxima.T, posts):
-            cells, inverse = np.unique(cand * mu.shape[1] + col_of[lvl], return_inverse=True)
-            gamma = (fm[None, :] - mu.flat[cells][:, None]) / sigma.flat[cells][:, None]
-            gains += entropy_term(gamma).sum(axis=1)[inverse]
-        return gains / (grid_costs[lvl] * n_s)
-
-    probe = np.argpartition(bound, -_PROBE)[-_PROBE:] if len(bound) > _PROBE else np.arange(len(bound))
-    live = np.flatnonzero(bound >= (1.0 - _MARGIN) * exact(probe).max() - _TINY)
-    alpha = exact(live)
-    cand, lvl = np.divmod(live[alpha == alpha.max()], n_l)
-    pick = np.lexsort((lvl, cand, grid_costs[lvl]))[0]
+    candidates, levels, costs, posts = _candidate_grid(models, problem, pool, fidelity_levels, seed)
+    cand, lvl = np.divmod(_mes_gain(front_maxima, posts, costs), len(levels))
+    pick = np.lexsort((lvl, cand, costs[lvl]))[0]
     return candidates[cand[pick]], float(levels[lvl[pick]])
 
 
@@ -531,12 +533,7 @@ def search(
     warm = None  # latest GP hyperparameters, reported with the result
     sel_rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_POOL]))
     t = 0
-    while (
-        not truncated
-        and ledger.cost <= budget.total_cost
-        and t < budget.max_iterations
-        and not converged
-    ):
+    while ledger.cost <= budget.total_cost and t < budget.max_iterations and not converged:
         if optimizer == "random":
             x, z = sel_rng.random(problem.dim), 1.0
         elif len(ledger.ok_rows()) < 2:

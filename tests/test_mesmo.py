@@ -315,6 +315,19 @@ def test_pruned_search_scores_a_fraction_of_the_grid(monkeypatch):
     assert sizes[:2] == [20_000, 20_000] and sum(sizes) < 60_000
 
 
+def test_reram_posterior_pass_evaluates_only_accuracy_per_level(monkeypatch):
+    # Only the accuracy bears fidelity: its posterior is evaluated at every
+    # (candidate, level), and each hardware model's once per candidate, at 1.
+    problem, models = _seeded_models(0, problem=_reram_problem())
+    calls, posterior = [], mesmo.posterior
+    monkeypatch.setattr(mesmo, "posterior", lambda m, x, z: calls.append((len(x), z)) or posterior(m, x, z))
+    select_next(models, np.zeros((2, problem.n_obj)), problem, seed=0)
+    pool, levels = MesmoConfig().pool_size, fidelity_grid(MesmoConfig().fidelity_levels)
+    assert [n for n, _ in calls] == [pool * len(levels), pool, pool, pool]
+    np.testing.assert_array_equal(calls[0][1], np.tile(levels, pool))
+    assert all((z == 1.0).all() for _, z in calls[1:])
+
+
 @pytest.mark.parametrize(
     "maxima,n_models,match",
     [
@@ -499,6 +512,15 @@ def test_a_draw_past_the_measured_cos_range_is_scored_in_float64_everywhere():
     starts = np.random.default_rng(0).random((2, 16, 1))
     funcs = [wide, narrow]
     assert mesmo._maximize(funcs, starts).tobytes() == _unscreened_maximize(funcs, starts).tobytes()
+
+
+def test_cos_err_covers_this_builds_float32_cos():
+    # _screen_margin's proof rests on _COS_ERR, four times a float32 np.cos
+    # error measured on one NumPy build; a build with a worse cos breaks it.
+    a = np.random.default_rng(0).uniform(-(2.0**15), 2.0**15, 10**6).astype(np.float32)
+    a = np.append(a, np.float32(3.9258246))  # the measured worst argument
+    err = np.max(np.abs(np.cos(a).astype(float) - np.cos(a.astype(float))))
+    assert err <= mesmo._COS_ERR / 4, f"float32 cos error {err:.3g}: re-measure mesmo._COS_ERR"
 
 
 def test_screen_margin_bounds_the_float32_error_of_real_draws():
