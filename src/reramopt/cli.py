@@ -23,7 +23,7 @@ import numpy as np
 from . import config as cfgmod
 from .design_space import ReramDesign
 from .mesmo import CampaignResult, nsga2_evaluations, search
-from .noise import rtn_sample, sample_write_noise, shot_sigma, thermal_sigma
+from .noise import rtn_sample, sample_write_noise, shot_sigma, standard_normal, thermal_sigma
 from .objectives import MooProblem
 from .pareto import dominated_hypervolume
 from .resna import accuracy_objective, epochs_for_fidelity, make_dataset
@@ -327,9 +327,7 @@ def _cmd_noise_hist(args) -> int:
     cfg = _load_cfg(args)
     design = _design_from_args(cfg, args)
     rng = np.random.default_rng(args.seed)
-    n_levels = 1 << design.res_cell
-    levels = np.arange(n_levels)
-    g_levels = design.g_min + levels * (design.g_max - design.g_min) / (n_levels - 1)
+    g_levels = design.g_min + np.arange(1 << design.res_cell) * design.g_step
     if args.levels is not None:
         g_levels = g_levels[: args.levels]
     lines = [
@@ -342,8 +340,8 @@ def _cmd_noise_hist(args) -> int:
         cells = np.full(n, g)
         # Built in draw order: thermal, shot, RTN, programming.
         draws = {
-            "thermal": rng.standard_normal(n) * thermal_sigma(cells, design) if spec.thermal else off,
-            "shot": rng.standard_normal(n) * shot_sigma(cells, design) if spec.shot else off,
+            "thermal": standard_normal(rng, (n,)) * thermal_sigma(cells, design) if spec.thermal else off,
+            "shot": standard_normal(rng, (n,)) * shot_sigma(cells, design) if spec.shot else off,
             "rtn": rtn_sample(cells, design, spec, rng) if spec.rtn else off,
             "prog": sample_write_noise(cells, design, spec, rng),
         }

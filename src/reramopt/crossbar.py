@@ -35,7 +35,10 @@ reproduces them bit-for-bit):
   variance together, then RTN, then one clip to [0, g_max]
   (``noise.sample_read``).
 * The samplers of ``noise.py`` read each layer's ``ReramDesign`` and
-  ``NoiseSpec``; the spec alone decides which sources are drawn.
+  ``NoiseSpec``; the spec alone decides which sources are drawn. Every
+  programming and read Gaussian comes from ``noise.standard_normal``
+  (float32 Box-Muller, cut at about 5.77 sigma), and RTN occupancy at
+  the default p = 1/2 from packed random bits.
 
 A layer is immutable during reads; concurrent mvm calls need independent
 generators. program() replaces the noisy arrays wholesale.

@@ -29,6 +29,23 @@ from the two-draw path in two places only: the read sigma is taken at the
 target instead of the programmed G, and the caller clips once instead of
 after each draw.
 
+Every Gaussian of the emulator comes from one source,
+``standard_normal``: float32 Box-Muller normals, drawn as 2*ceil(n/2)
+float32 uniforms u1, u2 and returned as r*cos(2*pi*u2) and r*sin(2*pi*u2)
+with r = sqrt(-2*log1p(-u1)), all in float32. It costs about a third of
+NumPy's float64 ziggurat per value. Its law differs from N(0, 1) in two
+stated ways:
+
+* the tail is cut at sqrt(48*ln 2) ~ 5.77 sigma, because u1 is a multiple
+  of 2**-24 below 1; that drops 8.0e-9 of the mass;
+* the bytes depend on the NumPy build's float32 ``log1p``, ``sin`` and
+  ``cos`` kernels, as ``mesmo``'s front sampler already depends on its
+  float32 ``cos`` (``_COS_ERR``).
+
+RTN occupancy at the default p = 1/2 is read from packed random bits, one
+bit per cell, which is exact Bernoulli(1/2); any other p compares one
+float64 uniform per cell with p.
+
 Every function takes the conductances ``g`` (a scalar or an ndarray) and
 the ``ReramDesign`` that sets V = v_r, Freq, T, sigma_prog and
 G_min = 1/r_off. The RTN functions and the samplers also take a
@@ -49,6 +66,7 @@ from .design_space import ReramDesign
 
 K_BOLTZMANN = 1.380649e-23  # J/K
 Q_ELECTRON = 1.602176634e-19  # C
+_TWO_PI = np.float32(2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -78,6 +96,30 @@ class NoiseSpec:
     def noisy_reads(self) -> bool:
         """Whether any read-time source (thermal, shot or RTN) is on."""
         return self.thermal or self.shot or self.rtn
+
+
+def standard_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Float32 standard normals of the given shape, by Box-Muller (see the module docstring).
+
+    Draws 2*ceil(n/2) float32 uniforms for n values: the first half sets the
+    radii and the second the angles. The cosines fill the first half of the
+    result and the sines the second, so the values depend on n alone, and
+    an odd n gives the first n of the n + 1 values of the same seed.
+    """
+    n = math.prod(shape)
+    m = (n + 1) // 2
+    u = rng.random(2 * m, dtype=np.float32)
+    r, theta = u[:m], u[m:]
+    np.negative(r, out=r)
+    np.log1p(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= _TWO_PI
+    cos = np.cos(theta)
+    np.sin(theta, out=theta)
+    theta *= r
+    np.multiply(cos, r, out=r)
+    return u[:n].reshape(shape)
 
 
 def thermal_sigma(g, design: ReramDesign):
@@ -127,10 +169,23 @@ def rtn_sample(
     the g = 0 case of ``rtn_amplitude`` cannot arise and is not masked.
     """
     g = np.asarray(g, dtype=float)
-    occupied = rng.random(g.shape) < spec.rtn_p_occupancy
+    occupied = _occupied(g.shape, spec.rtn_p_occupancy, rng)
     amp = _rtn_jump(g, design, spec) if fresh else rtn_amplitude(g, design, spec)
     amp *= occupied
     return amp
+
+
+def _occupied(shape: tuple[int, ...], p: float, rng: np.random.Generator) -> np.ndarray:
+    """Which traps are occupied, each with probability p, as a bool array.
+
+    At p = 1/2 each cell takes one bit of uint8 draws, unpacked in order;
+    any other p compares one float64 uniform per cell with p.
+    """
+    if p != 0.5:
+        return rng.random(shape) < p
+    n = math.prod(shape)
+    bits = rng.integers(0, 256, (n + 7) // 8, dtype=np.uint8)
+    return np.unpackbits(bits, count=n).view(bool).reshape(shape)
 
 
 def sample_read(
@@ -151,8 +206,8 @@ def sample_read(
     out = g
     write = fresh and spec.prog and design.sigma_prog > 0.0
     if spec.thermal or spec.shot or write:
-        out = rng.standard_normal(g.shape)
-        out *= _read_std(g, design, spec, write)
+        out = _read_std(g, design, spec, write)
+        out *= standard_normal(rng, g.shape)
         out += g
     if spec.rtn:
         rtn = rtn_sample(g, design, spec, rng, fresh)
@@ -179,6 +234,6 @@ def sample_write_noise(g, design: ReramDesign, spec: NoiseSpec, rng: np.random.G
     g = np.asarray(g, dtype=float)
     if not spec.prog:
         return np.zeros(g.shape)
-    err = rng.standard_normal(g.shape)
-    err *= prog_sigma(g, design)
+    err = prog_sigma(g, design)
+    err *= standard_normal(rng, g.shape)
     return err

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from reramopt.design_space import ReramDesign
 from reramopt.noise import (
@@ -14,6 +15,7 @@ from reramopt.noise import (
     sample_read,
     sample_write_noise,
     shot_sigma,
+    standard_normal,
     thermal_sigma,
 )
 
@@ -100,6 +102,64 @@ class TestRtn:
         spec = NoiseSpec(rtn_p_occupancy=p)
         draws = rtn_sample(np.full(1_000_000, 1e-5), D, spec, np.random.default_rng(42))
         assert abs(np.mean(draws > 0) - p) < 0.003
+
+    @pytest.mark.parametrize("p", [0.5, 0.37])
+    def test_occupancy_source_per_p(self, p):
+        # p = 1/2 takes one packed bit per cell, any other p one uniform per cell.
+        g = np.full((3, 7, 5), 1e-5)
+        occupied = rtn_sample(g, D, NoiseSpec(rtn_p_occupancy=p), np.random.default_rng(4)) > 0
+        rng = np.random.default_rng(4)
+        if p == 0.5:
+            bits = np.unpackbits(rng.integers(0, 256, 14, dtype=np.uint8))[: g.size]
+            want = bits.reshape(g.shape) == 1
+        else:
+            want = rng.random(g.shape) < p
+        np.testing.assert_array_equal(occupied, want)
+
+    def test_packed_occupancy_is_bernoulli_half(self):
+        n = 1_000_000
+        spec = NoiseSpec()
+        occupied = (rtn_sample(np.full(n, 1e-5), D, spec, np.random.default_rng(43)) > 0).astype(float)
+        # Bernoulli(1/2): sd 1/2, so the mean's s.e. is 0.5/sqrt(n) and the
+        # lag-1 correlation's 1/sqrt(n).
+        assert abs(occupied.mean() - 0.5) <= 5 * 0.5 / np.sqrt(n)
+        c = occupied - occupied.mean()
+        lag1 = np.dot(c[:-1], c[1:]) / np.dot(c, c)
+        assert abs(lag1) <= 5 / np.sqrt(n)
+
+
+class TestStandardNormal:
+    """The emulator's one Gaussian source against N(0, 1)."""
+
+    N = 1_000_000
+
+    def test_law_matches_the_standard_normal(self):
+        z = standard_normal(np.random.default_rng(0), (self.N,))
+        assert z.dtype == np.float32
+        z = z.astype(float)
+        # One-sample KS test at the 1% level: the asymptotic critical value.
+        assert stats.kstest(z, "norm").statistic < 1.628 / np.sqrt(self.N)
+        # Mean and variance within 5 standard errors: 1/sqrt(n) and sqrt(2/n).
+        assert abs(z.mean()) <= 5 / np.sqrt(self.N)
+        assert abs(z.var() - 1.0) <= 5 * np.sqrt(2 / self.N)
+        # u1 is a float32 multiple of 2**-24 below 1, which bounds the radius.
+        assert np.abs(z).max() <= np.sqrt(-2 * np.log(2.0**-24))
+
+    @pytest.mark.parametrize("shape", [(), (0,), (1,), (7,), (4, 3, 2, 5, 3)])
+    def test_shape_and_seed_stream(self, shape):
+        n = int(np.prod(shape))
+        rng = np.random.default_rng(5)
+        z = standard_normal(rng, shape)
+        assert z.shape == shape and z.dtype == np.float32
+        # The values depend on n alone, and an odd n gives the first n of n + 1.
+        flat = standard_normal(np.random.default_rng(5), (n,))
+        np.testing.assert_array_equal(z.ravel(), flat)
+        if n % 2:
+            np.testing.assert_array_equal(flat, standard_normal(np.random.default_rng(5), (n + 1,))[:n])
+        # n values take 2*ceil(n/2) float32 uniforms from the stream.
+        reference = np.random.default_rng(5)
+        reference.random(2 * ((n + 1) // 2), dtype=np.float32)
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestSamplers:
@@ -188,11 +248,17 @@ class TestReadDistribution:
 
 
 def formula_fresh_read(g, design, spec, rng):
-    """A fresh-deployment read spelled out from the noise functions, every source on."""
+    """A fresh-deployment read spelled out from the noise functions, every source on.
+
+    Byte oracle at p = 1/2: the one Gaussian through ``standard_normal``,
+    then one packed random bit per cell for the RTN occupancy.
+    """
+    assert spec.rtn_p_occupancy == 0.5
     var_per_siemens = thermal_sigma(1.0, design) ** 2 + shot_sigma(1.0, design) ** 2
     var = var_per_siemens * g + prog_sigma(g, design) ** 2
-    out = g + rng.standard_normal(g.shape) * np.sqrt(var)
-    occupied = rng.random(g.shape) < spec.rtn_p_occupancy
+    out = g + standard_normal(rng, g.shape) * np.sqrt(var)
+    bits = np.unpackbits(rng.integers(0, 256, (g.size + 7) // 8, dtype=np.uint8))
+    occupied = bits[: g.size].reshape(g.shape) == 1
     return out + np.where(occupied, rtn_amplitude(g, design, spec), 0.0)
 
 
