@@ -151,16 +151,16 @@ def test_overflowing_step_is_reported_as_divergence(data):
 # change to the arithmetic of a batch, moves them.
 PIN_SPEC = MlpSpec(widths=(40, 12, 3), n_train=32, n_test=60, lr=0.03, center_spread=1.0, data_seed=5)
 TRAIN_INFER_PINS = {
-    (1, 32): ("9678a3b68513f508", "403c7cc5dbff3ee8"),
-    (1, 128): ("00a483ff192b5b0e", "7153a03a06db4790"),
-    (2, 32): ("c714bece27549847", "526f5dc7d46588d4"),
-    (2, 128): ("00a6c64dc2545fc1", "c94b73c5a3e9c614"),
-    (3, 32): ("f541615707e517c1", "f86c4ed7c286d160"),
-    (3, 128): ("3c169c7797a18bba", "3d1e2185c46afad6"),
-    (4, 32): ("9a819a430b94097e", "beb3cc6228f9fea9"),
-    (4, 128): ("b8ef563143b4c331", "ea70fa77e2139d90"),
-    (8, 32): ("43ab1af3edddd12e", "2bca4f549a8a4197"),
-    (8, 128): ("2fdcc15012ed23fd", "5d796fc0f278c561"),
+    (1, 32): ("0aef6704c3ee06c7", "8660a43ce395253a"),
+    (1, 128): ("bec5e608c527159d", "7753ab2b0e8d0023"),
+    (2, 32): ("6d6634c9b606bd7e", "85551ff566eb62ce"),
+    (2, 128): ("173c34a8a666d041", "7153a03a06db4790"),
+    (3, 32): ("0609b6ae9f6a4703", "5dc928b8bae61c63"),
+    (3, 128): ("2e650db31bac2495", "60fbff0410edf3f8"),
+    (4, 32): ("e75a20469b784e90", "69b33448e2a9b1ab"),
+    (4, 128): ("76f530575acaebcc", "9234fb710176ef15"),
+    (8, 32): ("e5f26be313442add", "12f9a4675d48d39c"),
+    (8, 128): ("196f803a112e03d4", "6090af570413829f"),
 }
 
 
