@@ -165,27 +165,20 @@ def rtn_sample(
 ):
     """One RTN draw: the trap amplitude with probability rtn_p_occupancy, else 0.
 
-    With ``fresh``, g holds deployment targets, all at least g_min > 0, so
-    the g = 0 case of ``rtn_amplitude`` cannot arise and is not masked.
+    At p = 1/2 each cell takes one bit of uint8 draws, unpacked in order;
+    any other p compares one float64 uniform per cell with p. With
+    ``fresh``, g holds deployment targets, all at least g_min > 0, so the
+    g = 0 case of ``rtn_amplitude`` cannot arise and is not masked.
     """
     g = np.asarray(g, dtype=float)
-    occupied = _occupied(g.shape, spec.rtn_p_occupancy, rng)
+    if spec.rtn_p_occupancy == 0.5:
+        bits = rng.integers(0, 256, (g.size + 7) // 8, dtype=np.uint8)
+        occupied = np.unpackbits(bits, count=g.size).view(bool).reshape(g.shape)
+    else:
+        occupied = rng.random(g.shape) < spec.rtn_p_occupancy
     amp = _rtn_jump(g, design, spec) if fresh else rtn_amplitude(g, design, spec)
     amp *= occupied
     return amp
-
-
-def _occupied(shape: tuple[int, ...], p: float, rng: np.random.Generator) -> np.ndarray:
-    """Which traps are occupied, each with probability p, as a bool array.
-
-    At p = 1/2 each cell takes one bit of uint8 draws, unpacked in order;
-    any other p compares one float64 uniform per cell with p.
-    """
-    if p != 0.5:
-        return rng.random(shape) < p
-    n = math.prod(shape)
-    bits = rng.integers(0, 256, (n + 7) // 8, dtype=np.uint8)
-    return np.unpackbits(bits, count=n).view(bool).reshape(shape)
 
 
 def sample_read(
