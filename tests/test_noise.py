@@ -145,6 +145,19 @@ class TestStandardNormal:
         # u1 is a float32 multiple of 2**-24 below 1, which bounds the radius.
         assert np.abs(z).max() <= np.sqrt(-2 * np.log(2.0**-24))
 
+    def test_largest_value_is_the_stated_tail_cut(self):
+        class LargestRadius:
+            """Stands in for a generator: u1 at its largest float32, 1 - 2**-24, and u2 = 0."""
+
+            def random(self, size, dtype):
+                u = np.zeros(size, dtype)
+                u[: size // 2] = 1 - 2.0**-24
+                return u
+
+        z = standard_normal(LargestRadius(), (2,))
+        assert z[0] <= np.sqrt(48 * np.log(2)) and z[0] == pytest.approx(5.768107, abs=1e-6)
+        assert z[1] == 0.0
+
     @pytest.mark.parametrize("shape", [(), (0,), (1,), (7,), (4, 3, 2, 5, 3)])
     def test_shape_and_seed_stream(self, shape):
         n = int(np.prod(shape))
