@@ -29,7 +29,7 @@ from the two-draw path in two places only: the read sigma is taken at the
 target instead of the programmed G, and the caller clips once instead of
 after each draw.
 
-Every Gaussian of the emulator comes from one source,
+Every read and write Gaussian comes from one source,
 ``standard_normal``: float32 Box-Muller normals, drawn as 2*ceil(n/2)
 float32 uniforms u1, u2 and returned as r*cos(2*pi*u2) and r*sin(2*pi*u2)
 with r = sqrt(-2*log1p(-u1)), all in float32. On a 2-core AVX-512 Xeon it
