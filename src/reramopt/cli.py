@@ -144,21 +144,19 @@ def run_one_seed(cfg: cfgmod.CampaignConfig, seed: int) -> CampaignResult:
     return search(problem, cfg.budget, seed, cfg.optimizer, cfg.mesmo, cfg.gp, cfg.nsga2)
 
 
-def _seed_worker(cfg_text: str, seed: int) -> CampaignResult:
-    return run_one_seed(cfgmod.parse_config(cfg_text), seed)
-
-
 def run_campaign(cfg: cfgmod.CampaignConfig, out_dir: Path) -> int:
     """Execute all seeds and write the artifact set; 0 iff all completed.
 
-    A seed that raises is named on stderr; the artifacts of the seeds that
-    completed are still written. So is a surrogate campaign that has no
-    opt row within its budget: fewer than two initial evaluations succeeded.
+    The problem is built first, so a config that cannot build it writes
+    nothing. A seed that raises is named on stderr; the artifacts of the
+    seeds that completed are still written. So is a surrogate campaign that
+    has no opt row within its budget: fewer than two initial evaluations
+    succeeded.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
-    hash_ = cfgmod.config_hash(cfg)
     problem = cfgmod.build_problem(cfg)
     space = cfgmod.build_space(cfg) if cfg.problem.name == "reram" else None
+    out_dir.mkdir(parents=True, exist_ok=True)
+    hash_ = cfgmod.config_hash(cfg)
 
     _write_lines(out_dir / "effective_config.yaml", [f"# config_hash={hash_}", cfgmod.dump_config(cfg).rstrip()])
     if cfg.optimizer == "nsga2":
@@ -181,9 +179,8 @@ def run_campaign(cfg: cfgmod.CampaignConfig, out_dir: Path) -> int:
             failed.append(seed)
 
     if cfg.workers > 1 and len(cfg.seeds) > 1:
-        cfg_text = cfgmod.dump_config(cfg)
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            futures = [pool.submit(_seed_worker, cfg_text, s) for s in cfg.seeds]
+            futures = [pool.submit(run_one_seed, cfg, s) for s in cfg.seeds]
             for s, future in zip(cfg.seeds, futures):
                 collect(s, future.result)
     else:
@@ -221,13 +218,12 @@ def _add_design_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _design_from_args(cfg: cfgmod.CampaignConfig, args) -> ReramDesign:
-    space = cfgmod.build_space(cfg)
     return ReramDesign(
         res_cell=args.res_cell,
         freq_hz=args.freq,
         temperature_k=args.temp,
         xbar_size=args.xbar,
-        **space.constants,
+        **dataclasses.asdict(cfg.device),
     )
 
 
@@ -258,7 +254,6 @@ def _cmd_run(args) -> int:
     if args.seed is not None:
         overrides["seeds"] = (args.seed,)
     cfg = dataclasses.replace(cfg, **overrides)
-    cfgmod._validate(cfg)
     return run_campaign(cfg, Path(args.out or cfg.out_dir))
 
 

@@ -1,10 +1,12 @@
 """Campaign configuration: YAML schema, defaults, and object builders.
 
-The effective configuration is a tree of frozen dataclasses; the gp,
-nsga2, budget, noise, resna, hw and mesmo sections are the runtime
-classes themselves (``resna:`` is ``MlpSpec``, ``hw:`` is
-``HwCostParams``, ``mesmo:`` is ``MesmoConfig``), so their own checks
-run at parse time. Parsing is
+The effective configuration is a tree of frozen dataclasses; every
+section is the runtime class itself (``device:`` is ``Device``,
+``space:`` is ``SpaceBounds``, ``resna:`` is ``MlpSpec``, ``hw:`` is
+``HwCostParams``, ``mesmo:`` is ``MesmoConfig``), so its own checks run
+at parse time. A ``CampaignConfig`` checks the rules that span sections
+when it is built, by ``parse_config`` or by ``dataclasses.replace``,
+and raises ``ConfigError``. Parsing is
 strict: unknown keys are rejected with their dotted path, YAML syntax
 errors carry the line number, and an empty document yields the defaults.
 Plain scalars such as ``1e9`` and ``1.0e9`` are floats, as in YAML 1.2;
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .design_space import DesignSpace
+from .design_space import DesignSpace, Device, SpaceBounds
 from .gp import GpConfig
 from .mesmo import Budget, MesmoConfig
 from .noise import NoiseSpec
@@ -38,28 +40,13 @@ class ConfigError(ValueError):
     pass
 
 
+OPTIMIZERS = ("cf-mesmo", "mesmo", "random", "nsga2")
+PROBLEMS = ("reram", "branin-currin-cf", "zdt1")
+
+
 @dataclass(frozen=True)
 class ProblemSection:
     name: str = "branin-currin-cf"  # or "zdt1", "reram"
-
-
-@dataclass(frozen=True)
-class DeviceSection:
-    bit_quan: int = 8
-    r_on: float = 3.03e3
-    r_off: float = 3.03e6
-    res_dac: int = 8
-    res_adc: int | None = 8
-    v_r: float = 1.65
-    sigma_prog: float = 0.0658
-
-
-@dataclass(frozen=True)
-class SpaceSection:
-    res_cell_levels: tuple[int, ...] = (1, 2, 3, 4, 8)
-    xbar_sizes: tuple[int, ...] = (32, 64, 128)
-    freq_bounds_hz: tuple[float, float] = (1.0e7, 1.0e9)
-    temperature_bounds_k: tuple[float, float] = (300.0, 400.0)
 
 
 @dataclass(frozen=True)
@@ -70,8 +57,8 @@ class CampaignConfig:
     out_dir: str = "campaign_out"
     workers: int = 1
     budget: Budget = field(default_factory=Budget)
-    device: DeviceSection = field(default_factory=DeviceSection)
-    space: SpaceSection = field(default_factory=SpaceSection)
+    device: Device = field(default_factory=Device)
+    space: SpaceBounds = field(default_factory=SpaceBounds)
     noise: NoiseSpec = field(default_factory=NoiseSpec)
     resna: MlpSpec = field(default_factory=MlpSpec)
     hw: HwCostParams = field(default_factory=HwCostParams)
@@ -79,9 +66,37 @@ class CampaignConfig:
     mesmo: MesmoConfig = field(default_factory=MesmoConfig)
     nsga2: Nsga2Config = field(default_factory=Nsga2Config)
 
-
-OPTIMIZERS = ("cf-mesmo", "mesmo", "random", "nsga2")
-PROBLEMS = ("reram", "branin-currin-cf", "zdt1")
+    def __post_init__(self):
+        if self.optimizer not in OPTIMIZERS:
+            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
+        if self.problem.name not in PROBLEMS:
+            raise ConfigError(f"problem.name must be one of {PROBLEMS}, got {self.problem.name!r}")
+        if not self.seeds:
+            raise ConfigError("seeds must not be empty")
+        # Each seed names its own artifacts and generator stream.
+        if min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds must be distinct and >= 0, got {list(self.seeds)}")
+        if self.workers < 1:
+            raise ConfigError("workers must be >= 1")
+        # The surrogates need two observations before the first pick; random
+        # search needs no initial design.
+        if self.optimizer in ("cf-mesmo", "mesmo") and self.mesmo.n_init < 2:
+            raise ConfigError(
+                f"'mesmo': n_init must be >= 2 for {self.optimizer}, got {self.mesmo.n_init}"
+            )
+        # A corner that fails with the default device is the space's fault;
+        # one that fails only with the configured device is the device's.
+        space = build_space(self)
+        for section, constants in (("space", {}), ("device", space.constants)):
+            try:
+                corners = dataclasses.replace(space, constants=constants).corners()
+            except ValueError as exc:
+                raise ConfigError(f"'{section}': {exc}") from exc
+        # Every design runs its classifier layer at the resna: operating point.
+        try:
+            corners[0].with_context(self.resna.classifier_freq_hz, self.resna.classifier_temperature_k)
+        except ValueError as exc:
+            raise ConfigError(f"'resna': classifier operating point: {exc}") from exc
 
 
 class _Loader(yaml.SafeLoader):
@@ -108,50 +123,12 @@ def parse_config(text: str) -> CampaignConfig:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError("top-level config must be a mapping")
-    cfg = _from_mapping(CampaignConfig, data, path="")
-    _validate(cfg)
-    return cfg
+    return _from_mapping(CampaignConfig, data, path="")
 
 
 def load_config(path: str) -> CampaignConfig:
     with open(path, encoding="utf-8") as fh:
         return parse_config(fh.read())
-
-
-def _validate(cfg: CampaignConfig) -> None:
-    if cfg.optimizer not in OPTIMIZERS:
-        raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {cfg.optimizer!r}")
-    if cfg.problem.name not in PROBLEMS:
-        raise ConfigError(f"problem.name must be one of {PROBLEMS}, got {cfg.problem.name!r}")
-    if not cfg.seeds:
-        raise ConfigError("seeds must not be empty")
-    # Each seed names its own artifacts and generator stream.
-    if min(cfg.seeds) < 0 or len(set(cfg.seeds)) < len(cfg.seeds):
-        raise ConfigError(f"seeds must be distinct and >= 0, got {list(cfg.seeds)}")
-    if cfg.workers < 1:
-        raise ConfigError("workers must be >= 1")
-    # The surrogates need two observations before the first pick; random
-    # search needs no initial design.
-    if cfg.optimizer in ("cf-mesmo", "mesmo") and cfg.mesmo.n_init < 2:
-        raise ConfigError(
-            f"'mesmo': n_init must be >= 2 for {cfg.optimizer}, got {cfg.mesmo.n_init}"
-        )
-    # A corner that fails with the default device is the space's fault;
-    # one that fails only with the configured device is the device's.
-    try:
-        space = build_space(cfg)
-    except ValueError as exc:
-        raise ConfigError(f"'space': {exc}") from exc
-    for section, constants in (("space", {}), ("device", space.constants)):
-        try:
-            corners = dataclasses.replace(space, constants=constants).corners()
-        except ValueError as exc:
-            raise ConfigError(f"'{section}': {exc}") from exc
-    # Every design runs its classifier layer at the resna: operating point.
-    try:
-        corners[0].with_context(cfg.resna.classifier_freq_hz, cfg.resna.classifier_temperature_k)
-    except ValueError as exc:
-        raise ConfigError(f"'resna': classifier operating point: {exc}") from exc
 
 
 def _from_mapping(cls, data: dict, path: str):
@@ -167,6 +144,8 @@ def _from_mapping(cls, data: dict, path: str):
         kwargs[name] = _coerce(hints[name], value, sub_path)
     try:
         return cls(**kwargs)
+    except ConfigError:  # CampaignConfig's checks name their own section
+        raise
     except ValueError as exc:  # a runtime class rejected the section's values
         raise ConfigError(f"'{path}': {exc}") from exc
 

@@ -2,7 +2,7 @@
 
 A design point fixes four free variables (cell resolution, operating
 frequency, temperature, crossbar side length); everything else about the
-device is a constant. Optimizers work on a normalized [0,1]^4 vector;
+device is a constant (``Device``). Optimizers work on a normalized [0,1]^4 vector;
 ordinal variables are snapped back to their nearest admissible level on
 decode, continuous variables map affinely.
 """
@@ -23,20 +23,14 @@ FREQ_BOUNDS_HZ = (1.0e7, 1.0e9)
 TEMPERATURE_BOUNDS_K = (300.0, 400.0)
 
 
-@dataclass(frozen=True)
-class ReramDesign:
-    """One point of the crossbar design space plus fixed device constants.
+@dataclass(frozen=True, kw_only=True)
+class Device:
+    """The config's ``device:`` section: the fixed device of every design.
 
-    Free variables: ``res_cell`` (bits per cell), ``freq_hz``,
-    ``temperature_k``, ``xbar_size``. The remaining fields are device
-    constants shared by all designs; they are overridable for what-if
-    studies but default to the reference device.
+    The constants default to the reference device and are overridable for
+    what-if studies. Building one runs the checks that need no design variable.
     """
 
-    res_cell: int
-    freq_hz: float
-    temperature_k: float
-    xbar_size: int
     bit_quan: int = 8
     r_on: float = 3.03e3
     r_off: float = 3.03e6
@@ -46,16 +40,6 @@ class ReramDesign:
     sigma_prog: float = 0.0658
 
     def __post_init__(self):
-        if self.res_cell not in RES_CELL_LEVELS:
-            raise ValueError(f"res_cell must be one of {RES_CELL_LEVELS}, got {self.res_cell}")
-        if self.res_cell > self.bit_quan:
-            raise ValueError(f"res_cell ({self.res_cell}) exceeds bit_quan ({self.bit_quan})")
-        if self.xbar_size not in XBAR_SIZES:
-            raise ValueError(f"xbar_size must be one of {XBAR_SIZES}, got {self.xbar_size}")
-        if not (FREQ_BOUNDS_HZ[0] <= self.freq_hz <= FREQ_BOUNDS_HZ[1]):
-            raise ValueError(f"freq_hz {self.freq_hz} outside {FREQ_BOUNDS_HZ}")
-        if not (TEMPERATURE_BOUNDS_K[0] <= self.temperature_k <= TEMPERATURE_BOUNDS_K[1]):
-            raise ValueError(f"temperature_k {self.temperature_k} outside {TEMPERATURE_BOUNDS_K}")
         if not (0.0 < self.r_on < self.r_off):
             raise ValueError("need 0 < r_on < r_off")
         if not (math.isfinite(self.v_r) and self.v_r > 0.0):
@@ -69,6 +53,33 @@ class ReramDesign:
             # Activations are quantized to bit_quan bits; a narrower DAC
             # would clip their codes without an error.
             raise ValueError(f"res_dac ({self.res_dac}) is narrower than bit_quan ({self.bit_quan})")
+
+
+@dataclass(frozen=True)
+class ReramDesign(Device):
+    """One point of the crossbar design space on a ``Device``.
+
+    Free variables: ``res_cell`` (bits per cell), ``freq_hz``,
+    ``temperature_k``, ``xbar_size``; the device fields are keyword-only.
+    """
+
+    res_cell: int
+    freq_hz: float
+    temperature_k: float
+    xbar_size: int
+
+    def __post_init__(self):
+        if self.res_cell not in RES_CELL_LEVELS:
+            raise ValueError(f"res_cell must be one of {RES_CELL_LEVELS}, got {self.res_cell}")
+        if self.res_cell > self.bit_quan:
+            raise ValueError(f"res_cell ({self.res_cell}) exceeds bit_quan ({self.bit_quan})")
+        if self.xbar_size not in XBAR_SIZES:
+            raise ValueError(f"xbar_size must be one of {XBAR_SIZES}, got {self.xbar_size}")
+        if not (FREQ_BOUNDS_HZ[0] <= self.freq_hz <= FREQ_BOUNDS_HZ[1]):
+            raise ValueError(f"freq_hz {self.freq_hz} outside {FREQ_BOUNDS_HZ}")
+        if not (TEMPERATURE_BOUNDS_K[0] <= self.temperature_k <= TEMPERATURE_BOUNDS_K[1]):
+            raise ValueError(f"temperature_k {self.temperature_k} outside {TEMPERATURE_BOUNDS_K}")
+        super().__post_init__()
 
     # Constants of the deploy and read path, computed once per design; a
     # design made by ``with_context`` or ``replace`` computes its own.
@@ -133,22 +144,17 @@ class ReramDesign:
 
 
 @dataclass(frozen=True)
-class DesignSpace:
-    """Bounds and level sets defining the encodable design space.
+class SpaceBounds:
+    """The config's ``space:`` section: level sets and bounds of the variables.
 
-    ``encode`` maps a design to [0,1]^4 in the order (res_cell, freq,
-    temperature, xbar_size). Ordinals are placed on an evenly spaced grid
-    index/(levels-1) regardless of their numeric values, which keeps GP
-    lengthscales comparable across the non-uniform {1,2,3,4,8} ladder.
+    Defaults to the module constants. Building one checks that each level
+    set is non-empty and distinct and each bound interval is non-empty.
     """
 
     res_cell_levels: tuple[int, ...] = RES_CELL_LEVELS
     xbar_sizes: tuple[int, ...] = XBAR_SIZES
     freq_bounds_hz: tuple[float, float] = FREQ_BOUNDS_HZ
     temperature_bounds_k: tuple[float, float] = TEMPERATURE_BOUNDS_K
-    constants: dict = field(default_factory=dict)
-
-    dim: ClassVar[int] = 4
 
     def __post_init__(self):
         for name in ("res_cell_levels", "xbar_sizes"):
@@ -159,6 +165,22 @@ class DesignSpace:
             bounds = getattr(self, name)
             if len(bounds) != 2 or not bounds[0] < bounds[1]:
                 raise ValueError(f"{name} must be a (lo, hi) pair with lo < hi, got {list(bounds)}")
+
+
+@dataclass(frozen=True)
+class DesignSpace(SpaceBounds):
+    """``SpaceBounds`` plus ``constants``, the ``Device`` fields of every
+    design it builds; ``{}`` means the reference device.
+
+    ``encode`` maps a design to [0,1]^4 in the order (res_cell, freq,
+    temperature, xbar_size). Ordinals are placed on an evenly spaced grid
+    index/(levels-1) regardless of their numeric values, which keeps GP
+    lengthscales comparable across the non-uniform {1,2,3,4,8} ladder.
+    """
+
+    constants: dict = field(default_factory=dict)
+
+    dim: ClassVar[int] = 4
 
     def encode(self, design: ReramDesign) -> np.ndarray:
         """Map a valid design to its normalized coordinate vector."""

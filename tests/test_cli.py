@@ -125,7 +125,7 @@ def test_nsga2_spends_a_budget_below_two_populations(tmp_path):
 
 
 def test_parallel_seeds_match_the_serial_golden(tmp_path):
-    # Each worker re-parses the dumped config; only the config hash header differs.
+    # Each worker gets the config object; only the config hash header differs.
     cfg = tmp_path / "cfg.yaml"
     text = (GOLDEN / "configs" / "reram.yaml").read_text(encoding="utf-8")
     cfg.write_text(text + "seeds: [0, 1]\nworkers: 2\n", encoding="utf-8")
@@ -138,7 +138,7 @@ def test_parallel_seeds_match_the_serial_golden(tmp_path):
     assert (out / "trace_seed1.csv").is_file()
 
 
-@pytest.mark.parametrize("z,epochs,accuracy", [(0.0, 1, 0.3125), (1.0, 2, 0.5)])
+@pytest.mark.parametrize("z,epochs,accuracy", [(0.0, 1, 0.3125), (1.0, 2, 0.5)], ids=["z0", "z1"])
 def test_train_one_prints_the_accuracy_that_evaluate_scores(z, epochs, accuracy, capsys):
     args = ["--config", str(GOLDEN / "configs" / "reram.yaml"), "--res-cell", "2", "--xbar", "32"]
     args += ["--freq", "2e8", "--temp", "320", "--seed", "3", "--z", repr(z)]
@@ -211,6 +211,15 @@ def test_noise_hist_rejects_counts_below_one(flag, value, tmp_path, capsys):
     assert out == "" and err.strip() == f"{flag} must be >= 1, got {value}"
     assert cli.main(["noise-hist", *args, "--out", str(tmp_path / "hist.csv")]) == 1
     assert not (tmp_path / "hist.csv").exists()
+
+
+def test_run_writes_nothing_when_the_problem_cannot_be_built(tmp_path, capsys):
+    missing = tmp_path / "missing.csv"
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"problem: {{name: reram}}\nresna: {{csv_path: {missing}}}\n", encoding="utf-8")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert str(missing) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_rejects_a_negative_seed_before_writing(tmp_path, capsys):

@@ -7,13 +7,10 @@ from reramopt import cli
 from reramopt.config import (
     CampaignConfig,
     ConfigError,
-    DeviceSection,
-    SpaceSection,
     config_hash,
     emit_defaults,
     parse_config,
 )
-from reramopt.design_space import DesignSpace, ReramDesign
 
 # config_hash of the default config; artifacts embed it, so it must not drift.
 DEFAULT_HASH = "b5e517b1f61a66a5"
@@ -27,19 +24,6 @@ def test_emit_defaults_round_trips():
 def test_default_hash_is_pinned():
     assert config_hash(CampaignConfig()) == DEFAULT_HASH
     assert config_hash(parse_config(emit_defaults())) == DEFAULT_HASH
-
-
-def test_device_and_space_sections_default_to_the_reference_device():
-    # The config restates these defaults. Were one copy changed alone,
-    # `reramopt evaluate` (built from the config) and reram_problem()'s
-    # default space would model different devices without an error.
-    constants = {
-        f.name: f.default for f in dataclasses.fields(ReramDesign) if f.default is not dataclasses.MISSING
-    }
-    assert dataclasses.asdict(DeviceSection()) == constants
-    space = {f.name: getattr(DesignSpace(), f.name) for f in dataclasses.fields(DesignSpace)}
-    del space["constants"]
-    assert dataclasses.asdict(SpaceSection()) == space
 
 
 def test_exponent_floats_are_numbers():
@@ -59,6 +43,10 @@ def test_quoted_exponent_stays_a_string():
     "text,path",
     [
         ("bogus: 1", "'bogus'"),
+        ("optimizer: bogus", "optimizer must be one of ('cf-mesmo', 'mesmo', 'random', 'nsga2'), got 'bogus'"),
+        ("problem: {name: bogus}", "problem.name must be one of ('reram', 'branin-currin-cf', 'zdt1'), got 'bogus'"),
+        ("workers: 0", "workers must be >= 1"),
+        ("seeds: []", "seeds must not be empty"),
         ("gp: {bogus: 1}", "'gp.bogus'"),
         ("budget: {max_iterations: 1.5}", "'budget.max_iterations'"),
         ("nsga2: {mutation_prob: high}", "'nsga2.mutation_prob'"),
@@ -162,6 +150,19 @@ def test_quoted_exponent_stays_a_string():
 def test_errors_carry_the_dotted_path(text, path):
     with pytest.raises(ConfigError, match=re.escape(path)):
         parse_config(text)
+
+
+@pytest.mark.parametrize("change", [{"seeds": (0, 0)}, {"optimizer": "bogus"}], ids=["seeds", "optimizer"])
+def test_replace_checks_the_campaign_config(change):
+    # CLI overrides build their config with dataclasses.replace.
+    with pytest.raises(ConfigError):
+        dataclasses.replace(parse_config(""), **change)
+
+
+def test_campaign_errors_reach_the_user_unwrapped():
+    # parse_config adds no section prefix to CampaignConfig's own errors.
+    with pytest.raises(ConfigError, match=r"^seeds must not be empty$"):
+        parse_config("seeds: []")
 
 
 @pytest.mark.parametrize(
