@@ -26,7 +26,7 @@ from .mesmo import CampaignResult, nsga2_evaluations, search
 from .noise import rtn_sample, sample_write_noise, shot_sigma, standard_normal, thermal_sigma
 from .objectives import MooProblem
 from .pareto import dominated_hypervolume
-from .resna import accuracy_objective, epochs_for_fidelity, make_dataset
+from .resna import accuracy_objective, make_dataset
 
 
 def _fmt(value) -> str:
@@ -304,7 +304,7 @@ def _cmd_train_one(args) -> int:
         json.dumps(
             {
                 "accuracy": float(np.mean(per_run)),
-                "epochs": epochs_for_fidelity(args.z, mlp.min_epochs, mlp.max_epochs),
+                "epochs": mlp.epochs(args.z),
                 "cost_seconds": seconds,
                 "per_run_accuracies": per_run,
             },
@@ -358,7 +358,10 @@ def _cmd_noise_hist(args) -> int:
 def _cmd_hv(args) -> int:
     with open(args.front, encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh]
-    header, *rows = [ln.split(",") for ln in lines if ln and not ln.startswith("#")]
+    table = [ln.split(",") for ln in lines if ln and not ln.startswith("#")]
+    if not table:
+        raise ValueError(f"{args.front}: no header line")
+    header, *rows = table
     cols = [i for i, name in enumerate(header) if name[:1] == "y" and name[1:].isdigit()]
     if not cols:
         raise ValueError(f"{args.front}: the header names no y1..yk objective columns")

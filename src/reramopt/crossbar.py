@@ -35,8 +35,8 @@ reproduces them bit-for-bit):
   variance together, then RTN, then one clip to [0, g_max]
   (``noise.sample_read``).
 * The samplers of ``noise.py`` read each layer's ``ReramDesign`` and
-  ``NoiseSpec``; the spec alone decides which sources are drawn. Every
-  programming and read Gaussian comes from ``noise.standard_normal``
+  ``NoiseSpec``, alone decide what is drawn and need a generator only then.
+  Every programming and read Gaussian comes from ``noise.standard_normal``
   (float32 Box-Muller, cut at about 5.77 sigma), and RTN occupancy at
   the default p = 1/2 from packed random bits.
 
@@ -151,17 +151,13 @@ def program(layer: MappedLayer, rng: np.random.Generator | None = None) -> Mappe
 
     Every duplicate copy gets an independent error sample, all drawn in one
     call per layer; calling again models an independent redeployment of the
-    same weights.
+    same weights. ``rng`` may be None only when ``noise.sample_write_noise``
+    draws nothing.
     """
     d = layer.design
-    if layer.noise.prog and rng is None:
-        raise ValueError("programming with noise enabled requires a generator")
     targets = _copies(layer)
-    if layer.noise.prog and d.sigma_prog > 0.0:
-        noisy = sample_write_noise(targets, d, layer.noise, rng)
-        noisy += targets
-    else:
-        noisy = targets.copy()
+    noisy = sample_write_noise(targets, d, layer.noise, rng)
+    noisy += targets
     noisy.clip(0.0, d.g_max, out=noisy)
     return replace(layer, noisy=noisy)
 
@@ -192,14 +188,13 @@ def mvm(
     (B, rows), all read in one analog pass; a negative code raises
     ValueError. Every row is read through all ``dup`` copies; the result
     holds the integer outputs of each copy as (dup, B, cols). Read noise is
-    drawn once per cell per call, independently per copy, from the sources
-    the layer's NoiseSpec enables; ``rng`` may be None only when none of
-    them is. A batch of all zeros reads nothing and draws nothing.
+    drawn by ``noise.sample_read`` once per cell per call, independently
+    per copy; ``rng`` may be None only when that read draws nothing. A
+    batch of all zeros reads nothing and draws nothing.
 
     An unprogrammed layer is read as a fresh deployment that this call
     alone sees: its programming error is drawn with the read noise, in one
-    Gaussian per cell at the target (see the module docstring). Such a read
-    needs ``rng`` whenever programming noise is enabled, as program() does.
+    Gaussian per cell at the target (see the module docstring).
 
     With noise off and res_adc=None every copy equals the exact integer
     matmul codes @ weight_codes.
@@ -214,20 +209,15 @@ def mvm(
 
     d = layer.design
     fresh = not layer.programmed
-    noisy_read = layer.noise.noisy_reads or (fresh and layer.noise.prog)
-    if rng is None and noisy_read:
-        raise ValueError("a noisy mvm requires a generator")
     n_b = codes.shape[0]
     acc = np.zeros((n_b, layer.dup, layer.cols))
     if codes.max(initial=0) > 0:
         cells = _copies(layer) if fresh else layer.noisy
         volts = np.minimum(codes, d.dac_levels, dtype=float)
         volts *= d.v_step
-        g = cells
-        if noisy_read:
-            g = sample_read(cells, d, layer.noise, rng, fresh)
-            if g is not cells:  # something was drawn: clip that sample in place
-                g.clip(0.0, d.g_max, out=g)
+        g = sample_read(cells, d, layer.noise, rng, fresh)
+        if g is not cells:  # something was drawn: clip that sample in place
+            g.clip(0.0, d.g_max, out=g)
         flat = g.reshape(layer.rows, -1)
         for r0 in range(0, layer.rows, d.xbar_size):
             r1 = min(r0 + d.xbar_size, layer.rows)

@@ -92,11 +92,6 @@ class NoiseSpec:
     def disabled(cls) -> "NoiseSpec":
         return cls(thermal=False, shot=False, rtn=False, prog=False)
 
-    @property
-    def noisy_reads(self) -> bool:
-        """Whether any read-time source (thermal, shot or RTN) is on."""
-        return self.thermal or self.shot or self.rtn
-
 
 def standard_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     """Float32 standard normals of the given shape, by Box-Muller (see the module docstring).
@@ -182,7 +177,7 @@ def rtn_sample(
 
 
 def sample_read(
-    g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator, fresh: bool = False
+    g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator | None, fresh: bool = False
 ):
     """Conductances seen by one read: g plus fresh thermal, shot and RTN noise.
 
@@ -190,15 +185,19 @@ def sample_read(
     variances are both linear in g, so the enabled ones are drawn as a single
     Gaussian with std sqrt(sigma_th^2 + sigma_sh^2); RTN is drawn after it.
     With ``fresh``, g holds the targets of a deployment that this read alone
-    sees, and the programming error (if enabled) joins the same Gaussian, as
-    the module docstring derives. Reproducible reads depend on that order of
-    the draws. Disabled sources draw nothing, and with none enabled g itself
-    is returned; otherwise the result is a new array.
+    sees, and the programming error (if on, with sigma_prog > 0) joins the
+    same Gaussian, as the module docstring derives. Reproducible reads
+    depend on that order of the draws. With no source drawn g itself is
+    returned and ``rng`` may be None; otherwise the result is a new array
+    and a None ``rng`` raises ValueError.
     """
     g = np.asarray(g, dtype=float)
-    out = g
     write = fresh and spec.prog and design.sigma_prog > 0.0
-    if spec.thermal or spec.shot or write:
+    gauss = spec.thermal or spec.shot or write
+    if rng is None and (gauss or spec.rtn):
+        raise ValueError("a noisy read requires a generator")
+    out = g
+    if gauss:
         out = _read_std(g, design, spec, write)
         out *= standard_normal(rng, g.shape)
         out += g
@@ -222,11 +221,17 @@ def _read_std(g: np.ndarray, design: ReramDesign, spec: NoiseSpec, write: bool) 
     return np.sqrt(var, out=var)
 
 
-def sample_write_noise(g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator):
-    """One per-deployment programming error, Gaussian with std sigma_prog*g (0 if off)."""
+def sample_write_noise(g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator | None):
+    """One per-deployment programming error, Gaussian with std sigma_prog*g.
+
+    Zeros, drawn without ``rng``, when the source is off or sigma_prog = 0;
+    otherwise a None ``rng`` raises ValueError.
+    """
     g = np.asarray(g, dtype=float)
-    if not spec.prog:
+    if not (spec.prog and design.sigma_prog > 0.0):
         return np.zeros(g.shape)
+    if rng is None:
+        raise ValueError("a noisy write requires a generator")
     err = prog_sigma(g, design)
     err *= standard_normal(rng, g.shape)
     return err

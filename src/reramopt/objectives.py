@@ -27,7 +27,7 @@ import numpy as np
 
 from .crossbar import NoiseSpec
 from .design_space import DEFAULT_SPACE, DesignSpace, ReramDesign
-from .resna import MlpSpec, accuracy_objective, epochs_for_fidelity, make_dataset
+from .resna import MlpSpec, accuracy_objective, make_dataset
 
 
 @dataclass(frozen=True)
@@ -217,7 +217,7 @@ def reram_problem(
         return np.concatenate([[float(np.mean(accs))], _hw_vector(design)])
 
     def fidelity_cost(z: float) -> float:
-        return epochs_for_fidelity(float(z), mlp.min_epochs, mlp.max_epochs) / mlp.max_epochs
+        return mlp.epochs(float(z)) / mlp.max_epochs
 
     # Reference point: strictly dominated by any reachable evaluation
     # (accuracy >= 0; hardware metrics bounded by the worst corner, and

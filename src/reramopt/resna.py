@@ -59,8 +59,8 @@ class MlpSpec:
     the ``widths[-1]`` outputs, drawn from ``data_seed``, or the rows of
     ``csv_path``. Accuracy is the mean over ``infer_runs`` deployments,
     each by majority vote of the ``vote_copies`` classifier copies.
-    Fidelity z maps to training epochs affinely from ``min_epochs`` to
-    ``max_epochs``.
+    Fidelity z maps to training epochs affinely, by ``epochs(z)``, from
+    ``min_epochs`` at z=0 to ``max_epochs`` at z=1.
     """
 
     widths: tuple[int, ...] = (64, 32, 10)
@@ -99,6 +99,12 @@ class MlpSpec:
             raise ValueError(
                 f"need 1 <= min_epochs ({self.min_epochs}) <= max_epochs ({self.max_epochs})"
             )
+
+    def epochs(self, z: float) -> int:
+        """Training epochs at fidelity z: min_epochs at z=0, max_epochs at z=1."""
+        if not (0.0 <= z <= 1.0):
+            raise ValueError(f"fidelity must lie in [0,1], got {z}")
+        return int(round(self.min_epochs + z * (self.max_epochs - self.min_epochs)))
 
     @property
     def n_layers(self) -> int:
@@ -249,18 +255,17 @@ def _forward(
     """Run the noisy pipeline.
 
     Returns the classifier's logits per copy, (copies, B, classes), and the
-    per-layer input and pre-activation caches of copy 0.
+    per-layer inputs of copy 0.
     """
     a = x
-    acts, pres = [], []
+    acts = []
     for layer, b in zip(deployed, biases):
         acts.append(a)
         codes, scale = _quantize_unsigned(a, layer.design.bit_quan)
         pre = mvm(layer, codes, rng) * (scale * layer.scale)
         pre += b
-        pres.append(pre[0])
         a = np.maximum(pre[0], 0.0)
-    return pre, acts, pres
+    return pre, acts
 
 
 def _softmax_ce(logits: np.ndarray, labels: np.ndarray):
@@ -308,12 +313,12 @@ def train(
             idx = order[start : start + spec.batch_size]
             xb, yb = dataset.x_train[idx], dataset.y_train[idx]
             deployed = _deploy(state.weights, designs, 1, noise)
-            logits, acts, pres = _forward(deployed, state.biases, xb, rng)
+            logits, acts = _forward(deployed, state.biases, xb, rng)
             loss, dz = _softmax_ce(logits[0], yb)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             epoch_loss += loss * len(idx)
-            _sgd_step(state, acts, pres, dz)
+            _sgd_step(state, acts, dz)
             # The quantizers reject non-finite weights: an overflowing step
             # diverges here rather than failing the next deployment.
             if not all(np.isfinite(p).all() for p in state.weights + state.biases):
@@ -332,7 +337,7 @@ def _init_state(spec: MlpSpec, rng: np.random.Generator) -> TrainState:
     return TrainState(spec=spec, weights=weights, biases=biases, velocities_w=vw, velocities_b=vb)
 
 
-def _sgd_step(state: TrainState, acts, pres, dz):
+def _sgd_step(state: TrainState, acts, dz):
     """Backpropagate from the last layer, updating each layer once its gradient is used."""
     spec = state.spec
     for l in range(spec.n_layers - 1, -1, -1):
@@ -340,7 +345,7 @@ def _sgd_step(state: TrainState, acts, pres, dz):
         grad_b = dz.sum(axis=0)
         if l > 0:
             dz = dz @ state.weights[l].T
-            dz *= pres[l - 1] > 0.0
+            dz *= acts[l] > 0.0
         for param, velocity, grad in (
             (state.weights[l], state.velocities_w[l], grad_w),
             (state.biases[l], state.velocities_b[l], grad_b),
@@ -394,18 +399,11 @@ def infer(
         for start in range(0, len(dataset.x_test), _EVAL_BATCH):
             xb = dataset.x_test[start : start + _EVAL_BATCH]
             yb = dataset.y_test[start : start + _EVAL_BATCH]
-            per_copy, _, _ = _forward(deployed, state.biases, xb, rng)
+            per_copy, _ = _forward(deployed, state.biases, xb, rng)
             pred = majority_vote(per_copy)
             correct += int((pred == yb).sum())
         accs.append(correct / len(dataset.x_test))
     return accs
-
-
-def epochs_for_fidelity(z: float, min_epochs: int = 10, max_epochs: int = 100) -> int:
-    """Affine fidelity-to-epochs map; z=0 -> min_epochs, z=1 -> max_epochs."""
-    if not (0.0 <= z <= 1.0):
-        raise ValueError(f"fidelity must lie in [0,1], got {z}")
-    return int(round(min_epochs + z * (max_epochs - min_epochs)))
 
 
 def accuracy_objective(
@@ -422,7 +420,7 @@ def accuracy_objective(
     Cost is measured as per-process CPU time so that parallel campaign
     workers do not distort each other's readings.
     """
-    epochs = epochs_for_fidelity(z, spec.min_epochs, spec.max_epochs)
+    epochs = spec.epochs(z)
     t0 = time.process_time()
     state = train(spec, design, dataset, epochs, rng, noise=noise)
     accs = infer(state, design, dataset, runs=spec.infer_runs, rng=rng, noise=noise)

@@ -34,6 +34,14 @@ def test_hv_rejects_a_reference_of_the_wrong_length(capsys):
     assert "3 values for 2 objectives" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["", "# a comment\n\n"], ids=["empty", "comments-only"])
+def test_hv_names_a_front_with_no_header_line(text, tmp_path, capsys):
+    front = tmp_path / "front.csv"
+    front.write_text(text, encoding="utf-8")
+    assert cli.main(["hv", "--front", str(front), "--ref=0,0"]) == 1
+    assert capsys.readouterr().err == f"error: {front}: no header line\n"
+
+
 @pytest.mark.parametrize("ref,shown", [("nan,0", "[nan, 0.0]"), ("0,inf", "[0.0, inf]"), ("-inf,-7", "[-inf, -7.0]")])
 def test_hv_rejects_a_non_finite_reference(ref, shown, capsys):
     front = GOLDEN / "branin-cf-mesmo" / "front_seed0.csv"

@@ -134,8 +134,9 @@ class TestMapWeights:
 class TestProgram:
     def test_zero_sigma_exact(self):
         d = design(sigma_prog=0.0)
-        layer = program(map_weights(*quantize(np.eye(3), 8), d), np.random.default_rng(0))
-        np.testing.assert_array_equal(layer.noisy[:, 0, 0], layer.target[:, 0])
+        for rng in (np.random.default_rng(0), None):  # a write that draws nothing needs no generator
+            layer = program(map_weights(*quantize(np.eye(3), 8), d), rng)
+            np.testing.assert_array_equal(layer.noisy[:, 0, 0], layer.target[:, 0])
 
     def test_prog_disabled_exact(self):
         layer = program(map_weights(*quantize(np.eye(3), 8), design(), noise=QUIET))
@@ -220,9 +221,11 @@ class TestMvmIdealPath:
     def test_unprogrammed_quiet_read_equals_integer_matmul(self):
         rng = np.random.default_rng(6)
         w, scale = quantize(rng.standard_normal((20, 12)), 8)
-        layer = map_weights(w, scale, design(res_cell=2, res_adc=None), noise=QUIET)
         x = rng.integers(0, 128, size=(6, 20))
-        np.testing.assert_array_equal(mvm(layer, x)[0], x @ w)
+        # All sources off, and programming on at sigma_prog = 0 with the read sources off.
+        for noise, kw in ((QUIET, {}), (NoiseSpec(thermal=False, shot=False, rtn=False), {"sigma_prog": 0.0})):
+            layer = map_weights(w, scale, design(res_cell=2, res_adc=None, **kw), noise=noise)
+            np.testing.assert_array_equal(mvm(layer, x)[0], x @ w)
 
     @pytest.mark.parametrize(
         "noise",
@@ -263,6 +266,7 @@ class TestMvmIdealPath:
             out = mvm(layer, x, rng)
             assert out.shape == (2, 3, 6) and not out.any()
             assert rng.bit_generator.state == state
+            np.testing.assert_array_equal(mvm(layer, x), out)
 
 
 class TestMvmFixedPointOracle:

@@ -179,8 +179,11 @@ class TestSamplers:
     def test_all_disabled_gives_zero(self):
         off = NoiseSpec.disabled()
         rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         assert sample_read_noise(G_REF, D, off, rng) == 0.0
         assert sample_write_noise(G_REF, D, off, rng) == 0.0
+        assert sample_write_noise(G_REF, dsg(sigma_prog=0.0), NoiseSpec(), rng) == 0.0
+        assert rng.bit_generator.state == state
 
     def test_determinism(self):
         g = np.full(10, 1e-5)

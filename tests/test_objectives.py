@@ -11,7 +11,7 @@ from reramopt.objectives import (
     reram_problem,
     synthetic_cf_problem,
 )
-from reramopt.resna import MlpSpec, epochs_for_fidelity
+from reramopt.resna import MlpSpec
 
 # res_cell=2 -> 4 slices per 8-bit weight; a 64x10 layer on 32x32 crossbars
 # is 2 row tiles x 1 column tile; three voting copies, 100 inputs.
@@ -52,7 +52,7 @@ def _per_objective_cost(name: str, z: float) -> float:
     in objective order from 0; the hardware objectives run at z_j = 1."""
     if name == "reram":
         mlp = MlpSpec()
-        ratios = [epochs_for_fidelity(z, mlp.min_epochs, mlp.max_epochs) / mlp.max_epochs, 1.0, 1.0, 1.0]
+        ratios = [mlp.epochs(z) / mlp.max_epochs, 1.0, 1.0, 1.0]
     else:
         ratios = [(0.1 + 0.9 * z) / (0.1 + 0.9)] * 2
     total = 0

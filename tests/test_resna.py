@@ -12,7 +12,6 @@ from reramopt.resna import (
     MlpSpec,
     TrainingDivergedError,
     _quantize_unsigned,
-    epochs_for_fidelity,
     infer,
     majority_vote,
     make_dataset,
@@ -60,15 +59,15 @@ def test_csv_dataset_rejects_non_finite_features(tmp_path, value):
 
 
 def test_epochs_for_fidelity_spans_min_to_max():
-    assert epochs_for_fidelity(0.0) == 10
-    assert epochs_for_fidelity(1.0) == 100
-    assert epochs_for_fidelity(0.0, min_epochs=2, max_epochs=5) == 2
+    assert MlpSpec().epochs(0.0) == 10
+    assert MlpSpec().epochs(1.0) == 100
+    assert MlpSpec(min_epochs=2, max_epochs=5).epochs(0.0) == 2
 
 
 @pytest.mark.parametrize("z", [-0.01, 1.01])
 def test_epochs_for_fidelity_rejects_z_outside_the_unit_interval(z):
     with pytest.raises(ValueError, match="fidelity"):
-        epochs_for_fidelity(z)
+        MlpSpec().epochs(z)
 
 
 def test_majority_vote_breaks_ties_by_summed_logit():
