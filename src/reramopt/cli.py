@@ -5,8 +5,11 @@ Every artifact embeds the effective config hash and seed on its first
 line; rerunning with the same (config, seed) pair reproduces the bytes
 exactly. Measured wall/CPU times are deliberately kept out of the run
 artifacts for that reason (train-one, a measurement utility, is the one
-exception). CSVs are UTF-8 with LF endings and shortest round-trip float
-formatting.
+exception). Every CSV table (trace, front, hv_vs_cost, fidelity_trace,
+noise-hist) is UTF-8 with LF endings: a ``# config_hash=<hash> seed=<seed>``
+line (seed ``all`` for a table over every seed), a header line, then one
+line per row, with floats in shortest round-trip form, booleans as ``0`` and
+``1``, and empty y cells for a failed evaluation.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .design_space import ReramDesign
-from .mesmo import CampaignResult, nsga2_evaluations, search
+from .mesmo import CampaignResult, nsga2_plan, search
 from .noise import rtn_sample, sample_write_noise, shot_sigma, standard_normal, thermal_sigma
 from .objectives import MooProblem
 from .pareto import dominated_hypervolume
@@ -43,52 +46,46 @@ def _write_lines(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _table(hash_: str, seed, cols, rows) -> list[str]:
+    """The lines of one artifact table, in the format the module docstring states."""
+    return [f"# config_hash={hash_} seed={seed}", ",".join(cols), *(",".join(map(_fmt, row)) for row in rows)]
+
+
 # The decoded design's columns in the trace and front CSVs, in order.
 _DESIGN_COLUMNS = ("res_cell", "freq_hz", "temperature_k", "xbar_size")
 
 
-def _design_fields(space, x: np.ndarray) -> list:
-    return [getattr(space.decode(x), c) for c in _DESIGN_COLUMNS]
+def _points(problem: MooProblem, space, xs) -> tuple[list[str], list[list]]:
+    """The columns and values of each point: its x, then on ReRAM its decoded design."""
+    cols = [f"x{i}" for i in range(problem.dim)]
+    values = [list(x) for x in xs]
+    if space is not None:
+        cols += _DESIGN_COLUMNS
+        for row, x in zip(values, xs):
+            design = space.decode(x)
+            row += [getattr(design, c) for c in _DESIGN_COLUMNS]
+    return cols, values
 
 
 def _trace_csv(result: CampaignResult, problem: MooProblem, space, hash_: str) -> list[str]:
     k = problem.n_obj
-    d = problem.dim
-    cols = ["iteration", "phase"]
-    cols += [f"x{i}" for i in range(d)]
-    if space is not None:
-        cols += _DESIGN_COLUMNS
-    cols += [f"z{j + 1}" for j in range(k)]
-    cols += [f"y{j + 1}" for j in range(k)]
+    x_cols, points = _points(problem, space, [row.x for row in result.trace])
+    cols = ["iteration", "phase", *x_cols]
+    cols += [f"z{j + 1}" for j in range(k)] + [f"y{j + 1}" for j in range(k)]
     cols += ["cost", "cum_cost", "hypervolume", "ok"]
-    lines = [f"# config_hash={hash_} seed={result.seed}", ",".join(cols)]
-    for row in result.trace:
-        vals = [row.iteration, row.phase]
-        vals += list(row.x)
-        if space is not None:
-            vals += _design_fields(space, row.x)
-        vals += list(problem.fidelity_vector(row.z))
-        vals += list(row.y) if row.y is not None else [""] * k
-        vals += [row.cost, row.cum_cost, row.hypervolume, row.ok]
-        lines.append(",".join(_fmt(v) if v != "" else "" for v in vals))
-    return lines
+    rows = [
+        [row.iteration, row.phase, *point, *problem.fidelity_vector(row.z)]
+        + (list(row.y) if row.y is not None else [""] * k)
+        + [row.cost, row.cum_cost, row.hypervolume, row.ok]
+        for row, point in zip(result.trace, points)
+    ]
+    return _table(hash_, result.seed, cols, rows)
 
 
 def _front_csv(result: CampaignResult, problem: MooProblem, space, hash_: str) -> list[str]:
-    k = problem.n_obj
-    d = problem.dim
-    cols = [f"x{i}" for i in range(d)]
-    if space is not None:
-        cols += _DESIGN_COLUMNS
-    cols += [f"y{j + 1}" for j in range(k)]
-    lines = [f"# config_hash={hash_} seed={result.seed}", ",".join(cols)]
-    for x, y in zip(result.pareto_x, result.pareto_y):
-        vals = list(x)
-        if space is not None:
-            vals += _design_fields(space, x)
-        vals += list(y)
-        lines.append(",".join(_fmt(v) for v in vals))
-    return lines
+    x_cols, points = _points(problem, space, result.pareto_x)
+    cols = x_cols + [f"y{j + 1}" for j in range(problem.n_obj)]
+    return _table(hash_, result.seed, cols, [point + list(y) for point, y in zip(points, result.pareto_y)])
 
 
 def _campaign_json(result: CampaignResult, cfg, hash_: str) -> str:
@@ -124,19 +121,16 @@ def _aggregate_csv(results: list[CampaignResult], budget: float, hash_: str) -> 
     med = np.median(curves, axis=0)
     q25 = np.quantile(curves, 0.25, axis=0)
     q75 = np.quantile(curves, 0.75, axis=0)
-    lines = [f"# config_hash={hash_} seed=all", "cost,hv_median,hv_q25,hv_q75"]
-    for c, m, a, b in zip(grid, med, q25, q75):
-        lines.append(",".join(_fmt(v) for v in (c, m, a, b)))
-    return lines
+    return _table(hash_, "all", ("cost", "hv_median", "hv_q25", "hv_q75"), zip(grid, med, q25, q75))
 
 
 def _fidelity_csv(results: list[CampaignResult], hash_: str) -> list[str]:
-    lines = [f"# config_hash={hash_} seed=all", "seed,iteration,mean_fidelity"]
-    for result in results:
-        opt_rows = [r for r in result.trace if r.phase == "opt"]
-        for i, row in enumerate(opt_rows):
-            lines.append(",".join(_fmt(v) for v in (result.seed, i, row.z)))
-    return lines
+    rows = [
+        (result.seed, i, row.z)
+        for result in results
+        for i, row in enumerate(r for r in result.trace if r.phase == "opt")
+    ]
+    return _table(hash_, "all", ("seed", "iteration", "mean_fidelity"), rows)
 
 
 def run_one_seed(cfg: cfgmod.CampaignConfig, seed: int) -> CampaignResult:
@@ -160,8 +154,8 @@ def run_campaign(cfg: cfgmod.CampaignConfig, out_dir: Path) -> int:
 
     _write_lines(out_dir / "effective_config.yaml", [f"# config_hash={hash_}", cfgmod.dump_config(cfg).rstrip()])
     if cfg.optimizer == "nsga2":
-        evals = nsga2_evaluations(problem, cfg.budget)
-        if evals < 2 * cfg.nsga2.pop:
+        evals, generations = nsga2_plan(problem, cfg.budget, cfg.nsga2.pop)
+        if generations == 0:
             print(
                 f"note: the budget buys {evals} evaluations, fewer than two populations of "
                 f"{cfg.nsga2.pop}, so NSGA-II runs 0 generations and is random search",
@@ -198,9 +192,7 @@ def run_campaign(cfg: cfgmod.CampaignConfig, out_dir: Path) -> int:
             )
         _write_lines(out_dir / f"trace_seed{result.seed}.csv", _trace_csv(result, problem, space, hash_))
         _write_lines(out_dir / f"front_seed{result.seed}.csv", _front_csv(result, problem, space, hash_))
-        (out_dir / f"campaign_seed{result.seed}.json").write_text(
-            _campaign_json(result, cfg, hash_) + "\n", encoding="utf-8", newline="\n"
-        )
+        _write_lines(out_dir / f"campaign_seed{result.seed}.json", [_campaign_json(result, cfg, hash_)])
     if results:
         _write_lines(out_dir / "hv_vs_cost.csv", _aggregate_csv(results, cfg.budget.total_cost, hash_))
         _write_lines(out_dir / "fidelity_trace.csv", _fidelity_csv(results, hash_))
@@ -235,6 +227,14 @@ def _seed(text: str) -> int:
     return value
 
 
+def _floats(where: str, cells: list[str]) -> np.ndarray:
+    """The numbers in ``cells``; a cell that is not one raises a ValueError that starts with ``where``."""
+    try:
+        return np.array([float(v) for v in cells])
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
 def _load_cfg(args) -> cfgmod.CampaignConfig:
     if getattr(args, "config", None):
         return cfgmod.load_config(args.config)
@@ -267,7 +267,7 @@ def _cmd_evaluate(args) -> int:
         if not args.x:
             print("synthetic problems need --x", file=sys.stderr)
             return 1
-        x = np.array([float(v) for v in args.x.split(",")])
+        x = _floats("--x", args.x.split(","))
         if len(x) != problem.dim:
             print(f"--x needs {problem.dim} values", file=sys.stderr)
             return 1
@@ -325,10 +325,7 @@ def _cmd_noise_hist(args) -> int:
     g_levels = design.g_min + np.arange(1 << design.res_cell) * design.g_step
     if args.levels is not None:
         g_levels = g_levels[: args.levels]
-    lines = [
-        f"# config_hash={cfgmod.config_hash(cfg)} seed={args.seed}",
-        "level,g,source,bin_lo,bin_hi,count",
-    ]
+    rows = []
     n, spec = args.samples, cfg.noise
     off = np.zeros(n)  # a disabled source draws nothing
     for level, g in enumerate(g_levels):
@@ -344,10 +341,8 @@ def _cmd_noise_hist(args) -> int:
         for source, dg in draws.items():
             rel = dg / g
             counts, edges = np.histogram(rel, bins=args.bins)
-            for c, lo, hi in zip(counts, edges[:-1], edges[1:]):
-                lines.append(
-                    ",".join(_fmt(v) for v in (level, g, source, lo, hi, int(c)))
-                )
+            rows += [(level, g, source, lo, hi, c) for c, lo, hi in zip(counts, edges[:-1], edges[1:])]
+    lines = _table(cfgmod.config_hash(cfg), args.seed, ("level", "g", "source", "bin_lo", "bin_hi", "count"), rows)
     if args.out:
         _write_lines(Path(args.out), lines)
     else:
@@ -357,16 +352,19 @@ def _cmd_noise_hist(args) -> int:
 
 def _cmd_hv(args) -> int:
     with open(args.front, encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    table = [ln.split(",") for ln in lines if ln and not ln.startswith("#")]
+        table = [(n, ln.split(",")) for n, ln in enumerate(map(str.strip, fh), 1) if ln and not ln.startswith("#")]
     if not table:
         raise ValueError(f"{args.front}: no header line")
-    header, *rows = table
+    (_, header), *rows = table
     cols = [i for i, name in enumerate(header) if name[:1] == "y" and name[1:].isdigit()]
     if not cols:
         raise ValueError(f"{args.front}: the header names no y1..yk objective columns")
-    front = np.array([[float(row[i]) for i in cols] for row in rows]).reshape(-1, len(cols))
-    ref = np.array([float(v) for v in args.ref.split(",")])
+    front = np.empty((len(rows), len(cols)))
+    for i, (n, row) in enumerate(rows):
+        if len(row) != len(header):
+            raise ValueError(f"{args.front}: line {n}: {len(row)} fields, but the header has {len(header)}")
+        front[i] = _floats(f"{args.front}: line {n}", [row[c] for c in cols])
+    ref = _floats("--ref", args.ref.split(","))
     if len(ref) != len(cols):
         raise ValueError(f"--ref has {len(ref)} values for {len(cols)} objectives")
     print(_fmt(dominated_hypervolume(front, ref)))

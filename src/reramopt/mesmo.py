@@ -406,13 +406,13 @@ def _fit_models(problem: MooProblem, rows: list[TraceRow], gp: GpConfig, warm, o
     return models
 
 
-def nsga2_evaluations(problem: MooProblem, budget: Budget) -> int:
-    """How many highest-fidelity evaluations the budget buys NSGA-II.
+def nsga2_plan(problem: MooProblem, budget: Budget, pop: int) -> tuple[int, int]:
+    """The (evaluations at z=1, generations) that the budget buys NSGA-II.
 
-    Below two populations' worth, NSGA-II runs 0 generations and is
-    random search.
+    Below two populations' worth it buys 0 generations: random search.
     """
-    return int(budget.total_cost // problem.cost(1.0))
+    evals = int(budget.total_cost // problem.cost(1.0))
+    return evals, 0 if evals < 2 * pop else evals // pop - 1
 
 
 def _run_nsga2(problem: MooProblem, budget: Budget, seed: int, cfg: Nsga2Config) -> CampaignResult:
@@ -421,11 +421,11 @@ def _run_nsga2(problem: MooProblem, budget: Budget, seed: int, cfg: Nsga2Config)
     Every individual is evaluated at z=1 and recorded in evaluation order,
     so hypervolume-vs-cost curves are comparable with the other
     optimizers. A diverged evaluation enters selection at the reference
-    point. A budget below two populations buys one initial population of
-    ``max_evals`` rows and no generation, so it is spent in full on random
-    search.
+    point. ``nsga2_plan`` sizes the run. When it buys no generation, the
+    initial population holds every evaluation the budget buys, so the
+    budget is spent in full on random search.
     """
-    max_evals = nsga2_evaluations(problem, budget)
+    max_evals, gens = nsga2_plan(problem, budget, cfg.pop)
     ledger = _Ledger(problem, seed)
 
     def evaluate(x: np.ndarray) -> np.ndarray:
@@ -433,13 +433,12 @@ def _run_nsga2(problem: MooProblem, budget: Budget, seed: int, cfg: Nsga2Config)
         return problem.hv_ref if y is None else y
 
     if max_evals > 0:
-        short = max_evals < 2 * cfg.pop
         nsga2(
             lambda batch: np.stack([evaluate(row) for row in np.atleast_2d(batch)]),
             problem.dim,
             seed=seed,
-            config=replace(cfg, pop=max_evals) if short else cfg,
-            gens=0 if short else max_evals // cfg.pop - 1,
+            config=cfg if gens else replace(cfg, pop=max_evals),
+            gens=gens,
         )
     return ledger.result("nsga2", truncated=max_evals == 0, converged=False)
 

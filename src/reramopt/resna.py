@@ -57,10 +57,10 @@ class MlpSpec:
     The architecture and SGD hyperparameters come first. The data set is
     ``n_train``/``n_test`` Gaussian blobs in R^widths[0], one per class of
     the ``widths[-1]`` outputs, drawn from ``data_seed``, or the rows of
-    ``csv_path``. Accuracy is the mean over ``infer_runs`` deployments,
-    each by majority vote of the ``vote_copies`` classifier copies.
-    Fidelity z maps to training epochs affinely, by ``epochs(z)``, from
-    ``min_epochs`` at z=0 to ``max_epochs`` at z=1.
+    ``csv_path`` (features >= 0). Accuracy is the mean over ``infer_runs``
+    deployments, each by majority vote of the ``vote_copies`` classifier
+    copies. Fidelity z maps to training epochs affinely, by ``epochs(z)``,
+    from ``min_epochs`` at z=0 to ``max_epochs`` at z=1.
     """
 
     widths: tuple[int, ...] = (64, 32, 10)
@@ -147,7 +147,7 @@ def make_dataset(spec: MlpSpec) -> Dataset:
     clears 90% test accuracy. Features are min-max scaled to [0,1] using
     train statistics. If ``csv_path`` is set, rows of
     ``f1,...,fD,label`` with D = widths[0] are read instead (first n_train
-    rows train, next n_test rows test).
+    rows train, next n_test rows test); their features must be >= 0.
     """
     if spec.csv_path is not None:
         return _load_csv_dataset(spec)
@@ -202,6 +202,8 @@ def _load_csv_dataset(spec: MlpSpec) -> Dataset:
                 )
             if not all(map(math.isfinite, feats)):
                 raise DatasetFormatError(f"{spec.csv_path}: line {lineno}: non-finite feature")
+            if min(feats) < 0.0:
+                raise DatasetFormatError(f"{spec.csv_path}: line {lineno}: negative feature")
             if not (0 <= label < spec.n_classes):
                 raise DatasetFormatError(f"{spec.csv_path}: line {lineno}: label {label} out of range")
             rows.append((feats, label))

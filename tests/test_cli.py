@@ -18,14 +18,26 @@ def _final_hypervolume(trace: Path) -> float:
     return float(rows[-1][rows[0].index("hypervolume")])
 
 
-@pytest.mark.parametrize("case,config", [("reram-nsga2", "reram.yaml"), ("branin-cf-mesmo", "branin.yaml")])
+@pytest.mark.parametrize(
+    "case,config",
+    [
+        ("branin-cf-mesmo", "branin.yaml"),
+        ("branin-mesmo", "branin.yaml"),
+        ("branin-nsga2", "branin.yaml"),
+        ("branin-random", "branin.yaml"),
+        ("reram-cf-mesmo", "reram.yaml"),
+        ("reram-nsga2", "reram.yaml"),
+        ("zdt1-cf-mesmo", "zdt1.yaml"),
+    ],
+)
 def test_hv_reads_the_front_that_run_writes(case, config, capsys):
+    # Every writer shape: 2 and 4 objectives, d = 2, 4 and 6, with and without design columns.
     problem = build_problem(load_config(str(GOLDEN / "configs" / config)))
     ref = ",".join(repr(float(v)) for v in problem.hv_ref)
     assert cli.main(["hv", "--front", str(GOLDEN / case / "front_seed0.csv"), f"--ref={ref}"]) == 0
     printed = float(capsys.readouterr().out)
     assert printed == _final_hypervolume(GOLDEN / case / "trace_seed0.csv")
-    assert (printed > 0) == (case == "reram-nsga2")
+    assert (printed > 0) == case.startswith("reram-")
 
 
 def test_hv_rejects_a_reference_of_the_wrong_length(capsys):
@@ -40,6 +52,40 @@ def test_hv_names_a_front_with_no_header_line(text, tmp_path, capsys):
     front.write_text(text, encoding="utf-8")
     assert cli.main(["hv", "--front", str(front), "--ref=0,0"]) == 1
     assert capsys.readouterr().err == f"error: {front}: no header line\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("y1,y2\n1\n", "line 2: 1 fields, but the header has 2"),
+        ("# config_hash=0 seed=0\nx0,y1,y2\n\n0.5,1,2,3\n", "line 4: 4 fields, but the header has 3"),
+        ("y1,y2\n1,abc\n", "line 2: could not convert string to float: 'abc'"),
+        ("y1,y2\n1,2\n3,\n", "line 3: could not convert string to float: ''"),
+    ],
+    ids=["short-row", "long-row", "non-numeric", "empty-cell"],
+)
+def test_hv_names_the_line_of_a_row_it_cannot_read(text, message, tmp_path, capsys):
+    front = tmp_path / "front.csv"
+    front.write_text(text, encoding="utf-8")
+    assert cli.main(["hv", "--front", str(front), "--ref=0,0"]) == 1
+    assert capsys.readouterr() == ("", f"error: {front}: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["evaluate", "--x", "a,0.5"], "--x: could not convert string to float: 'a'"),
+        (["evaluate", "--x", "0.5,"], "--x: could not convert string to float: ''"),
+        (["hv", "--front", str(GOLDEN / "branin-cf-mesmo" / "front_seed0.csv"), "--ref", "a,0"],
+         "--ref: could not convert string to float: 'a'"),
+    ],
+    ids=["x-letter", "x-trailing-comma", "ref-letter"],
+)
+def test_a_bad_number_names_its_flag(argv, message, capsys):
+    if argv[0] == "evaluate":
+        argv = [*argv, "--config", str(GOLDEN / "configs" / "branin.yaml")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("ref,shown", [("nan,0", "[nan, 0.0]"), ("0,inf", "[0.0, inf]"), ("-inf,-7", "[-inf, -7.0]")])

@@ -58,6 +58,13 @@ def test_csv_dataset_rejects_non_finite_features(tmp_path, value):
         make_dataset(spec)
 
 
+def test_csv_dataset_rejects_negative_features(tmp_path):
+    # The crossbar reads inputs as unsigned codes, so a negative feature would train as 0.
+    spec = _write_csv(tmp_path / "data.csv", bad_row=5, bad_value="-0.5")
+    with pytest.raises(resna.DatasetFormatError, match=r"data\.csv: line 6: negative feature"):
+        make_dataset(spec)
+
+
 def test_epochs_for_fidelity_spans_min_to_max():
     assert MlpSpec().epochs(0.0) == 10
     assert MlpSpec().epochs(1.0) == 100
