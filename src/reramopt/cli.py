@@ -25,7 +25,7 @@ import numpy as np
 
 from . import config as cfgmod
 from .design_space import ReramDesign
-from .mesmo import CampaignResult, nsga2_plan, search
+from .mesmo import OPTIMIZERS, SURROGATES, CampaignResult, nsga2_plan, search
 from .noise import rtn_sample, sample_write_noise, shot_sigma, standard_normal, thermal_sigma
 from .objectives import MooProblem
 from .pareto import dominated_hypervolume
@@ -183,7 +183,7 @@ def run_campaign(cfg: cfgmod.CampaignConfig, out_dir: Path) -> int:
 
     for result in results:
         rows = result.trace
-        surrogate = result.optimizer in ("cf-mesmo", "mesmo") and not result.truncated
+        surrogate = result.optimizer in SURROGATES and not result.truncated
         if surrogate and all(r.phase == "init" for r in rows):
             print(
                 f"note: seed {result.seed} stopped before its first iteration: {sum(r.ok for r in rows)} "
@@ -261,8 +261,10 @@ def _cmd_evaluate(args) -> int:
     cfg = _load_cfg(args)
     problem = cfgmod.build_problem(cfg)
     if cfg.problem.name == "reram":
-        space = cfgmod.build_space(cfg)
-        x = space.encode(_design_from_args(cfg, args))
+        if args.x is not None:
+            print("a ReRAM design is set by --res-cell, --freq, --temp and --xbar, not --x", file=sys.stderr)
+            return 1
+        x = cfgmod.build_space(cfg).encode(_design_from_args(cfg, args))
     else:
         if not args.x:
             print("synthetic problems need --x", file=sys.stderr)
@@ -388,7 +390,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--config")
     p_run.add_argument("--seed", type=int)
     p_run.add_argument("--out")
-    p_run.add_argument("--optimizer", choices=cfgmod.OPTIMIZERS)
+    p_run.add_argument("--optimizer", choices=OPTIMIZERS)
     p_run.add_argument("--budget", type=float)
     p_run.set_defaults(func=_cmd_run)
 

@@ -29,7 +29,7 @@ import yaml
 
 from .design_space import DesignSpace, Device, SpaceBounds
 from .gp import GpConfig
-from .mesmo import Budget, MesmoConfig
+from .mesmo import OPTIMIZERS, SURROGATES, Budget, MesmoConfig
 from .noise import NoiseSpec
 from .objectives import HwCostParams, MooProblem, reram_problem, synthetic_cf_problem
 from .pareto import Nsga2Config
@@ -40,7 +40,6 @@ class ConfigError(ValueError):
     pass
 
 
-OPTIMIZERS = ("cf-mesmo", "mesmo", "random", "nsga2")
 PROBLEMS = ("reram", "branin-currin-cf", "zdt1")
 
 
@@ -52,7 +51,7 @@ class ProblemSection:
 @dataclass(frozen=True)
 class CampaignConfig:
     problem: ProblemSection = field(default_factory=ProblemSection)
-    optimizer: str = "cf-mesmo"  # cf-mesmo | mesmo | random | nsga2
+    optimizer: str = "cf-mesmo"  # one of mesmo.OPTIMIZERS
     seeds: tuple[int, ...] = (0,)
     out_dir: str = "campaign_out"
     workers: int = 1
@@ -80,7 +79,7 @@ class CampaignConfig:
             raise ConfigError("workers must be >= 1")
         # The surrogates need two observations before the first pick; random
         # search needs no initial design.
-        if self.optimizer in ("cf-mesmo", "mesmo") and self.mesmo.n_init < 2:
+        if self.optimizer in SURROGATES and self.mesmo.n_init < 2:
             raise ConfigError(
                 f"'mesmo': n_init must be >= 2 for {self.optimizer}, got {self.mesmo.n_init}"
             )

@@ -353,7 +353,7 @@ class SampledFunction:
         return self.y_mean + self.y_std * self.feature_scale * (phi @ self.weights32).astype(float)
 
 
-def sample_function(model: CfGpModel, seed: int, n_features: int = 500) -> SampledFunction:
+def sample_function(model: CfGpModel, seed: int, n_features: int) -> SampledFunction:
     """Draw one posterior function, evaluable anywhere at z = z* = 1.
 
     The kernel is approximated with ``n_features`` random Fourier features

@@ -50,6 +50,10 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 # Substream tags for indexed, order-independent seeding.
 _TAG_INIT, _TAG_EVAL, _TAG_FRONT, _TAG_POOL, _TAG_NSGA_EVAL = 11, 13, 17, 19, 23
 
+# The optimizers ``search`` runs, and those of them that pick with surrogates.
+OPTIMIZERS = ("cf-mesmo", "mesmo", "random", "nsga2")
+SURROGATES = ("cf-mesmo", "mesmo")
+
 
 def entropy_term(gamma):
     """Entropy reduction of one truncated Gaussian: g*phi/(2*Phi) - ln Phi.
@@ -76,7 +80,8 @@ def entropy_term(gamma):
 @dataclass(frozen=True)
 class MesmoConfig:
     """The config's ``mesmo:`` section: front sampling, candidate pool,
-    fidelity grid, initial design and surrogate refits."""
+    fidelity grid, initial design and surrogate refits. The acquisition
+    and ``search`` read it whole, so no signature restates a default."""
 
     n_front_samples: int = 10
     pool_size: int = 2000
@@ -147,15 +152,14 @@ class CampaignResult:
 _POOL, _STARTS, _STEPS, _LR = 256, 16, 30, 0.02
 
 
-def sample_pareto_fronts(
-    models: list[CfGpModel], n_samples: int, dim: int, seed, rff_features: int = 500
-) -> np.ndarray:
-    """Per-objective maxima of S independent sampled fronts, shape (S, k).
+def sample_pareto_fronts(models: list[CfGpModel], cfg: MesmoConfig, dim: int, seed) -> np.ndarray:
+    """Per-objective maxima of S = ``cfg.n_front_samples`` sampled fronts, shape (S, k).
 
-    Sample s draws one highest-fidelity function per objective. The maximum
-    of objective j over the exact front of those functions is the maximum
-    of f_j over [0,1]^dim, since a maximizer of f_j is weakly
-    Pareto-optimal, so each function is maximized on its own. Its values
+    Sample s draws one highest-fidelity function per objective, each with
+    ``cfg.rff_features`` random Fourier features. The maximum of objective
+    j over the exact front of those functions is the maximum of f_j over
+    [0,1]^dim, since a maximizer of f_j is weakly Pareto-optimal, so each
+    function is maximized on its own. Its values
     over ``_POOL`` uniform points, drawn from the sample's own spawned
     generator, and the 2**dim corners pick ``_STARTS`` starts; ``_maximize``
     climbs from them, all S*k functions at once. Each sample spawns one
@@ -165,14 +169,14 @@ def sample_pareto_fronts(
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     corners = np.array(list(itertools.product((0.0, 1.0), repeat=dim)))
     funcs, starts = [], []
-    for _ in range(n_samples):
-        sample = [sample_function(m, base.spawn(1)[0], n_features=rff_features) for m in models]
+    for _ in range(cfg.n_front_samples):
+        sample = [sample_function(m, base.spawn(1)[0], n_features=cfg.rff_features) for m in models]
         pool = np.vstack([np.random.default_rng(base.spawn(1)[0]).random((_POOL, dim)), corners])
         for f in sample:
             top = np.argsort(-f(pool), kind="stable")[:_STARTS]
             funcs.append(f)
             starts.append(pool[top])
-    return _maximize(funcs, np.stack(starts)).reshape(n_samples, len(models))
+    return _maximize(funcs, np.stack(starts)).reshape(cfg.n_front_samples, len(models))
 
 
 def _maximize(funcs: list[SampledFunction], starts: np.ndarray) -> np.ndarray:
@@ -354,12 +358,7 @@ def _mes_gain(front_maxima: np.ndarray, posts: list, costs: np.ndarray) -> np.nd
 
 
 def select_next(
-    models: list[CfGpModel],
-    front_maxima: np.ndarray,
-    problem: MooProblem,
-    pool: int = 2000,
-    fidelity_levels: int = 10,
-    seed=0,
+    models: list[CfGpModel], front_maxima: np.ndarray, problem: MooProblem, cfg: MesmoConfig, seed
 ) -> tuple[np.ndarray, float]:
     """Arg-max of the acquisition over a candidate pool x fidelity grid:
     the picked design and its fidelity level.
@@ -367,17 +366,16 @@ def select_next(
     ``front_maxima`` is the (S, k) output of ``sample_pareto_fronts``: it
     must be finite, with S >= 1 and k == len(models) == problem.n_obj.
     ``_candidate_grid`` draws the pool ``default_rng(seed).random((pool,
-    dim))`` and takes the levels ``fidelity_grid(fidelity_levels)``, or 1
-    alone when no objective bears fidelity, with their ``problem.cost``;
-    one level is the MESMO baseline. Its posterior pass evaluates a
-    fidelity-bearing objective once per (candidate, level), shape (pool,
-    L), and any other once per candidate, at 1, shape (pool, 1).
+    dim))``, pool = ``cfg.pool_size``, and takes the levels
+    ``fidelity_grid(cfg.fidelity_levels)``, or 1 alone when no objective
+    bears fidelity, with their ``problem.cost``; one level is the MESMO
+    baseline. Its posterior pass evaluates a fidelity-bearing objective
+    once per (candidate, level), shape (pool, L), and any other once per
+    candidate, at 1, shape (pool, 1).
     ``_mes_gain`` returns the pairs with the largest alpha and states the
     bound that spares it scoring the rest. Exact ties go to the cheaper
     pair, then to the lower (candidate, level) index.
     """
-    if pool < 1:
-        raise ValueError("pool must hold at least one candidate")
     front_maxima = np.asarray(front_maxima, dtype=float)
     k = problem.n_obj
     if len(models) != k or front_maxima.ndim != 2 or front_maxima.shape[1] != k:
@@ -387,7 +385,7 @@ def select_next(
         )
     if len(front_maxima) < 1 or not np.isfinite(front_maxima).all():
         raise ValueError("front_maxima must hold at least one sample, all finite")
-    candidates, levels, costs, posts = _candidate_grid(models, problem, pool, fidelity_levels, seed)
+    candidates, levels, costs, posts = _candidate_grid(models, problem, cfg.pool_size, cfg.fidelity_levels, seed)
     cand, lvl = np.divmod(_mes_gain(front_maxima, posts, costs), len(levels))
     pick = np.lexsort((lvl, cand, costs[lvl]))[0]
     return candidates[cand[pick]], float(levels[lvl[pick]])
@@ -512,16 +510,18 @@ def search(
 ) -> CampaignResult:
     """One campaign of ``optimizer`` on ``problem`` from ``seed``.
 
-    ``cf-mesmo`` picks (design, fidelity) pairs by entropy gain per unit
-    cost; ``mesmo`` is the same loop with every evaluation at z=1;
-    ``random`` draws uniform designs at z=1; ``nsga2`` runs the outer
-    NSGA-II baseline with the ``operators``. ``cfg`` and ``gp`` drive the
-    surrogate loop.
+    ``optimizer`` is one of ``OPTIMIZERS``. ``cf-mesmo`` picks (design,
+    fidelity) pairs by entropy gain per unit cost; ``mesmo`` runs the same
+    loop with ``cfg`` at ``fidelity_levels=1``; ``random`` draws uniform
+    designs at z=1; ``nsga2`` runs the outer NSGA-II baseline with the
+    ``operators``. ``cfg`` and ``gp`` drive the surrogate loop.
     """
+    if optimizer not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer {optimizer!r}")
     if optimizer == "nsga2":
         return _run_nsga2(problem, budget, seed, operators)
-    if optimizer not in ("cf-mesmo", "mesmo", "random"):
-        raise ValueError(f"unknown optimizer {optimizer!r}")
+    if optimizer == "mesmo":
+        cfg = replace(cfg, fidelity_levels=1)
     ledger = _Ledger(problem, seed)
     init_rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_INIT]))
     for i in range(cfg.n_init):
@@ -542,20 +542,9 @@ def search(
             models = _fit_models(problem, ledger.ok_rows(), gp, warm, optimize_hypers)
             warm = [m.params for m in models]
             front_maxima = sample_pareto_fronts(
-                models,
-                cfg.n_front_samples,
-                problem.dim,
-                np.random.SeedSequence([seed, _TAG_FRONT, t]),
-                rff_features=cfg.rff_features,
+                models, cfg, problem.dim, np.random.SeedSequence([seed, _TAG_FRONT, t])
             )
-            x, z = select_next(
-                models,
-                front_maxima,
-                problem,
-                pool=cfg.pool_size,
-                fidelity_levels=1 if optimizer == "mesmo" else cfg.fidelity_levels,
-                seed=np.random.SeedSequence([seed, _TAG_POOL, t]),
-            )
+            x, z = select_next(models, front_maxima, problem, cfg, np.random.SeedSequence([seed, _TAG_POOL, t]))
         ledger.evaluate(x, z, _TAG_EVAL, t, "opt")
         if z >= 1.0:
             converged = _has_converged(ledger.trace, budget)

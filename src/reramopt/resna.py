@@ -381,11 +381,12 @@ def infer(
     state: TrainState,
     design: ReramDesign,
     dataset: Dataset,
-    runs: int = 10,
+    runs: int,
     rng: np.random.Generator | None = None,
     noise: NoiseSpec = NoiseSpec(),
 ) -> list[float]:
-    """Test accuracy of each of ``runs`` independent deployments.
+    """Test accuracy of each of ``runs`` independent deployments, which
+    ``accuracy_objective`` takes from ``MlpSpec.infer_runs``.
 
     The weights are quantized and mapped once; every run programs that
     mapping afresh (fresh write noise) and reads the test set through it.

@@ -255,6 +255,17 @@ def test_evaluate_accepts_the_unit_box_corners(capsys):
         assert json.loads(capsys.readouterr().out)["z"] == [z, z]
 
 
+@pytest.mark.parametrize("x", ["nonsense", "0.5,0.5,0.5,0.5"])
+def test_evaluate_rejects_x_on_reram(x, capsys):
+    # A ReRAM design is named by its four design flags alone; an --x is
+    # refused, not read as the default design.
+    config = str(GOLDEN / "configs" / "reram.yaml")
+    assert cli.main(["evaluate", "--config", config, "--x", x, "--z", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert all(flag in err for flag in ("--res-cell", "--freq", "--temp", "--xbar"))
+
+
 @pytest.mark.parametrize(
     "flag,value", [("--levels", "0"), ("--samples", "0"), ("--bins", "0"), ("--bins", "-3")]
 )

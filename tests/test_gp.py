@@ -314,20 +314,20 @@ class TestSampledFunctions:
         x, z, y = toy_data(7)
         model = fit(x, z, y)
         pts = np.random.default_rng(2).random((6, 2))
-        f1 = sample_function(model, seed=42)
-        f2 = sample_function(model, seed=42)
+        f1 = sample_function(model, seed=42, n_features=500)
+        f2 = sample_function(model, seed=42, n_features=500)
         np.testing.assert_array_equal(f1(pts), f2(pts))
 
     def test_different_seeds_differ(self):
         x, z, y = toy_data(8)
         model = fit(x, z, y)
         pts = np.random.default_rng(3).random((4, 2))
-        assert not np.allclose(sample_function(model, 1)(pts), sample_function(model, 2)(pts))
+        assert not np.allclose(sample_function(model, 1, 500)(pts), sample_function(model, 2, 500)(pts))
 
     def test_finite_everywhere(self):
         x, z, y = toy_data(9)
         model = fit(x, z, y)
-        f = sample_function(model, 0)
+        f = sample_function(model, 0, 500)
         grid = np.random.default_rng(4).random((200, 2)) * 3 - 1
         assert np.all(np.isfinite(f(grid)))
 
@@ -345,7 +345,7 @@ class TestSampledFunctions:
             model = fit(x, z, y, optimize=False, init_params=params)
             pts = rng.random((1000, d))
             for seed in range(10):
-                f = sample_function(model, seed=seed)
+                f = sample_function(model, seed=seed, n_features=500)
                 assert f.freqs.shape == (d, 500) and f.freqs.flags.c_contiguous
                 exact = f.y_mean + f.y_std * f.feature_scale * (
                     np.cos(pts @ f.freqs + f.offset) @ f.weights
@@ -356,7 +356,7 @@ class TestSampledFunctions:
     def test_draw_returns_float64_on_the_target_scale(self):
         x, z, y = toy_data(12)
         y = 1e6 + 1e3 * y
-        f = sample_function(fit(x, z, y), seed=0)
+        f = sample_function(fit(x, z, y), seed=0, n_features=500)
         out = f(np.random.default_rng(5).random((7, 2)))
         assert out.dtype == np.float64 and out.shape == (7,)
         assert np.all(np.abs(out - f.y_mean) < 10 * f.y_std)

@@ -59,6 +59,11 @@ def test_zero_refit_cadence_is_rejected_before_the_campaign_runs():
         )
 
 
+def test_unknown_optimizer_is_rejected():
+    with pytest.raises(ValueError, match="^unknown optimizer 'bogus'$"):
+        search(synthetic_cf_problem("branin-currin-cf"), Budget(), 0, "bogus")
+
+
 def _failing(problem, exc_at: int, exc: Exception):
     calls = []
 
@@ -169,18 +174,17 @@ PINNED_PICKS = {
 def test_default_pick_is_pinned(seed):
     cfg = MesmoConfig()
     problem, models = _seeded_models(seed, cfg)
-    maxima = sample_pareto_fronts(models, cfg.n_front_samples, problem.dim, seed, cfg.rff_features)
-    x, z = select_next(
-        models, maxima, problem, pool=cfg.pool_size, fidelity_levels=cfg.fidelity_levels, seed=seed
-    )
+    maxima = sample_pareto_fronts(models, cfg, problem.dim, seed)
+    x, z = select_next(models, maxima, problem, cfg, seed)
     assert (tuple(x), tuple(problem.fidelity_vector(z))) == PINNED_PICKS[seed]
 
 
-def _full_grid_pick(models, front_maxima, problem, pool, fidelity_levels=10, seed=0):
+def _full_grid_pick(models, front_maxima, problem, cfg, seed):
     """select_next's pick by scoring every (candidate, level) pair: the
     oracle for its bound-pruned search."""
+    pool = cfg.pool_size
     candidates = np.random.default_rng(seed).random((pool, problem.dim))
-    levels = fidelity_grid(fidelity_levels)
+    levels = fidelity_grid(cfg.fidelity_levels)
     z_grid = problem.fidelity_vector(levels[:, None])
     grid_costs = np.array([problem.cost(z) for z in levels])
     gains = np.zeros((pool, len(levels)))
@@ -215,19 +219,20 @@ def test_pruned_pick_equals_the_full_grid():
     for seed, problem, models in _model_sets():
         prior_sd = np.array([m.y_std * np.sqrt(m.params.signal_var) for m in models])
         for n_s in (1, 3, 10):
-            sampled = sample_pareto_fronts(models, n_s, problem.dim, seed, rff_features=100)
+            front_cfg = MesmoConfig(n_front_samples=n_s, rff_features=100)
+            sampled = sample_pareto_fronts(models, front_cfg, problem.dim, seed)
             for maxima, pool, levels in itertools.product(
                 (sampled, sampled - prior_sd), (1, 50), (10, 1)
             ):
-                args = (models, maxima, problem, pool, levels, seed)
+                args = (models, maxima, problem, MesmoConfig(pool_size=pool, fidelity_levels=levels), seed)
                 assert _same_pick(select_next(*args), _full_grid_pick(*args)), (seed, n_s, pool, levels)
 
 
 @pytest.mark.parametrize("single", [False, True])
 def test_pruned_pick_equals_the_full_grid_at_the_default_pool(single):
     for seed, problem, models in _model_sets(seeds=(0, 5)):
-        maxima = sample_pareto_fronts(models, 10, problem.dim, seed, rff_features=100)
-        args = (models, maxima, problem, 2000, 1 if single else 10, seed)
+        maxima = sample_pareto_fronts(models, MesmoConfig(n_front_samples=10, rff_features=100), problem.dim, seed)
+        args = (models, maxima, problem, MesmoConfig(pool_size=2000, fidelity_levels=1 if single else 10), seed)
         assert _same_pick(select_next(*args), _full_grid_pick(*args)), seed
 
 
@@ -245,9 +250,9 @@ def test_all_zero_gains_tie_on_cost_then_index(single, falling):
         mu, sigma = mesmo.posterior(model, np.repeat(candidates, 10, axis=0), np.tile(fidelity_grid(10), 50))
         maxima.append(np.max(mu + 1e3 * np.maximum(sigma, 1e-9)))
     maxima = np.tile(maxima, (3, 1))
-    levels = 1 if single else 10
-    x, z = select_next(models, maxima, problem, pool=50, fidelity_levels=levels, seed=3)
-    assert _same_pick((x, z), _full_grid_pick(models, maxima, problem, 50, levels, 3))
+    cfg = MesmoConfig(pool_size=50, fidelity_levels=1 if single else 10)
+    x, z = select_next(models, maxima, problem, cfg, 3)
+    assert _same_pick((x, z), _full_grid_pick(models, maxima, problem, cfg, 3))
     assert x.tobytes() == candidates[0].tobytes()
     assert z == (1.0 if single or falling else 0.0)
 
@@ -255,9 +260,9 @@ def test_all_zero_gains_tie_on_cost_then_index(single, falling):
 @pytest.mark.parametrize("shape", ["branin-currin-cf", "reram"])
 def test_pick_is_a_python_float_level_of_the_grid(shape):
     problem, models = _seeded_models(1, problem=_reram_problem() if shape == "reram" else None)
-    maxima = sample_pareto_fronts(models, 3, problem.dim, 1, rff_features=50)
+    maxima = sample_pareto_fronts(models, MesmoConfig(n_front_samples=3, rff_features=50), problem.dim, 1)
     for levels in (1, 4, 10):
-        _, z = select_next(models, maxima, problem, pool=50, fidelity_levels=levels, seed=1)
+        _, z = select_next(models, maxima, problem, MesmoConfig(pool_size=50, fidelity_levels=levels), 1)
         assert type(z) is float and z in fidelity_grid(levels)
 
 
@@ -298,7 +303,8 @@ def test_pairs_below_the_trusted_gamma_range_are_always_scored(monkeypatch):
     }
     monkeypatch.setattr(mesmo, "posterior", lambda model, x, z: table[model])
     problem = synthetic_cf_problem("branin-currin-cf")
-    args = (["f0", "f1"], np.array([[lo, 0.0], [hi, 0.0]]), problem, 2, 1, 0)
+    cfg = MesmoConfig(pool_size=2, fidelity_levels=1)
+    args = (["f0", "f1"], np.array([[lo, 0.0], [hi, 0.0]]), problem, cfg, 0)
     pick = select_next(*args)
     assert _same_pick(pick, _full_grid_pick(*args))
     assert pick[0].tobytes() == np.random.default_rng(0).random((2, 2))[0].tobytes()
@@ -308,10 +314,10 @@ def test_pruned_search_scores_a_fraction_of_the_grid(monkeypatch):
     # The full grid hands entropy_term pool * levels * S * k = 400,000
     # gammas at the defaults; the bound takes a tenth of that.
     problem, models = _seeded_models(0)
-    maxima = sample_pareto_fronts(models, 10, problem.dim, 0, rff_features=100)
+    maxima = sample_pareto_fronts(models, MesmoConfig(n_front_samples=10, rff_features=100), problem.dim, 0)
     sizes = []
     monkeypatch.setattr(mesmo, "entropy_term", lambda g: sizes.append(np.size(g)) or entropy_term(g))
-    select_next(models, maxima, problem, seed=0)
+    select_next(models, maxima, problem, MesmoConfig(), 0)
     assert sizes[:2] == [20_000, 20_000] and sum(sizes) < 60_000
 
 
@@ -321,7 +327,7 @@ def test_reram_posterior_pass_evaluates_only_accuracy_per_level(monkeypatch):
     problem, models = _seeded_models(0, problem=_reram_problem())
     calls, posterior = [], mesmo.posterior
     monkeypatch.setattr(mesmo, "posterior", lambda m, x, z: calls.append((len(x), z)) or posterior(m, x, z))
-    select_next(models, np.zeros((2, problem.n_obj)), problem, seed=0)
+    select_next(models, np.zeros((2, problem.n_obj)), problem, MesmoConfig(), 0)
     pool, levels = MesmoConfig().pool_size, fidelity_grid(MesmoConfig().fidelity_levels)
     assert [n for n, _ in calls] == [pool * len(levels), pool, pool, pool]
     np.testing.assert_array_equal(calls[0][1], np.tile(levels, pool))
@@ -342,7 +348,7 @@ def test_reram_posterior_pass_evaluates_only_accuracy_per_level(monkeypatch):
 def test_bad_front_maxima_are_rejected(maxima, n_models, match):
     problem, models = _seeded_models(0)
     with pytest.raises(ValueError, match=match):
-        select_next(models[:n_models], maxima, problem, pool=8)
+        select_next(models[:n_models], maxima, problem, MesmoConfig(pool_size=8), 0)
 
 
 def _float64_call(self, x):
@@ -356,7 +362,7 @@ def _front_maxima_shift_in_se(monkeypatch, problem, models, seed, cfg=MesmoConfi
     float64 formula on the same draws, in units of its Monte-Carlo s.e."""
 
     def maxima():
-        return sample_pareto_fronts(models, n_s, problem.dim, seed, cfg.rff_features)
+        return sample_pareto_fronts(models, dataclasses.replace(cfg, n_front_samples=n_s), problem.dim, seed)
 
     fast = maxima()
     monkeypatch.setattr(SampledFunction, "__call__", _float64_call)
@@ -394,7 +400,7 @@ def _recorded_draws(monkeypatch, models, n_samples, dim, seed):
         return drawn[-1]
 
     monkeypatch.setattr(mesmo, "sample_function", recording)
-    maxima = sample_pareto_fronts(models, n_samples, dim, seed)
+    maxima = sample_pareto_fronts(models, MesmoConfig(n_front_samples=n_samples), dim, seed)
     monkeypatch.undo()
     return maxima, drawn
 
@@ -446,7 +452,7 @@ def _maximize_inputs(monkeypatch, models, n_samples, dim, seed):
     seen = []
     real = mesmo._maximize
     monkeypatch.setattr(mesmo, "_maximize", lambda funcs, starts: seen.append((funcs, starts)) or real(funcs, starts))
-    sample_pareto_fronts(models, n_samples, dim, seed)
+    sample_pareto_fronts(models, MesmoConfig(n_front_samples=n_samples), dim, seed)
     monkeypatch.undo()
     return seen[0]
 
@@ -534,7 +540,7 @@ def test_screen_margin_bounds_the_float32_error_of_real_draws():
         model = fit(x, z, np.sin(6 * x).sum(axis=1) + z, optimize=False, init_params=params)
         pts = np.vstack([rng.random((2000, d)), list(itertools.product((0.0, 1.0), repeat=d))])
         for seed in range(10):
-            f = sample_function(model, seed=seed)
+            f = sample_function(model, seed=seed, n_features=500)
             assert np.max(np.abs(_values32(f, pts) - _values64(f, pts))) <= _margin(f), (d, seed)
 
 
@@ -552,7 +558,7 @@ def test_a_draw_evaluates_the_screens_float32_formula_bit_for_bit():
         corners = list(itertools.product((0.0, 1.0), repeat=d))
         pts = np.vstack([rng.random((1000, d)), rng.random((1000, d)) / 4, corners])
         for seed in range(5):
-            f = sample_function(model, seed=seed)
+            f = sample_function(model, seed=seed, n_features=500)
             expected = f.y_mean + f.y_std * f.feature_scale * _values32(f, pts)
             assert f(pts).tobytes() == expected.tobytes(), (d, seed)
 
