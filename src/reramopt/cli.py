@@ -202,21 +202,25 @@ def run_campaign(cfg: cfgmod.CampaignConfig, out_dir: Path) -> int:
     return 0
 
 
+# Each design flag, the ReramDesign field it sets and the CLI's default design:
+# train-one, noise-hist and a ReRAM evaluate take it for a flag not given.
+_DESIGN_FLAGS = (
+    ("--res-cell", "res_cell", int, 8, "bits per cell"),
+    ("--freq", "freq_hz", float, 5.0e8, "operating frequency in Hz"),
+    ("--temp", "temperature_k", float, 350.0, "temperature in K"),
+    ("--xbar", "xbar_size", int, 64, "crossbar side length"),
+)
+
+
 def _add_design_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--res-cell", type=int, default=8)
-    p.add_argument("--freq", type=float, default=5.0e8, help="operating frequency in Hz")
-    p.add_argument("--temp", type=float, default=350.0, help="temperature in K")
-    p.add_argument("--xbar", type=int, default=64)
+    for flag, name, type_, default, help_ in _DESIGN_FLAGS:
+        p.add_argument(flag, dest=name, type=type_, help=f"{help_} (default {default:g})")
 
 
 def _design_from_args(cfg: cfgmod.CampaignConfig, args) -> ReramDesign:
-    return ReramDesign(
-        res_cell=args.res_cell,
-        freq_hz=args.freq,
-        temperature_k=args.temp,
-        xbar_size=args.xbar,
-        **dataclasses.asdict(cfg.device),
-    )
+    values = vars(args)
+    design = {name: default if values[name] is None else values[name] for _, name, _, default, _ in _DESIGN_FLAGS}
+    return ReramDesign(**design, **dataclasses.asdict(cfg.device))
 
 
 def _seed(text: str) -> int:
@@ -266,6 +270,10 @@ def _cmd_evaluate(args) -> int:
             return 1
         x = cfgmod.build_space(cfg).encode(_design_from_args(cfg, args))
     else:
+        given = [flag for flag, name, *_ in _DESIGN_FLAGS if getattr(args, name) is not None]
+        if given:
+            print(f"a synthetic problem's point is set by --x, not {', '.join(given)}", file=sys.stderr)
+            return 1
         if not args.x:
             print("synthetic problems need --x", file=sys.stderr)
             return 1

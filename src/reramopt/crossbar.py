@@ -110,11 +110,7 @@ class MappedLayer:
 
 
 def map_weights(
-    codes: np.ndarray,
-    scale: float,
-    design: ReramDesign,
-    dup: int = 1,
-    noise: NoiseSpec = NoiseSpec(),
+    codes: np.ndarray, scale: float, design: ReramDesign, dup: int = 1, *, noise: NoiseSpec
 ) -> MappedLayer:
     """Deploy signed integer weight codes, worth ``scale`` each, onto crossbars.
 

@@ -226,9 +226,6 @@ class DesignSpace(SpaceBounds):
         ]
 
 
-DEFAULT_SPACE = DesignSpace()
-
-
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a

@@ -207,7 +207,7 @@ def fit(
     x: np.ndarray,
     z: np.ndarray,
     y: np.ndarray,
-    config: GpConfig = GpConfig(),
+    config: GpConfig,
     optimize: bool = True,
     init_params: GpParams | None = None,
 ) -> CfGpModel:

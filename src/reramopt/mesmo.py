@@ -302,7 +302,7 @@ def _candidate_grid(models: list[CfGpModel], problem: MooProblem, pool: int, fid
     """The (candidate, level) grid: the pool, the levels, their costs and
     each objective's posterior (mu, sigma), (pool, L) up to broadcasting."""
     candidates = np.random.default_rng(seed).random((pool, problem.dim))
-    levels = fidelity_grid(fidelity_levels if any(problem.fidelity_mask) else 1)
+    levels = fidelity_grid(fidelity_levels)
     posts = []
     for model, bearing in zip(models, problem.fidelity_mask):
         lv = levels if bearing else np.ones(1)
@@ -367,11 +367,10 @@ def select_next(
     must be finite, with S >= 1 and k == len(models) == problem.n_obj.
     ``_candidate_grid`` draws the pool ``default_rng(seed).random((pool,
     dim))``, pool = ``cfg.pool_size``, and takes the levels
-    ``fidelity_grid(cfg.fidelity_levels)``, or 1 alone when no objective
-    bears fidelity, with their ``problem.cost``; one level is the MESMO
-    baseline. Its posterior pass evaluates a fidelity-bearing objective
-    once per (candidate, level), shape (pool, L), and any other once per
-    candidate, at 1, shape (pool, 1).
+    ``fidelity_grid(cfg.fidelity_levels)`` with their ``problem.cost``;
+    one level is the MESMO baseline. Its posterior pass evaluates a
+    fidelity-bearing objective once per (candidate, level), shape
+    (pool, L), and any other once per candidate, at 1, shape (pool, 1).
     ``_mes_gain`` returns the pairs with the largest alpha and states the
     bound that spares it scoring the rest. Exact ties go to the cheaper
     pair, then to the lower (candidate, level) index.
@@ -504,9 +503,9 @@ def search(
     budget: Budget,
     seed: int,
     optimizer: str,
-    cfg: MesmoConfig = MesmoConfig(),
-    gp: GpConfig = GpConfig(),
-    operators: Nsga2Config = Nsga2Config(),
+    cfg: MesmoConfig,
+    gp: GpConfig,
+    operators: Nsga2Config,
 ) -> CampaignResult:
     """One campaign of ``optimizer`` on ``problem`` from ``seed``.
 

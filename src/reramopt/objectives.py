@@ -31,8 +31,8 @@ from typing import Callable
 
 import numpy as np
 
-from .crossbar import NoiseSpec
-from .design_space import DEFAULT_SPACE, DesignSpace, ReramDesign
+from .design_space import DesignSpace, ReramDesign
+from .noise import NoiseSpec
 from .resna import MlpSpec, accuracy_objective, make_dataset
 
 
@@ -108,7 +108,7 @@ def _crossbar_count(design: ReramDesign, layer: LayerShape) -> int:
     return layer.copies * design.slices_per_weight * tiles * 2  # differential pair
 
 
-def hw_area(design: ReramDesign, network: NetworkSpec, params: HwCostParams = HwCostParams()) -> float:
+def hw_area(design: ReramDesign, network: NetworkSpec, params: HwCostParams) -> float:
     """Total silicon area in mm^2 (cells plus per-crossbar converters)."""
     xb = design.xbar_size
     tile_area = xb * xb * params.area_per_cell_mm2
@@ -119,7 +119,7 @@ def hw_area(design: ReramDesign, network: NetworkSpec, params: HwCostParams = Hw
     return n_xb * (tile_area + conv_area)
 
 
-def hw_latency(design: ReramDesign, network: NetworkSpec, params: HwCostParams = HwCostParams()) -> float:
+def hw_latency(design: ReramDesign, network: NetworkSpec, params: HwCostParams) -> float:
     """Inference latency in seconds for the network's input batch.
 
     Every input takes one pass per layer, read by all of the layer's copies
@@ -133,7 +133,7 @@ def hw_latency(design: ReramDesign, network: NetworkSpec, params: HwCostParams =
     return cycles / design.freq_hz
 
 
-def hw_energy(design: ReramDesign, network: NetworkSpec, params: HwCostParams = HwCostParams()) -> float:
+def hw_energy(design: ReramDesign, network: NetworkSpec, params: HwCostParams) -> float:
     """Inference energy in joules for the input batch, every layer read at ``design.freq_hz``."""
     g_mid = 0.5 * (design.g_min + design.g_max)
     t_read = 1.0 / design.freq_hz
@@ -190,10 +190,7 @@ class MooProblem:
 
 
 def reram_problem(
-    space: DesignSpace = DEFAULT_SPACE,
-    mlp: MlpSpec = MlpSpec(),
-    noise: NoiseSpec = NoiseSpec(),
-    hw_params: HwCostParams = HwCostParams(),
+    space: DesignSpace, mlp: MlpSpec, noise: NoiseSpec, hw_params: HwCostParams
 ) -> MooProblem:
     """The four-objective crossbar design problem.
 

@@ -153,7 +153,7 @@ def _sbx(parents, mates, u_beta, u_take, u_pair, eta, crossover_prob):
 
 
 def nsga2(
-    evaluator, dim: int, seed: int = 0, config: Nsga2Config = Nsga2Config(), gens: int = 100
+    evaluator, dim: int, seed: int = 0, *, config: Nsga2Config, gens: int = 100
 ) -> tuple[np.ndarray, np.ndarray]:
     """Canonical real-coded NSGA-II over ``gens`` generations in [0, 1]^dim;
     returns the ``pareto_front`` of the final rank-0 set.

@@ -32,8 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .crossbar import MappedLayer, NoiseSpec, map_weights, mvm, program, quantize
+from .crossbar import MappedLayer, map_weights, mvm, program, quantize
 from .design_space import ReramDesign
+from .noise import NoiseSpec
 
 _EVAL_BATCH = 250  # test rows read per inference batch
 
@@ -288,7 +289,7 @@ def train(
     dataset: Dataset,
     epochs: int,
     rng: np.random.Generator,
-    noise: NoiseSpec = NoiseSpec(),
+    noise: NoiseSpec,
 ) -> TrainState:
     """SGD with momentum through the noisy crossbar forward pass.
 
@@ -383,7 +384,8 @@ def infer(
     dataset: Dataset,
     runs: int,
     rng: np.random.Generator | None = None,
-    noise: NoiseSpec = NoiseSpec(),
+    *,
+    noise: NoiseSpec,
 ) -> list[float]:
     """Test accuracy of each of ``runs`` independent deployments, which
     ``accuracy_objective`` takes from ``MlpSpec.infer_runs``.
@@ -416,7 +418,7 @@ def accuracy_objective(
     spec: MlpSpec,
     dataset: Dataset,
     rng: np.random.Generator,
-    noise: NoiseSpec = NoiseSpec(),
+    noise: NoiseSpec,
 ) -> tuple[list[float], float]:
     """Train at the requested fidelity; return (per-run accuracies, cpu_seconds).
 

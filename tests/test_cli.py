@@ -266,6 +266,15 @@ def test_evaluate_rejects_x_on_reram(x, capsys):
     assert all(flag in err for flag in ("--res-cell", "--freq", "--temp", "--xbar"))
 
 
+@pytest.mark.parametrize("flag,value", [("--res-cell", "3"), ("--freq", "1e8"), ("--temp", "320"), ("--xbar", "32")])
+def test_evaluate_rejects_design_flags_on_synthetic_problems(flag, value, capsys):
+    # The mirror of the case above: the default branin-currin-cf point is
+    # named by --x alone; a design flag is refused, not ignored.
+    assert cli.main(["evaluate", "--x", "0.5,0.5", "--z", "0.5", flag, value]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.strip() == f"a synthetic problem's point is set by --x, not {flag}"
+
+
 @pytest.mark.parametrize(
     "flag,value", [("--levels", "0"), ("--samples", "0"), ("--bins", "0"), ("--bins", "-3")]
 )

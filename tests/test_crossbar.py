@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from reramopt.crossbar import NoiseSpec, map_weights, mvm, program, quantize
+from reramopt.crossbar import map_weights, mvm, program, quantize
 from reramopt.design_space import ReramDesign
-from reramopt.noise import rtn_amplitude, shot_sigma, thermal_sigma
+from reramopt.noise import NoiseSpec, rtn_amplitude, shot_sigma, thermal_sigma
 
+NOISE = NoiseSpec()
 QUIET = NoiseSpec.disabled()
 
 
@@ -89,20 +90,20 @@ class TestQuantize:
 class TestMapWeights:
     def test_slice_counts(self):
         w = quantize(np.eye(4), 8)
-        assert map_weights(*w, design(res_cell=2)).n_slices == 4
-        assert map_weights(*w, design(res_cell=8)).n_slices == 1
-        assert map_weights(*w, design(res_cell=3)).n_slices == 3
+        assert map_weights(*w, design(res_cell=2), noise=NOISE).n_slices == 4
+        assert map_weights(*w, design(res_cell=8), noise=NOISE).n_slices == 1
+        assert map_weights(*w, design(res_cell=3), noise=NOISE).n_slices == 3
 
     def test_zero_code_sits_at_g_min_both_sides(self):
         d = design(res_cell=4)
-        layer = map_weights(np.zeros((2, 2), dtype=np.int64), 1.0, d)
+        layer = map_weights(np.zeros((2, 2), dtype=np.int64), 1.0, d, noise=NOISE)
         np.testing.assert_allclose(layer.target[:, 0], d.g_min)
         np.testing.assert_allclose(layer.target[:, 1], d.g_min)
 
     def test_targets_on_level_grid(self):
         d = design(res_cell=3)
         rng = np.random.default_rng(0)
-        layer = map_weights(*quantize(rng.standard_normal((8, 8)), 8), d)
+        layer = map_weights(*quantize(rng.standard_normal((8, 8)), 8), d, noise=NOISE)
         step = (d.g_max - d.g_min) / (2**3 - 1)
         lv = (layer.target[:, 0] - d.g_min) / step
         np.testing.assert_allclose(lv, np.rint(lv), atol=1e-9)
@@ -110,7 +111,7 @@ class TestMapWeights:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            map_weights(np.zeros((0, 3), dtype=np.int64), 1.0, design())
+            map_weights(np.zeros((0, 3), dtype=np.int64), 1.0, design(), noise=NOISE)
 
     def test_codes_wider_than_bit_quan_rejected(self):
         # Sliced at bit_quan=4, these 8-bit codes would lose their high
@@ -125,7 +126,7 @@ class TestMapWeights:
 
     def test_tiling_shape(self):
         # 2 row blocks x 2 col blocks of 64 share one whole-layer array.
-        layer = map_weights(*quantize(np.ones((100, 70)), 8), design(xbar=64))
+        layer = map_weights(*quantize(np.ones((100, 70)), 8), design(xbar=64), noise=NOISE)
         assert layer.target.shape == (100, 2, 4, 70)  # rows, sides, slices, cols
         programmed = program(layer, np.random.default_rng(0))
         assert programmed.noisy.shape == (100, 1, 2, 4, 70)  # rows, copies, ...
@@ -135,7 +136,7 @@ class TestProgram:
     def test_zero_sigma_exact(self):
         d = design(sigma_prog=0.0)
         for rng in (np.random.default_rng(0), None):  # a write that draws nothing needs no generator
-            layer = program(map_weights(*quantize(np.eye(3), 8), d), rng)
+            layer = program(map_weights(*quantize(np.eye(3), 8), d, noise=NOISE), rng)
             np.testing.assert_array_equal(layer.noisy[:, 0, 0], layer.target[:, 0])
 
     def test_prog_disabled_exact(self):
@@ -145,7 +146,7 @@ class TestProgram:
     def test_per_cell_std_matches_sigma_prog(self):
         # 1e5 independent programmings of one target cell via duplicate copies.
         d = design(res_cell=8)
-        base = map_weights(np.full((1, 1), 100, dtype=np.int64), 1.0, d, dup=1000)
+        base = map_weights(np.full((1, 1), 100, dtype=np.int64), 1.0, d, dup=1000, noise=NOISE)
         rng = np.random.default_rng(9)
         samples = []
         for _ in range(100):
@@ -157,7 +158,7 @@ class TestProgram:
 
     def test_duplicate_copies_uncorrelated(self):
         d = design(res_cell=8)
-        base = map_weights(np.full((3, 3), 80, dtype=np.int64), 1.0, d, dup=2)
+        base = map_weights(np.full((3, 3), 80, dtype=np.int64), 1.0, d, dup=2, noise=NOISE)
         rng = np.random.default_rng(17)
         a, b = [], []
         for _ in range(11200):
@@ -170,14 +171,14 @@ class TestProgram:
         assert abs(corr) < 0.01
 
     def test_reprogramming_resamples(self):
-        base = map_weights(*quantize(np.eye(4), 8), design())
+        base = map_weights(*quantize(np.eye(4), 8), design(), noise=NOISE)
         l1 = program(base, np.random.default_rng(0))
         l2 = program(l1, np.random.default_rng(1))
         assert not np.array_equal(l1.noisy[:, :, 0], l2.noisy[:, :, 0])
 
     def test_program_requires_rng_when_noisy(self):
         with pytest.raises(ValueError):
-            program(map_weights(*quantize(np.eye(2), 8), design()))
+            program(map_weights(*quantize(np.eye(2), 8), design(), noise=NOISE))
 
 
 class TestMvmIdealPath:
@@ -259,7 +260,7 @@ class TestMvmIdealPath:
 
     def test_all_zero_inputs_draw_nothing(self):
         rng = np.random.default_rng(12)
-        fresh = map_weights(*quantize(rng.standard_normal((40, 6)), 8), design(xbar=32), dup=2)
+        fresh = map_weights(*quantize(rng.standard_normal((40, 6)), 8), design(xbar=32), dup=2, noise=NOISE)
         x = np.zeros((3, 40), dtype=np.uint8)
         for layer in (fresh, program(fresh, rng)):
             state = rng.bit_generator.state
@@ -296,7 +297,7 @@ def _read_error_variance(dup: int, n_reads: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     d = design(res_cell=8, xbar=32, freq=5e8, temp=350.0)
     qw = quantize(np.linspace(-1.0, 1.0, 16 * 8).reshape(16, 8), 8)
-    base = map_weights(*qw, d, dup=dup)
+    base = map_weights(*qw, d, dup=dup, noise=NOISE)
     x = np.full((1, 16), 90, dtype=np.int64)
     ideal = mvm(
         program(map_weights(*qw, design(res_cell=8, xbar=32, res_adc=None), noise=QUIET), None),
@@ -364,7 +365,7 @@ class TestMvmReadDistribution:
         # 40 rows at xbar 32: 2 row blocks.
         rng = np.random.default_rng(41)
         d = design(res_cell=2, xbar=32, res_adc=None)
-        layer = program(map_weights(*quantize(rng.standard_normal((40, 8)), 8), d, dup=3), rng)
+        layer = program(map_weights(*quantize(rng.standard_normal((40, 8)), 8), d, dup=3, noise=NOISE), rng)
         x = rng.integers(0, 128, size=(1, 40))
         n = 2000
         got = np.array([mvm(layer, x, rng).mean(axis=0)[0] for _ in range(n)])
@@ -382,7 +383,7 @@ class TestFreshDeploymentRead:
         # its codes must match writing the cells and then reading them.
         rng = np.random.default_rng(60 + res_cell)
         d = design(res_cell=res_cell, xbar=32, res_adc=res_adc)
-        layer = map_weights(*quantize(rng.standard_normal((40, 8)), 8), d)
+        layer = map_weights(*quantize(rng.standard_normal((40, 8)), 8), d, noise=NOISE)
         x = rng.integers(0, 128, size=(1, 40))
         n = 3000
         got = np.array([mvm(layer, x, rng)[0, 0] for _ in range(n)])

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reramopt.design_space import (
-    DEFAULT_SPACE,
     RES_CELL_LEVELS,
     XBAR_SIZES,
+    DesignSpace,
     ReramDesign,
     fidelity_grid,
 )
+
+SPACE = DesignSpace()
 
 
 def make(res_cell=2, freq=5e8, temp=350.0, xbar=64, **kw):
@@ -20,15 +22,15 @@ def make(res_cell=2, freq=5e8, temp=350.0, xbar=64, **kw):
 
 class TestEncode:
     def test_lower_corner(self):
-        v = DEFAULT_SPACE.encode(make(res_cell=1, freq=1e7, temp=300.0, xbar=32))
+        v = SPACE.encode(make(res_cell=1, freq=1e7, temp=300.0, xbar=32))
         np.testing.assert_allclose(v, [0.0, 0.0, 0.0, 0.0])
 
     def test_upper_corner(self):
-        v = DEFAULT_SPACE.encode(make(res_cell=8, freq=1e9, temp=400.0, xbar=128))
+        v = SPACE.encode(make(res_cell=8, freq=1e9, temp=400.0, xbar=128))
         np.testing.assert_allclose(v, [1.0, 1.0, 1.0, 1.0])
 
     def test_xbar64_is_midpoint(self):
-        assert DEFAULT_SPACE.encode(make(xbar=64))[3] == 0.5
+        assert SPACE.encode(make(xbar=64))[3] == 0.5
 
     def test_out_of_domain_rejected(self):
         with pytest.raises(ValueError):
@@ -43,23 +45,23 @@ class TestEncode:
 
 class TestDecode:
     def test_lower_corner(self):
-        d = DEFAULT_SPACE.decode(np.zeros(4))
+        d = SPACE.decode(np.zeros(4))
         assert (d.res_cell, d.freq_hz, d.temperature_k, d.xbar_size) == (1, 1e7, 300.0, 32)
 
     def test_nearest_level_snap_res_cell(self):
-        assert DEFAULT_SPACE.decode([0.24, 0.5, 0.5, 0.5]).res_cell == 2
+        assert SPACE.decode([0.24, 0.5, 0.5, 0.5]).res_cell == 2
 
     def test_nearest_level_snap_xbar(self):
-        assert DEFAULT_SPACE.decode([0.0, 0.0, 0.0, 0.6]).xbar_size == 64
+        assert SPACE.decode([0.0, 0.0, 0.0, 0.6]).xbar_size == 64
 
     def test_total_on_unit_cube_with_clamping(self):
-        d = DEFAULT_SPACE.decode([-0.3, 1.7, 0.42, 2.0])
+        d = SPACE.decode([-0.3, 1.7, 0.42, 2.0])
         assert d.res_cell == 1 and d.freq_hz == 1e9 and d.xbar_size == 128
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
     @settings(max_examples=200, deadline=None)
     def test_decode_always_valid(self, coords):
-        d = DEFAULT_SPACE.decode(np.array(coords))
+        d = SPACE.decode(np.array(coords))
         assert d.res_cell in RES_CELL_LEVELS
         assert d.xbar_size in XBAR_SIZES
         assert 1e7 <= d.freq_hz <= 1e9
@@ -78,7 +80,7 @@ class TestRoundTrip:
                 freq=float(rng.uniform(1e7, 1e9)),
                 temp=float(rng.uniform(300.0, 400.0)),
             )
-            d2 = DEFAULT_SPACE.decode(DEFAULT_SPACE.encode(d))
+            d2 = SPACE.decode(SPACE.encode(d))
             assert d2.res_cell == d.res_cell
             assert d2.xbar_size == d.xbar_size
             assert d2.freq_hz == pytest.approx(d.freq_hz, rel=1e-12)
@@ -88,14 +90,14 @@ class TestRoundTrip:
 class TestSampling:
     # Campaigns sample designs as the decode of uniform coordinates.
     def test_law_of_large_numbers(self):
-        designs = [DEFAULT_SPACE.decode(u) for u in np.random.default_rng(11).random((10000, 4))]
-        coords = np.array([DEFAULT_SPACE.encode(d) for d in designs])
+        designs = [SPACE.decode(u) for u in np.random.default_rng(11).random((10000, 4))]
+        coords = np.array([SPACE.encode(d) for d in designs])
         # Ordinal coordinates snap to grid levels whose mean is still 0.5.
         assert np.all(np.abs(coords.mean(axis=0) - 0.5) < 0.02)
 
     def test_all_valid(self):
         for u in np.random.default_rng(3).random((100, 4)):
-            d = DEFAULT_SPACE.decode(u)
+            d = SPACE.decode(u)
             assert d.res_cell in RES_CELL_LEVELS and d.xbar_size in XBAR_SIZES
 
 
@@ -118,7 +120,7 @@ def test_with_context_keeps_device():
 
 
 def test_space_constants_flow_into_designs():
-    space = DEFAULT_SPACE
+    space = SPACE
     d = space.decode([0.5, 0.5, 0.5, 0.5])
     assert d.bit_quan == 8 and d.v_r == 1.65 and d.sigma_prog == 0.0658
 

@@ -19,6 +19,8 @@ from reramopt.gp import (
     sample_function,
 )
 
+GP = GpConfig()
+
 
 def toy_data(seed, n=30, d=2):
     rng = np.random.default_rng(seed)
@@ -101,7 +103,7 @@ class TestFit:
         z = np.array([0.0, 1.0])
         y = np.array([1.0, -1.0])  # standardizes to (1, -1)
         params = GpParams(signal_var=1.5, lengthscales=(0.4, 0.8), noise_var=0.01)
-        model = fit(x, z, y, optimize=False, init_params=params)
+        model = fit(x, z, y, GP, optimize=False, init_params=params)
         ys = (y - y.mean()) / y.std()
         d2 = (0.5 / 0.4) ** 2 + (1.0 / 0.8) ** 2
         k01 = 1.5 * np.exp(-0.5 * d2)
@@ -118,25 +120,25 @@ class TestFit:
         z = np.array([1.0, 1.0, 1.0])
         y = np.array([2.0, 2.0, 1.0])
         params = GpParams(signal_var=1.0, lengthscales=(0.5, 0.5), noise_var=1e-6)
-        model = fit(x, z, y, optimize=False, init_params=params)
+        model = fit(x, z, y, GP, optimize=False, init_params=params)
         mu, _ = posterior(model, np.array([[0.5]]), 1.0)
         assert np.isfinite(mu).all()
 
     def test_standardization_internal_zero_mean(self):
         x, z, y = toy_data(0)
-        model = fit(x, z, y + 100.0)
+        model = fit(x, z, y + 100.0, GP)
         ys = (model.y - model.y_mean) / model.y_std
         assert abs(ys.mean()) < 1e-12
 
     def test_constant_targets_fit(self):
         x, z, _ = toy_data(1, n=10)
-        model = fit(x, z, np.full(10, 3.3))
+        model = fit(x, z, np.full(10, 3.3), GP)
         mu, sd = posterior(model, x[:3], z[:3])
         assert mu == pytest.approx(np.full(3, 3.3), abs=1e-6)
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
-            fit(np.array([[0.1]]), np.array([1.0]), np.array([1.0]))
+            fit(np.array([[0.1]]), np.array([1.0]), np.array([1.0]), GP)
 
     @pytest.mark.parametrize("name", ["x", "z", "y"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -145,7 +147,7 @@ class TestFit:
         data = dict(zip("xzy", toy_data(3, n=8)))
         data[name][(4, 0) if name == "x" else 4] = bad
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
-            fit(data["x"], data["z"], data["y"], optimize=optimize)
+            fit(data["x"], data["z"], data["y"], GP, optimize=optimize)
 
     def test_indefinite_matrix_raises_linalg_error(self):
         with pytest.raises(np.linalg.LinAlgError):
@@ -156,7 +158,7 @@ class TestFit:
     @pytest.mark.parametrize("n", [10, 40])
     def test_direct_lapack_matches_the_scipy_wrappers_bit_for_bit(self, n):
         x, z, y = toy_data(n, n=n)
-        model = fit(x, z, y)
+        model = fit(x, z, y, GP, GP)
         k = _kernel(model.xz, model.xz, model.params) + model.params.noise_var * np.eye(n)
         low = _cholesky(k)
         np.testing.assert_array_equal(low, cholesky(k, lower=True))
@@ -170,7 +172,7 @@ class TestFit:
         x, z, y = toy_data(3, n=8)
         params = GpParams(signal_var=1.0, lengthscales=(0.5,) * count, noise_var=1e-2)
         with pytest.raises(ValueError, match=f"^lengthscales must hold 3 values, .* got {count}$"):
-            fit(x, z, y, optimize=optimize, init_params=params)
+            fit(x, z, y, GP, optimize=optimize, init_params=params)
 
     @pytest.mark.parametrize("optimize", [True, False])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -0.5])
@@ -180,7 +182,7 @@ class TestFit:
         fields = {"signal_var": 1.0, "lengthscales": (0.5, 0.5, 0.5), "noise_var": 1e-2}
         fields[name] = (0.5, bad, 0.5) if name == "lengthscales" else bad
         with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
-            fit(x, z, y, optimize=optimize, init_params=GpParams(**fields))
+            fit(x, z, y, GP, optimize=optimize, init_params=GpParams(**fields))
 
     @pytest.mark.parametrize("d", [2, 4, 6])
     def test_gradient_equals_central_differences_of_the_likelihood(self, d):
@@ -216,7 +218,7 @@ class TestPosterior:
     @pytest.mark.parametrize("n", [2, 13, 40])
     def test_kernel_and_posterior_equal_the_reference_bit_for_bit(self, n):
         x, z, y = toy_data(n, n=n)
-        model = fit(x, z, y)
+        model = fit(x, z, y, GP, GP)
         assert _same_bits([_kernel(model.xz, model.xz, model.params)], [_reference_kernel(model.xz, model.xz, model.params)])
         rng = np.random.default_rng(n)
         for rows in (1, 2000, 20000):
@@ -229,7 +231,7 @@ class TestPosterior:
     @pytest.mark.parametrize("n", [2, 13, 40])
     def test_direct_trtrs_matches_solve_triangular_bit_for_bit(self, n):
         x, z, y = toy_data(n, n=n)
-        model = fit(x, z, y)
+        model = fit(x, z, y, GP, GP)
         assert model.chol.flags.f_contiguous
         rng = np.random.default_rng(n)
         for rows in (1, 2000, 20000):
@@ -241,7 +243,7 @@ class TestPosterior:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_queries_are_rejected_by_name(self, name, bad):
         x, z, y = toy_data(3, n=8)
-        model = fit(x, z, y)
+        model = fit(x, z, y, GP, GP)
         q, qz = np.random.default_rng(0).random((5, 2)), np.full(5, 0.5)
         (q if name == "x" else qz)[2] = bad
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
@@ -252,14 +254,14 @@ class TestPosterior:
     def test_interpolates_with_tiny_noise(self):
         x, z, y = toy_data(2, n=20)
         params = GpParams(signal_var=1.0, lengthscales=(0.5, 0.5, 0.5), noise_var=1e-8)
-        model = fit(x, z, y, optimize=False, init_params=params)
+        model = fit(x, z, y, GP, optimize=False, init_params=params)
         mu, sd = posterior(model, x, z)
         assert np.max(np.abs(mu - y)) < 1e-4
         assert np.max(sd) <= 1e-3
 
     def test_reverts_to_prior_far_away(self):
         x, z, y = toy_data(3, n=15)
-        model = fit(x, z, y)
+        model = fit(x, z, y, GP, GP)
         _, sd = posterior(model, np.full((1, 2), 60.0), 1.0)
         prior_sd = np.sqrt(model.params.signal_var) * model.y_std
         assert sd[0] == pytest.approx(prior_sd, rel=0.01)
@@ -267,7 +269,7 @@ class TestPosterior:
     @pytest.mark.parametrize("seed", [10, 11, 12])
     def test_matches_direct_inversion_oracle(self, seed):
         x, z, y = toy_data(seed)
-        model = fit(x, z, y)
+        model = fit(x, z, y, GP, GP)
         rng = np.random.default_rng(seed + 100)
         q, qz = rng.random((50, 2)), rng.random(50)
         mu, sd = posterior(model, q, qz)
@@ -278,22 +280,22 @@ class TestPosterior:
     def test_variance_shrinks_when_point_added_there(self):
         x, z, y = toy_data(4, n=12)
         params = GpParams(signal_var=1.0, lengthscales=(0.4, 0.4, 0.4), noise_var=1e-4)
-        model = fit(x, z, y, optimize=False, init_params=params)
+        model = fit(x, z, y, GP, optimize=False, init_params=params)
         q = np.array([[0.42, 0.58]])
         _, sd_before = posterior(model, q, 0.5)
         x2 = np.vstack([x, q])
         z2 = np.append(z, 0.5)
         y2 = np.append(y, 0.0)
-        model2 = fit(x2, z2, y2, optimize=False, init_params=params)
+        model2 = fit(x2, z2, y2, GP, optimize=False, init_params=params)
         _, sd_after = posterior(model2, q, 0.5)
         assert sd_after[0] <= sd_before[0] * model2.y_std / model.y_std + 1e-9
 
     def test_training_permutation_invariance(self):
         x, z, y = toy_data(5)
         params = GpParams(signal_var=2.0, lengthscales=(0.3, 0.3, 0.7), noise_var=1e-3)
-        m1 = fit(x, z, y, optimize=False, init_params=params)
+        m1 = fit(x, z, y, GP, optimize=False, init_params=params)
         perm = np.random.default_rng(0).permutation(len(y))
-        m2 = fit(x[perm], z[perm], y[perm], optimize=False, init_params=params)
+        m2 = fit(x[perm], z[perm], y[perm], GP, optimize=False, init_params=params)
         q = np.random.default_rng(1).random((20, 2))
         mu1, sd1 = posterior(m1, q, 0.7)
         mu2, sd2 = posterior(m2, q, 0.7)
@@ -302,7 +304,7 @@ class TestPosterior:
 
     def test_fidelity_continuity_at_z_star(self):
         x, z, y = toy_data(6)
-        model = fit(x, z, y)
+        model = fit(x, z, y, GP, GP)
         q = np.array([[0.3, 0.3]])
         _, sd_star = posterior(model, q, 1.0)
         _, sd_near = posterior(model, q, 1.0 - 1e-7)
@@ -312,7 +314,7 @@ class TestPosterior:
 class TestSampledFunctions:
     def test_same_seed_identical(self):
         x, z, y = toy_data(7)
-        model = fit(x, z, y)
+        model = fit(x, z, y, GP, GP)
         pts = np.random.default_rng(2).random((6, 2))
         f1 = sample_function(model, seed=42, n_features=500)
         f2 = sample_function(model, seed=42, n_features=500)
@@ -320,13 +322,13 @@ class TestSampledFunctions:
 
     def test_different_seeds_differ(self):
         x, z, y = toy_data(8)
-        model = fit(x, z, y)
+        model = fit(x, z, y, GP, GP)
         pts = np.random.default_rng(3).random((4, 2))
         assert not np.allclose(sample_function(model, 1, 500)(pts), sample_function(model, 2, 500)(pts))
 
     def test_finite_everywhere(self):
         x, z, y = toy_data(9)
-        model = fit(x, z, y)
+        model = fit(x, z, y, GP, GP)
         f = sample_function(model, 0, 500)
         grid = np.random.default_rng(4).random((200, 2)) * 3 - 1
         assert np.all(np.isfinite(f(grid)))
@@ -342,7 +344,7 @@ class TestSampledFunctions:
             x, z = rng.random((30, d)), rng.random(30)
             y = np.sin(6 * x).sum(axis=1) + z
             params = GpParams(signal_var=1.7, lengthscales=(short,) * (d + 1), noise_var=1e-3)
-            model = fit(x, z, y, optimize=False, init_params=params)
+            model = fit(x, z, y, GP, optimize=False, init_params=params)
             pts = rng.random((1000, d))
             for seed in range(10):
                 f = sample_function(model, seed=seed, n_features=500)
@@ -356,7 +358,7 @@ class TestSampledFunctions:
     def test_draw_returns_float64_on_the_target_scale(self):
         x, z, y = toy_data(12)
         y = 1e6 + 1e3 * y
-        f = sample_function(fit(x, z, y), seed=0, n_features=500)
+        f = sample_function(fit(x, z, y, GP, GP), seed=0, n_features=500)
         out = f(np.random.default_rng(5).random((7, 2)))
         assert out.dtype == np.float64 and out.shape == (7,)
         assert np.all(np.abs(out - f.y_mean) < 10 * f.y_std)
@@ -365,7 +367,7 @@ class TestSampledFunctions:
     @pytest.mark.slow
     def test_covariance_matches_exact_posterior(self):
         x, z, y = toy_data(10, n=25)
-        model = fit(x, z, y)
+        model = fit(x, z, y, GP, GP)
         pts = np.array([[0.3, 0.4], [0.36, 0.52]])
         qq = np.hstack([pts, np.ones((2, 1))])
         k_full = _kernel(model.xz, model.xz, model.params) + (
@@ -394,6 +396,6 @@ class TestJitterPath:
         z = np.ones(6)
         y = np.full(6, 1.0) + np.random.default_rng(0).normal(0, 1e-9, 6)
         params = GpParams(signal_var=1.0, lengthscales=(0.5, 0.5, 0.5), noise_var=1e-6)
-        model = fit(x, z, y, optimize=False, init_params=params)
+        model = fit(x, z, y, GP, optimize=False, init_params=params)
         mu, sd = posterior(model, np.array([[0.5, 0.5]]), 1.0)
         assert np.isfinite(mu).all() and np.isfinite(sd).all()

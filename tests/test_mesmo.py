@@ -23,6 +23,7 @@ from reramopt.pareto import Nsga2Config, dominated_hypervolume, pareto_front
 from reramopt.resna import TrainingDivergedError
 
 SMALL = MesmoConfig(n_front_samples=2, pool_size=32, n_init=3, rff_features=30)
+MESMO, GP, OPERATORS = MesmoConfig(), GpConfig(), Nsga2Config()
 
 
 def test_entropy_term_is_the_truncated_gaussian_entropy_gap():
@@ -41,7 +42,7 @@ def test_entropy_term_is_the_truncated_gaussian_entropy_gap():
 def test_one_fidelity_level_evaluates_at_the_top():
     problem = synthetic_cf_problem("branin-currin-cf")
     cfg = dataclasses.replace(SMALL, fidelity_levels=1)
-    result = search(problem, Budget(total_cost=100.0, max_iterations=3), 0, "cf-mesmo", cfg)
+    result = search(problem, Budget(total_cost=100.0, max_iterations=3), 0, "cf-mesmo", cfg, GP, OPERATORS)
     opt = [row for row in result.trace if row.phase == "opt"]
     assert len(opt) == 3
     assert all(row.z == 1.0 for row in opt)
@@ -56,12 +57,14 @@ def test_zero_refit_cadence_is_rejected_before_the_campaign_runs():
             0,
             "cf-mesmo",
             MesmoConfig(gp_refit_every=0, pool_size=50, n_front_samples=2, rff_features=50),
+            GP,
+            OPERATORS,
         )
 
 
 def test_unknown_optimizer_is_rejected():
     with pytest.raises(ValueError, match="^unknown optimizer 'bogus'$"):
-        search(synthetic_cf_problem("branin-currin-cf"), Budget(), 0, "bogus")
+        search(synthetic_cf_problem("branin-currin-cf"), Budget(), 0, "bogus", MESMO, GP, OPERATORS)
 
 
 def _failing(problem, exc_at: int, exc: Exception):
@@ -79,12 +82,12 @@ def _failing(problem, exc_at: int, exc: Exception):
 def test_bug_in_evaluate_propagates():
     problem = _failing(synthetic_cf_problem("branin-currin-cf"), 2, ValueError("bug"))
     with pytest.raises(ValueError, match="bug"):
-        search(problem, Budget(total_cost=100.0, max_iterations=3), 0, "random", SMALL)
+        search(problem, Budget(total_cost=100.0, max_iterations=3), 0, "random", SMALL, GP, OPERATORS)
 
 
 def test_diverged_training_records_a_failed_row():
     problem = _failing(synthetic_cf_problem("branin-currin-cf"), 2, TrainingDivergedError(4))
-    result = search(problem, Budget(total_cost=100.0, max_iterations=3), 0, "random", SMALL)
+    result = search(problem, Budget(total_cost=100.0, max_iterations=3), 0, "random", SMALL, GP, OPERATORS)
     assert [row.ok for row in result.trace] == [True, False, True, True, True, True]
     failed = result.trace[1]
     assert failed.y is None and failed.cost == 2.0 and failed.cum_cost == 4.0
@@ -94,7 +97,7 @@ def test_diverged_training_records_a_failed_row():
 def test_flat_zero_hypervolume_is_not_convergence():
     # The first 16 random designs all fall outside the reference box; a run
     # that stopped there would report converged with nothing found.
-    result = search(synthetic_cf_problem("branin-currin-cf"), Budget(), 0, "random")
+    result = search(synthetic_cf_problem("branin-currin-cf"), Budget(), 0, "random", MESMO, GP, OPERATORS)
     assert len(result.trace) == 27 and result.total_cost == 54.0
     assert result.trace[-1].hypervolume == pytest.approx(3.607, abs=1e-3)
     assert result.converged
@@ -114,7 +117,7 @@ def test_campaign_invariants_hold_on_the_trace(optimizer, diverge_at):
     if diverge_at is not None:
         problem = _failing(problem, diverge_at, TrainingDivergedError(0))
     budget = Budget(total_cost=24.0, max_iterations=6)
-    result = search(problem, budget, 0, optimizer, SMALL, operators=Nsga2Config(pop=4))
+    result = search(problem, budget, 0, optimizer, SMALL, GP, Nsga2Config(pop=4))
     trace = result.trace
     assert any(row.phase == "opt" for row in trace)
     assert all(row.ok for row in trace) == (diverge_at is None)
@@ -143,7 +146,7 @@ def _seeded_models(seed: int, cfg: MesmoConfig = MesmoConfig(), problem=None):
     levels = np.concatenate([np.ones(5), rng.choice(fidelity_grid(cfg.fidelity_levels), 10)])
     z = problem.fidelity_vector(levels[:, None])
     y = np.stack([problem.evaluate(xi, zi, rng) for xi, zi in zip(x, z)])
-    models = [fit(x, z[:, j], y[:, j]) for j in range(problem.n_obj)]
+    models = [fit(x, z[:, j], y[:, j], GP) for j in range(problem.n_obj)]
     return problem, models
 
 
@@ -277,7 +280,7 @@ def test_reram_hardware_models_are_fitted_at_the_top_fidelity(monkeypatch):
         return fit(x, z, y, **kwargs)
 
     monkeypatch.setattr(mesmo, "fit", recording)
-    search(build_problem(cfg), cfg.budget, 0, "cf-mesmo", cfg.mesmo, cfg.gp)
+    search(build_problem(cfg), cfg.budget, 0, "cf-mesmo", cfg.mesmo, cfg.gp, cfg.nsga2)
     assert len(fitted) == 4 * cfg.budget.max_iterations
     accuracy, hardware = fitted[0::4], [z for i, z in enumerate(fitted) if i % 4]
     assert any((z < 1.0).any() for z in accuracy)
@@ -537,7 +540,7 @@ def test_screen_margin_bounds_the_float32_error_of_real_draws():
         rng = np.random.default_rng(d)
         x, z = rng.random((30, d)), rng.random(30)
         params = GpParams(signal_var=1.7, lengthscales=(short,) * (d + 1), noise_var=1e-3)
-        model = fit(x, z, np.sin(6 * x).sum(axis=1) + z, optimize=False, init_params=params)
+        model = fit(x, z, np.sin(6 * x).sum(axis=1) + z, GP, optimize=False, init_params=params)
         pts = np.vstack([rng.random((2000, d)), list(itertools.product((0.0, 1.0), repeat=d))])
         for seed in range(10):
             f = sample_function(model, seed=seed, n_features=500)
@@ -554,7 +557,7 @@ def test_a_draw_evaluates_the_screens_float32_formula_bit_for_bit():
         rng = np.random.default_rng(d)
         x, z = rng.random((30, d)), rng.random(30)
         params = GpParams(signal_var=1.7, lengthscales=(short,) * (d + 1), noise_var=1e-3)
-        model = fit(x, z, np.sin(6 * x).sum(axis=1) + z, optimize=False, init_params=params)
+        model = fit(x, z, np.sin(6 * x).sum(axis=1) + z, GP, optimize=False, init_params=params)
         corners = list(itertools.product((0.0, 1.0), repeat=d))
         pts = np.vstack([rng.random((1000, d)), rng.random((1000, d)) / 4, corners])
         for seed in range(5):

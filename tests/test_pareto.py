@@ -153,7 +153,7 @@ class TestNsga2:
 
     def test_negative_generation_count_rejected(self):
         with pytest.raises(ValueError, match="gens must be >= 0, got -1"):
-            nsga2(lambda x: np.hstack([x, -x]), 1, gens=-1)
+            nsga2(lambda x: np.hstack([x, -x]), 1, config=Nsga2Config(), gens=-1)
 
     def test_deterministic(self):
         def ev(x):
@@ -219,7 +219,7 @@ class TestNsga2Pins:
     )
     def test_fronts_are_pinned(self, k, pop, gens, digest):
         config = Nsga2Config(pop=pop)
-        fronts = [nsga2(tied_objectives(k), 3, s, config, gens) for s in PINNED_SEEDS]
+        fronts = [nsga2(tied_objectives(k), 3, s, config=config, gens=gens) for s in PINNED_SEEDS]
         data = b"".join(front_x.tobytes() + front_y.tobytes() for front_x, front_y in fronts)
         assert hashlib.sha256(data).hexdigest() == digest
 
@@ -230,7 +230,7 @@ class TestNsga2Pins:
             seen.append(x.shape)
             return tied_objectives(2)(x)
 
-        nsga2(ev, 3, 1, Nsga2Config(pop=6), 3)
+        nsga2(ev, 3, 1, config=Nsga2Config(pop=6), gens=3)
         assert seen == [(6, 3)] * 4
 
 

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 from reramopt import resna
-from reramopt.crossbar import NoiseSpec
 from reramopt.design_space import ReramDesign
-from reramopt.noise import shot_sigma, thermal_sigma
+from reramopt.noise import NoiseSpec, shot_sigma, thermal_sigma
 from reramopt.resna import (
     MlpSpec,
     TrainingDivergedError,
@@ -20,6 +19,7 @@ from reramopt.resna import (
 
 SPEC = MlpSpec(widths=(8, 6, 3), n_train=40, n_test=30, data_seed=3)
 DESIGN = ReramDesign(res_cell=2, freq_hz=5e8, temperature_k=350.0, xbar_size=32)
+NOISE = NoiseSpec()
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +30,7 @@ def data():
 @pytest.fixture(scope="module")
 def state(data):
     # One noisy epoch: every forward pass reads a fresh deployment through the samplers.
-    return train(SPEC, DESIGN, data, 1, np.random.default_rng(0))
+    return train(SPEC, DESIGN, data, 1, np.random.default_rng(0), noise=NOISE)
 
 
 def _write_csv(path, bad_row=None, bad_value=None):
@@ -106,7 +106,7 @@ def test_classifier_design_has_its_own_read_variance():
 
 
 def test_training_is_reproducible_for_a_seed(data, state):
-    again = train(SPEC, DESIGN, data, 1, np.random.default_rng(0))
+    again = train(SPEC, DESIGN, data, 1, np.random.default_rng(0), noise=NOISE)
     for w, w2 in zip(state.weights, again.weights):
         np.testing.assert_array_equal(w, w2)
     assert again.losses == state.losses and np.isfinite(state.losses[0])
@@ -130,9 +130,9 @@ def test_training_programs_no_layer_and_inference_each_layer_once_per_run(data, 
         return real_program(layer, rng)
 
     monkeypatch.setattr(resna, "program", counting_program)
-    state = train(SPEC, DESIGN, data, 1, np.random.default_rng(0))
+    state = train(SPEC, DESIGN, data, 1, np.random.default_rng(0), noise=NOISE)
     assert copies == []
-    infer(state, DESIGN, data, runs=3, rng=np.random.default_rng(1))
+    infer(state, DESIGN, data, runs=3, rng=np.random.default_rng(1), noise=NOISE)
     assert copies == [1, SPEC.vote_copies] * 3
 
 
@@ -147,7 +147,7 @@ def test_overflowing_step_is_reported_as_divergence(data):
     # finite; the next deployment must not reach the quantizer with them.
     spec = replace(SPEC, lr=1e155)
     with pytest.raises(TrainingDivergedError), np.errstate(over="ignore", invalid="ignore"):
-        train(spec, DESIGN, data, 4, np.random.default_rng(0))
+        train(spec, DESIGN, data, 4, np.random.default_rng(0), noise=NOISE)
 
 
 # Byte pins of 2 training epochs and 2 inference runs with every noise source
@@ -182,7 +182,7 @@ def test_training_and_inference_bytes_are_pinned(res_cell, xbar):
     data = make_dataset(PIN_SPEC)
     design = ReramDesign(res_cell=res_cell, freq_hz=5e8, temperature_k=350.0, xbar_size=xbar)
     rng = np.random.default_rng([res_cell, xbar])
-    state = train(PIN_SPEC, design, data, 2, rng)
-    accs = infer(state, design, data, runs=2, rng=rng)
+    state = train(PIN_SPEC, design, data, 2, rng, noise=NOISE)
+    accs = infer(state, design, data, runs=2, rng=rng, noise=NOISE)
     trained = _digest(state.weights + state.biases + [state.losses])
     assert (trained, _digest([accs])) == TRAIN_INFER_PINS[res_cell, xbar]
