@@ -332,9 +332,7 @@ def _cmd_noise_hist(args) -> int:
     cfg = _load_cfg(args)
     design = _design_from_args(cfg, args)
     rng = np.random.default_rng(args.seed)
-    g_levels = design.g_min + np.arange(1 << design.res_cell) * design.g_step
-    if args.levels is not None:
-        g_levels = g_levels[: args.levels]
+    g_levels = design.levels[: args.levels]
     rows = []
     n, spec = args.samples, cfg.noise
     off = np.zeros(n)  # a disabled source draws nothing

@@ -10,9 +10,11 @@ reproduces them bit-for-bit):
   Signs are differential: a positive code programs its digits on the
   positive side and leaves the negative side at g_min, and vice versa, so
   code 0 is exactly representable.
-* A layer is held as whole-layer arrays, not per tile (see MappedLayer).
-  Physically it is tiled into xbar_size x xbar_size crossbars, one per
-  side, slice, copy and tile (``objectives._crossbar_count`` counts them).
+* A layer is held as whole-layer arrays, not per tile (see MappedLayer):
+  its deployment as uint8 digit planes, and once programmed its
+  conductances. Physically it is tiled into xbar_size x xbar_size
+  crossbars, one per side, slice, copy and tile
+  (``objectives._crossbar_count`` counts them).
 * DACs are full-parallel voltage mode: input code q >= 0 drives
   v_r * q / (2**res_dac - 1).
 * ADCs digitize each tile column current to res_adc bits over the fixed
@@ -32,16 +34,18 @@ reproduces them bit-for-bit):
 * mvm reads an unprogrammed layer as a fresh deployment that is read
   once, the way training redeploys on every batch: one Gaussian per cell
   at the target carries the programming and the thermal-plus-shot
-  variance together, then RTN, then one clip to [0, g_max]
-  (``noise.sample_read``).
-* The samplers of ``noise.py`` read each layer's ``ReramDesign`` and
-  ``NoiseSpec``, alone decide what is drawn and need a generator only then.
-  Every programming and read Gaussian comes from ``noise.standard_normal``
+  variance together, then RTN, then one clip to [0, g_max]. A cell's
+  target, std and RTN jump depend on its digit alone, so
+  ``noise.FreshRead`` gathers them from per-level tables, with the bytes
+  of the per-cell formula (see ``noise``).
+* The samplers of ``noise.py`` alone decide what is drawn and need a
+  generator only then. Every Gaussian comes from ``noise.standard_normal``
   (float32 Box-Muller, cut at about 5.77 sigma), and RTN occupancy at
   the default p = 1/2 from packed random bits.
 
 A layer is immutable during reads; concurrent mvm calls need independent
-generators. program() replaces the noisy arrays wholesale.
+generators, and on unprogrammed layers their own ``FreshRead``s.
+program() replaces the noisy arrays wholesale.
 """
 
 from __future__ import annotations
@@ -52,7 +56,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .design_space import ReramDesign
-from .noise import NoiseSpec, sample_read, sample_write_noise
+from .noise import FreshRead, NoiseSpec, sample_read, sample_write_noise
+
+
+_SIDE_SIGNS = np.array([[1], [-1]])
 
 
 def quantize(values: np.ndarray, bits: int) -> tuple[np.ndarray, float]:
@@ -84,25 +91,42 @@ def quantize(values: np.ndarray, bits: int) -> tuple[np.ndarray, float]:
 class MappedLayer:
     """A quantized weight matrix deployed on bit-sliced differential crossbars.
 
-    ``target`` holds the ideal conductances of the whole layer as
-    (rows, 2, n_slices, cols), side 0 positive and side 1 negative.
-    ``noisy`` holds the programmed conductances of all ``dup`` copies as
-    (rows, dup, 2, n_slices, cols), or None until program() runs. Keeping
+    ``digits`` holds the cell digits of the whole layer as uint8 planes,
+    (rows, 2, n_slices, cols), side 0 positive and side 1 negative;
+    ``target`` gives their ideal conductances. ``noisy`` holds the
+    programmed conductances of all ``dup`` copies as ``cells``, (rows, dup,
+    2, n_slices, cols), or None until program() runs. ``read`` carries the
+    design and noise and reads the layer while it is unprogrammed. Keeping
     the rows outermost makes the currents of one row block a single matmul.
     """
 
-    design: ReramDesign
-    noise: NoiseSpec
+    read: FreshRead
     rows: int
     cols: int
     scale: float
     dup: int
-    target: np.ndarray
+    digits: np.ndarray
     noisy: np.ndarray | None = None
+
+    @property
+    def design(self) -> ReramDesign:
+        return self.read.design
+
+    @property
+    def noise(self) -> NoiseSpec:
+        return self.read.spec
+
+    @property
+    def target(self) -> np.ndarray:
+        return self.design.levels.take(self.digits)
 
     @property
     def n_slices(self) -> int:
         return self.design.slices_per_weight
+
+    @property
+    def cells(self) -> tuple[int, ...]:  # the shape of every copy's cells
+        return (self.rows, self.dup, 2, self.n_slices, self.cols)
 
     @property
     def programmed(self) -> bool:
@@ -110,58 +134,55 @@ class MappedLayer:
 
 
 def map_weights(
-    codes: np.ndarray, scale: float, design: ReramDesign, dup: int = 1, *, noise: NoiseSpec
+    codes: np.ndarray, scale: float, design: ReramDesign, dup: int = 1, *, noise: NoiseSpec,
+    read: FreshRead | None = None,
 ) -> MappedLayer:
     """Deploy signed integer weight codes, worth ``scale`` each, onto crossbars.
 
     ``dup`` physical copies share the same targets but are programmed with
     independent noise. The layer is returned unprogrammed. Codes whose
     magnitude needs more than ``design.bit_quan`` bits are rejected rather
-    than sliced without their high digits.
+    than sliced without their high digits. ``read``, a ``noise.FreshRead``
+    of this design and noise, reads the layer while it is unprogrammed; a
+    caller that deploys many times passes its own, as training does.
     """
     if codes.ndim != 2 or codes.size == 0:
         raise ValueError(f"weight codes must be a non-empty matrix, got shape {codes.shape}")
     if dup < 1:
         raise ValueError("duplication factor must be >= 1")
+    if read is None:
+        read = FreshRead(design, noise)
+    elif (read.design, read.spec) != (design, noise):
+        raise ValueError("read must be a FreshRead of the layer's design and noise")
 
     rows, cols = codes.shape
-    need = max(int(codes.max()), -int(codes.min()), 0).bit_length()
+    signed = codes[:, None] * _SIDE_SIGNS  # (rows, 2, cols), whose maximum is the largest |code|
+    need = int(signed.max()).bit_length()
     if need > design.bit_quan:
         raise ValueError(f"codes need {need} bits but the design's bit_quan is {design.bit_quan}")
-    # |code| on the side of its sign, 0 on the other: (rows, 2, cols). At
-    # most bit_quan <= 8 bits, so the digits are sliced in uint8.
+    # |code| on the side of its sign, 0 on the other. At most bit_quan <= 8
+    # bits, so the digits are sliced in uint8.
     side_codes = np.empty((rows, 2, cols), dtype=np.uint8)
-    np.maximum(codes, 0, out=side_codes[:, 0], casting="unsafe")
-    np.maximum(-codes, 0, out=side_codes[:, 1], casting="unsafe")
+    np.maximum(signed, 0, out=side_codes, casting="unsafe")
     digits = side_codes[:, :, None, :] >> design.slice_shifts[:, None]
     digits &= (1 << design.res_cell) - 1
-    target = digits * design.g_step
-    target += design.g_min
-    return MappedLayer(
-        design=design, noise=noise, rows=rows, cols=cols, scale=scale, dup=dup, target=target
-    )
+    return MappedLayer(read=read, rows=rows, cols=cols, scale=scale, dup=dup, digits=digits)
 
 
 def program(layer: MappedLayer, rng: np.random.Generator | None = None) -> MappedLayer:
     """Write the target conductances with fresh per-cell programming noise.
 
     Every duplicate copy gets an independent error sample, all drawn in one
-    call per layer; calling again models an independent redeployment of the
-    same weights. ``rng`` may be None only when ``noise.sample_write_noise``
-    draws nothing.
+    call per layer from one write std per cell; calling again models an
+    independent redeployment of the same weights. ``rng`` may be None only
+    when ``noise.sample_write_noise`` draws nothing.
     """
     d = layer.design
-    targets = _copies(layer)
-    noisy = sample_write_noise(targets, d, layer.noise, rng)
-    noisy += targets
+    target = layer.target[:, None]
+    noisy = sample_write_noise(target, d, layer.noise, rng, layer.cells)
+    noisy += target
     noisy.clip(0.0, d.g_max, out=noisy)
     return replace(layer, noisy=noisy)
-
-
-def _copies(layer: MappedLayer) -> np.ndarray:
-    """The targets as seen by every copy, (rows, dup, 2, n_slices, cols), as a view."""
-    one = layer.target[:, None]
-    return one if layer.dup == 1 else np.broadcast_to(one, (layer.rows, layer.dup) + one.shape[2:])
 
 
 def _adc(currents: np.ndarray, full_scale: float, levels: int) -> None:
@@ -182,15 +203,15 @@ def mvm(
 
     ``inputs`` holds non-negative integer activation codes of shape
     (B, rows), all read in one analog pass; a negative code raises
-    ValueError. Every row is read through all ``dup`` copies; the result
+    ValueError (unsigned codes are not scanned). Every row is read through all ``dup`` copies; the result
     holds the integer outputs of each copy as (dup, B, cols). Read noise is
     drawn by ``noise.sample_read`` once per cell per call, independently
     per copy; ``rng`` may be None only when that read draws nothing. A
     batch of all zeros reads nothing and draws nothing.
 
     An unprogrammed layer is read as a fresh deployment that this call
-    alone sees: its programming error is drawn with the read noise, in one
-    Gaussian per cell at the target (see the module docstring).
+    alone sees: ``layer.read`` draws its programming error with the read
+    noise, in one Gaussian per cell at the target (see the module docstring).
 
     With noise off and res_adc=None every copy equals the exact integer
     matmul codes @ weight_codes.
@@ -200,20 +221,22 @@ def mvm(
         raise ValueError(f"input codes must have an integer dtype, got {codes.dtype}")
     if codes.ndim != 2 or codes.shape[1] != layer.rows:
         raise ValueError(f"inputs must have shape (B, {layer.rows}), got {codes.shape}")
-    if codes.min(initial=0) < 0:
+    if codes.dtype.kind == "i" and codes.min(initial=0) < 0:
         raise ValueError("input codes must be non-negative")
 
     d = layer.design
-    fresh = not layer.programmed
     n_b = codes.shape[0]
     acc = np.zeros((n_b, layer.dup, layer.cols))
     if codes.max(initial=0) > 0:
-        cells = _copies(layer) if fresh else layer.noisy
         volts = np.minimum(codes, d.dac_levels, dtype=float)
         volts *= d.v_step
-        g = sample_read(cells, d, layer.noise, rng, fresh)
-        if g is not cells:  # something was drawn: clip that sample in place
-            g.clip(0.0, d.g_max, out=g)
+        if layer.programmed:
+            g = sample_read(layer.noisy, d, layer.noise, rng)
+            if g is not layer.noisy:  # something was drawn: clip that sample in place
+                g.clip(0.0, d.g_max, out=g)
+        else:
+            digits = layer.digits[:, None]
+            g = layer.read(digits if layer.dup == 1 else np.broadcast_to(digits, layer.cells), rng)
         flat = g.reshape(layer.rows, -1)
         for r0 in range(0, layer.rows, d.xbar_size):
             r1 = min(r0 + d.xbar_size, layer.rows)

@@ -97,6 +97,13 @@ class ReramDesign(Device):
         """Conductance between adjacent cell levels."""
         return (self.g_max - self.g_min) / ((1 << self.res_cell) - 1)
 
+    @cached_property
+    def levels(self) -> np.ndarray:
+        """Target conductance of each cell digit d, g_min + d*g_step."""
+        levels = np.arange(1 << self.res_cell, dtype=float) * self.g_step
+        levels += self.g_min
+        return _frozen(levels)
+
     @property
     def slices_per_weight(self) -> int:
         return math.ceil(self.bit_quan / self.res_cell)

@@ -18,21 +18,23 @@ reports every source on its own and keeps separate per-source draws.
 
 A deployment that is read exactly once (ReSNA's training redeploys the
 weights on every batch) needs no stored programming error. Its read
-(``sample_read(..., fresh=True)``) folds the write error into the same
-Gaussian, taken at the target G, with variance
+(``FreshRead``) folds the write error into the same Gaussian, taken at
+the target G, with variance sigma^2 = sigma_prog^2 * G^2 + c * G: the
+total variance of writing and then reading the cell, Var(G_prog) +
+E[c * G_prog]. The law differs from the two-draw path only in taking the
+read sigma at the target instead of the programmed G, and in clipping
+once instead of after each draw. Such a deployment is held as digit
+planes (see ``crossbar``), so a cell's target, read std and RTN jump
+depend on its digit alone. ``FreshRead`` evaluates each per-cell
+expression once per level of ``ReramDesign.levels`` and gathers the
+results by digit, which gives the bytes the expression gives at the
+cell's target; the rest, std*N + target, jump*occupied + that and one
+clip, is elementwise and correctly rounded, so the read has the per-cell
+formula's bytes.
 
-    sigma^2 = sigma_prog^2 * G^2 + c * G.
-
-That is the total variance of writing and then reading the cell:
-Var(G_prog) + E[c * G_prog] = sigma_prog^2 * G^2 + c * G. The law differs
-from the two-draw path in two places only: the read sigma is taken at the
-target instead of the programmed G, and the caller clips once instead of
-after each draw.
-
-Every read and write Gaussian comes from one source,
-``standard_normal``: float32 Box-Muller normals, drawn as 2*ceil(n/2)
-float32 uniforms u1, u2 and returned as r*cos(2*pi*u2) and r*sin(2*pi*u2)
-with r = sqrt(-2*log1p(-u1)), all in float32. On a 2-core AVX-512 Xeon it
+Every read and write Gaussian comes from ``standard_normal``: float32
+Box-Muller normals r*cos(2*pi*u2) and r*sin(2*pi*u2), with
+r = sqrt(-2*log1p(-u1)), all in float32. On a 2-core AVX-512 Xeon it
 takes 4.2 ns per value, against 13 ns for NumPy's float64 ziggurat. Its
 law differs from N(0, 1) in two stated ways:
 
@@ -93,24 +95,27 @@ class NoiseSpec:
         return cls(thermal=False, shot=False, rtn=False, prog=False)
 
 
-def standard_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+def standard_normal(rng: np.random.Generator, shape: tuple[int, ...], out: np.ndarray | None = None):
     """Float32 standard normals of the given shape, by Box-Muller (see the module docstring).
 
     Draws 2*ceil(n/2) float32 uniforms for n values: the first half sets the
     radii and the second the angles. The cosines fill the first half of the
     result and the sines the second, so the values depend on n alone, and
-    an odd n gives the first n of the n + 1 values of the same seed.
+    an odd n gives the first n of the n + 1 values of the same seed. The
+    uniforms and cosines are worked on in ``out``, a float32 array of at
+    least 3*ceil(n/2) values, or a new one; the result is a view of it.
     """
     n = math.prod(shape)
     m = (n + 1) // 2
-    u = rng.random(2 * m, dtype=np.float32)
-    r, theta = u[:m], u[m:]
+    u = np.empty(3 * m, dtype=np.float32) if out is None else out[: 3 * m]
+    r, theta, cos = u[:m], u[m : 2 * m], u[2 * m :]
+    rng.random(dtype=np.float32, out=u[: 2 * m])
     np.negative(r, out=r)
     np.log1p(r, out=r)
     r *= -2.0
     np.sqrt(r, out=r)
     theta *= _TWO_PI
-    cos = np.cos(theta)
+    np.cos(theta, out=cos)
     np.sin(theta, out=theta)
     theta *= r
     np.multiply(cos, r, out=r)
@@ -143,69 +148,95 @@ def rtn_amplitude(g, design: ReramDesign, spec: NoiseSpec):
     clip to, in a fifth of its time on 32,768 cells.
     """
     g = np.asarray(g, dtype=float)
-    amp = _rtn_jump(g, design, spec)
+    amp = spec.rtn_amp_b * g
+    amp += spec.rtn_amp_a * design.g_min
     amp *= g > 0.0
     return amp
 
 
-def _rtn_jump(g: np.ndarray, design: ReramDesign, spec: NoiseSpec) -> np.ndarray:
-    """a*g_min + b*g: the RTN amplitude wherever g > 0."""
-    amp = spec.rtn_amp_b * g
-    amp += spec.rtn_amp_a * design.g_min
-    return amp
-
-
-def rtn_sample(
-    g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator, fresh: bool = False
-):
-    """One RTN draw: the trap amplitude with probability rtn_p_occupancy, else 0.
-
-    At p = 1/2 each cell takes one bit of uint8 draws, unpacked in order;
-    any other p compares one float64 uniform per cell with p. With
-    ``fresh``, g holds deployment targets, all at least g_min > 0, so the
-    g = 0 case of ``rtn_amplitude`` cannot arise and is not masked.
-    """
+def rtn_sample(g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator):
+    """One RTN draw: the trap amplitude with probability rtn_p_occupancy, else 0."""
     g = np.asarray(g, dtype=float)
-    if spec.rtn_p_occupancy == 0.5:
-        bits = rng.integers(0, 256, (g.size + 7) // 8, dtype=np.uint8)
-        occupied = np.unpackbits(bits, count=g.size).view(bool).reshape(g.shape)
-    else:
-        occupied = rng.random(g.shape) < spec.rtn_p_occupancy
-    amp = _rtn_jump(g, design, spec) if fresh else rtn_amplitude(g, design, spec)
-    amp *= occupied
+    amp = rtn_amplitude(g, design, spec)
+    amp *= _occupied(spec, rng, g.shape)
     return amp
 
 
-def sample_read(
-    g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator | None, fresh: bool = False
-):
-    """Conductances seen by one read: g plus fresh thermal, shot and RTN noise.
+def _occupied(spec: NoiseSpec, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Which cells' traps are occupied at a read: one bit each at p = 1/2, else one uniform each."""
+    if spec.rtn_p_occupancy != 0.5:
+        return rng.random(shape) < spec.rtn_p_occupancy
+    n = math.prod(shape)
+    bits = rng.integers(0, 256, (n + 7) // 8, dtype=np.uint8)
+    return np.unpackbits(bits, count=n).view(bool).reshape(shape)
+
+
+def sample_read(g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator | None):
+    """Conductances seen by one read of stored conductances g: g plus thermal, shot and RTN noise.
 
     Thermal and shot noise are independent zero-mean Gaussians whose
     variances are both linear in g, so the enabled ones are drawn as a single
     Gaussian with std sqrt(sigma_th^2 + sigma_sh^2); RTN is drawn after it.
-    With ``fresh``, g holds the targets of a deployment that this read alone
-    sees, and the programming error (if on, with sigma_prog > 0) joins the
-    same Gaussian, as the module docstring derives. Reproducible reads
-    depend on that order of the draws. With no source drawn g itself is
-    returned and ``rng`` may be None; otherwise the result is a new array
-    and a None ``rng`` raises ValueError.
+    Reproducible reads depend on that order of the draws. With no source
+    drawn g itself is returned and ``rng`` may be None; otherwise the result
+    is a new array and a None ``rng`` raises ValueError.
     """
     g = np.asarray(g, dtype=float)
-    write = fresh and spec.prog and design.sigma_prog > 0.0
-    gauss = spec.thermal or spec.shot or write
+    gauss = spec.thermal or spec.shot
     if rng is None and (gauss or spec.rtn):
         raise ValueError("a noisy read requires a generator")
     out = g
     if gauss:
-        out = _read_std(g, design, spec, write)
+        out = _read_std(g, design, spec, write=False)
         out *= standard_normal(rng, g.shape)
         out += g
     if spec.rtn:
-        rtn = rtn_sample(g, design, spec, rng, fresh)
+        rtn = rtn_sample(g, design, spec, rng)
         rtn += out
         out = rtn
     return out
+
+
+class FreshRead:
+    """Reads of fresh deployments of one design under one ``NoiseSpec``, by cell digit.
+
+    Builds the per-level read std and RTN jump once (see the module docstring)
+    and reuses its buffers across reads, so it serves one thread at a time.
+    """
+
+    def __init__(self, design: ReramDesign, spec: NoiseSpec):
+        write = spec.prog and design.sigma_prog > 0.0
+        self.design, self.spec, self._work = design, spec, ()
+        gauss = spec.thermal or spec.shot or write
+        self.std = _read_std(design.levels, design, spec, write) if gauss else None
+        self.jump = rtn_amplitude(design.levels, design, spec) if spec.rtn else None  # levels > 0
+
+    def __call__(self, digits: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
+        """One Gaussian per cell at its target, then RTN, then one clip to [0, g_max].
+
+        With no source drawn the targets come back unclipped and ``rng`` may be
+        None; otherwise the result is a buffer that the next read overwrites.
+        """
+        levels = self.design.levels
+        if self.std is None and self.jump is None:
+            return levels.take(digits)
+        if rng is None:
+            raise ValueError("a noisy read requires a generator")
+        if not self._work or self._work[0].shape != digits.shape:
+            m = (math.prod(digits.shape) + 1) // 2
+            cells = (np.empty(digits.shape, t) for t in (np.intp, float, float))
+            self._work = (*cells, np.empty(3 * m, np.float32))
+        idx, out, tmp, normals = self._work
+        np.copyto(idx, digits)  # take() gathers fastest by intp
+        (levels if self.std is None else self.std).take(idx, out=out, mode="clip")
+        if self.std is not None:
+            out *= standard_normal(rng, digits.shape, normals)
+            out += levels.take(idx, out=tmp, mode="clip")
+        if self.jump is not None:
+            self.jump.take(idx, out=tmp, mode="clip")
+            tmp *= _occupied(self.spec, rng, digits.shape)
+            out += tmp
+        return out.clip(0.0, self.design.g_max, out=out)
 
 
 def _read_std(g: np.ndarray, design: ReramDesign, spec: NoiseSpec, write: bool) -> np.ndarray:
@@ -221,17 +252,17 @@ def _read_std(g: np.ndarray, design: ReramDesign, spec: NoiseSpec, write: bool) 
     return np.sqrt(var, out=var)
 
 
-def sample_write_noise(g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator | None):
-    """One per-deployment programming error, Gaussian with std sigma_prog*g.
+def sample_write_noise(g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator | None, shape=None):
+    """One per-deployment programming error, Gaussian with std sigma_prog*g, of ``shape`` (g's by default).
 
+    g broadcasts to ``shape``, so the std is taken once per value of g.
     Zeros, drawn without ``rng``, when the source is off or sigma_prog = 0;
     otherwise a None ``rng`` raises ValueError.
     """
     g = np.asarray(g, dtype=float)
+    shape = g.shape if shape is None else shape
     if not (spec.prog and design.sigma_prog > 0.0):
-        return np.zeros(g.shape)
+        return np.zeros(shape)
     if rng is None:
         raise ValueError("a noisy write requires a generator")
-    err = prog_sigma(g, design)
-    err *= standard_normal(rng, g.shape)
-    return err
+    return np.multiply(prog_sigma(g, design), standard_normal(rng, shape))

@@ -34,7 +34,7 @@ import numpy as np
 
 from .crossbar import MappedLayer, map_weights, mvm, program, quantize
 from .design_space import ReramDesign
-from .noise import NoiseSpec
+from .noise import FreshRead, NoiseSpec
 
 _EVAL_BATCH = 250  # test rows read per inference batch
 
@@ -126,14 +126,19 @@ class Dataset:
 
 @dataclass
 class TrainState:
-    """Noise-free master weights plus SGD-momentum state."""
+    """Noise-free master weights plus SGD-momentum state.
+
+    Each layer's ``weights`` and ``biases`` are views of the flat ``params``,
+    so one SGD step moves them all in four operations with ``velocity``.
+    """
 
     spec: MlpSpec
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-    velocities_w: list[np.ndarray]
-    velocities_b: list[np.ndarray]
+    params: np.ndarray
+    velocity: np.ndarray
     losses: list[float] = field(default_factory=list)  # mean loss per completed epoch
+
+    def __post_init__(self):
+        self.weights, self.biases = _layer_views(self.params, self.spec)
 
     @property
     def epoch(self) -> int:
@@ -230,22 +235,18 @@ def _quantize_unsigned(values: np.ndarray, bits: int) -> tuple[np.ndarray, float
     return codes.astype(np.uint8), scale
 
 
-def _layer_designs(spec: MlpSpec, design: ReramDesign) -> list[ReramDesign]:
+def _layer_reads(spec: MlpSpec, design: ReramDesign, noise: NoiseSpec) -> list[FreshRead]:
+    """Each layer's design and noise, as the reader of its fresh deployments."""
     reduced = design.with_context(spec.classifier_freq_hz, spec.classifier_temperature_k)
-    return [design] * (spec.n_layers - 1) + [reduced]
+    return [FreshRead(dsg, noise) for dsg in [design] * (spec.n_layers - 1) + [reduced]]
 
 
-def _deploy(
-    weights: list[np.ndarray],
-    designs: list[ReramDesign],
-    classifier_copies: int,
-    noise: NoiseSpec,
-) -> list[MappedLayer]:
+def _deploy(weights: list[np.ndarray], reads: list[FreshRead], classifier_copies: int) -> list[MappedLayer]:
     """Quantize and map every layer, unprogrammed; only the classifier is duplicated."""
     dups = [1] * (len(weights) - 1) + [classifier_copies]
     return [
-        map_weights(*quantize(w, dsg.bit_quan), dsg, dup=dup, noise=noise)
-        for w, dsg, dup in zip(weights, designs, dups)
+        map_weights(*quantize(w, r.design.bit_quan), r.design, dup=dup, noise=r.spec, read=r)
+        for w, r, dup in zip(weights, reads, dups)
     ]
 
 
@@ -296,7 +297,8 @@ def train(
     Every batch deploys the current master weights on a single classifier
     copy and reads that deployment once, so each cell's programming and
     read noise are drawn together as one Gaussian at its target (see
-    ``crossbar.mvm``); no layer is programmed. Gradients are
+    ``crossbar.mvm``) by the layer's one ``FreshRead``, whose tables and
+    buffers serve every batch; no layer is programmed. Gradients are
     straight-through: the noisy activations are used, the analog pipeline
     is treated as the identity linear map of the master weights.
     """
@@ -305,8 +307,10 @@ def train(
     if dataset.x_train.shape[1] != spec.widths[0]:
         raise ValueError("dataset feature width does not match the input layer")
 
-    designs = _layer_designs(spec, design)
+    reads = _layer_reads(spec, design, noise)
     state = _init_state(spec, rng)
+    grad = np.empty_like(state.params)
+    grad_views = _layer_views(grad, spec)
 
     n = len(dataset.x_train)
     for epoch in range(epochs):
@@ -315,48 +319,52 @@ def train(
         for start in range(0, n, spec.batch_size):
             idx = order[start : start + spec.batch_size]
             xb, yb = dataset.x_train[idx], dataset.y_train[idx]
-            deployed = _deploy(state.weights, designs, 1, noise)
+            deployed = _deploy(state.weights, reads, 1)
             logits, acts = _forward(deployed, state.biases, xb, rng)
             loss, dz = _softmax_ce(logits[0], yb)
             if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch)
             epoch_loss += loss * len(idx)
-            _sgd_step(state, acts, dz)
+            _sgd_step(state, acts, dz, grad, grad_views)
             # The quantizers reject non-finite weights: an overflowing step
             # diverges here rather than failing the next deployment.
-            if not all(np.isfinite(p).all() for p in state.weights + state.biases):
+            if not np.isfinite(state.params).all():
                 raise TrainingDivergedError(epoch)
         state.losses.append(epoch_loss / n)
     return state
 
 
-def _init_state(spec: MlpSpec, rng: np.random.Generator) -> TrainState:
-    weights, biases, vw, vb = [], [], [], []
+def _layer_views(flat: np.ndarray, spec: MlpSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each layer's weight matrix and bias vector, in turn, as views of one flat array."""
+    weights, biases, start = [], [], 0
     for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
-        weights.append(rng.standard_normal((fan_in, fan_out)) * np.sqrt(2.0 / fan_in))
-        biases.append(np.zeros(fan_out))
-        vw.append(np.zeros((fan_in, fan_out)))
-        vb.append(np.zeros(fan_out))
-    return TrainState(spec=spec, weights=weights, biases=biases, velocities_w=vw, velocities_b=vb)
+        weights.append(flat[start : start + fan_in * fan_out].reshape(fan_in, fan_out))
+        biases.append(flat[start + fan_in * fan_out : start + (fan_in + 1) * fan_out])
+        start += (fan_in + 1) * fan_out
+    return weights, biases
 
 
-def _sgd_step(state: TrainState, acts, dz):
-    """Backpropagate from the last layer, updating each layer once its gradient is used."""
+def _init_state(spec: MlpSpec, rng: np.random.Generator) -> TrainState:
+    size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]))
+    state = TrainState(spec=spec, params=np.zeros(size), velocity=np.zeros(size))
+    for w in state.weights:
+        w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
+    return state
+
+
+def _sgd_step(state: TrainState, acts, dz, grad: np.ndarray, grad_views):
+    """Backpropagate into the flat ``grad`` with the weights before the step, then step them all."""
     spec = state.spec
     for l in range(spec.n_layers - 1, -1, -1):
-        grad_w = acts[l].T @ dz
-        grad_b = dz.sum(axis=0)
+        np.matmul(acts[l].T, dz, out=grad_views[0][l])
+        dz.sum(axis=0, out=grad_views[1][l])
         if l > 0:
             dz = dz @ state.weights[l].T
             dz *= acts[l] > 0.0
-        for param, velocity, grad in (
-            (state.weights[l], state.velocities_w[l], grad_w),
-            (state.biases[l], state.velocities_b[l], grad_b),
-        ):
-            velocity *= spec.momentum
-            grad *= spec.lr
-            velocity -= grad
-            param += velocity
+    state.velocity *= spec.momentum
+    grad *= spec.lr
+    state.velocity -= grad
+    state.params += state.velocity
 
 
 def majority_vote(per_copy_logits: np.ndarray) -> np.ndarray:
@@ -396,7 +404,7 @@ def infer(
     and the majority prediction wins.
     """
     spec = state.spec
-    layers = _deploy(state.weights, _layer_designs(spec, design), spec.vote_copies, noise)
+    layers = _deploy(state.weights, _layer_reads(spec, design, noise), spec.vote_copies)
     accs = []
     for _ in range(runs):
         deployed = [program(layer, rng) for layer in layers]

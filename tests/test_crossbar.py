@@ -5,7 +5,7 @@ import pytest
 
 from reramopt.crossbar import map_weights, mvm, program, quantize
 from reramopt.design_space import ReramDesign
-from reramopt.noise import NoiseSpec, rtn_amplitude, shot_sigma, thermal_sigma
+from reramopt.noise import FreshRead, NoiseSpec, rtn_amplitude, shot_sigma, thermal_sigma
 
 NOISE = NoiseSpec()
 QUIET = NoiseSpec.disabled()
@@ -112,6 +112,11 @@ class TestMapWeights:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             map_weights(np.zeros((0, 3), dtype=np.int64), 1.0, design(), noise=NOISE)
+
+    def test_read_of_another_design_rejected(self):
+        d = design()
+        with pytest.raises(ValueError, match="FreshRead of the layer's design and noise"):
+            map_weights(*quantize(np.eye(2), 8), d, noise=NOISE, read=FreshRead(d, QUIET))
 
     def test_codes_wider_than_bit_quan_rejected(self):
         # Sliced at bit_quan=4, these 8-bit codes would lose their high
@@ -251,12 +256,26 @@ class TestMvmIdealPath:
         with pytest.raises(ValueError):
             mvm(layer, np.array([[1, 0]]))
 
+    @pytest.mark.parametrize("codes", [[1, 0, 2], [[[1, 0, 2]]]], ids=["1-D", "3-D"])
+    def test_mis_shaped_codes_rejected(self, codes):
+        layer = map_weights(*quantize(np.eye(3), 8), design(), noise=NOISE)
+        with pytest.raises(ValueError, match="inputs must have shape"):
+            mvm(layer, np.array(codes, dtype=np.uint8), np.random.default_rng(0))
+
     def test_negative_codes_rejected(self):
         # ReLU activations are never negative, so the DACs read one pass.
         layer = program(map_weights(*quantize(np.eye(3), 8), design(res_adc=None), noise=QUIET))
         np.testing.assert_array_equal(mvm(layer, np.array([[1, 0, 2]]))[0], [[127, 0, 254]])
         with pytest.raises(ValueError, match="non-negative"):
             mvm(layer, np.array([[1, -1, 2]]))
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16])
+    def test_negative_codes_rejected_by_a_fresh_read(self, dtype):
+        # Only signed codes are scanned for a sign; unsigned ones read as they are.
+        layer = map_weights(*quantize(np.eye(3), 8), design(res_adc=None), noise=QUIET)
+        np.testing.assert_array_equal(mvm(layer, np.array([[1, 0, 2]], dtype=np.uint8))[0], [[127, 0, 254]])
+        with pytest.raises(ValueError, match="non-negative"):
+            mvm(layer, np.array([[1, -1, 2]], dtype=dtype))
 
     def test_all_zero_inputs_draw_nothing(self):
         rng = np.random.default_rng(12)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from reramopt.design_space import ReramDesign
+from reramopt.design_space import RES_CELL_LEVELS, ReramDesign
 from reramopt.noise import (
     K_BOLTZMANN,
     Q_ELECTRON,
+    FreshRead,
     NoiseSpec,
     prog_sigma,
     rtn_amplitude,
@@ -149,10 +150,9 @@ class TestStandardNormal:
         class LargestRadius:
             """Stands in for a generator: u1 at its largest float32, 1 - 2**-24, and u2 = 0."""
 
-            def random(self, size, dtype):
-                u = np.zeros(size, dtype)
-                u[: size // 2] = 1 - 2.0**-24
-                return u
+            def random(self, dtype, out):
+                out[:] = 0
+                out[: out.size // 2] = 1 - 2.0**-24
 
         z = standard_normal(LargestRadius(), (2,))
         assert z[0] <= np.sqrt(48 * np.log(2)) and z[0] == pytest.approx(5.768107, abs=1e-6)
@@ -264,18 +264,71 @@ class TestReadDistribution:
 
 
 def formula_fresh_read(g, design, spec, rng):
-    """A fresh-deployment read spelled out from the noise functions, every source on.
+    """A fresh-deployment read of targets g, spelled out per cell from the noise functions.
 
-    Byte oracle at p = 1/2: the one Gaussian through ``standard_normal``,
-    then one packed random bit per cell for the RTN occupancy.
+    Byte oracle: one Gaussian through ``standard_normal`` with the enabled
+    thermal, shot and write variances, then the RTN occupancy (one packed
+    random bit per cell at p = 1/2, else one uniform each), then one clip.
+    A read that draws nothing returns g itself.
     """
-    assert spec.rtn_p_occupancy == 0.5
-    var_per_siemens = thermal_sigma(1.0, design) ** 2 + shot_sigma(1.0, design) ** 2
-    var = var_per_siemens * g + prog_sigma(g, design) ** 2
-    out = g + standard_normal(rng, g.shape) * np.sqrt(var)
-    bits = np.unpackbits(rng.integers(0, 256, (g.size + 7) // 8, dtype=np.uint8))
-    occupied = bits[: g.size].reshape(g.shape) == 1
-    return out + np.where(occupied, rtn_amplitude(g, design, spec), 0.0)
+    write = spec.prog and design.sigma_prog > 0.0
+    var_per_siemens = (thermal_sigma(1.0, design) ** 2 if spec.thermal else 0.0) + (
+        shot_sigma(1.0, design) ** 2 if spec.shot else 0.0
+    )
+    if not (spec.thermal or spec.shot or write or spec.rtn):
+        return g
+    out = g
+    if spec.thermal or spec.shot or write:
+        var = var_per_siemens * g + (prog_sigma(g, design) ** 2 if write else 0.0)
+        out = g + standard_normal(rng, g.shape) * np.sqrt(var)
+    if spec.rtn:
+        if spec.rtn_p_occupancy == 0.5:
+            bits = np.unpackbits(rng.integers(0, 256, (g.size + 7) // 8, dtype=np.uint8))
+            occupied = bits[: g.size].reshape(g.shape) == 1
+        else:
+            occupied = rng.random(g.shape) < spec.rtn_p_occupancy
+        out = out + np.where(occupied, rtn_amplitude(g, design, spec), 0.0)
+    return np.clip(out, 0.0, design.g_max)
+
+
+def fresh_targets(digits, design):
+    """The targets of cells holding ``digits``, as the crossbar's level convention spells them."""
+    return design.g_min + digits * design.g_step
+
+
+class TestFreshRead:
+    """The per-level table read of fresh cells against the per-cell formula, byte for byte."""
+
+    @pytest.mark.parametrize("res_cell", RES_CELL_LEVELS)
+    @pytest.mark.parametrize(
+        "spec_kw,design_kw",
+        [
+            ({}, {}),
+            ({"prog": False}, {}),
+            ({}, {"sigma_prog": 0.0}),
+            ({"thermal": False, "shot": False}, {}),
+            ({"rtn": False}, {}),
+            ({"rtn_p_occupancy": 0.3}, {}),
+            ({"thermal": False, "shot": False, "rtn": False, "prog": False}, {}),
+        ],
+        ids=["all", "prog-off", "sigma-prog-0", "thermal-shot-off", "rtn-off", "p-0.3", "none"],
+    )
+    def test_every_digit_reads_the_per_cell_formula(self, res_cell, spec_kw, design_kw):
+        design = dataclasses.replace(D, res_cell=res_cell, **design_kw)
+        spec = NoiseSpec(**spec_kw)
+        read = FreshRead(design, spec)
+        # Every digit, in an odd number of cells; the second read reuses the first one's buffers.
+        digits = (np.arange(5 * (1 << res_cell) + 1) % (1 << res_cell)).astype(np.uint8).reshape(1, -1)
+        rng, oracle_rng = np.random.default_rng(res_cell), np.random.default_rng(res_cell)
+        for _ in range(2):
+            got = read(digits, rng)
+            want = formula_fresh_read(fresh_targets(digits, design), design, spec, oracle_rng)
+            np.testing.assert_array_equal(got, want)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_noisy_read_requires_rng(self):
+        with pytest.raises(ValueError, match="requires a generator"):
+            FreshRead(D, NoiseSpec(thermal=False, shot=False, rtn=False))(np.zeros(2, np.uint8), None)
 
 
 class TestPerDesignConstants:
@@ -284,12 +337,12 @@ class TestPerDesignConstants:
     )
     def test_replaced_design_reads_with_its_own_constants(self, change):
         spec = NoiseSpec()
-        g = D.g_min + np.arange(4) * D.g_step
-        sample_read(g, D, spec, np.random.default_rng(0), fresh=True)  # fills D's constants
+        digits = np.arange(4, dtype=np.uint8)
+        FreshRead(D, spec)(digits, np.random.default_rng(0))  # fills D's constants
         other = dataclasses.replace(D, **change)
         for design in (D, other):
-            got = sample_read(g, design, spec, np.random.default_rng(9), fresh=True)
-            want = formula_fresh_read(g, design, spec, np.random.default_rng(9))
+            got = FreshRead(design, spec)(digits, np.random.default_rng(9))
+            want = formula_fresh_read(fresh_targets(digits, design), design, spec, np.random.default_rng(9))
             np.testing.assert_array_equal(got, want)
 
 

@@ -98,7 +98,7 @@ def test_majority_vote_of_one_copy_is_its_argmax():
 
 
 def test_classifier_design_has_its_own_read_variance():
-    hidden, classifier = resna._layer_designs(SPEC, DESIGN)
+    hidden, classifier = (r.design for r in resna._layer_reads(SPEC, DESIGN, NOISE))
     assert hidden is DESIGN and (classifier.freq_hz, classifier.temperature_k) == (1e8, 300.0)
     assert hidden.thermal_var > 0.0 and hidden.shot_var > 0.0  # fills the hidden design's cache
     assert classifier.thermal_var == thermal_sigma(1.0, classifier) ** 2 < hidden.thermal_var
