@@ -213,8 +213,11 @@ _DESIGN_FLAGS = (
 
 
 def _add_design_flags(p: argparse.ArgumentParser) -> None:
+    """--config, the design flags and --seed, of the subcommands that run one design."""
+    p.add_argument("--config")
     for flag, name, type_, default, help_ in _DESIGN_FLAGS:
         p.add_argument(flag, dest=name, type=type_, help=f"{help_} (default {default:g})")
+    p.add_argument("--seed", type=_seed, default=0)
 
 
 def _design_from_args(cfg: cfgmod.CampaignConfig, args) -> ReramDesign:
@@ -290,12 +293,8 @@ def _cmd_evaluate(args) -> int:
     z = problem.fidelity_vector(args.z)
     rng = np.random.default_rng(args.seed)
     y = problem.evaluate(x, z, rng)
-    print(
-        json.dumps(
-            {"y": [float(v) for v in y], "cost": problem.cost(args.z), "z": [float(v) for v in z]},
-            sort_keys=True,
-        )
-    )
+    out = {"y": [float(v) for v in y], "cost": problem.cost(args.z), "z": [float(v) for v in z]}
+    print(json.dumps(out, sort_keys=True))
     return 0
 
 
@@ -310,17 +309,8 @@ def _cmd_train_one(args) -> int:
         rng=np.random.default_rng(args.seed),
         noise=cfg.noise,
     )
-    print(
-        json.dumps(
-            {
-                "accuracy": float(np.mean(per_run)),
-                "epochs": mlp.epochs(args.z),
-                "cost_seconds": seconds,
-                "per_run_accuracies": per_run,
-            },
-            sort_keys=True,
-        )
-    )
+    out = {"accuracy": float(np.mean(per_run)), "epochs": mlp.epochs(args.z)}
+    print(json.dumps(out | {"cost_seconds": seconds, "per_run_accuracies": per_run}, sort_keys=True))
     return 0
 
 
@@ -343,7 +333,7 @@ def _cmd_noise_hist(args) -> int:
             "thermal": standard_normal(rng, (n,)) * thermal_sigma(cells, design) if spec.thermal else off,
             "shot": standard_normal(rng, (n,)) * shot_sigma(cells, design) if spec.shot else off,
             "rtn": rtn_sample(cells, design, spec, rng) if spec.rtn else off,
-            "prog": sample_write_noise(cells, design, spec, rng),
+            "prog": sample_write_noise(cells, design, spec, rng, cells.shape),
         }
         draws["total"] = sum(draws.values())
         for source, dg in draws.items():
@@ -401,27 +391,21 @@ def main(argv=None) -> int:
     p_run.set_defaults(func=_cmd_run)
 
     p_eval = sub.add_parser("evaluate", help="evaluate the objective vector at (design, z)")
-    p_eval.add_argument("--config")
     _add_design_flags(p_eval)
     p_eval.add_argument("--x", help="comma-separated coordinates for synthetic problems")
     p_eval.add_argument("--z", type=float, default=1.0, help="fidelity level in [0, 1]")
-    p_eval.add_argument("--seed", type=_seed, default=0)
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_train = sub.add_parser("train-one", help="train one design at one fidelity")
-    p_train.add_argument("--config")
     _add_design_flags(p_train)
     p_train.add_argument("--z", type=float, default=1.0)
-    p_train.add_argument("--seed", type=_seed, default=0)
     p_train.set_defaults(func=_cmd_train_one)
 
     p_hist = sub.add_parser("noise-hist", help="dump relative-noise histograms per level")
-    p_hist.add_argument("--config")
     _add_design_flags(p_hist)
     p_hist.add_argument("--samples", type=int, default=10000)
     p_hist.add_argument("--bins", type=int, default=50)
     p_hist.add_argument("--levels", type=int, help="restrict to the first N conductance levels")
-    p_hist.add_argument("--seed", type=_seed, default=0)
     p_hist.add_argument("--out")
     p_hist.set_defaults(func=_cmd_noise_hist)
 

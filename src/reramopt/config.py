@@ -165,41 +165,29 @@ def _coerce(hint, value, path: str):
             raise ConfigError(f"'{path}' must be a list")
         elem = typing.get_args(hint)[0]
         return tuple(_coerce(elem, v, f"{path}[{i}]") for i, v in enumerate(value))
-    if hint is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"'{path}' must be a boolean")
-        return value
-    if hint is int:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"'{path}' must be an integer")
-        return value
-    if hint is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"'{path}' must be a number")
-        return float(value)
-    if hint is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"'{path}' must be a string")
-        return value
-    raise ConfigError(f"'{path}': unsupported config field type {hint}")
+    if hint not in _SCALARS:
+        raise ConfigError(f"'{path}': unsupported config field type {hint}")
+    accepted, what = _SCALARS[hint]
+    if not isinstance(value, accepted) or (isinstance(value, bool) and hint is not bool):
+        raise ConfigError(f"'{path}' must be {what}")
+    return float(value) if hint is float else value
+
+
+# The YAML values each scalar field type accepts (a bool is no number), and their name.
+_SCALARS = {
+    bool: (bool, "a boolean"), int: (int, "an integer"), float: ((int, float), "a number"), str: (str, "a string")
+}
 
 
 def to_dict(obj) -> dict:
     """Plain-data view of a config dataclass (tuples become lists)."""
-    out = {}
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if dataclasses.is_dataclass(value):
-            out[f.name] = to_dict(value)
-        elif isinstance(value, tuple):
-            out[f.name] = list(value)
-        else:
-            out[f.name] = value
-    return out
+    values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    plain = {k: to_dict(v) if dataclasses.is_dataclass(v) else v for k, v in values.items()}
+    return {k: list(v) if isinstance(v, tuple) else v for k, v in plain.items()}
 
 
 def emit_defaults() -> str:
-    return yaml.safe_dump(to_dict(CampaignConfig()), sort_keys=False)
+    return dump_config(CampaignConfig())
 
 
 def dump_config(cfg: CampaignConfig) -> str:

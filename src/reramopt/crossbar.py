@@ -10,11 +10,10 @@ reproduces them bit-for-bit):
   Signs are differential: a positive code programs its digits on the
   positive side and leaves the negative side at g_min, and vice versa, so
   code 0 is exactly representable.
-* A layer is held as whole-layer arrays, not per tile (see MappedLayer):
-  its deployment as uint8 digit planes, and once programmed its
-  conductances. Physically it is tiled into xbar_size x xbar_size
-  crossbars, one per side, slice, copy and tile
-  (``objectives._crossbar_count`` counts them).
+* A layer is held as whole-layer arrays, not per tile: its digits as uint8
+  planes, and once programmed its conductances (see MappedLayer).
+  Physically it is tiled into xbar_size x xbar_size crossbars, one per
+  side, slice, copy and tile (``objectives._crossbar_count`` counts them).
 * DACs are full-parallel voltage mode: input code q >= 0 drives
   v_r * q / (2**res_dac - 1).
 * ADCs digitize each tile column current to res_adc bits over the fixed
@@ -35,13 +34,11 @@ reproduces them bit-for-bit):
   once, the way training redeploys on every batch: one Gaussian per cell
   at the target carries the programming and the thermal-plus-shot
   variance together, then RTN, then one clip to [0, g_max]. A cell's
-  target, std and RTN jump depend on its digit alone, so
+  target, std and RTN jump depend on its digit alone, so its
   ``noise.FreshRead`` gathers them from per-level tables, with the bytes
   of the per-cell formula (see ``noise``).
 * The samplers of ``noise.py`` alone decide what is drawn and need a
-  generator only then. Every Gaussian comes from ``noise.standard_normal``
-  (float32 Box-Muller, cut at about 5.77 sigma), and RTN occupancy at
-  the default p = 1/2 from packed random bits.
+  generator only then.
 
 A layer is immutable during reads; concurrent mvm calls need independent
 generators, and on unprogrammed layers their own ``FreshRead``s.
@@ -56,7 +53,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .design_space import ReramDesign
-from .noise import FreshRead, NoiseSpec, sample_read, sample_write_noise
+from .noise import FreshRead, sample_read, sample_write_noise
 
 
 _SIDE_SIGNS = np.array([[1], [-1]])
@@ -92,12 +89,13 @@ class MappedLayer:
     """A quantized weight matrix deployed on bit-sliced differential crossbars.
 
     ``digits`` holds the cell digits of the whole layer as uint8 planes,
-    (rows, 2, n_slices, cols), side 0 positive and side 1 negative;
-    ``target`` gives their ideal conductances. ``noisy`` holds the
-    programmed conductances of all ``dup`` copies as ``cells``, (rows, dup,
-    2, n_slices, cols), or None until program() runs. ``read`` carries the
-    design and noise and reads the layer while it is unprogrammed. Keeping
-    the rows outermost makes the currents of one row block a single matmul.
+    (rows, 2, n_slices, cols), side 0 positive and side 1 negative, and
+    ``target`` their ideal conductances. ``noisy`` holds the programmed
+    conductances of all ``dup`` copies, (rows, dup, 2, n_slices, cols), or
+    None until program() runs. ``read`` carries the design and noise and
+    reads the layer while it is unprogrammed; programmed layers are read by
+    ``noise.sample_read``. Keeping the rows outermost makes the currents of
+    one row block a single matmul.
     """
 
     read: FreshRead
@@ -113,10 +111,6 @@ class MappedLayer:
         return self.read.design
 
     @property
-    def noise(self) -> NoiseSpec:
-        return self.read.spec
-
-    @property
     def target(self) -> np.ndarray:
         return self.design.levels.take(self.digits)
 
@@ -125,48 +119,38 @@ class MappedLayer:
         return self.design.slices_per_weight
 
     @property
-    def cells(self) -> tuple[int, ...]:  # the shape of every copy's cells
-        return (self.rows, self.dup, 2, self.n_slices, self.cols)
-
-    @property
     def programmed(self) -> bool:
         return self.noisy is not None
 
 
-def map_weights(
-    codes: np.ndarray, scale: float, design: ReramDesign, dup: int = 1, *, noise: NoiseSpec,
-    read: FreshRead | None = None,
-) -> MappedLayer:
+def map_weights(codes: np.ndarray, scale: float, read: FreshRead, dup: int = 1) -> MappedLayer:
     """Deploy signed integer weight codes, worth ``scale`` each, onto crossbars.
 
-    ``dup`` physical copies share the same targets but are programmed with
+    ``read``, a ``noise.FreshRead``, sets the design and noise; a caller
+    that deploys many times passes the same one, as training does. ``dup``
+    physical copies share the same targets but are programmed with
     independent noise. The layer is returned unprogrammed. Codes whose
     magnitude needs more than ``design.bit_quan`` bits are rejected rather
-    than sliced without their high digits. ``read``, a ``noise.FreshRead``
-    of this design and noise, reads the layer while it is unprogrammed; a
-    caller that deploys many times passes its own, as training does.
+    than sliced without their high digits.
     """
+    design = read.design
     if codes.ndim != 2 or codes.size == 0:
         raise ValueError(f"weight codes must be a non-empty matrix, got shape {codes.shape}")
     if dup < 1:
         raise ValueError("duplication factor must be >= 1")
-    if read is None:
-        read = FreshRead(design, noise)
-    elif (read.design, read.spec) != (design, noise):
-        raise ValueError("read must be a FreshRead of the layer's design and noise")
 
     rows, cols = codes.shape
     signed = codes[:, None] * _SIDE_SIGNS  # (rows, 2, cols), whose maximum is the largest |code|
     need = int(signed.max()).bit_length()
     if need > design.bit_quan:
         raise ValueError(f"codes need {need} bits but the design's bit_quan is {design.bit_quan}")
-    # |code| on the side of its sign, 0 on the other. At most bit_quan <= 8
-    # bits, so the digits are sliced in uint8.
+    # |code| on the side of its sign, 0 on the other, at most bit_quan <= 8 bits: sliced
+    # in uint8, one whole plane per digit, and viewed as (rows, 2, n_slices, cols).
     side_codes = np.empty((rows, 2, cols), dtype=np.uint8)
     np.maximum(signed, 0, out=side_codes, casting="unsafe")
-    digits = side_codes[:, :, None, :] >> design.slice_shifts[:, None]
+    digits = side_codes >> design.slice_shifts[:, None, None, None]
     digits &= (1 << design.res_cell) - 1
-    return MappedLayer(read=read, rows=rows, cols=cols, scale=scale, dup=dup, digits=digits)
+    return MappedLayer(read=read, rows=rows, cols=cols, scale=scale, dup=dup, digits=digits.transpose(1, 2, 0, 3))
 
 
 def program(layer: MappedLayer, rng: np.random.Generator | None = None) -> MappedLayer:
@@ -179,18 +163,19 @@ def program(layer: MappedLayer, rng: np.random.Generator | None = None) -> Mappe
     """
     d = layer.design
     target = layer.target[:, None]
-    noisy = sample_write_noise(target, d, layer.noise, rng, layer.cells)
+    copies = (layer.rows, layer.dup) + target.shape[2:]
+    noisy = sample_write_noise(target, d, layer.read.spec, rng, copies)
     noisy += target
     noisy.clip(0.0, d.g_max, out=noisy)
     return replace(layer, noisy=noisy)
 
 
 def _adc(currents: np.ndarray, full_scale: float, levels: int) -> None:
-    """Digitize the currents in place to ``levels`` steps of [0, full_scale]."""
+    """Digitize the currents, all >= 0, in place to ``levels`` steps of [0, full_scale]."""
     currents /= full_scale
     currents *= levels
     np.rint(currents, out=currents)
-    currents.clip(0, levels, out=currents)
+    np.minimum(currents, levels, out=currents)
     currents *= full_scale / levels
 
 
@@ -203,8 +188,9 @@ def mvm(
 
     ``inputs`` holds non-negative integer activation codes of shape
     (B, rows), all read in one analog pass; a negative code raises
-    ValueError (unsigned codes are not scanned). Every row is read through all ``dup`` copies; the result
-    holds the integer outputs of each copy as (dup, B, cols). Read noise is
+    ValueError (unsigned codes are not scanned). Every row is read through
+    all ``dup`` copies; the result holds the integer outputs of each copy
+    as (dup, B, cols). Read noise is
     drawn by ``noise.sample_read`` once per cell per call, independently
     per copy; ``rng`` may be None only when that read draws nothing. A
     batch of all zeros reads nothing and draws nothing.
@@ -231,12 +217,13 @@ def mvm(
         volts = np.minimum(codes, d.dac_levels, dtype=float)
         volts *= d.v_step
         if layer.programmed:
-            g = sample_read(layer.noisy, d, layer.noise, rng)
+            g = sample_read(layer.noisy, d, layer.read.spec, rng)
             if g is not layer.noisy:  # something was drawn: clip that sample in place
                 g.clip(0.0, d.g_max, out=g)
         else:
-            digits = layer.digits[:, None]
-            g = layer.read(digits if layer.dup == 1 else np.broadcast_to(digits, layer.cells), rng)
+            one = layer.digits[:, None]
+            copies = (layer.rows, layer.dup) + one.shape[2:]
+            g = layer.read(one if layer.dup == 1 else np.broadcast_to(one, copies), rng)
         flat = g.reshape(layer.rows, -1)
         for r0 in range(0, layer.rows, d.xbar_size):
             r1 = min(r0 + d.xbar_size, layer.rows)

@@ -100,9 +100,7 @@ class ReramDesign(Device):
     @cached_property
     def levels(self) -> np.ndarray:
         """Target conductance of each cell digit d, g_min + d*g_step."""
-        levels = np.arange(1 << self.res_cell, dtype=float) * self.g_step
-        levels += self.g_min
-        return _frozen(levels)
+        return _frozen(np.arange(1 << self.res_cell) * self.g_step + self.g_min)
 
     @property
     def slices_per_weight(self) -> int:
@@ -201,14 +199,10 @@ class DesignSpace(SpaceBounds):
             raise ValueError(f"freq_hz {design.freq_hz} outside {self.freq_bounds_hz}")
         if not (t_lo <= design.temperature_k <= t_hi):
             raise ValueError(f"temperature_k {design.temperature_k} outside bounds")
-        return np.array(
-            [
-                _ordinal_to_unit(self.res_cell_levels.index(design.res_cell), len(self.res_cell_levels)),
-                (design.freq_hz - f_lo) / (f_hi - f_lo),
-                (design.temperature_k - t_lo) / (t_hi - t_lo),
-                _ordinal_to_unit(self.xbar_sizes.index(design.xbar_size), len(self.xbar_sizes)),
-            ]
-        )
+        res_cell = _ordinal_to_unit(self.res_cell_levels.index(design.res_cell), len(self.res_cell_levels))
+        xbar = _ordinal_to_unit(self.xbar_sizes.index(design.xbar_size), len(self.xbar_sizes))
+        freq, temp = (design.freq_hz - f_lo) / (f_hi - f_lo), (design.temperature_k - t_lo) / (t_hi - t_lo)
+        return np.array([res_cell, freq, temp, xbar])
 
     def decode(self, coords: np.ndarray) -> ReramDesign:
         """Map any point of [0,1]^4 (clamped) to the nearest valid design."""

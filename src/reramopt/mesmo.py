@@ -394,13 +394,10 @@ def _fit_models(problem: MooProblem, rows: list[TraceRow], gp: GpConfig, warm, o
     x = np.asarray([r.x for r in rows])
     z = problem.fidelity_vector(np.asarray([r.z for r in rows])[:, None])
     y = np.asarray([r.y for r in rows])
-    models = []
-    for j in range(y.shape[1]):
-        init = warm[j] if warm else None
-        models.append(
-            fit(x, z[:, j], y[:, j], config=gp, init_params=init, optimize=optimize)
-        )
-    return models
+    return [
+        fit(x, z[:, j], y[:, j], config=gp, init_params=warm[j] if warm else None, optimize=optimize)
+        for j in range(y.shape[1])
+    ]
 
 
 def nsga2_plan(problem: MooProblem, budget: Budget, pop: int) -> tuple[int, int]:
@@ -479,22 +476,12 @@ class _Ledger:
             row.hypervolume = dominated_hypervolume(np.asarray([r.y for r in top]), self.problem.hv_ref)
         return y
 
-    def result(
-        self, optimizer: str, truncated: bool, converged: bool, model_params=None
-    ) -> CampaignResult:
+    def result(self, optimizer: str, truncated: bool, converged: bool, model_params=None) -> CampaignResult:
         top = self.ok_rows(top=True)
         x = np.reshape([r.x for r in top], (-1, self.problem.dim))
         pareto_x, pareto_y = pareto_front(x, np.reshape([r.y for r in top], (-1, self.problem.n_obj)))
         return CampaignResult(
-            problem_name=self.problem.name,
-            optimizer=optimizer,
-            seed=self.seed,
-            pareto_x=pareto_x,
-            pareto_y=pareto_y,
-            trace=self.trace,
-            truncated=truncated,
-            converged=converged,
-            model_params=model_params,
+            self.problem.name, optimizer, self.seed, pareto_x, pareto_y, self.trace, truncated, converged, model_params
         )
 
 
@@ -562,8 +549,4 @@ def _has_converged(trace: list[TraceRow], budget: Budget) -> bool:
     recent = series[-(w + 1) :]
     if recent[-1] <= 0.0:  # an empty dominated region has not converged, it has not started
         return False
-    for prev, cur in zip(recent[:-1], recent[1:]):
-        denom = max(abs(prev), 1e-12)
-        if abs(cur - prev) / denom >= budget.converge_eps:
-            return False
-    return True
+    return all(abs(cur - prev) / max(abs(prev), 1e-12) < budget.converge_eps for prev, cur in zip(recent, recent[1:]))

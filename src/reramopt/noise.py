@@ -19,48 +19,42 @@ reports every source on its own and keeps separate per-source draws.
 A deployment that is read exactly once (ReSNA's training redeploys the
 weights on every batch) needs no stored programming error. Its read
 (``FreshRead``) folds the write error into the same Gaussian, taken at
-the target G, with variance sigma^2 = sigma_prog^2 * G^2 + c * G: the
-total variance of writing and then reading the cell, Var(G_prog) +
-E[c * G_prog]. The law differs from the two-draw path only in taking the
-read sigma at the target instead of the programmed G, and in clipping
-once instead of after each draw. Such a deployment is held as digit
-planes (see ``crossbar``), so a cell's target, read std and RTN jump
-depend on its digit alone. ``FreshRead`` evaluates each per-cell
-expression once per level of ``ReramDesign.levels`` and gathers the
-results by digit, which gives the bytes the expression gives at the
-cell's target; the rest, std*N + target, jump*occupied + that and one
-clip, is elementwise and correctly rounded, so the read has the per-cell
-formula's bytes.
+the target G: sigma^2 = sigma_prog^2 * G^2 + c * G, the total variance
+Var(G_prog) + E[c * G_prog] of writing and then reading the cell. It
+differs from the two-draw law only in taking the read sigma at the target
+and in clipping once. Such a deployment is held as digit planes (see
+``crossbar``), so a cell's target, read std and RTN jump depend on its
+digit alone: ``FreshRead`` evaluates each per-cell expression once per
+level of ``ReramDesign.levels`` and gathers the results by digit. The
+rest, std*N + target, jump*occupied + that and one clip, is elementwise
+and correctly rounded, so the read has the per-cell formula's bytes.
 
-Every read and write Gaussian comes from ``standard_normal``: float32
-Box-Muller normals r*cos(2*pi*u2) and r*sin(2*pi*u2), with
-r = sqrt(-2*log1p(-u1)), all in float32. On a 2-core AVX-512 Xeon it
-takes 4.2 ns per value, against 13 ns for NumPy's float64 ziggurat. Its
-law differs from N(0, 1) in two stated ways:
-
-* the tail is cut at sqrt(48*ln 2) ~ 5.77 sigma, because u1 is a multiple
-  of 2**-24 below 1; that drops 8.0e-9 of the mass;
-* the bytes depend on the NumPy build's float32 ``log1p``, ``sin`` and
-  ``cos`` kernels, as ``mesmo``'s front sampler already depends on its
-  float32 ``cos`` (``_COS_ERR``).
-
-RTN occupancy at the default p = 1/2 is read from packed random bits, one
-bit per cell, which is exact Bernoulli(1/2); any other p compares one
-float64 uniform per cell with p.
+Every Gaussian comes from ``standard_normal``: float32 Box-Muller normals
+r*cos(2*pi*u2), r*sin(2*pi*u2) with r = sqrt(-2*log1p(-u1)), from the
+float32 uniforms of ``Generator.random``. Reading the generator's 32-bit
+draws 64 bits at a time (``_uint32_draws``), it takes 3.4 ns per value on
+a 2-core AVX-512 Xeon, against 4.3 ns through ``Generator.random`` and 13
+ns for NumPy's float64 ziggurat. Its law differs from N(0, 1) in that the
+tail is cut at sqrt(48*ln 2) ~ 5.77 sigma (u1 is a multiple of 2**-24
+below 1; 8.0e-9 of the mass), and its bytes depend on the NumPy build's
+float32 ``log1p``, ``sin`` and ``cos``, as ``mesmo``'s front sampler
+depends on its float32 ``cos`` (``_COS_ERR``). RTN occupancy at the
+default p = 1/2 is one bit of those draws per cell, exact Bernoulli(1/2);
+any other p compares one float64 uniform per cell with p.
 
 Every function takes the conductances ``g`` (a scalar or an ndarray) and
 the ``ReramDesign`` that sets V = v_r, Freq, T, sigma_prog and
 G_min = 1/r_off. The RTN functions and the samplers also take a
-``NoiseSpec``: the config's ``noise:`` section, with the source switches
-and the RTN law (its coefficients are calibration placeholders). Samplers
-take a generator last; the same seed reproduces the same sequence, so
-Monte-Carlo sweeps can be parallelized with per-worker substreams.
+``NoiseSpec``, the config's ``noise:`` section (its RTN coefficients are
+calibration placeholders), and a generator: the same seed reproduces the
+same sequence, so Monte-Carlo sweeps can use per-worker substreams.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +63,7 @@ from .design_space import ReramDesign
 K_BOLTZMANN = 1.380649e-23  # J/K
 Q_ELECTRON = 1.602176634e-19  # C
 _TWO_PI = np.float32(2.0 * np.pi)
+_UNIFORM_STEP = np.float32(2.0**-24)
 
 
 @dataclass(frozen=True)
@@ -95,21 +90,42 @@ class NoiseSpec:
         return cls(thermal=False, shot=False, rtn=False, prog=False)
 
 
-def standard_normal(rng: np.random.Generator, shape: tuple[int, ...], out: np.ndarray | None = None):
+def _uint32_draws(rng: np.random.Generator, k: int) -> np.ndarray:
+    """The next k 32-bit draws of ``rng``: the values and state of ``rng.integers(0, 2**32, k, np.uint32)``.
+
+    PCG64, NumPy's default, serves them as the low, then the high half of
+    each 64-bit output and keeps an unserved half in its state. For an even
+    k this takes k/2 whole outputs from ``random_raw``: a kept half is
+    served first, and the last high half is kept in its place.
+    """
+    bg = rng.bit_generator
+    if type(bg) is not np.random.PCG64 or k % 2 or k == 0:
+        return rng.integers(0, 1 << 32, k, dtype=np.uint32)
+    halves = bg.random_raw(k // 2).view(np.uint32)  # little-endian: low half first
+    state = bg.state
+    kept, state["uinteger"] = state["uinteger"], int(halves[-1])
+    bg.state = state
+    return np.concatenate((np.array([kept], np.uint32), halves[:-1])) if state["has_uint32"] else halves
+
+
+def standard_normal(rng: np.random.Generator | None, shape: tuple[int, ...], draws=None, out=None) -> np.ndarray:
     """Float32 standard normals of the given shape, by Box-Muller (see the module docstring).
 
-    Draws 2*ceil(n/2) float32 uniforms for n values: the first half sets the
-    radii and the second the angles. The cosines fill the first half of the
-    result and the sines the second, so the values depend on n alone, and
-    an odd n gives the first n of the n + 1 values of the same seed. The
-    uniforms and cosines are worked on in ``out``, a float32 array of at
-    least 3*ceil(n/2) values, or a new one; the result is a view of it.
+    Takes 2*ceil(n/2) 32-bit draws of ``rng``, or overwrites ``draws``, and
+    makes each the uniform ``Generator.random`` makes of it, its top 24 bits
+    times 2**-24. The first half set the radii and the second the angles;
+    the cosines fill the first half of the result and the sines the second,
+    so the values depend on n alone, and an odd n gives the first n of the
+    n + 1 values. Works in ``out``, at least 3*ceil(n/2) float32, or a new
+    array; the result is a view of it.
     """
     n = math.prod(shape)
     m = (n + 1) // 2
+    draws = _uint32_draws(rng, 2 * m) if draws is None else draws
     u = np.empty(3 * m, dtype=np.float32) if out is None else out[: 3 * m]
     r, theta, cos = u[:m], u[m : 2 * m], u[2 * m :]
-    rng.random(dtype=np.float32, out=u[: 2 * m])
+    draws >>= 8
+    np.multiply(draws, _UNIFORM_STEP, out=u[: 2 * m], dtype=np.float32)
     np.negative(r, out=r)
     np.log1p(r, out=r)
     r *= -2.0
@@ -120,6 +136,23 @@ def standard_normal(rng: np.random.Generator, shape: tuple[int, ...], out: np.nd
     theta *= r
     np.multiply(cos, r, out=r)
     return u[:n].reshape(shape)
+
+
+def _read_draws(spec: NoiseSpec, rng: np.random.Generator, shape: tuple[int, ...], gauss: bool, rtn: bool, out=None):
+    """(normals if ``gauss``, RTN occupancy if ``rtn``) of one read of cells of ``shape``, drawn in that order.
+
+    At p = 1/2 the occupancy is one bit per cell of the little-endian bytes
+    of 32-bit draws, taken together with the normals'. ``out`` is
+    ``standard_normal``'s.
+    """
+    n = math.prod(shape)
+    words = 2 * ((n + 1) // 2) if gauss else 0
+    packed = rtn and spec.rtn_p_occupancy == 0.5
+    draws = _uint32_draws(rng, words + (n + 31) // 32 * packed)
+    normals = standard_normal(None, shape, draws[:words], out) if gauss else None
+    if packed:
+        return normals, np.unpackbits(draws[words:].view(np.uint8), count=n).view(bool).reshape(shape)
+    return normals, rng.random(shape) < spec.rtn_p_occupancy if rtn else None
 
 
 def thermal_sigma(g, design: ReramDesign):
@@ -140,12 +173,10 @@ def prog_sigma(g, design: ReramDesign):
 
 
 def rtn_amplitude(g, design: ReramDesign, spec: NoiseSpec):
-    """Conductance jump when the trap is occupied: g * (a/(g/g_min) + b).
+    """Conductance jump when the trap is occupied: g * (a/(g/g_min) + b) = a*g_min + b*g, 0 at g = 0.
 
-    Algebraically a*g_min + b*g; defined as 0 at g = 0 (no current path).
-    Masked by multiplying with g > 0 in place, which gives the bytes of
-    ``np.where(g > 0, amp, 0)`` for every g >= 0, the range all read paths
-    clip to, in a fifth of its time on 32,768 cells.
+    The mask multiplies by g > 0, the bytes of ``np.where(g > 0, amp, 0)``
+    for every g >= 0, in a fifth of its time.
     """
     g = np.asarray(g, dtype=float)
     amp = spec.rtn_amp_b * g
@@ -158,40 +189,33 @@ def rtn_sample(g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator
     """One RTN draw: the trap amplitude with probability rtn_p_occupancy, else 0."""
     g = np.asarray(g, dtype=float)
     amp = rtn_amplitude(g, design, spec)
-    amp *= _occupied(spec, rng, g.shape)
+    amp *= _read_draws(spec, rng, g.shape, False, True)[1]
     return amp
-
-
-def _occupied(spec: NoiseSpec, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Which cells' traps are occupied at a read: one bit each at p = 1/2, else one uniform each."""
-    if spec.rtn_p_occupancy != 0.5:
-        return rng.random(shape) < spec.rtn_p_occupancy
-    n = math.prod(shape)
-    bits = rng.integers(0, 256, (n + 7) // 8, dtype=np.uint8)
-    return np.unpackbits(bits, count=n).view(bool).reshape(shape)
 
 
 def sample_read(g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator | None):
     """Conductances seen by one read of stored conductances g: g plus thermal, shot and RTN noise.
 
-    Thermal and shot noise are independent zero-mean Gaussians whose
-    variances are both linear in g, so the enabled ones are drawn as a single
-    Gaussian with std sqrt(sigma_th^2 + sigma_sh^2); RTN is drawn after it.
-    Reproducible reads depend on that order of the draws. With no source
-    drawn g itself is returned and ``rng`` may be None; otherwise the result
-    is a new array and a None ``rng`` raises ValueError.
+    The enabled thermal and shot noise are one Gaussian (see the module
+    docstring), drawn before RTN; reproducible reads depend on that order.
+    With no source drawn g itself is returned and ``rng`` may be None;
+    otherwise the result is a new array and a None ``rng`` raises ValueError.
     """
     g = np.asarray(g, dtype=float)
     gauss = spec.thermal or spec.shot
-    if rng is None and (gauss or spec.rtn):
+    if not (gauss or spec.rtn):
+        return g
+    if rng is None:
         raise ValueError("a noisy read requires a generator")
+    normals, occupied = _read_draws(spec, rng, g.shape, gauss, spec.rtn)
     out = g
     if gauss:
         out = _read_std(g, design, spec, write=False)
-        out *= standard_normal(rng, g.shape)
+        out *= normals
         out += g
     if spec.rtn:
-        rtn = rtn_sample(g, design, spec, rng)
+        rtn = rtn_amplitude(g, design, spec)
+        rtn *= occupied
         rtn += out
         out = rtn
     return out
@@ -200,50 +224,53 @@ def sample_read(g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generato
 class FreshRead:
     """Reads of fresh deployments of one design under one ``NoiseSpec``, by cell digit.
 
-    Builds the per-level read std and RTN jump once (see the module docstring)
-    and reuses its buffers across reads, so it serves one thread at a time.
+    Builds the per-level read std and RTN jump at its first noisy read (see
+    the module docstring) and keeps its buffers across reads, so it serves
+    one thread at a time.
     """
 
     def __init__(self, design: ReramDesign, spec: NoiseSpec):
-        write = spec.prog and design.sigma_prog > 0.0
         self.design, self.spec, self._work = design, spec, ()
-        gauss = spec.thermal or spec.shot or write
-        self.std = _read_std(design.levels, design, spec, write) if gauss else None
-        self.jump = rtn_amplitude(design.levels, design, spec) if spec.rtn else None  # levels > 0
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        d, spec = self.design, self.spec
+        write = spec.prog and d.sigma_prog > 0.0
+        std = _read_std(d.levels, d, spec, write) if spec.thermal or spec.shot or write else None
+        return std, rtn_amplitude(d.levels, d, spec) if spec.rtn else None  # levels > 0: no mask
 
     def __call__(self, digits: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
         """One Gaussian per cell at its target, then RTN, then one clip to [0, g_max].
 
-        With no source drawn the targets come back unclipped and ``rng`` may be
+        With no source on the targets come back unclipped and ``rng`` may be
         None; otherwise the result is a buffer that the next read overwrites.
         """
-        levels = self.design.levels
-        if self.std is None and self.jump is None:
+        levels, (std, jump) = self.design.levels, self._tables
+        if std is None and jump is None:
             return levels.take(digits)
         if rng is None:
             raise ValueError("a noisy read requires a generator")
         if not self._work or self._work[0].shape != digits.shape:
-            m = (math.prod(digits.shape) + 1) // 2
-            cells = (np.empty(digits.shape, t) for t in (np.intp, float, float))
-            self._work = (*cells, np.empty(3 * m, np.float32))
-        idx, out, tmp, normals = self._work
+            m = (digits.size + 1) // 2
+            self._work = (*(np.empty(digits.shape, t) for t in (np.intp, float, float)), np.empty(3 * m, np.float32))
+        idx, out, tmp, work = self._work
+        normals, occupied = _read_draws(self.spec, rng, digits.shape, std is not None, jump is not None, work)
         np.copyto(idx, digits)  # take() gathers fastest by intp
-        (levels if self.std is None else self.std).take(idx, out=out, mode="clip")
-        if self.std is not None:
-            out *= standard_normal(rng, digits.shape, normals)
+        if std is not None:
+            out = np.multiply(std.take(idx, out=out, mode="clip"), normals, out=out)
             out += levels.take(idx, out=tmp, mode="clip")
-        if self.jump is not None:
-            self.jump.take(idx, out=tmp, mode="clip")
-            tmp *= _occupied(self.spec, rng, digits.shape)
+        else:
+            levels.take(idx, out=out, mode="clip")
+        if jump is not None:
+            jump.take(idx, out=tmp, mode="clip")
+            tmp *= occupied
             out += tmp
         return out.clip(0.0, self.design.g_max, out=out)
 
 
 def _read_std(g: np.ndarray, design: ReramDesign, spec: NoiseSpec, write: bool) -> np.ndarray:
     """Std of a read's one Gaussian: enabled thermal and shot, plus the write error if ``write``."""
-    var_per_siemens = (design.thermal_var if spec.thermal else 0.0) + (
-        design.shot_var if spec.shot else 0.0
-    )
+    var_per_siemens = (design.thermal_var if spec.thermal else 0.0) + (design.shot_var if spec.shot else 0.0)
     var = np.asarray(var_per_siemens * g)  # 0-d for a scalar g, so it updates in place
     if write:
         prog_var = prog_sigma(g, design)
@@ -252,15 +279,13 @@ def _read_std(g: np.ndarray, design: ReramDesign, spec: NoiseSpec, write: bool) 
     return np.sqrt(var, out=var)
 
 
-def sample_write_noise(g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator | None, shape=None):
-    """One per-deployment programming error, Gaussian with std sigma_prog*g, of ``shape`` (g's by default).
+def sample_write_noise(g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator | None, shape):
+    """One per-deployment programming error of ``shape``, Gaussian with std sigma_prog*g.
 
     g broadcasts to ``shape``, so the std is taken once per value of g.
     Zeros, drawn without ``rng``, when the source is off or sigma_prog = 0;
     otherwise a None ``rng`` raises ValueError.
     """
-    g = np.asarray(g, dtype=float)
-    shape = g.shape if shape is None else shape
     if not (spec.prog and design.sigma_prog > 0.0):
         return np.zeros(shape)
     if rng is None:

@@ -26,7 +26,7 @@ with the classifier at its own clock.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -80,16 +80,10 @@ class HwCostParams:
     n_inputs: int = 1000
 
     def __post_init__(self):
-        for name in (
-            "area_per_cell_mm2",
-            "area_per_dac_mm2",
-            "area_per_adc_mm2",
-            "energy_per_dac_j",
-            "energy_per_adc_j",
-        ):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{f.name} must be finite and >= 0, got {value}")
         if self.columns_per_adc < 1:
             raise ValueError("columns_per_adc must be >= 1")
         if self.dac_cycles < 0:
@@ -205,13 +199,7 @@ def reram_problem(
     network = NetworkSpec.from_mlp(mlp, n_inputs=hw_params.n_inputs)
 
     def _hw_vector(design: ReramDesign) -> np.ndarray:
-        return np.array(
-            [
-                -hw_area(design, network, hw_params),
-                -hw_latency(design, network, hw_params),
-                -hw_energy(design, network, hw_params),
-            ]
-        )
+        return np.array([-metric(design, network, hw_params) for metric in (hw_area, hw_latency, hw_energy)])
 
     def evaluate(x: np.ndarray, z: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         design = space.decode(x)
@@ -231,14 +219,7 @@ def reram_problem(
         worst = np.maximum(worst, -_hw_vector(d))
     hv_ref = np.concatenate([[-1e-3], -1.05 * worst])
 
-    return MooProblem(
-        name="reram",
-        dim=space.dim,
-        fidelity_mask=(True, False, False, False),
-        hv_ref=hv_ref,
-        evaluate=evaluate,
-        fidelity_cost=fidelity_cost,
-    )
+    return MooProblem("reram", space.dim, (True, False, False, False), hv_ref, evaluate, fidelity_cost)
 
 
 def _branin_raw(u: np.ndarray) -> np.ndarray:
@@ -287,14 +268,7 @@ def _cf_problem(name: str, dim: int, f_true, bias, hv_ref) -> MooProblem:
         y = f_true(u) - (1.0 - z)[None, :] * bias(u)
         return y[0]
 
-    return MooProblem(
-        name=name,
-        dim=dim,
-        fidelity_mask=(True, True),
-        hv_ref=hv_ref,
-        evaluate=evaluate,
-        fidelity_cost=_synth_fidelity_cost,
-    )
+    return MooProblem(name, dim, (True, True), hv_ref, evaluate, _synth_fidelity_cost)
 
 
 def _branin_currin_cf() -> MooProblem:

@@ -128,8 +128,8 @@ class Dataset:
 class TrainState:
     """Noise-free master weights plus SGD-momentum state.
 
-    Each layer's ``weights`` and ``biases`` are views of the flat ``params``,
-    so one SGD step moves them all in four operations with ``velocity``.
+    Each layer's ``weights`` and ``biases``, set at construction, are views
+    of the flat ``params``, so one SGD step moves them all with ``velocity``.
     """
 
     spec: MlpSpec
@@ -244,10 +244,7 @@ def _layer_reads(spec: MlpSpec, design: ReramDesign, noise: NoiseSpec) -> list[F
 def _deploy(weights: list[np.ndarray], reads: list[FreshRead], classifier_copies: int) -> list[MappedLayer]:
     """Quantize and map every layer, unprogrammed; only the classifier is duplicated."""
     dups = [1] * (len(weights) - 1) + [classifier_copies]
-    return [
-        map_weights(*quantize(w, r.design.bit_quan), r.design, dup=dup, noise=r.spec, read=r)
-        for w, r, dup in zip(weights, reads, dups)
-    ]
+    return [map_weights(*quantize(w, r.design.bit_quan), r, dup) for w, r, dup in zip(weights, reads, dups)]
 
 
 def _forward(
@@ -335,17 +332,14 @@ def train(
 
 
 def _layer_views(flat: np.ndarray, spec: MlpSpec) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Each layer's weight matrix and bias vector, in turn, as views of one flat array."""
-    weights, biases, start = [], [], 0
-    for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
-        weights.append(flat[start : start + fan_in * fan_out].reshape(fan_in, fan_out))
-        biases.append(flat[start + fan_in * fan_out : start + (fan_in + 1) * fan_out])
-        start += (fan_in + 1) * fan_out
-    return weights, biases
+    """Each layer's weight matrix and bias vector as views of a flat array of (fan_in + 1, fan_out) blocks."""
+    blocks = np.split(flat, np.cumsum([(i + 1) * o for i, o in zip(spec.widths[:-1], spec.widths[1:])])[:-1])
+    blocks = [b.reshape(-1, fan_out) for b, fan_out in zip(blocks, spec.widths[1:])]
+    return [b[:-1] for b in blocks], [b[-1] for b in blocks]
 
 
 def _init_state(spec: MlpSpec, rng: np.random.Generator) -> TrainState:
-    size = sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]))
+    size = sum((i + 1) * o for i, o in zip(spec.widths[:-1], spec.widths[1:]))
     state = TrainState(spec=spec, params=np.zeros(size), velocity=np.zeros(size))
     for w in state.weights:
         w[...] = rng.standard_normal(w.shape) * np.sqrt(2.0 / w.shape[0])
@@ -353,11 +347,11 @@ def _init_state(spec: MlpSpec, rng: np.random.Generator) -> TrainState:
 
 
 def _sgd_step(state: TrainState, acts, dz, grad: np.ndarray, grad_views):
-    """Backpropagate into the flat ``grad`` with the weights before the step, then step them all."""
-    spec = state.spec
+    """Backpropagate into the flat ``grad``, whose ``_layer_views`` are ``grad_views``, then step."""
+    spec, (grad_w, grad_b) = state.spec, grad_views
     for l in range(spec.n_layers - 1, -1, -1):
-        np.matmul(acts[l].T, dz, out=grad_views[0][l])
-        dz.sum(axis=0, out=grad_views[1][l])
+        np.matmul(acts[l].T, dz, out=grad_w[l])
+        dz.sum(axis=0, out=grad_b[l])
         if l > 0:
             dz = dz @ state.weights[l].T
             dz *= acts[l] > 0.0

@@ -19,6 +19,7 @@ from reramopt.noise import (
     standard_normal,
     thermal_sigma,
 )
+from reramopt.noise import _uint32_draws
 
 G_LOW = 1.0 / 3.03e6  # lowest programmable conductance
 G_REF = 3.3003e-7
@@ -27,6 +28,11 @@ G_REF = 3.3003e-7
 def sample_read_noise(g, design, spec, rng):
     """The read perturbation alone: one production read minus the conductance."""
     return sample_read(g, design, spec, rng) - g
+
+
+def sample_write(g, design, spec, rng):
+    """One programming error for every cell of g."""
+    return sample_write_noise(g, design, spec, rng, g.shape)
 
 
 def dsg(freq=5e8, temp=350.0, **kw):
@@ -150,9 +156,12 @@ class TestStandardNormal:
         class LargestRadius:
             """Stands in for a generator: u1 at its largest float32, 1 - 2**-24, and u2 = 0."""
 
-            def random(self, dtype, out):
-                out[:] = 0
-                out[: out.size // 2] = 1 - 2.0**-24
+            bit_generator = None  # not PCG64, so the 32-bit draws come from integers()
+
+            def integers(self, low, high, size, dtype):
+                draws = np.zeros(size, dtype)
+                draws[: size // 2] = high - 1  # whose top 24 bits make 1 - 2**-24
+                return draws
 
         z = standard_normal(LargestRadius(), (2,))
         assert z[0] <= np.sqrt(48 * np.log(2)) and z[0] == pytest.approx(5.768107, abs=1e-6)
@@ -174,6 +183,39 @@ class TestStandardNormal:
         reference.random(2 * ((n + 1) // 2), dtype=np.float32)
         assert rng.bit_generator.state == reference.bit_generator.state
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 4096])
+    @pytest.mark.parametrize("spare", [False, True])
+    def test_box_muller_of_the_generators_float32_uniforms(self, n, spare):
+        """Byte oracle: Box-Muller spelled out on ``Generator.random(dtype=np.float32)``."""
+        rng, reference = np.random.default_rng(8), np.random.default_rng(8)
+        for g in (rng, reference)[: int(spare) * 2]:
+            g.integers(0, 2**32, 1, dtype=np.uint32)  # leaves PCG64 a spare 32-bit half
+        m = (n + 1) // 2
+        u = reference.random(2 * m, dtype=np.float32)
+        r = np.sqrt(np.float32(-2.0) * np.log1p(-u[:m]))
+        theta = u[m:] * np.float32(2.0 * np.pi)
+        want = np.concatenate((r * np.cos(theta), r * np.sin(theta)))[:n]
+        np.testing.assert_array_equal(standard_normal(rng, (n,)), want)
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
+class TestUint32Draws:
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 8, 1000, 1001])
+    @pytest.mark.parametrize("before", [0, 1, 2])
+    def test_values_and_state_of_integers(self, k, before):
+        """The draws and the generator state after them are those of ``integers``, spare half or not."""
+        rng, reference = np.random.default_rng(12), np.random.default_rng(12)
+        for g in (rng, reference):
+            g.integers(0, 2**32, before, dtype=np.uint32)
+        got = _uint32_draws(rng, k)
+        assert got.dtype == np.uint32
+        np.testing.assert_array_equal(got, reference.integers(0, 2**32, k, dtype=np.uint32))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_other_bit_generators_draw_through_integers(self):
+        rng, reference = np.random.Generator(np.random.MT19937(3)), np.random.Generator(np.random.MT19937(3))
+        np.testing.assert_array_equal(_uint32_draws(rng, 9), reference.integers(0, 2**32, 9, dtype=np.uint32))
+
 
 class TestSamplers:
     def test_all_disabled_gives_zero(self):
@@ -181,8 +223,8 @@ class TestSamplers:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         assert sample_read_noise(G_REF, D, off, rng) == 0.0
-        assert sample_write_noise(G_REF, D, off, rng) == 0.0
-        assert sample_write_noise(G_REF, dsg(sigma_prog=0.0), NoiseSpec(), rng) == 0.0
+        assert sample_write_noise(G_REF, D, off, rng, ()) == 0.0
+        assert sample_write_noise(G_REF, dsg(sigma_prog=0.0), NoiseSpec(), rng, ()) == 0.0
         assert rng.bit_generator.state == state
 
     def test_determinism(self):
@@ -196,7 +238,7 @@ class TestSamplers:
         [
             (sample_read_noise, thermal_sigma, {"shot": False, "rtn": False}),
             (sample_read_noise, shot_sigma, {"thermal": False, "rtn": False}),
-            (sample_write_noise, prog_sigma, {}),
+            (sample_write, prog_sigma, {}),
         ],
     )
     def test_monte_carlo_std_matches_analytic(self, sampler, sigma_fn, kwargs):
