@@ -481,7 +481,8 @@ class _Ledger:
         x = np.reshape([r.x for r in top], (-1, self.problem.dim))
         pareto_x, pareto_y = pareto_front(x, np.reshape([r.y for r in top], (-1, self.problem.n_obj)))
         return CampaignResult(
-            self.problem.name, optimizer, self.seed, pareto_x, pareto_y, self.trace, truncated, converged, model_params
+            problem_name=self.problem.name, optimizer=optimizer, seed=self.seed, pareto_x=pareto_x, pareto_y=pareto_y,
+            trace=self.trace, truncated=truncated, converged=converged, model_params=model_params,
         )
 
 

@@ -355,18 +355,24 @@ class TestFreshRead:
         ],
         ids=["all", "prog-off", "sigma-prog-0", "thermal-shot-off", "rtn-off", "p-0.3", "none"],
     )
-    def test_every_digit_reads_the_per_cell_formula(self, res_cell, spec_kw, design_kw):
+    @pytest.mark.parametrize("cells_per_digit", [5, 64])
+    def test_every_digit_reads_the_per_cell_formula(self, res_cell, spec_kw, design_kw, cells_per_digit):
         design = dataclasses.replace(D, res_cell=res_cell, **design_kw)
         spec = NoiseSpec(**spec_kw)
         read = FreshRead(design, spec)
-        # Every digit, in an odd number of cells; the second read reuses the first one's buffers.
-        digits = (np.arange(5 * (1 << res_cell) + 1) % (1 << res_cell)).astype(np.uint8).reshape(1, -1)
+        # Every digit, in an odd and in an even number of cells (an even number of 32-bit draws
+        # at 64). The second read reuses the first one's buffers, and the third starts with a
+        # spare 32-bit half in the generator.
+        n = cells_per_digit * (1 << res_cell) + (cells_per_digit % 2)
+        digits = (np.arange(n) % (1 << res_cell)).astype(np.uint8).reshape(1, -1)
         rng, oracle_rng = np.random.default_rng(res_cell), np.random.default_rng(res_cell)
-        for _ in range(2):
+        for spare in (0, 0, 1):
+            for g in (rng, oracle_rng):
+                g.integers(0, 2**32, spare, dtype=np.uint32)
             got = read(digits, rng)
             want = formula_fresh_read(fresh_targets(digits, design), design, spec, oracle_rng)
             np.testing.assert_array_equal(got, want)
-        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     def test_noisy_read_requires_rng(self):
         with pytest.raises(ValueError, match="requires a generator"):
