@@ -99,9 +99,9 @@ def _uint32_draws(rng: np.random.Generator, k: int) -> np.ndarray:
     served first, and the last high half is kept in its place.
     """
     bg = rng.bit_generator
-    if type(bg) is not np.random.PCG64 or k % 2 or k == 0:
+    if type(bg) is not np.random.PCG64 or k % 2 or k == 0 or not np.little_endian:
         return rng.integers(0, 1 << 32, k, dtype=np.uint32)
-    halves = bg.random_raw(k // 2).view(np.uint32)  # little-endian: low half first
+    halves = bg.random_raw(k // 2).view(np.uint32)  # low half first
     state = bg.state
     kept, state["uinteger"] = state["uinteger"], int(halves[-1])
     bg.state = state
@@ -151,7 +151,8 @@ def _read_draws(spec: NoiseSpec, rng: np.random.Generator, shape: tuple[int, ...
     draws = _uint32_draws(rng, words + (n + 31) // 32 * packed)
     normals = standard_normal(None, shape, draws[:words], out) if gauss else None
     if packed:
-        return normals, np.unpackbits(draws[words:].view(np.uint8), count=n).view(bool).reshape(shape)
+        bits = draws[words:].astype("<u4", copy=False).view(np.uint8)
+        return normals, np.unpackbits(bits, count=n).view(bool).reshape(shape)
     return normals, rng.random(shape) < spec.rtn_p_occupancy if rtn else None
 
 
