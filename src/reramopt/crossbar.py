@@ -25,23 +25,15 @@ reproduces them bit-for-bit):
 * Every duplicate copy of a layer reads every input; mvm returns the
   outputs of all copies and leaves combining them to the caller (resna
   votes over the classifier's copies).
-* A programmed layer holds its programming noise, sampled at program()
-  time independently per cell and per duplicate copy in one draw per
-  layer; it persists until reprogramming. Read noise is resampled per cell
-  in one draw per layer and mvm call. Stored and effective conductances
-  are clamped to [0, g_max].
-* mvm reads an unprogrammed layer as a fresh deployment that is read
-  once, the way training redeploys on every batch: one Gaussian per cell
-  at the target carries the programming and the thermal-plus-shot
-  variance together, then RTN, then one clip to [0, g_max]. A cell's
-  target, std and RTN jump depend on its digit alone, so its
-  ``noise.FreshRead`` gathers them from per-level tables, with the bytes
-  of the per-cell formula (see ``noise``).
-* The samplers of ``noise.py`` alone decide what is drawn and need a
-  generator only then.
+* What a cell holds is its layer's ``noise.CellNoise``'s to decide:
+  program() writes every cell of every copy through it in one draw per
+  layer, and the error persists until reprogramming; mvm reads the
+  programmed conductances, or an unprogrammed layer's digits as a fresh
+  deployment that is read once (the way training redeploys on every
+  batch), through it in one draw per layer and call (see ``noise``).
 
 A layer is immutable during reads; concurrent mvm calls need independent
-generators, and on unprogrammed layers their own ``FreshRead``s.
+generators, and on unprogrammed layers their own ``CellNoise``s.
 program() replaces the noisy arrays wholesale.
 """
 
@@ -53,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .design_space import ReramDesign
-from .noise import FreshRead, sample_read, sample_write_noise
+from .noise import CellNoise
 
 
 _SIDE_SIGNS = np.array([[1], [-1]])
@@ -89,16 +81,14 @@ class MappedLayer:
     """A quantized weight matrix deployed on bit-sliced differential crossbars.
 
     ``digits`` holds the cell digits of the whole layer as uint8 planes,
-    (rows, 2, n_slices, cols), side 0 positive and side 1 negative, and
-    ``target`` their ideal conductances. ``noisy`` holds the programmed
-    conductances of all ``dup`` copies, (rows, dup, 2, n_slices, cols), or
-    None until program() runs. ``read`` carries the design and noise and
-    reads the layer while it is unprogrammed; programmed layers are read by
-    ``noise.sample_read``. Keeping the rows outermost makes the currents of
-    one row block a single matmul.
+    (rows, 2, n_slices, cols), side 0 positive and side 1 negative.
+    ``noisy`` holds the programmed conductances of all ``dup`` copies,
+    (rows, dup, 2, n_slices, cols), or None until program() runs. ``noise``
+    carries the design and writes and reads every cell. Keeping the rows
+    outermost makes the currents of one row block a single matmul.
     """
 
-    read: FreshRead
+    noise: CellNoise
     rows: int
     cols: int
     scale: float
@@ -108,11 +98,7 @@ class MappedLayer:
 
     @property
     def design(self) -> ReramDesign:
-        return self.read.design
-
-    @property
-    def target(self) -> np.ndarray:
-        return self.design.levels.take(self.digits)
+        return self.noise.design
 
     @property
     def n_slices(self) -> int:
@@ -123,17 +109,17 @@ class MappedLayer:
         return self.noisy is not None
 
 
-def map_weights(codes: np.ndarray, scale: float, read: FreshRead, dup: int = 1) -> MappedLayer:
+def map_weights(codes: np.ndarray, scale: float, noise: CellNoise, dup: int = 1) -> MappedLayer:
     """Deploy signed integer weight codes, worth ``scale`` each, onto crossbars.
 
-    ``read``, a ``noise.FreshRead``, sets the design and noise; a caller
+    ``noise``, a ``noise.CellNoise``, sets the design and noise; a caller
     that deploys many times passes the same one, as training does. ``dup``
     physical copies share the same targets but are programmed with
     independent noise. The layer is returned unprogrammed. Codes whose
     magnitude needs more than ``design.bit_quan`` bits are rejected rather
     than sliced without their high digits.
     """
-    design = read.design
+    design = noise.design
     if codes.ndim != 2 or codes.size == 0:
         raise ValueError(f"weight codes must be a non-empty matrix, got shape {codes.shape}")
     if dup < 1:
@@ -150,7 +136,7 @@ def map_weights(codes: np.ndarray, scale: float, read: FreshRead, dup: int = 1) 
     np.maximum(signed, 0, out=side_codes, casting="unsafe")
     digits = side_codes >> design.slice_shifts[:, None, None, None]
     digits &= (1 << design.res_cell) - 1
-    return MappedLayer(read=read, rows=rows, cols=cols, scale=scale, dup=dup, digits=digits.transpose(1, 2, 0, 3))
+    return MappedLayer(noise=noise, rows=rows, cols=cols, scale=scale, dup=dup, digits=digits.transpose(1, 2, 0, 3))
 
 
 def program(layer: MappedLayer, rng: np.random.Generator | None = None) -> MappedLayer:
@@ -159,15 +145,10 @@ def program(layer: MappedLayer, rng: np.random.Generator | None = None) -> Mappe
     Every duplicate copy gets an independent error sample, all drawn in one
     call per layer from one write std per cell; calling again models an
     independent redeployment of the same weights. ``rng`` may be None only
-    when ``noise.sample_write_noise`` draws nothing.
+    when the write draws nothing.
     """
-    d = layer.design
-    target = layer.target[:, None]
-    copies = (layer.rows, layer.dup) + target.shape[2:]
-    noisy = sample_write_noise(target, d, layer.read.spec, rng, copies)
-    noisy += target
-    noisy.clip(0.0, d.g_max, out=noisy)
-    return replace(layer, noisy=noisy)
+    one = layer.digits[:, None]
+    return replace(layer, noisy=layer.noise.write(one, (layer.rows, layer.dup) + one.shape[2:], rng))
 
 
 def _adc(currents: np.ndarray, full_scale: float, levels: int) -> None:
@@ -190,14 +171,11 @@ def mvm(
     (B, rows), all read in one analog pass; a negative code raises
     ValueError (unsigned codes are not scanned). Every row is read through
     all ``dup`` copies; the result holds the integer outputs of each copy
-    as (dup, B, cols). Read noise is
-    drawn by ``noise.sample_read`` once per cell per call, independently
-    per copy; ``rng`` may be None only when that read draws nothing. A
-    batch of all zeros reads nothing and draws nothing.
-
-    An unprogrammed layer is read as a fresh deployment that this call
-    alone sees: ``layer.read`` draws its programming error with the read
-    noise, in one Gaussian per cell at the target (see the module docstring).
+    as (dup, B, cols). ``layer.noise`` draws the read noise once per cell
+    per call, independently per copy; ``rng`` may be None only when that
+    read draws nothing. A batch of all zeros reads nothing and draws
+    nothing. An unprogrammed layer is read as a fresh deployment that this
+    call alone sees (see the module docstring).
 
     With noise off and res_adc=None every copy equals the exact integer
     matmul codes @ weight_codes.
@@ -217,13 +195,11 @@ def mvm(
         volts = np.minimum(codes, d.dac_levels, dtype=float)
         volts *= d.v_step
         if layer.programmed:
-            g = sample_read(layer.noisy, d, layer.read.spec, rng)
-            if g is not layer.noisy:  # something was drawn: clip that sample in place
-                g.clip(0.0, d.g_max, out=g)
+            g = layer.noise.read(layer.noisy, rng)
         else:
             one = layer.digits[:, None]
             copies = (layer.rows, layer.dup) + one.shape[2:]
-            g = layer.read(one if layer.dup == 1 else np.broadcast_to(one, copies), rng)
+            g = layer.noise.fresh(one if layer.dup == 1 else np.broadcast_to(one, copies), rng)
         flat = g.reshape(layer.rows, -1)
         for r0 in range(0, layer.rows, d.xbar_size):
             r1 = min(r0 + d.xbar_size, layer.rows)

@@ -81,8 +81,9 @@ class ReramDesign(Device):
             raise ValueError(f"temperature_k {self.temperature_k} outside {TEMPERATURE_BOUNDS_K}")
         super().__post_init__()
 
-    # Constants of the deploy and read path, computed once per design; a
-    # design made by ``with_context`` or ``replace`` computes its own.
+    # Constants of the crossbar's mapping, tiling and digitization, computed
+    # once per design; a design made by ``with_context`` or ``replace``
+    # computes its own. Each layer's ``noise.CellNoise`` keeps its noise's.
 
     @cached_property
     def g_min(self) -> float:
@@ -128,20 +129,6 @@ class ReramDesign(Device):
     @cached_property
     def adc_levels(self) -> int | None:
         return None if self.res_adc is None else (1 << self.res_adc) - 1
-
-    @cached_property
-    def thermal_var(self) -> float:
-        """Thermal read-noise variance per siemens of conductance."""
-        from .noise import thermal_sigma
-
-        return thermal_sigma(1.0, self) ** 2
-
-    @cached_property
-    def shot_var(self) -> float:
-        """Shot read-noise variance per siemens of conductance."""
-        from .noise import shot_sigma
-
-        return shot_sigma(1.0, self) ** 2
 
     def with_context(self, freq_hz: float, temperature_k: float) -> "ReramDesign":
         """Same device, different operating point (used for reduced-noise layers)."""

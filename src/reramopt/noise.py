@@ -10,24 +10,31 @@ Four sources are modeled, all in conductance units (siemens):
 * programming     -- Gaussian write error, sigma = sigma_prog * G
 
 Thermal, shot and RTN perturb every read; programming noise is frozen at
-write time and persists until the cell is reprogrammed. A read
-(``sample_read``) draws thermal and shot noise together as one Gaussian:
-both are independent, zero-mean and have variances linear in G, so their
-sum is Gaussian with the summed variance c*G. ``reramopt noise-hist``
-reports every source on its own and keeps separate per-source draws.
+write time and persists until the cell is reprogrammed. A layer's one
+``CellNoise`` decides what its cells hold, in three operations that each
+return conductances clipped to [0, g_max]:
 
-A deployment that is read exactly once (ReSNA's training redeploys the
-weights on every batch) needs no stored programming error. Its read
-(``FreshRead``) folds the write error into the same Gaussian, taken at
-the target G: sigma^2 = sigma_prog^2 * G^2 + c * G, the total variance
-Var(G_prog) + E[c * G_prog] of writing and then reading the cell. It
-differs from the two-draw law only in taking the read sigma at the target
-and in clipping once. Such a deployment is held as digit planes (see
-``crossbar``), so a cell's target, read std and RTN jump depend on its
-digit alone: ``FreshRead`` evaluates each per-cell expression once per
-level of ``ReramDesign.levels`` and gathers the results by digit. The
-rest, std*N + target, jump*occupied + that and one clip, is elementwise
-and correctly rounded, so the read has the per-cell formula's bytes.
+* ``write`` programs cells from their digits: the target plus one
+  Gaussian write error per cell and copy;
+* ``read`` reads programmed conductances: thermal and shot noise together
+  as one Gaussian, then RTN. Both are independent, zero-mean and have
+  variances linear in G, so their sum is Gaussian with the summed
+  variance c*G;
+* ``fresh`` reads a deployment that is read exactly once (ReSNA's
+  training redeploys the weights on every batch), which needs no stored
+  programming error. It folds the write error into the same Gaussian,
+  taken at the target G: sigma^2 = sigma_prog^2 * G^2 + c * G, the total
+  variance Var(G_prog) + E[c * G_prog] of writing and then reading the
+  cell. It differs from a write and a read only in taking the read sigma
+  at the target and in clipping once.
+
+``reramopt noise-hist`` reports every source on its own and keeps separate
+per-source draws. A deployment is held as digit planes (see ``crossbar``),
+so a cell's target, fresh-read std and RTN jump depend on its digit
+alone: ``fresh`` evaluates each per-cell expression once per level of
+``ReramDesign.levels`` and gathers the results by digit. The rest,
+std*N + target, jump*occupied + that and one clip, is elementwise and
+correctly rounded, so the read has the per-cell formula's bytes.
 
 Every Gaussian comes from ``standard_normal``: float32 Box-Muller normals
 r*cos(2*pi*u2), r*sin(2*pi*u2) with r = sqrt(-2*log1p(-u1)), from the
@@ -42,12 +49,13 @@ depends on its float32 ``cos`` (``_COS_ERR``). RTN occupancy at the
 default p = 1/2 is one bit of those draws per cell, exact Bernoulli(1/2);
 any other p compares one float64 uniform per cell with p.
 
-Every function takes the conductances ``g`` (a scalar or an ndarray) and
-the ``ReramDesign`` that sets V = v_r, Freq, T, sigma_prog and
-G_min = 1/r_off. The RTN functions and the samplers also take a
-``NoiseSpec``, the config's ``noise:`` section (its RTN coefficients are
-calibration placeholders), and a generator: the same seed reproduces the
-same sequence, so Monte-Carlo sweeps can use per-worker substreams.
+The sigma functions take the conductances ``g`` (a scalar or an ndarray)
+and the ``ReramDesign`` that sets V = v_r, Freq, T, sigma_prog and
+G_min = 1/r_off. The RTN functions, the write sampler and ``CellNoise``
+also take a ``NoiseSpec``, the config's ``noise:`` section (its RTN
+coefficients are calibration placeholders), and the samplers a
+generator: the same seed reproduces the same sequence, so Monte-Carlo
+sweeps can use per-worker substreams.
 """
 
 from __future__ import annotations
@@ -94,18 +102,23 @@ def _uint32_draws(rng: np.random.Generator, k: int) -> np.ndarray:
     """The next k 32-bit draws of ``rng``: the values and state of ``rng.integers(0, 2**32, k, np.uint32)``.
 
     PCG64, NumPy's default, serves them as the low, then the high half of
-    each 64-bit output and keeps an unserved half in its state. For an even
-    k this takes k/2 whole outputs from ``random_raw``: a kept half is
-    served first, and the last high half is kept in its place.
+    each 64-bit output and keeps an unserved half in its state. This takes
+    whole outputs from ``random_raw``: a kept half is served first, and
+    when the rest is odd the last high half is kept in its place.
     """
     bg = rng.bit_generator
-    if type(bg) is not np.random.PCG64 or k % 2 or k == 0 or not np.little_endian:
+    if type(bg) is not np.random.PCG64 or not np.little_endian:
         return rng.integers(0, 1 << 32, k, dtype=np.uint32)
-    halves = bg.random_raw(k // 2).view(np.uint32)  # low half first
+    # Whole outputs to take: an odd k takes one fewer when a kept half is served first.
+    m = (k + 1 - (k % 2 and bg.state["has_uint32"])) // 2
+    halves = bg.random_raw(m).view(np.uint32)  # low half first
     state = bg.state
-    kept, state["uinteger"] = state["uinteger"], int(halves[-1])
+    served, kept = min(state["has_uint32"], k), state["uinteger"]
+    state["has_uint32"] += 2 * m - k
+    if m:
+        state["uinteger"] = int(halves[-1])
     bg.state = state
-    return np.concatenate((np.array([kept], np.uint32), halves[:-1])) if state["has_uint32"] else halves
+    return np.concatenate((np.array([kept], np.uint32), halves[: k - 1])) if served else halves[:k]
 
 
 def standard_normal(rng: np.random.Generator | None, shape: tuple[int, ...], draws=None, out=None) -> np.ndarray:
@@ -138,13 +151,17 @@ def standard_normal(rng: np.random.Generator | None, shape: tuple[int, ...], dra
     return u[:n].reshape(shape)
 
 
-def _read_draws(spec: NoiseSpec, rng: np.random.Generator, shape: tuple[int, ...], gauss: bool, rtn: bool, out=None):
+def _read_draws(
+    spec: NoiseSpec, rng: np.random.Generator | None, shape: tuple[int, ...], gauss: bool, rtn: bool, out=None
+):
     """(normals if ``gauss``, RTN occupancy if ``rtn``) of one read of cells of ``shape``, drawn in that order.
 
     At p = 1/2 the occupancy is one bit per cell of the little-endian bytes
     of 32-bit draws, taken together with the normals'. ``out`` is
-    ``standard_normal``'s.
+    ``standard_normal``'s. A None ``rng`` raises ValueError.
     """
+    if rng is None:
+        raise ValueError("a noisy read requires a generator")
     n = math.prod(shape)
     words = 2 * ((n + 1) // 2) if gauss else 0
     packed = rtn and spec.rtn_p_occupancy == 0.5
@@ -194,63 +211,84 @@ def rtn_sample(g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator
     return amp
 
 
-def sample_read(g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator | None):
-    """Conductances seen by one read of stored conductances g: g plus thermal, shot and RTN noise.
+class CellNoise:
+    """The noise of one layer's cells: one design under one ``NoiseSpec``.
 
-    The enabled thermal and shot noise are one Gaussian (see the module
-    docstring), drawn before RTN; reproducible reads depend on that order.
-    With no source drawn g itself is returned and ``rng`` may be None;
-    otherwise the result is a new array and a None ``rng`` raises ValueError.
-    """
-    g = np.asarray(g, dtype=float)
-    gauss = spec.thermal or spec.shot
-    if not (gauss or spec.rtn):
-        return g
-    if rng is None:
-        raise ValueError("a noisy read requires a generator")
-    normals, occupied = _read_draws(spec, rng, g.shape, gauss, spec.rtn)
-    out = g
-    if gauss:
-        out = _read_std(g, design, spec, write=False)
-        out *= normals
-        out += g
-    if spec.rtn:
-        rtn = rtn_amplitude(g, design, spec)
-        rtn *= occupied
-        rtn += out
-        out = rtn
-    return out
-
-
-class FreshRead:
-    """Reads of fresh deployments of one design under one ``NoiseSpec``, by cell digit.
-
-    Builds the per-level read std and RTN jump at its first noisy read (see
-    the module docstring) and keeps its buffers across reads, so it serves
-    one thread at a time.
+    ``write``, ``read`` and ``fresh`` (see the module docstring) decide what
+    a cell holds. It builds its read variance and per-level tables at first
+    use and keeps the fresh read's buffers across reads, so it serves one
+    thread at a time.
     """
 
     def __init__(self, design: ReramDesign, spec: NoiseSpec):
         self.design, self.spec, self._work = design, spec, ()
 
     @cached_property
+    def var_per_siemens(self) -> float:
+        """Variance of the enabled thermal and shot read noise per siemens of conductance."""
+        d, spec = self.design, self.spec
+        return (thermal_sigma(1.0, d) ** 2 if spec.thermal else 0.0) + (shot_sigma(1.0, d) ** 2 if spec.shot else 0.0)
+
+    @cached_property
     def _tables(self) -> tuple[np.ndarray | None, np.ndarray | None]:
         d, spec = self.design, self.spec
         write = spec.prog and d.sigma_prog > 0.0
-        std = _read_std(d.levels, d, spec, write) if spec.thermal or spec.shot or write else None
+        std = self._std(d.levels, write) if spec.thermal or spec.shot or write else None
         return std, rtn_amplitude(d.levels, d, spec) if spec.rtn else None  # levels > 0: no mask
 
-    def __call__(self, digits: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
-        """One Gaussian per cell at its target, then RTN, then one clip to [0, g_max].
+    def _std(self, g: np.ndarray, write: bool) -> np.ndarray:
+        """Std of a read's one Gaussian: enabled thermal and shot, plus the write error if ``write``."""
+        var = self.var_per_siemens * g
+        if write:
+            prog_var = prog_sigma(g, self.design)
+            prog_var *= prog_var
+            var += prog_var
+        return np.sqrt(var, out=var)
 
-        With no source on the targets come back unclipped and ``rng`` may be
-        None; otherwise the result is a buffer that the next read overwrites.
+    def write(self, digits: np.ndarray, copies: tuple[int, ...], rng: np.random.Generator | None) -> np.ndarray:
+        """Programmed conductances of cells holding ``digits``, broadcast to ``copies``, each with its own error.
+
+        Takes the write std once per cell of ``digits``; ``rng`` may be None
+        only when ``sample_write_noise`` draws nothing.
+        """
+        target = self.design.levels.take(digits)
+        g = sample_write_noise(target, self.design, self.spec, rng, copies)
+        g += target
+        return g.clip(0.0, self.design.g_max, out=g)
+
+    def read(self, g: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
+        """One read of programmed conductances g: one thermal-plus-shot Gaussian, then RTN, then the clip.
+
+        Reproducible reads depend on that order. With no source on, g itself,
+        which ``write`` clipped, comes back and ``rng`` may be None;
+        otherwise the result is a new array.
+        """
+        spec = self.spec
+        gauss = spec.thermal or spec.shot
+        if not (gauss or spec.rtn):
+            return g
+        normals, occupied = _read_draws(spec, rng, g.shape, gauss, spec.rtn)
+        out = g
+        if gauss:
+            out = self._std(g, write=False)
+            out *= normals
+            out += g
+        if spec.rtn:
+            rtn = rtn_amplitude(g, self.design, spec)
+            rtn *= occupied
+            rtn += out
+            out = rtn
+        return out.clip(0.0, self.design.g_max, out=out)
+
+    def fresh(self, digits: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
+        """One read of a fresh deployment of ``digits``: one Gaussian per cell at its target, then RTN, then the clip.
+
+        With no source on the targets come back and ``rng`` may be None;
+        otherwise the result is a buffer that the next fresh read overwrites.
         """
         levels, (std, jump) = self.design.levels, self._tables
         if std is None and jump is None:
             return levels.take(digits)
-        if rng is None:
-            raise ValueError("a noisy read requires a generator")
         if not self._work or self._work[0].shape != digits.shape:
             m = (digits.size + 1) // 2
             self._work = (*(np.empty(digits.shape, t) for t in (np.intp, float, float)), np.empty(3 * m, np.float32))
@@ -267,17 +305,6 @@ class FreshRead:
             tmp *= occupied
             out += tmp
         return out.clip(0.0, self.design.g_max, out=out)
-
-
-def _read_std(g: np.ndarray, design: ReramDesign, spec: NoiseSpec, write: bool) -> np.ndarray:
-    """Std of a read's one Gaussian: enabled thermal and shot, plus the write error if ``write``."""
-    var_per_siemens = (design.thermal_var if spec.thermal else 0.0) + (design.shot_var if spec.shot else 0.0)
-    var = np.asarray(var_per_siemens * g)  # 0-d for a scalar g, so it updates in place
-    if write:
-        prog_var = prog_sigma(g, design)
-        prog_var *= prog_var
-        var += prog_var
-    return np.sqrt(var, out=var)
 
 
 def sample_write_noise(g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator | None, shape):

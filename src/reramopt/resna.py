@@ -34,7 +34,7 @@ import numpy as np
 
 from .crossbar import MappedLayer, map_weights, mvm, program, quantize
 from .design_space import ReramDesign
-from .noise import FreshRead, NoiseSpec
+from .noise import CellNoise, NoiseSpec
 
 _EVAL_BATCH = 250  # test rows read per inference batch
 
@@ -235,16 +235,16 @@ def _quantize_unsigned(values: np.ndarray, bits: int) -> tuple[np.ndarray, float
     return codes.astype(np.uint8), scale
 
 
-def _layer_reads(spec: MlpSpec, design: ReramDesign, noise: NoiseSpec) -> list[FreshRead]:
-    """Each layer's design and noise, as the reader of its fresh deployments."""
+def _layer_noise(spec: MlpSpec, design: ReramDesign, noise: NoiseSpec) -> list[CellNoise]:
+    """Each layer's design and noise, as the one noise object of its deployments."""
     reduced = design.with_context(spec.classifier_freq_hz, spec.classifier_temperature_k)
-    return [FreshRead(dsg, noise) for dsg in [design] * (spec.n_layers - 1) + [reduced]]
+    return [CellNoise(dsg, noise) for dsg in [design] * (spec.n_layers - 1) + [reduced]]
 
 
-def _deploy(weights: list[np.ndarray], reads: list[FreshRead], classifier_copies: int) -> list[MappedLayer]:
+def _deploy(weights: list[np.ndarray], cells: list[CellNoise], classifier_copies: int) -> list[MappedLayer]:
     """Quantize and map every layer, unprogrammed; only the classifier is duplicated."""
     dups = [1] * (len(weights) - 1) + [classifier_copies]
-    return [map_weights(*quantize(w, r.design.bit_quan), r, dup) for w, r, dup in zip(weights, reads, dups)]
+    return [map_weights(*quantize(w, c.design.bit_quan), c, dup) for w, c, dup in zip(weights, cells, dups)]
 
 
 def _forward(
@@ -294,7 +294,7 @@ def train(
     Every batch deploys the current master weights on a single classifier
     copy and reads that deployment once, so each cell's programming and
     read noise are drawn together as one Gaussian at its target (see
-    ``crossbar.mvm``) by the layer's one ``FreshRead``, whose tables and
+    ``crossbar.mvm``) by the layer's one ``CellNoise``, whose tables and
     buffers serve every batch; no layer is programmed. Gradients are
     straight-through: the noisy activations are used, the analog pipeline
     is treated as the identity linear map of the master weights.
@@ -304,7 +304,7 @@ def train(
     if dataset.x_train.shape[1] != spec.widths[0]:
         raise ValueError("dataset feature width does not match the input layer")
 
-    reads = _layer_reads(spec, design, noise)
+    cells = _layer_noise(spec, design, noise)
     state = _init_state(spec, rng)
     grad = np.empty_like(state.params)
     grad_views = _layer_views(grad, spec)
@@ -316,7 +316,7 @@ def train(
         for start in range(0, n, spec.batch_size):
             idx = order[start : start + spec.batch_size]
             xb, yb = dataset.x_train[idx], dataset.y_train[idx]
-            deployed = _deploy(state.weights, reads, 1)
+            deployed = _deploy(state.weights, cells, 1)
             logits, acts = _forward(deployed, state.biases, xb, rng)
             loss, dz = _softmax_ce(logits[0], yb)
             if not math.isfinite(loss):
@@ -398,7 +398,7 @@ def infer(
     and the majority prediction wins.
     """
     spec = state.spec
-    layers = _deploy(state.weights, _layer_reads(spec, design, noise), spec.vote_copies)
+    layers = _deploy(state.weights, _layer_noise(spec, design, noise), spec.vote_copies)
     accs = []
     for _ in range(runs):
         deployed = [program(layer, rng) for layer in layers]

@@ -5,7 +5,7 @@ import pytest
 
 from reramopt.crossbar import map_weights, mvm, program, quantize
 from reramopt.design_space import ReramDesign
-from reramopt.noise import FreshRead, NoiseSpec, rtn_amplitude, shot_sigma, thermal_sigma
+from reramopt.noise import CellNoise, NoiseSpec, rtn_amplitude, shot_sigma, thermal_sigma
 
 NOISE = NoiseSpec()
 QUIET = NoiseSpec.disabled()
@@ -90,28 +90,28 @@ class TestQuantize:
 class TestMapWeights:
     def test_slice_counts(self):
         w = quantize(np.eye(4), 8)
-        assert map_weights(*w, FreshRead(design(res_cell=2), NOISE)).n_slices == 4
-        assert map_weights(*w, FreshRead(design(res_cell=8), NOISE)).n_slices == 1
-        assert map_weights(*w, FreshRead(design(res_cell=3), NOISE)).n_slices == 3
+        assert map_weights(*w, CellNoise(design(res_cell=2), NOISE)).n_slices == 4
+        assert map_weights(*w, CellNoise(design(res_cell=8), NOISE)).n_slices == 1
+        assert map_weights(*w, CellNoise(design(res_cell=3), NOISE)).n_slices == 3
 
     def test_zero_code_sits_at_g_min_both_sides(self):
         d = design(res_cell=4)
-        layer = map_weights(np.zeros((2, 2), dtype=np.int64), 1.0, FreshRead(d, NOISE))
-        np.testing.assert_allclose(layer.target[:, 0], d.g_min)
-        np.testing.assert_allclose(layer.target[:, 1], d.g_min)
+        layer = map_weights(np.zeros((2, 2), dtype=np.int64), 1.0, CellNoise(d, NOISE))
+        np.testing.assert_allclose(d.levels.take(layer.digits)[:, 0], d.g_min)
+        np.testing.assert_allclose(d.levels.take(layer.digits)[:, 1], d.g_min)
 
     def test_targets_on_level_grid(self):
         d = design(res_cell=3)
         rng = np.random.default_rng(0)
-        layer = map_weights(*quantize(rng.standard_normal((8, 8)), 8), FreshRead(d, NOISE))
+        layer = map_weights(*quantize(rng.standard_normal((8, 8)), 8), CellNoise(d, NOISE))
         step = (d.g_max - d.g_min) / (2**3 - 1)
-        lv = (layer.target[:, 0] - d.g_min) / step
+        lv = (d.levels.take(layer.digits)[:, 0] - d.g_min) / step
         np.testing.assert_allclose(lv, np.rint(lv), atol=1e-9)
         assert lv.max() <= 2**3 - 1
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            map_weights(np.zeros((0, 3), dtype=np.int64), 1.0, FreshRead(design(), NOISE))
+            map_weights(np.zeros((0, 3), dtype=np.int64), 1.0, CellNoise(design(), NOISE))
 
     def test_codes_wider_than_bit_quan_rejected(self):
         # Sliced at bit_quan=4, these 8-bit codes would lose their high
@@ -120,14 +120,14 @@ class TestMapWeights:
         w = np.array([[127, 64], [32, -127]])
         d = design(res_cell=2, res_adc=None, bit_quan=4)
         with pytest.raises(ValueError, match=r"codes need 7 bits but the design's bit_quan is 4"):
-            map_weights(w, 1.0, FreshRead(d, QUIET))
-        layer = program(map_weights(w, 1.0, FreshRead(design(res_cell=2, res_adc=None), QUIET)))
+            map_weights(w, 1.0, CellNoise(d, QUIET))
+        layer = program(map_weights(w, 1.0, CellNoise(design(res_cell=2, res_adc=None), QUIET)))
         np.testing.assert_array_equal(mvm(layer, np.array([[10, 20]]))[0], [[1910, -1900]])
 
     def test_tiling_shape(self):
         # 2 row blocks x 2 col blocks of 64 share one whole-layer array.
-        layer = map_weights(*quantize(np.ones((100, 70)), 8), FreshRead(design(xbar=64), NOISE))
-        assert layer.target.shape == (100, 2, 4, 70)  # rows, sides, slices, cols
+        layer = map_weights(*quantize(np.ones((100, 70)), 8), CellNoise(design(xbar=64), NOISE))
+        assert layer.digits.shape == (100, 2, 4, 70)  # rows, sides, slices, cols
         programmed = program(layer, np.random.default_rng(0))
         assert programmed.noisy.shape == (100, 1, 2, 4, 70)  # rows, copies, ...
 
@@ -136,29 +136,29 @@ class TestProgram:
     def test_zero_sigma_exact(self):
         d = design(sigma_prog=0.0)
         for rng in (np.random.default_rng(0), None):  # a write that draws nothing needs no generator
-            layer = program(map_weights(*quantize(np.eye(3), 8), FreshRead(d, NOISE)), rng)
-            np.testing.assert_array_equal(layer.noisy[:, 0, 0], layer.target[:, 0])
+            layer = program(map_weights(*quantize(np.eye(3), 8), CellNoise(d, NOISE)), rng)
+            np.testing.assert_array_equal(layer.noisy[:, 0, 0], layer.design.levels.take(layer.digits)[:, 0])
 
     def test_prog_disabled_exact(self):
-        layer = program(map_weights(*quantize(np.eye(3), 8), FreshRead(design(), QUIET)))
-        np.testing.assert_array_equal(layer.noisy[:, 0, 0], layer.target[:, 0])
+        layer = program(map_weights(*quantize(np.eye(3), 8), CellNoise(design(), QUIET)))
+        np.testing.assert_array_equal(layer.noisy[:, 0, 0], layer.design.levels.take(layer.digits)[:, 0])
 
     def test_per_cell_std_matches_sigma_prog(self):
         # 1e5 independent programmings of one target cell via duplicate copies.
         d = design(res_cell=8)
-        base = map_weights(np.full((1, 1), 100, dtype=np.int64), 1.0, FreshRead(d, NOISE), dup=1000)
+        base = map_weights(np.full((1, 1), 100, dtype=np.int64), 1.0, CellNoise(d, NOISE), dup=1000)
         rng = np.random.default_rng(9)
         samples = []
         for _ in range(100):
             layer = program(base, rng)
             samples.append(layer.noisy[0, :, 0, 0, 0])
         samples = np.concatenate(samples)
-        target = base.target[0, 0, 0, 0]
+        target = d.levels.take(base.digits)[0, 0, 0, 0]
         assert np.std(samples) == pytest.approx(d.sigma_prog * target, rel=0.02)
 
     def test_duplicate_copies_uncorrelated(self):
         d = design(res_cell=8)
-        base = map_weights(np.full((3, 3), 80, dtype=np.int64), 1.0, FreshRead(d, NOISE), dup=2)
+        base = map_weights(np.full((3, 3), 80, dtype=np.int64), 1.0, CellNoise(d, NOISE), dup=2)
         rng = np.random.default_rng(17)
         a, b = [], []
         for _ in range(11200):
@@ -171,21 +171,21 @@ class TestProgram:
         assert abs(corr) < 0.01
 
     def test_reprogramming_resamples(self):
-        base = map_weights(*quantize(np.eye(4), 8), FreshRead(design(), NOISE))
+        base = map_weights(*quantize(np.eye(4), 8), CellNoise(design(), NOISE))
         l1 = program(base, np.random.default_rng(0))
         l2 = program(l1, np.random.default_rng(1))
         assert not np.array_equal(l1.noisy[:, :, 0], l2.noisy[:, :, 0])
 
     def test_program_requires_rng_when_noisy(self):
         with pytest.raises(ValueError):
-            program(map_weights(*quantize(np.eye(2), 8), FreshRead(design(), NOISE)))
+            program(map_weights(*quantize(np.eye(2), 8), CellNoise(design(), NOISE)))
 
 
 class TestMvmIdealPath:
     def test_identity_2x2(self):
         d = design(res_cell=8, res_adc=None)
         w, scale = quantize(np.eye(2), 8)
-        layer = program(map_weights(w, scale, FreshRead(d, QUIET)))
+        layer = program(map_weights(w, scale, CellNoise(d, QUIET)))
         x, _ = quantize(np.array([[1.0, 0.0]]), 8)
         y = mvm(layer, x)[0]
         np.testing.assert_array_equal(y, x @ w)
@@ -195,7 +195,7 @@ class TestMvmIdealPath:
         rng = np.random.default_rng(res_cell)
         d = design(res_cell=res_cell, res_adc=None)
         w, scale = quantize(rng.standard_normal((20, 12)), 8)
-        layer = program(map_weights(w, scale, FreshRead(d, QUIET)))
+        layer = program(map_weights(w, scale, CellNoise(d, QUIET)))
         x = rng.integers(0, 128, size=(6, 20))
         np.testing.assert_array_equal(mvm(layer, x)[0], x @ w)
 
@@ -204,8 +204,8 @@ class TestMvmIdealPath:
         d = design(res_cell=2, res_adc=8)
         w, scale = quantize(rng.standard_normal((10, 7)), 8)
         x = rng.integers(0, 128, size=(4, 10))
-        y = mvm(program(map_weights(w, scale, FreshRead(d, QUIET))), x)[0]
-        y_neg = mvm(program(map_weights(-w, scale, FreshRead(d, QUIET))), x)[0]
+        y = mvm(program(map_weights(w, scale, CellNoise(d, QUIET))), x)[0]
+        y_neg = mvm(program(map_weights(-w, scale, CellNoise(d, QUIET))), x)[0]
         np.testing.assert_array_equal(y_neg, -y)
 
     def test_tiling_invariance(self):
@@ -216,7 +216,7 @@ class TestMvmIdealPath:
         outs = []
         for xbar in (64, 128):
             d = design(res_cell=4, xbar=xbar, res_adc=None)
-            outs.append(mvm(program(map_weights(*qw, FreshRead(d, QUIET))), x)[0])
+            outs.append(mvm(program(map_weights(*qw, CellNoise(d, QUIET))), x)[0])
         np.testing.assert_array_equal(outs[0], outs[1])
 
     def test_unprogrammed_quiet_read_equals_integer_matmul(self):
@@ -225,7 +225,7 @@ class TestMvmIdealPath:
         x = rng.integers(0, 128, size=(6, 20))
         # All sources off, and programming on at sigma_prog = 0 with the read sources off.
         for noise, kw in ((QUIET, {}), (NoiseSpec(thermal=False, shot=False, rtn=False), {"sigma_prog": 0.0})):
-            layer = map_weights(w, scale, FreshRead(design(res_cell=2, res_adc=None, **kw), noise))
+            layer = map_weights(w, scale, CellNoise(design(res_cell=2, res_adc=None, **kw), noise))
             np.testing.assert_array_equal(mvm(layer, x)[0], x @ w)
 
     @pytest.mark.parametrize(
@@ -234,32 +234,32 @@ class TestMvmIdealPath:
         ids=["all-sources", "programming-only"],
     )
     def test_unprogrammed_noisy_read_requires_rng(self, noise):
-        layer = map_weights(*quantize(np.eye(2), 8), FreshRead(design(), noise))
+        layer = map_weights(*quantize(np.eye(2), 8), CellNoise(design(), noise))
         with pytest.raises(ValueError, match="requires a generator"):
             mvm(layer, np.array([[1, 0]]))
 
     @pytest.mark.parametrize("codes", [[[2.7, 1.2]], [[2.0, 1.0]], [[True, False]]])
     def test_non_integer_codes_rejected(self, codes):
         # Cast to int64, [[2.7, 1.2]] would read as [[2, 1]]: 318, not 419.7.
-        layer = program(map_weights(np.array([[127], [64]]), 1.0, FreshRead(design(res_adc=None), QUIET)))
+        layer = program(map_weights(np.array([[127], [64]]), 1.0, CellNoise(design(res_adc=None), QUIET)))
         np.testing.assert_array_equal(mvm(layer, np.array([[2, 1]]))[0], [[318]])
         with pytest.raises(ValueError, match="integer dtype"):
             mvm(layer, np.array(codes))
 
     def test_wrong_input_length(self):
-        layer = program(map_weights(*quantize(np.eye(3), 8), FreshRead(design(), QUIET)))
+        layer = program(map_weights(*quantize(np.eye(3), 8), CellNoise(design(), QUIET)))
         with pytest.raises(ValueError):
             mvm(layer, np.array([[1, 0]]))
 
     @pytest.mark.parametrize("codes", [[1, 0, 2], [[[1, 0, 2]]]], ids=["1-D", "3-D"])
     def test_mis_shaped_codes_rejected(self, codes):
-        layer = map_weights(*quantize(np.eye(3), 8), FreshRead(design(), NOISE))
+        layer = map_weights(*quantize(np.eye(3), 8), CellNoise(design(), NOISE))
         with pytest.raises(ValueError, match="inputs must have shape"):
             mvm(layer, np.array(codes, dtype=np.uint8), np.random.default_rng(0))
 
     def test_negative_codes_rejected(self):
         # ReLU activations are never negative, so the DACs read one pass.
-        layer = program(map_weights(*quantize(np.eye(3), 8), FreshRead(design(res_adc=None), QUIET)))
+        layer = program(map_weights(*quantize(np.eye(3), 8), CellNoise(design(res_adc=None), QUIET)))
         np.testing.assert_array_equal(mvm(layer, np.array([[1, 0, 2]]))[0], [[127, 0, 254]])
         with pytest.raises(ValueError, match="non-negative"):
             mvm(layer, np.array([[1, -1, 2]]))
@@ -267,14 +267,14 @@ class TestMvmIdealPath:
     @pytest.mark.parametrize("dtype", [np.int8, np.int16])
     def test_negative_codes_rejected_by_a_fresh_read(self, dtype):
         # Only signed codes are scanned for a sign; unsigned ones read as they are.
-        layer = map_weights(*quantize(np.eye(3), 8), FreshRead(design(res_adc=None), QUIET))
+        layer = map_weights(*quantize(np.eye(3), 8), CellNoise(design(res_adc=None), QUIET))
         np.testing.assert_array_equal(mvm(layer, np.array([[1, 0, 2]], dtype=np.uint8))[0], [[127, 0, 254]])
         with pytest.raises(ValueError, match="non-negative"):
             mvm(layer, np.array([[1, -1, 2]], dtype=dtype))
 
     def test_all_zero_inputs_draw_nothing(self):
         rng = np.random.default_rng(12)
-        fresh = map_weights(*quantize(rng.standard_normal((40, 6)), 8), FreshRead(design(xbar=32), NOISE), dup=2)
+        fresh = map_weights(*quantize(rng.standard_normal((40, 6)), 8), CellNoise(design(xbar=32), NOISE), dup=2)
         x = np.zeros((3, 40), dtype=np.uint8)
         for layer in (fresh, program(fresh, rng)):
             state = rng.bit_generator.state
@@ -291,7 +291,7 @@ class TestMvmFixedPointOracle:
         d = design(res_cell=res_cell, xbar=32, res_adc=8)
         for case in range(25):
             w, scale = quantize(rng.standard_normal((8, 8)) * rng.uniform(0.5, 3.0), 8)
-            layer = program(map_weights(w, scale, FreshRead(d, QUIET)))
+            layer = program(map_weights(w, scale, CellNoise(d, QUIET)))
             x = rng.integers(0, 128, size=(1, 8))
             got = mvm(layer, x)[0]
             want = fixed_point_oracle(w, x, d)
@@ -301,7 +301,7 @@ class TestMvmFixedPointOracle:
         rng = np.random.default_rng(55)
         d = design(res_cell=4, xbar=32, res_adc=8)
         w, scale = quantize(rng.standard_normal((70, 5)), 8)
-        layer = program(map_weights(w, scale, FreshRead(d, QUIET)))
+        layer = program(map_weights(w, scale, CellNoise(d, QUIET)))
         x = rng.integers(0, 128, size=(2, 70))
         np.testing.assert_array_equal(mvm(layer, x)[0], fixed_point_oracle(w, x, d))
 
@@ -311,10 +311,10 @@ def _read_error_variance(dup: int, n_reads: int, seed: int) -> float:
     rng = np.random.default_rng(seed)
     d = design(res_cell=8, xbar=32, freq=5e8, temp=350.0)
     qw = quantize(np.linspace(-1.0, 1.0, 16 * 8).reshape(16, 8), 8)
-    base = map_weights(*qw, FreshRead(d, NOISE), dup=dup)
+    base = map_weights(*qw, CellNoise(d, NOISE), dup=dup)
     x = np.full((1, 16), 90, dtype=np.int64)
     ideal = mvm(
-        program(map_weights(*qw, FreshRead(design(res_cell=8, xbar=32, res_adc=None), QUIET)), None),
+        program(map_weights(*qw, CellNoise(design(res_cell=8, xbar=32, res_adc=None), QUIET)), None),
         x,
     )[0].astype(float)
     errs = np.empty(n_reads)
@@ -343,7 +343,7 @@ def per_tile_reference_mvm(layer, codes, rng):
 
     Averages the copies' integer outputs; needs res_adc=None.
     """
-    d, spec = layer.design, layer.read.spec
+    d, spec = layer.design, layer.noise.spec
     assert d.res_adc is None
     dac_max = 2**d.res_dac - 1
     v_step = d.v_r / dac_max
@@ -379,7 +379,7 @@ class TestMvmReadDistribution:
         # 40 rows at xbar 32: 2 row blocks.
         rng = np.random.default_rng(41)
         d = design(res_cell=2, xbar=32, res_adc=None)
-        layer = program(map_weights(*quantize(rng.standard_normal((40, 8)), 8), FreshRead(d, NOISE), dup=3), rng)
+        layer = program(map_weights(*quantize(rng.standard_normal((40, 8)), 8), CellNoise(d, NOISE), dup=3), rng)
         x = rng.integers(0, 128, size=(1, 40))
         n = 2000
         got = np.array([mvm(layer, x, rng).mean(axis=0)[0] for _ in range(n)])
@@ -397,7 +397,7 @@ class TestFreshDeploymentRead:
         # its codes must match writing the cells and then reading them.
         rng = np.random.default_rng(60 + res_cell)
         d = design(res_cell=res_cell, xbar=32, res_adc=res_adc)
-        layer = map_weights(*quantize(rng.standard_normal((40, 8)), 8), FreshRead(d, NOISE))
+        layer = map_weights(*quantize(rng.standard_normal((40, 8)), 8), CellNoise(d, NOISE))
         x = rng.integers(0, 128, size=(1, 40))
         n = 3000
         got = np.array([mvm(layer, x, rng)[0, 0] for _ in range(n)])
@@ -413,14 +413,14 @@ class TestCopies:
         d = design(res_cell=2, xbar=32, res_adc=None)
         w, scale = quantize(rng.standard_normal((40, 6)), 8)
         x = rng.integers(0, 128, size=(5, 40))
-        quiet = mvm(program(map_weights(w, scale, FreshRead(d, QUIET), dup=3)), x)
+        quiet = mvm(program(map_weights(w, scale, CellNoise(d, QUIET), dup=3)), x)
         assert quiet.shape == (3, 5, 6) and quiet.dtype == np.int64
         for copy in quiet:
             np.testing.assert_array_equal(copy, x @ w)
         # Without programming noise the copies hold equal conductances, so
         # only their read noise can set them apart.
         read_only = NoiseSpec(prog=False)
-        out = mvm(program(map_weights(w, scale, FreshRead(d, read_only), dup=3)), x, rng)
+        out = mvm(program(map_weights(w, scale, CellNoise(d, read_only), dup=3)), x, rng)
         assert out.shape == (3, 5, 6) and out.dtype == np.int64
         for a, b in ((0, 1), (0, 2), (1, 2)):
             assert not np.array_equal(out[a], out[b])

@@ -141,8 +141,6 @@ PER_DESIGN_CONSTANTS = (
     "dac_levels",
     "v_step",
     "adc_levels",
-    "thermal_var",
-    "shot_var",
 )
 
 
@@ -157,16 +155,8 @@ def test_equal_designs_get_equal_constants():
 
 def test_replaced_design_computes_its_own_constants():
     d = make(res_cell=2, temp=300.0, res_adc=8)
-    assert (d.g_step, d.thermal_var, d.adc_levels, len(d.slice_weights)) == (
-        (d.g_max - d.g_min) / 3,
-        d.thermal_var,
-        255,
-        4,
-    )
-    hot = d.with_context(d.freq_hz, 400.0)
+    assert (d.g_step, d.adc_levels, len(d.slice_weights)) == ((d.g_max - d.g_min) / 3, 255, 4)
     wide = dataclasses.replace(d, res_cell=4, res_adc=None)
-    assert hot.thermal_var == pytest.approx(d.thermal_var * 4.0 / 3.0, rel=1e-12)
-    assert hot.shot_var == d.shot_var
     assert wide.g_step == (d.g_max - d.g_min) / 15 and wide.adc_levels is None
     np.testing.assert_array_equal(wide.slice_shifts, [4, 0])
     np.testing.assert_array_equal(wide.slice_weights, [16.0, 1.0])

@@ -8,12 +8,11 @@ from reramopt.design_space import RES_CELL_LEVELS, ReramDesign
 from reramopt.noise import (
     K_BOLTZMANN,
     Q_ELECTRON,
-    FreshRead,
+    CellNoise,
     NoiseSpec,
     prog_sigma,
     rtn_amplitude,
     rtn_sample,
-    sample_read,
     sample_write_noise,
     shot_sigma,
     standard_normal,
@@ -26,8 +25,8 @@ G_REF = 3.3003e-7
 
 
 def sample_read_noise(g, design, spec, rng):
-    """The read perturbation alone: one production read minus the conductance."""
-    return sample_read(g, design, spec, rng) - g
+    """The read perturbation alone: one production read of programmed conductances minus the conductance."""
+    return CellNoise(design, spec).read(g, rng) - g
 
 
 def sample_write(g, design, spec, rng):
@@ -260,7 +259,7 @@ class TestSamplers:
 
 
 def three_draw_read(g, design, spec, rng):
-    """Reference read: thermal, shot and RTN each drawn on their own, in turn."""
+    """Reference read: thermal, shot and RTN each drawn on their own, in turn, then the clip."""
     out = g
     if spec.thermal:
         out = out + rng.standard_normal(g.shape) * thermal_sigma(g, design)
@@ -269,7 +268,7 @@ def three_draw_read(g, design, spec, rng):
     if spec.rtn:
         occupied = rng.random(g.shape) < spec.rtn_p_occupancy
         out = out + np.where(occupied, rtn_amplitude(g, design, spec), 0.0)
-    return out
+    return np.clip(out, 0.0, design.g_max)
 
 
 def assert_same_mean_and_variance(a, b, z=5.0):
@@ -281,7 +280,7 @@ def assert_same_mean_and_variance(a, b, z=5.0):
 
 
 class TestReadDistribution:
-    """The one-Gaussian read against the three-draw reference, per cell."""
+    """The one-Gaussian read of programmed cells against the three-draw reference, per cell."""
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -311,7 +310,8 @@ def formula_fresh_read(g, design, spec, rng):
     Byte oracle: one Gaussian through ``standard_normal`` with the enabled
     thermal, shot and write variances, then the RTN occupancy (one packed
     random bit per cell at p = 1/2, else one uniform each), then one clip.
-    A read that draws nothing returns g itself.
+    A read that draws nothing returns g itself. With ``prog`` off it is the
+    read of programmed conductances g.
     """
     write = spec.prog and design.sigma_prog > 0.0
     var_per_siemens = (thermal_sigma(1.0, design) ** 2 if spec.thermal else 0.0) + (
@@ -339,7 +339,7 @@ def fresh_targets(digits, design):
 
 
 class TestFreshRead:
-    """The per-level table read of fresh cells against the per-cell formula, byte for byte."""
+    """The reads of fresh and of programmed cells against the per-cell formula, byte for byte."""
 
     @pytest.mark.parametrize("res_cell", RES_CELL_LEVELS)
     @pytest.mark.parametrize(
@@ -356,27 +356,36 @@ class TestFreshRead:
         ids=["all", "prog-off", "sigma-prog-0", "thermal-shot-off", "rtn-off", "p-0.3", "none"],
     )
     @pytest.mark.parametrize("cells_per_digit", [5, 64])
-    def test_every_digit_reads_the_per_cell_formula(self, res_cell, spec_kw, design_kw, cells_per_digit):
+    @pytest.mark.parametrize("programmed", [False, True], ids=["fresh", "programmed"])
+    def test_every_digit_reads_the_per_cell_formula(self, res_cell, spec_kw, design_kw, cells_per_digit, programmed):
         design = dataclasses.replace(D, res_cell=res_cell, **design_kw)
         spec = NoiseSpec(**spec_kw)
-        read = FreshRead(design, spec)
+        noise = CellNoise(design, spec)
         # Every digit, in an odd and in an even number of cells (an even number of 32-bit draws
         # at 64). The second read reuses the first one's buffers, and the third starts with a
         # spare 32-bit half in the generator.
         n = cells_per_digit * (1 << res_cell) + (cells_per_digit % 2)
         digits = (np.arange(n) % (1 << res_cell)).astype(np.uint8).reshape(1, -1)
+        # Programmed cells hold continuous conductances from 0 to g_max and read without the write error.
+        stored = np.linspace(0.0, design.g_max, n).reshape(1, -1)
         rng, oracle_rng = np.random.default_rng(res_cell), np.random.default_rng(res_cell)
         for spare in (0, 0, 1):
             for g in (rng, oracle_rng):
                 g.integers(0, 2**32, spare, dtype=np.uint32)
-            got = read(digits, rng)
-            want = formula_fresh_read(fresh_targets(digits, design), design, spec, oracle_rng)
+            if programmed:
+                got = noise.read(stored, rng)
+                want = formula_fresh_read(stored, design, dataclasses.replace(spec, prog=False), oracle_rng)
+            else:
+                got = noise.fresh(digits, rng)
+                want = formula_fresh_read(fresh_targets(digits, design), design, spec, oracle_rng)
             np.testing.assert_array_equal(got, want)
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     def test_noisy_read_requires_rng(self):
         with pytest.raises(ValueError, match="requires a generator"):
-            FreshRead(D, NoiseSpec(thermal=False, shot=False, rtn=False))(np.zeros(2, np.uint8), None)
+            CellNoise(D, NoiseSpec(thermal=False, shot=False, rtn=False)).fresh(np.zeros(2, np.uint8), None)
+        with pytest.raises(ValueError, match="requires a generator"):
+            CellNoise(D, NoiseSpec(thermal=False, shot=False)).read(np.full(2, G_REF), None)
 
 
 class TestPerDesignConstants:
@@ -386,12 +395,27 @@ class TestPerDesignConstants:
     def test_replaced_design_reads_with_its_own_constants(self, change):
         spec = NoiseSpec()
         digits = np.arange(4, dtype=np.uint8)
-        FreshRead(D, spec)(digits, np.random.default_rng(0))  # fills D's constants
+        CellNoise(D, spec).fresh(digits, np.random.default_rng(0))  # fills D's constants
         other = dataclasses.replace(D, **change)
         for design in (D, other):
-            got = FreshRead(design, spec)(digits, np.random.default_rng(9))
+            got = CellNoise(design, spec).fresh(digits, np.random.default_rng(9))
             want = formula_fresh_read(fresh_targets(digits, design), design, spec, np.random.default_rng(9))
             np.testing.assert_array_equal(got, want)
+
+    def test_equal_designs_get_equal_read_variances(self):
+        warm, cold = dsg(), dsg()
+        for sigma, spec in ((thermal_sigma, NoiseSpec(shot=False)), (shot_sigma, NoiseSpec(thermal=False))):
+            warm_var = CellNoise(warm, spec).var_per_siemens
+            assert warm_var == CellNoise(cold, spec).var_per_siemens == sigma(1.0, cold) ** 2
+        assert warm == cold and hash(warm) == hash(cold)
+
+    def test_replaced_design_computes_its_own_read_variance(self):
+        d = dsg(temp=300.0)
+        hot = d.with_context(d.freq_hz, 400.0)
+        thermal, shot = NoiseSpec(shot=False), NoiseSpec(thermal=False)
+        want = CellNoise(d, thermal).var_per_siemens * 4.0 / 3.0
+        assert CellNoise(hot, thermal).var_per_siemens == pytest.approx(want, rel=1e-12)
+        assert CellNoise(hot, shot).var_per_siemens == CellNoise(d, shot).var_per_siemens
 
 
 class TestValidation:

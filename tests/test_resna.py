@@ -98,11 +98,11 @@ def test_majority_vote_of_one_copy_is_its_argmax():
 
 
 def test_classifier_design_has_its_own_read_variance():
-    hidden, classifier = (r.design for r in resna._layer_reads(SPEC, DESIGN, NOISE))
-    assert hidden is DESIGN and (classifier.freq_hz, classifier.temperature_k) == (1e8, 300.0)
-    assert hidden.thermal_var > 0.0 and hidden.shot_var > 0.0  # fills the hidden design's cache
-    assert classifier.thermal_var == thermal_sigma(1.0, classifier) ** 2 < hidden.thermal_var
-    assert classifier.shot_var == shot_sigma(1.0, classifier) ** 2 < hidden.shot_var
+    for sigma, noise in ((thermal_sigma, NoiseSpec(shot=False)), (shot_sigma, NoiseSpec(thermal=False))):
+        hidden, classifier = resna._layer_noise(SPEC, DESIGN, noise)
+        assert hidden.design is DESIGN and (classifier.design.freq_hz, classifier.design.temperature_k) == (1e8, 300.0)
+        assert hidden.var_per_siemens > 0.0  # fills the hidden layer's cache
+        assert classifier.var_per_siemens == sigma(1.0, classifier.design) ** 2 < hidden.var_per_siemens
 
 
 def test_training_is_reproducible_for_a_seed(data, state):
