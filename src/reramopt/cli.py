@@ -26,7 +26,7 @@ import numpy as np
 from . import config as cfgmod
 from .design_space import ReramDesign
 from .mesmo import OPTIMIZERS, SURROGATES, CampaignResult, nsga2_plan, search
-from .noise import rtn_sample, sample_write_noise, shot_sigma, standard_normal, thermal_sigma
+from .noise import CellNoise
 from .objectives import MooProblem
 from .pareto import dominated_hypervolume
 from .resna import accuracy_objective, make_dataset
@@ -315,26 +315,17 @@ def _cmd_train_one(args) -> int:
 
 
 def _cmd_noise_hist(args) -> int:
+    """Each source's unclipped dG/G histogram per level; a read clips to [0, g_max], so the top level's differs."""
     for flag, value in (("--samples", args.samples), ("--bins", args.bins), ("--levels", args.levels)):
         if value is not None and value < 1:
             print(f"{flag} must be >= 1, got {value}", file=sys.stderr)
             return 1
     cfg = _load_cfg(args)
-    design = _design_from_args(cfg, args)
+    noise = CellNoise(_design_from_args(cfg, args), cfg.noise)
     rng = np.random.default_rng(args.seed)
-    g_levels = design.levels[: args.levels]
     rows = []
-    n, spec = args.samples, cfg.noise
-    off = np.zeros(n)  # a disabled source draws nothing
-    for level, g in enumerate(g_levels):
-        cells = np.full(n, g)
-        # Built in draw order: thermal, shot, RTN, programming.
-        draws = {
-            "thermal": standard_normal(rng, (n,)) * thermal_sigma(cells, design) if spec.thermal else off,
-            "shot": standard_normal(rng, (n,)) * shot_sigma(cells, design) if spec.shot else off,
-            "rtn": rtn_sample(cells, design, spec, rng) if spec.rtn else off,
-            "prog": sample_write_noise(cells, design, spec, rng, cells.shape),
-        }
+    for level, g in enumerate(noise.design.levels[: args.levels]):
+        draws = noise.sources(np.full(args.samples, g), rng)
         draws["total"] = sum(draws.values())
         for source, dg in draws.items():
             rel = dg / g
@@ -401,7 +392,10 @@ def main(argv=None) -> int:
     p_train.add_argument("--z", type=float, default=1.0)
     p_train.set_defaults(func=_cmd_train_one)
 
-    p_hist = sub.add_parser("noise-hist", help="dump relative-noise histograms per level")
+    p_hist = sub.add_parser(
+        "noise-hist",
+        help="each source's unclipped dG/G histogram per level; a read clips to [0, g_max], so the top level differs",
+    )
     _add_design_flags(p_hist)
     p_hist.add_argument("--samples", type=int, default=10000)
     p_hist.add_argument("--bins", type=int, default=50)

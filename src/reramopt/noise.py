@@ -28,9 +28,9 @@ return conductances clipped to [0, g_max]:
   cell. It differs from a write and a read only in taking the read sigma
   at the target and in clipping once.
 
-``reramopt noise-hist`` reports every source on its own and keeps separate
-per-source draws. A deployment is held as digit planes (see ``crossbar``),
-so a cell's target, fresh-read std and RTN jump depend on its digit
+``sources`` draws each source's own unclipped perturbation for ``reramopt
+noise-hist``. A deployment is held as digit planes (see ``crossbar``), so
+a cell's target, fresh-read std and RTN jump depend on its digit
 alone: ``fresh`` evaluates each per-cell expression once per level of
 ``ReramDesign.levels`` and gathers the results by digit. The rest,
 std*N + target, jump*occupied + that and one clip, is elementwise and
@@ -51,9 +51,9 @@ any other p compares one float64 uniform per cell with p.
 
 The sigma functions take the conductances ``g`` (a scalar or an ndarray)
 and the ``ReramDesign`` that sets V = v_r, Freq, T, sigma_prog and
-G_min = 1/r_off. The RTN functions, the write sampler and ``CellNoise``
-also take a ``NoiseSpec``, the config's ``noise:`` section (its RTN
-coefficients are calibration placeholders), and the samplers a
+G_min = 1/r_off. ``rtn_amplitude`` and ``CellNoise`` also take a
+``NoiseSpec``, the config's ``noise:`` section (its RTN coefficients are
+calibration placeholders), and ``CellNoise``'s operations a
 generator: the same seed reproduces the same sequence, so Monte-Carlo
 sweeps can use per-worker substreams.
 """
@@ -203,21 +203,13 @@ def rtn_amplitude(g, design: ReramDesign, spec: NoiseSpec):
     return amp
 
 
-def rtn_sample(g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator):
-    """One RTN draw: the trap amplitude with probability rtn_p_occupancy, else 0."""
-    g = np.asarray(g, dtype=float)
-    amp = rtn_amplitude(g, design, spec)
-    amp *= _read_draws(spec, rng, g.shape, False, True)[1]
-    return amp
-
-
 class CellNoise:
     """The noise of one layer's cells: one design under one ``NoiseSpec``.
 
     ``write``, ``read`` and ``fresh`` (see the module docstring) decide what
-    a cell holds. It builds its read variance and per-level tables at first
-    use and keeps the fresh read's buffers across reads, so it serves one
-    thread at a time.
+    a cell holds, and ``sources`` draws each source on its own. It builds
+    its read variance and per-level tables at first use and keeps the fresh
+    read's buffers across reads, so it serves one thread at a time.
     """
 
     def __init__(self, design: ReramDesign, spec: NoiseSpec):
@@ -230,9 +222,13 @@ class CellNoise:
         return (thermal_sigma(1.0, d) ** 2 if spec.thermal else 0.0) + (shot_sigma(1.0, d) ** 2 if spec.shot else 0.0)
 
     @cached_property
+    def _writes(self) -> bool:
+        """Whether a write draws an error: programming noise on and sigma_prog > 0."""
+        return self.spec.prog and self.design.sigma_prog > 0.0
+
+    @cached_property
     def _tables(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        d, spec = self.design, self.spec
-        write = spec.prog and d.sigma_prog > 0.0
+        d, spec, write = self.design, self.spec, self._writes
         std = self._std(d.levels, write) if spec.thermal or spec.shot or write else None
         return std, rtn_amplitude(d.levels, d, spec) if spec.rtn else None  # levels > 0: no mask
 
@@ -245,14 +241,25 @@ class CellNoise:
             var += prog_var
         return np.sqrt(var, out=var)
 
+    def _write_error(self, g, shape: tuple[int, ...], rng: np.random.Generator | None) -> np.ndarray:
+        """One write error per cell of ``shape``, Gaussian with std sigma_prog*g; g broadcasts to ``shape``.
+
+        Zeros, drawn without ``rng``, when a write draws nothing; else a None ``rng`` raises ValueError.
+        """
+        if not self._writes:
+            return np.zeros(shape)
+        if rng is None:
+            raise ValueError("a noisy write requires a generator")
+        return np.multiply(prog_sigma(g, self.design), standard_normal(rng, shape))
+
     def write(self, digits: np.ndarray, copies: tuple[int, ...], rng: np.random.Generator | None) -> np.ndarray:
         """Programmed conductances of cells holding ``digits``, broadcast to ``copies``, each with its own error.
 
         Takes the write std once per cell of ``digits``; ``rng`` may be None
-        only when ``sample_write_noise`` draws nothing.
+        only when a write draws nothing.
         """
         target = self.design.levels.take(digits)
-        g = sample_write_noise(target, self.design, self.spec, rng, copies)
+        g = self._write_error(target, copies, rng)
         g += target
         return g.clip(0.0, self.design.g_max, out=g)
 
@@ -306,16 +313,14 @@ class CellNoise:
             out += tmp
         return out.clip(0.0, self.design.g_max, out=out)
 
+    def sources(self, g: np.ndarray, rng: np.random.Generator) -> dict[str, np.ndarray]:
+        """Each source's own unclipped perturbation of cells g, drawn and keyed in the order thermal, shot, rtn, prog.
 
-def sample_write_noise(g, design: ReramDesign, spec: NoiseSpec, rng: np.random.Generator | None, shape):
-    """One per-deployment programming error of ``shape``, Gaussian with std sigma_prog*g.
-
-    g broadcasts to ``shape``, so the std is taken once per value of g.
-    Zeros, drawn without ``rng``, when the source is off or sigma_prog = 0;
-    otherwise a None ``rng`` raises ValueError.
-    """
-    if not (spec.prog and design.sigma_prog > 0.0):
-        return np.zeros(shape)
-    if rng is None:
-        raise ValueError("a noisy write requires a generator")
-    return np.multiply(prog_sigma(g, design), standard_normal(rng, shape))
+        A source that is off is zeros and draws nothing.
+        """
+        d, spec, shape = self.design, self.spec, g.shape
+        thermal = standard_normal(rng, shape) * thermal_sigma(g, d) if spec.thermal else np.zeros(shape)
+        shot = standard_normal(rng, shape) * shot_sigma(g, d) if spec.shot else np.zeros(shape)
+        occupied = _read_draws(spec, rng, shape, False, True)[1] if spec.rtn else False
+        rtn = rtn_amplitude(g, d, spec) * occupied
+        return {"thermal": thermal, "shot": shot, "rtn": rtn, "prog": self._write_error(g, shape, rng)}

@@ -4,8 +4,9 @@ Each config section reaches its reader as an argument: a function that
 needs one takes it without a default, so the ``CampaignConfig`` built from
 the campaign's YAML is the only home of a section's defaults. Every
 name is imported from the module that defines it, as the package
-docstring states. And ``design_space``, which the other modules build
-on, imports none of them.
+docstring states. ``design_space``, which the other modules build on,
+imports none of them. And outside ``noise`` the package reaches a cell's
+noise law only through a ``NoiseSpec`` and a layer's ``CellNoise``.
 """
 
 import ast
@@ -99,4 +100,19 @@ def test_design_space_imports_no_package_module():
         if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").split(".")[0] == "reramopt")
         or isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "reramopt" for alias in node.names)
     ]
+    assert found == []
+
+
+def test_outside_noise_only_the_spec_and_the_cell_noise_are_imported_from_it():
+    # The noise module itself, imported whole, would reach every formula.
+    found = []
+    for stem in set(MODULES) - {"noise"}:
+        for node in ast.walk(_tree(stem)):
+            if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, "noise"), (0, "reramopt.noise")):
+                names = [alias.name for alias in node.names if alias.name not in {"NoiseSpec", "CellNoise"}]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name for alias in node.names if alias.name.split(".")[-1] == "noise"]
+            else:
+                continue
+            found += [f"{stem}.py:{node.lineno} {name}" for name in names]
     assert found == []

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -12,8 +13,6 @@ from reramopt.noise import (
     NoiseSpec,
     prog_sigma,
     rtn_amplitude,
-    rtn_sample,
-    sample_write_noise,
     shot_sigma,
     standard_normal,
     thermal_sigma,
@@ -30,8 +29,15 @@ def sample_read_noise(g, design, spec, rng):
 
 
 def sample_write(g, design, spec, rng):
-    """One programming error for every cell of g."""
-    return sample_write_noise(g, design, spec, rng, g.shape)
+    """One programming error for every cell of g, drawn with every other source off."""
+    spec = dataclasses.replace(spec, thermal=False, shot=False, rtn=False)
+    return CellNoise(design, spec).sources(np.asarray(g, dtype=float), rng)["prog"]
+
+
+def sample_rtn(g, design, spec, rng):
+    """One RTN draw for every cell of g: the trap amplitude where occupied, else 0, with every other source off."""
+    spec = dataclasses.replace(spec, thermal=False, shot=False, prog=False)
+    return CellNoise(design, spec).sources(np.asarray(g, dtype=float), rng)["rtn"]
 
 
 def dsg(freq=5e8, temp=350.0, **kw):
@@ -85,11 +91,11 @@ class TestRtn:
     def test_never_occupied(self):
         spec = NoiseSpec(rtn_p_occupancy=0.0)
         rng = np.random.default_rng(0)
-        assert all(rtn_sample(G_REF, D, spec, rng) == 0.0 for _ in range(100))
+        assert all(sample_rtn(G_REF, D, spec, rng) == 0.0 for _ in range(100))
 
     def test_forced_amplitude_law(self):
         spec = NoiseSpec(rtn_amp_a=0.0, rtn_amp_b=0.1, rtn_p_occupancy=1.0)
-        assert rtn_sample(2e-5, D, spec, np.random.default_rng(0)) == pytest.approx(0.1 * 2e-5)
+        assert sample_rtn(2e-5, D, spec, np.random.default_rng(0)) == pytest.approx(0.1 * 2e-5)
 
     def test_amplitude_affine_form(self):
         spec = NoiseSpec(rtn_amp_a=4e-4, rtn_amp_b=2e-3)
@@ -106,14 +112,14 @@ class TestRtn:
     def test_empirical_occupancy(self):
         p = 0.37
         spec = NoiseSpec(rtn_p_occupancy=p)
-        draws = rtn_sample(np.full(1_000_000, 1e-5), D, spec, np.random.default_rng(42))
+        draws = sample_rtn(np.full(1_000_000, 1e-5), D, spec, np.random.default_rng(42))
         assert abs(np.mean(draws > 0) - p) < 0.003
 
     @pytest.mark.parametrize("p", [0.5, 0.37])
     def test_occupancy_source_per_p(self, p):
         # p = 1/2 takes one packed bit per cell, any other p one uniform per cell.
         g = np.full((3, 7, 5), 1e-5)
-        occupied = rtn_sample(g, D, NoiseSpec(rtn_p_occupancy=p), np.random.default_rng(4)) > 0
+        occupied = sample_rtn(g, D, NoiseSpec(rtn_p_occupancy=p), np.random.default_rng(4)) > 0
         rng = np.random.default_rng(4)
         if p == 0.5:
             bits = np.unpackbits(rng.integers(0, 256, 14, dtype=np.uint8))[: g.size]
@@ -125,7 +131,7 @@ class TestRtn:
     def test_packed_occupancy_is_bernoulli_half(self):
         n = 1_000_000
         spec = NoiseSpec()
-        occupied = (rtn_sample(np.full(n, 1e-5), D, spec, np.random.default_rng(43)) > 0).astype(float)
+        occupied = (sample_rtn(np.full(n, 1e-5), D, spec, np.random.default_rng(43)) > 0).astype(float)
         # Bernoulli(1/2): sd 1/2, so the mean's s.e. is 0.5/sqrt(n) and the
         # lag-1 correlation's 1/sqrt(n).
         assert abs(occupied.mean() - 0.5) <= 5 * 0.5 / np.sqrt(n)
@@ -222,8 +228,8 @@ class TestSamplers:
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         assert sample_read_noise(G_REF, D, off, rng) == 0.0
-        assert sample_write_noise(G_REF, D, off, rng, ()) == 0.0
-        assert sample_write_noise(G_REF, dsg(sigma_prog=0.0), NoiseSpec(), rng, ()) == 0.0
+        assert sample_write(G_REF, D, off, rng) == 0.0
+        assert sample_write(G_REF, dsg(sigma_prog=0.0), NoiseSpec(), rng) == 0.0
         assert rng.bit_generator.state == state
 
     def test_determinism(self):
@@ -247,14 +253,18 @@ class TestSamplers:
         assert np.std(draws) == pytest.approx(analytic, rel=0.01)
 
     def test_relative_read_noise_decreases_with_g(self):
-        # Thermal+shot sigma scales with sqrt(G), so |dG|/G falls as G rises.
+        # Thermal+shot sigma scales with sqrt(G), so |dG|/G falls as G rises. The high point
+        # is half of g_max, which the 5.77-sigma tail of standard_normal does not reach.
         n = 200_000
-        lo = np.full(n, G_LOW)
-        hi = np.full(n, 1.0 / 3.03e3)
-        spec = NoiseSpec(rtn=False)
+        noise = CellNoise(D, NoiseSpec(rtn=False))
         rng = np.random.default_rng(7)
-        rel_lo = np.mean(np.abs(sample_read_noise(lo, D, spec, rng))) / G_LOW
-        rel_hi = np.mean(np.abs(sample_read_noise(hi, D, spec, rng))) / (1.0 / 3.03e3)
+        rel = []
+        for g in (G_LOW, 0.5 / 3.03e3):
+            cells = np.full(n, g)
+            read = noise.read(cells, rng)
+            assert np.all((read > 0.0) & (read < D.g_max))  # no read clipped
+            rel.append(np.mean(np.abs(read - cells)) / g)
+        rel_lo, rel_hi = rel
         assert rel_lo > rel_hi
 
 
@@ -324,13 +334,17 @@ def formula_fresh_read(g, design, spec, rng):
         var = var_per_siemens * g + (prog_sigma(g, design) ** 2 if write else 0.0)
         out = g + standard_normal(rng, g.shape) * np.sqrt(var)
     if spec.rtn:
-        if spec.rtn_p_occupancy == 0.5:
-            bits = np.unpackbits(rng.integers(0, 256, (g.size + 7) // 8, dtype=np.uint8))
-            occupied = bits[: g.size].reshape(g.shape) == 1
-        else:
-            occupied = rng.random(g.shape) < spec.rtn_p_occupancy
-        out = out + np.where(occupied, rtn_amplitude(g, design, spec), 0.0)
+        out = out + np.where(formula_occupancy(spec, rng, g.shape), rtn_amplitude(g, design, spec), 0.0)
     return np.clip(out, 0.0, design.g_max)
+
+
+def formula_occupancy(spec, rng, shape):
+    """Which RTN traps a read finds occupied: one packed random bit per cell at p = 1/2, else one uniform each."""
+    n = math.prod(shape)
+    if spec.rtn_p_occupancy == 0.5:
+        bits = np.unpackbits(rng.integers(0, 256, (n + 7) // 8, dtype=np.uint8))
+        return bits[:n].reshape(shape) == 1
+    return rng.random(shape) < spec.rtn_p_occupancy
 
 
 def fresh_targets(digits, design):
@@ -386,6 +400,53 @@ class TestFreshRead:
             CellNoise(D, NoiseSpec(thermal=False, shot=False, rtn=False)).fresh(np.zeros(2, np.uint8), None)
         with pytest.raises(ValueError, match="requires a generator"):
             CellNoise(D, NoiseSpec(thermal=False, shot=False)).read(np.full(2, G_REF), None)
+
+
+def formula_sources(g, design, spec, rng):
+    """Each source's own perturbation of cells g, as noise-hist once spelled it out in turn.
+
+    Byte oracle: thermal and shot each scale their own ``standard_normal``
+    draws by their sigma, RTN is the trap amplitude where occupied, and the
+    write error scales ``standard_normal`` draws by sigma_prog*g. A source
+    that is off, or a write with sigma_prog = 0, is zeros and draws nothing.
+    """
+    off = np.zeros(g.shape)
+    thermal = standard_normal(rng, g.shape) * thermal_sigma(g, design) if spec.thermal else off
+    shot = standard_normal(rng, g.shape) * shot_sigma(g, design) if spec.shot else off
+    rtn = np.where(formula_occupancy(spec, rng, g.shape), rtn_amplitude(g, design, spec), 0.0) if spec.rtn else off
+    write = spec.prog and design.sigma_prog > 0.0
+    prog = prog_sigma(g, design) * standard_normal(rng, g.shape) if write else off
+    return {"thermal": thermal, "shot": shot, "rtn": rtn, "prog": prog}
+
+
+SOURCES = ("thermal", "shot", "rtn", "prog")
+
+
+class TestSources:
+    """``CellNoise.sources``, which noise-hist bins, against the per-source formulas, byte for byte."""
+
+    @pytest.mark.parametrize("sigma_prog", [D.sigma_prog, 0.0], ids=["sigma-prog", "sigma-prog-0"])
+    @pytest.mark.parametrize("p", [0.5, 0.37])
+    @pytest.mark.parametrize(
+        "off", [(), *((s,) for s in SOURCES), SOURCES], ids=["all", *(f"{s}-off" for s in SOURCES), "none"]
+    )
+    def test_each_source_draws_its_formula(self, off, p, sigma_prog):
+        design = dsg(sigma_prog=sigma_prog)
+        spec = NoiseSpec(rtn_p_occupancy=p, **dict.fromkeys(off, False))
+        noise = CellNoise(design, spec)
+        # An odd number of cells, 0 and g_max included, over several packed RTN words;
+        # the second call starts with a spare 32-bit half in the generator.
+        g = np.linspace(0.0, design.g_max, 99).reshape(3, 33)
+        rng, oracle_rng = np.random.default_rng(17), np.random.default_rng(17)
+        for spare in (0, 1):
+            for r in (rng, oracle_rng):
+                r.integers(0, 2**32, spare, dtype=np.uint32)
+            got = noise.sources(g, rng)
+            want = formula_sources(g, design, spec, oracle_rng)
+            assert tuple(got) == SOURCES
+            for source in SOURCES:
+                np.testing.assert_array_equal(got[source], want[source], strict=True)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
 
 class TestPerDesignConstants:
