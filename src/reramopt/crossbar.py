@@ -10,10 +10,12 @@ reproduces them bit-for-bit):
   Signs are differential: a positive code programs its digits on the
   positive side and leaves the negative side at g_min, and vice versa, so
   code 0 is exactly representable.
-* A layer is held as whole-layer arrays, not per tile: its digits as uint8
-  planes, and once programmed its conductances (see MappedLayer).
-  Physically it is tiled into xbar_size x xbar_size crossbars, one per
-  side, slice, copy and tile (``objectives._crossbar_count`` counts them).
+* A layer is held as whole-layer arrays, not per tile: its signed weight
+  codes, which stand for the digits of every cell (``noise.CellNoise``
+  maps a code to its cells), and once programmed its conductances (see
+  MappedLayer). Physically it is tiled into xbar_size x xbar_size
+  crossbars, one per side, slice, copy and tile
+  (``objectives._crossbar_count`` counts them).
 * DACs are full-parallel voltage mode: input code q >= 0 drives
   v_r * q / (2**res_dac - 1).
 * ADCs digitize each tile column current to res_adc bits over the fixed
@@ -28,9 +30,10 @@ reproduces them bit-for-bit):
 * What a cell holds is its layer's ``noise.CellNoise``'s to decide:
   program() writes every cell of every copy through it in one draw per
   layer, and the error persists until reprogramming; mvm reads the
-  programmed conductances, or an unprogrammed layer's digits as a fresh
+  programmed conductances, or an unprogrammed layer's codes as a fresh
   deployment that is read once (the way training redeploys on every
-  batch), through it in one draw per layer and call (see ``noise``).
+  batch), through it in one draw per layer and call, or from a block of
+  training batches' draws (see ``noise``).
 
 A layer is immutable during reads; concurrent mvm calls need independent
 generators, and on unprogrammed layers their own ``CellNoise``s.
@@ -47,8 +50,7 @@ import numpy as np
 from .design_space import ReramDesign
 from .noise import CellNoise
 
-
-_SIDE_SIGNS = np.array([[1], [-1]])
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def quantize(values: np.ndarray, bits: int) -> tuple[np.ndarray, float]:
@@ -66,13 +68,15 @@ def quantize(values: np.ndarray, bits: int) -> tuple[np.ndarray, float]:
     # bits=1 degenerates under the signed two's-complement range; use the
     # standard ternary {-1, 0, 1} convention so symmetry survives.
     qmax = max((1 << (bits - 1)) - 1, 1)
-    vmax = float(np.abs(values).max())
+    vmax = float(np.maximum.reduce(np.abs(values), axis=None))
     if not math.isfinite(vmax):
         raise ValueError("cannot quantize non-finite values")
     scale = vmax / qmax if vmax > 0.0 else 1.0
     codes = values / scale
     np.rint(codes, out=codes)
-    codes.clip(-qmax, qmax, out=codes)
+    if scale < _TINY:
+        # |values| <= vmax rounds every code into +-qmax unless a subnormal scale rounds coarsely.
+        codes.clip(-qmax, qmax, out=codes)
     return codes.astype(np.int64), scale
 
 
@@ -80,12 +84,13 @@ def quantize(values: np.ndarray, bits: int) -> tuple[np.ndarray, float]:
 class MappedLayer:
     """A quantized weight matrix deployed on bit-sliced differential crossbars.
 
-    ``digits`` holds the cell digits of the whole layer as uint8 planes,
-    (rows, 2, n_slices, cols), side 0 positive and side 1 negative.
-    ``noisy`` holds the programmed conductances of all ``dup`` copies,
-    (rows, dup, 2, n_slices, cols), or None until program() runs. ``noise``
-    carries the design and writes and reads every cell. Keeping the rows
-    outermost makes the currents of one row block a single matmul.
+    ``codes`` holds the signed weight codes, (rows, cols), which stand for
+    the cells of the whole layer (see ``noise.CellNoise``). ``noisy`` holds
+    the programmed conductances of all ``dup`` copies, (rows, dup, 2,
+    n_slices, cols) with side 0 positive and side 1 negative, or None until
+    program() runs. ``noise`` carries the design and writes and reads every
+    cell. Keeping the rows outermost makes the currents of one row block a
+    single matmul.
     """
 
     noise: CellNoise
@@ -93,7 +98,7 @@ class MappedLayer:
     cols: int
     scale: float
     dup: int
-    digits: np.ndarray
+    codes: np.ndarray
     noisy: np.ndarray | None = None
 
     @property
@@ -119,24 +124,15 @@ def map_weights(codes: np.ndarray, scale: float, noise: CellNoise, dup: int = 1)
     magnitude needs more than ``design.bit_quan`` bits are rejected rather
     than sliced without their high digits.
     """
-    design = noise.design
     if codes.ndim != 2 or codes.size == 0:
         raise ValueError(f"weight codes must be a non-empty matrix, got shape {codes.shape}")
     if dup < 1:
         raise ValueError("duplication factor must be >= 1")
-
+    need = max(int(np.maximum.reduce(codes, axis=None)), -int(np.minimum.reduce(codes, axis=None))).bit_length()
+    if need > noise.design.bit_quan:
+        raise ValueError(f"codes need {need} bits but the design's bit_quan is {noise.design.bit_quan}")
     rows, cols = codes.shape
-    signed = codes[:, None] * _SIDE_SIGNS  # (rows, 2, cols), whose maximum is the largest |code|
-    need = int(signed.max()).bit_length()
-    if need > design.bit_quan:
-        raise ValueError(f"codes need {need} bits but the design's bit_quan is {design.bit_quan}")
-    # |code| on the side of its sign, 0 on the other, at most bit_quan <= 8 bits: sliced
-    # in uint8, one whole plane per digit, and viewed as (rows, 2, n_slices, cols).
-    side_codes = np.empty((rows, 2, cols), dtype=np.uint8)
-    np.maximum(signed, 0, out=side_codes, casting="unsafe")
-    digits = side_codes >> design.slice_shifts[:, None, None, None]
-    digits &= (1 << design.res_cell) - 1
-    return MappedLayer(noise=noise, rows=rows, cols=cols, scale=scale, dup=dup, digits=digits.transpose(1, 2, 0, 3))
+    return MappedLayer(noise, rows, cols, scale, dup, codes.astype(np.intp, copy=False))
 
 
 def program(layer: MappedLayer, rng: np.random.Generator | None = None) -> MappedLayer:
@@ -147,8 +143,7 @@ def program(layer: MappedLayer, rng: np.random.Generator | None = None) -> Mappe
     independent redeployment of the same weights. ``rng`` may be None only
     when the write draws nothing.
     """
-    one = layer.digits[:, None]
-    return replace(layer, noisy=layer.noise.write(one, (layer.rows, layer.dup) + one.shape[2:], rng))
+    return replace(layer, noisy=layer.noise.write(layer.codes, layer.dup, rng))
 
 
 def _adc(currents: np.ndarray, full_scale: float, levels: int) -> None:
@@ -185,31 +180,34 @@ def mvm(
         raise ValueError(f"input codes must have an integer dtype, got {codes.dtype}")
     if codes.ndim != 2 or codes.shape[1] != layer.rows:
         raise ValueError(f"inputs must have shape (B, {layer.rows}), got {codes.shape}")
-    if codes.dtype.kind == "i" and codes.min(initial=0) < 0:
+    if codes.dtype.kind == "i" and np.minimum.reduce(codes, axis=None, initial=0) < 0:
         raise ValueError("input codes must be non-negative")
 
     d = layer.design
     n_b = codes.shape[0]
-    acc = np.zeros((n_b, layer.dup, layer.cols))
-    if codes.max(initial=0) > 0:
+    top = np.maximum.reduce(codes, axis=None, initial=0)
+    if not top:
+        return np.zeros((layer.dup, n_b, layer.cols), np.int64)
+    if top > d.dac_levels:
         volts = np.minimum(codes, d.dac_levels, dtype=float)
         volts *= d.v_step
-        if layer.programmed:
-            g = layer.noise.read(layer.noisy, rng)
+    else:
+        volts = np.multiply(codes, d.v_step)  # the same float(code) * v_step, without the saturation
+    g = layer.noise.read(layer.noisy, rng) if layer.programmed else layer.noise.fresh(layer.codes, layer.dup, rng)
+    flat = g.reshape(layer.rows, -1)
+    acc = None
+    for r0 in range(0, layer.rows, d.xbar_size):
+        r1 = min(r0 + d.xbar_size, layer.rows)
+        # (B, r) @ (r, dup*2*S*cols) -> currents (B, dup, 2, S, cols)
+        cur = volts[:, r0:r1] @ flat[r0:r1]
+        if d.adc_levels is not None:
+            _adc(cur, d.v_r * d.g_max * (r1 - r0), d.adc_levels)
+        cur = cur.reshape((n_b,) + g.shape[1:])
+        tile = d.slice_weights @ (cur[:, :, 0] - cur[:, :, 1])
+        if acc is None:
+            acc = tile
         else:
-            one = layer.digits[:, None]
-            copies = (layer.rows, layer.dup) + one.shape[2:]
-            g = layer.noise.fresh(one if layer.dup == 1 else np.broadcast_to(one, copies), rng)
-        flat = g.reshape(layer.rows, -1)
-        for r0 in range(0, layer.rows, d.xbar_size):
-            r1 = min(r0 + d.xbar_size, layer.rows)
-            # (B, r) @ (r, dup*2*S*cols) -> currents (B, dup, 2, S, cols)
-            cur = volts[:, r0:r1] @ flat[r0:r1]
-            if d.adc_levels is not None:
-                _adc(cur, d.v_r * d.g_max * (r1 - r0), d.adc_levels)
-            cur = cur.reshape((n_b,) + g.shape[1:])
-            acc += d.slice_weights @ (cur[:, :, 0] - cur[:, :, 1])
-
+            acc += tile
     acc /= d.g_step * d.v_step
     np.rint(acc, out=acc)
-    return acc.astype(np.int64).swapaxes(0, 1)
+    return acc.astype(np.int64).swapaxes(0, 1)  # the cast also makes a rounded -0.0 a 0

@@ -14,7 +14,7 @@ write time and persists until the cell is reprogrammed. A layer's one
 ``CellNoise`` decides what its cells hold, in three operations that each
 return conductances clipped to [0, g_max]:
 
-* ``write`` programs cells from their digits: the target plus one
+* ``write`` programs the cells of weight codes: the target plus one
   Gaussian write error per cell and copy;
 * ``read`` reads programmed conductances: thermal and shot noise together
   as one Gaussian, then RTN. Both are independent, zero-mean and have
@@ -29,12 +29,23 @@ return conductances clipped to [0, g_max]:
   at the target and in clipping once.
 
 ``sources`` draws each source's own unclipped perturbation for ``reramopt
-noise-hist``. A deployment is held as digit planes (see ``crossbar``), so
-a cell's target, fresh-read std and RTN jump depend on its digit
-alone: ``fresh`` evaluates each per-cell expression once per level of
-``ReramDesign.levels`` and gathers the results by digit. The rest,
-std*N + target, jump*occupied + that and one clip, is elementwise and
-correctly rounded, so the read has the per-cell formula's bytes.
+noise-hist``. A deployment is held as its signed weight codes (see
+``crossbar``), and a cell's target, fresh-read std and RTN jump depend
+on its code, side and slice alone: ``CellNoise`` evaluates each per-cell
+expression once per level of ``ReramDesign.levels``, gathers the results
+into one table per (side, slice, code), and ``fresh`` gathers a layer's
+cells from those tables by code. The rest, std*N + target, jump*occupied
++ that and one clip, is elementwise and correctly rounded, so the read
+has the per-cell formula's bytes.
+
+Training reads every batch's fresh deployment once, and nothing else
+draws between the reads of an epoch's batches. So ``CellNoise.block_reads``
+draws the reads of K batches at once and runs Box-Muller over each
+layer's K reads together, which gives every value the bytes of a read by
+read draw in a few NumPy calls. A read that does not happen (an all-zero
+input reads nothing) and the end of an epoch set the generator back to the
+draws the reads took, so the shuffles and the inference after training
+see the generator that read by read draws leave.
 
 Every Gaussian comes from ``standard_normal``: float32 Box-Muller normals
 r*cos(2*pi*u2), r*sin(2*pi*u2) with r = sqrt(-2*log1p(-u1)), from the
@@ -61,6 +72,7 @@ sweeps can use per-worker substreams.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -107,7 +119,7 @@ def _uint32_draws(rng: np.random.Generator, k: int) -> np.ndarray:
     when the rest is odd the last high half is kept in its place.
     """
     bg = rng.bit_generator
-    if type(bg) is not np.random.PCG64 or not np.little_endian:
+    if not isinstance(bg, np.random.PCG64) or not np.little_endian:
         return rng.integers(0, 1 << 32, k, dtype=np.uint32)
     # Whole outputs to take: an odd k takes one fewer when a kept half is served first.
     m = (k + 1 - (k % 2 and bg.state["has_uint32"])) // 2
@@ -119,6 +131,23 @@ def _uint32_draws(rng: np.random.Generator, k: int) -> np.ndarray:
         state["uinteger"] = int(halves[-1])
     bg.state = state
     return np.concatenate((np.array([kept], np.uint32), halves[: k - 1])) if served else halves[:k]
+
+
+def _box_muller(r: np.ndarray, theta: np.ndarray, cos: np.ndarray) -> None:
+    """Box-Muller in place on float32 uniforms: r becomes the radii times the cosines of the angles theta, and theta the sines.
+
+    r = sqrt(-2*log1p(-u1)) and the angle 2*pi*u2, elementwise on arrays of
+    one shape; ``cos`` is scratch of that shape.
+    """
+    np.negative(r, out=r)
+    np.log1p(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= _TWO_PI
+    np.cos(theta, out=cos)
+    np.sin(theta, out=theta)
+    theta *= r
+    np.multiply(cos, r, out=r)
 
 
 def standard_normal(rng: np.random.Generator | None, shape: tuple[int, ...], draws=None, out=None) -> np.ndarray:
@@ -136,19 +165,15 @@ def standard_normal(rng: np.random.Generator | None, shape: tuple[int, ...], dra
     m = (n + 1) // 2
     draws = _uint32_draws(rng, 2 * m) if draws is None else draws
     u = np.empty(3 * m, dtype=np.float32) if out is None else out[: 3 * m]
-    r, theta, cos = u[:m], u[m : 2 * m], u[2 * m :]
     draws >>= 8
     np.multiply(draws, _UNIFORM_STEP, out=u[: 2 * m], dtype=np.float32)
-    np.negative(r, out=r)
-    np.log1p(r, out=r)
-    r *= -2.0
-    np.sqrt(r, out=r)
-    theta *= _TWO_PI
-    np.cos(theta, out=cos)
-    np.sin(theta, out=theta)
-    theta *= r
-    np.multiply(cos, r, out=r)
+    _box_muller(u[:m], u[m : 2 * m], u[2 * m :])
     return u[:n].reshape(shape)
+
+
+def _read_words(n: int, gauss: bool, packed: bool) -> tuple[int, int]:
+    """The 32-bit draws of one read of n cells: (the normals', the packed RTN occupancy's)."""
+    return 2 * ((n + 1) // 2) * gauss, (n + 31) // 32 * packed
 
 
 def _read_draws(
@@ -163,9 +188,9 @@ def _read_draws(
     if rng is None:
         raise ValueError("a noisy read requires a generator")
     n = math.prod(shape)
-    words = 2 * ((n + 1) // 2) if gauss else 0
     packed = rtn and spec.rtn_p_occupancy == 0.5
-    draws = _uint32_draws(rng, words + (n + 31) // 32 * packed)
+    words, rtn_words = _read_words(n, gauss, packed)
+    draws = _uint32_draws(rng, words + rtn_words)
     normals = standard_normal(None, shape, draws[:words], out) if gauss else None
     if packed:
         bits = draws[words:].astype("<u4", copy=False).view(np.uint8)
@@ -207,13 +232,16 @@ class CellNoise:
     """The noise of one layer's cells: one design under one ``NoiseSpec``.
 
     ``write``, ``read`` and ``fresh`` (see the module docstring) decide what
-    a cell holds, and ``sources`` draws each source on its own. It builds
-    its read variance and per-level tables at first use and keeps the fresh
-    read's buffers across reads, so it serves one thread at a time.
+    a cell holds, and ``sources`` draws each source on its own. A layer's
+    weight codes (rows, cols) stand for its cells (rows, copies, 2, n_slices,
+    cols): side 0 positive and side 1 negative, as ``crossbar`` lays them
+    out. It builds its read variance and per-code tables at first use and
+    keeps the fresh read's buffers across reads, so it serves one thread at
+    a time.
     """
 
     def __init__(self, design: ReramDesign, spec: NoiseSpec):
-        self.design, self.spec, self._work = design, spec, ()
+        self.design, self.spec, self._work, self._block = design, spec, (), None
 
     @cached_property
     def var_per_siemens(self) -> float:
@@ -227,10 +255,35 @@ class CellNoise:
         return self.spec.prog and self.design.sigma_prog > 0.0
 
     @cached_property
-    def _tables(self) -> tuple[np.ndarray | None, np.ndarray | None]:
-        d, spec, write = self.design, self.spec, self._writes
-        std = self._std(d.levels, write) if spec.thermal or spec.shot or write else None
-        return std, rtn_amplitude(d.levels, d, spec) if spec.rtn else None  # levels > 0: no mask
+    def _planes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(the digit of every code on every (side, slice) plane, (2, n_slices, n_codes); each plane's table offset, (2, n_slices, 1)).
+
+        Codes run from -c to c, c = 2**bit_quan - 1, the widest ``crossbar.map_weights``
+        accepts: |code| on the side of its sign, 0 on the other, split big-endian into
+        res_cell-bit digits. Code q of plane (side, slice) sits at offset[side, slice] + q.
+        """
+        d = self.design
+        c = (1 << d.bit_quan) - 1
+        code = np.arange(-c, c + 1)
+        sides = np.stack((np.maximum(code, 0), np.maximum(-code, 0)))
+        digits = sides[:, None] >> d.slice_shifts[:, None].astype(np.intp) & ((1 << d.res_cell) - 1)
+        offset = np.arange(2 * d.slices_per_weight).reshape(2, -1, 1) * code.size + c
+        return digits, offset
+
+    @cached_property
+    def _tables(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """(target, fresh-read std, RTN jump) of every plane and code, flat; None for a source a fresh read lacks.
+
+        Each is the per-level value gathered by digit, so a cell gets the bytes of the per-cell expression.
+        """
+        d, spec, write, digits = self.design, self.spec, self._writes, self._planes[0].ravel()
+        std = self._std(d.levels, write).take(digits) if spec.thermal or spec.shot or write else None
+        jump = rtn_amplitude(d.levels, d, spec).take(digits) if spec.rtn else None  # levels > 0: no mask
+        return d.levels.take(digits), std, jump
+
+    def targets(self, codes: np.ndarray) -> np.ndarray:
+        """The target conductances of the cells of weight codes (rows, cols), (rows, 1, 2, n_slices, cols)."""
+        return self._tables[0].take(codes[:, None, None, None, :] + self._planes[1])
 
     def _std(self, g: np.ndarray, write: bool) -> np.ndarray:
         """Std of a read's one Gaussian: enabled thermal and shot, plus the write error if ``write``."""
@@ -252,14 +305,14 @@ class CellNoise:
             raise ValueError("a noisy write requires a generator")
         return np.multiply(prog_sigma(g, self.design), standard_normal(rng, shape))
 
-    def write(self, digits: np.ndarray, copies: tuple[int, ...], rng: np.random.Generator | None) -> np.ndarray:
-        """Programmed conductances of cells holding ``digits``, broadcast to ``copies``, each with its own error.
+    def write(self, codes: np.ndarray, dup: int, rng: np.random.Generator | None) -> np.ndarray:
+        """Programmed conductances of the cells of weight codes in ``dup`` copies, each cell with its own error.
 
-        Takes the write std once per cell of ``digits``; ``rng`` may be None
+        Takes the write std once per cell of one copy; ``rng`` may be None
         only when a write draws nothing.
         """
-        target = self.design.levels.take(digits)
-        g = self._write_error(target, copies, rng)
+        target = self.targets(codes)
+        g = self._write_error(target, (target.shape[0], dup) + target.shape[2:], rng)
         g += target
         return g.clip(0.0, self.design.g_max, out=g)
 
@@ -287,31 +340,51 @@ class CellNoise:
             out = rtn
         return out.clip(0.0, self.design.g_max, out=out)
 
-    def fresh(self, digits: np.ndarray, rng: np.random.Generator | None) -> np.ndarray:
-        """One read of a fresh deployment of ``digits``: one Gaussian per cell at its target, then RTN, then the clip.
+    def fresh(self, codes: np.ndarray, dup: int, rng: np.random.Generator | None) -> np.ndarray:
+        """One read of a fresh deployment of weight codes in ``dup`` copies: one Gaussian per cell at its target, then RTN, then the clip.
 
         With no source on the targets come back and ``rng`` may be None;
         otherwise the result is a buffer that the next fresh read overwrites.
+        Inside an epoch of ``block_reads`` the draws come from its block.
         """
-        levels, (std, jump) = self.design.levels, self._tables
+        target, std, jump = self._tables
+        shape = (codes.shape[0], dup, 2, self.design.slices_per_weight, codes.shape[1])
         if std is None and jump is None:
-            return levels.take(digits)
-        if not self._work or self._work[0].shape != digits.shape:
-            m = (digits.size + 1) // 2
-            self._work = (*(np.empty(digits.shape, t) for t in (np.intp, float, float)), np.empty(3 * m, np.float32))
-        idx, out, tmp, work = self._work
-        normals, occupied = _read_draws(self.spec, rng, digits.shape, std is not None, jump is not None, work)
-        np.copyto(idx, digits)  # take() gathers fastest by intp
+            return np.broadcast_to(self.targets(codes), shape).copy()
+        if not self._work or self._work[0].shape != shape:
+            # Each cell's plane offset, whole, so that the index is one broadcast copy and one add.
+            offset = np.broadcast_to(self._planes[1], shape).copy()
+            out, tmp = np.empty(shape), np.empty(shape)
+            work = np.empty(3 * ((offset.size + 1) // 2), np.float32)
+            self._work = (offset, np.empty(shape, np.intp), out, tmp, out.reshape(2, -1), tmp.reshape(-1), work)
+        offset, idx, out, tmp, halves, flat, work = self._work
+        drawn = self._block.draws(self, rng) if self._block is not None else None
+        if drawn is None:
+            drawn = _read_draws(self.spec, rng, (idx.size,), std is not None, jump is not None, work)
+        normals, occupied = drawn
+        np.copyto(idx, codes[:, None, None, None, :])
+        idx += offset
+        # Every index is in range, and "wrap" gathers fastest.
         if std is not None:
-            out = np.multiply(std.take(idx, out=out, mode="clip"), normals, out=out)
-            out += levels.take(idx, out=tmp, mode="clip")
+            std.take(idx, out=out, mode="wrap")
+            np.multiply(halves, normals.reshape(2, -1), out=halves)  # the cosine normals' cells, then the sines'
+            out += target.take(idx, out=tmp, mode="wrap")
         else:
-            levels.take(idx, out=out, mode="clip")
+            target.take(idx, out=out, mode="wrap")
         if jump is not None:
-            jump.take(idx, out=tmp, mode="clip")
-            tmp *= occupied
+            jump.take(idx, out=tmp, mode="wrap")
+            flat *= occupied
             out += tmp
         return out.clip(0.0, self.design.g_max, out=out)
+
+    @staticmethod
+    def block_reads(layers: list[CellNoise], shapes: list[tuple[int, int]], rng: np.random.Generator) -> _Blocks:
+        """The fresh reads of one training run, drawn in blocks of batches: ``layers`` read codes of ``shapes`` in turn.
+
+        Inside each ``epoch(batches)`` of the result, the layers' ``fresh``
+        reads through ``rng`` take their draws from blocks (see ``_Blocks``).
+        """
+        return _Blocks(layers, shapes, rng)
 
     def sources(self, g: np.ndarray, rng: np.random.Generator) -> dict[str, np.ndarray]:
         """Each source's own unclipped perturbation of cells g, drawn and keyed in the order thermal, shot, rtn, prog.
@@ -324,3 +397,109 @@ class CellNoise:
         occupied = _read_draws(spec, rng, shape, False, True)[1] if spec.rtn else False
         rtn = rtn_amplitude(g, d, spec) * occupied
         return {"thermal": thermal, "shot": shot, "rtn": rtn, "prog": self._write_error(g, shape, rng)}
+
+
+# Cells whose fresh reads one block draws at most: under 1 MB of draws, normals and bits.
+_BLOCK_CELLS = 1 << 16
+
+
+class _Blocks:
+    """The fresh reads of a training run, drawn K batches at a time.
+
+    Every batch of an epoch reads the same cells of every layer in turn, and
+    nothing draws between those reads, so the 32-bit draws of K batches are
+    one contiguous draw. Box-Muller runs per layer over its K reads at once,
+    which gives every value the bytes of a read by read draw. K keeps a
+    block within ``_BLOCK_CELLS`` cells and the epoch's batches left.
+
+    A read that does not come in its turn (an all-zero input draws nothing)
+    ends the block: the generator is set back to the start of the block
+    plus the draws that the reads took, and so it is when an epoch ends, so
+    ``rng.permutation`` and every later draw see the generator that read by
+    read draws leave. Blocks need a PCG64 generator on a little-endian host,
+    RTN off or at p = 1/2, and at least two batches per block; otherwise,
+    and outside an epoch, every read draws alone.
+    """
+
+    def __init__(self, layers: list[CellNoise], shapes: list[tuple[int, int]], rng: np.random.Generator):
+        self.layers, self.rng, self.k, self.left = layers, rng, None, 0
+        self.cells = [2 * c.design.slices_per_weight * rows * cols for c, (rows, cols) in zip(layers, shapes)]
+        tables = [c._tables for c in layers]
+        self.words = [_read_words(n, std is not None, jump is not None) for n, (_, std, jump) in zip(self.cells, tables)]
+        self.row = sum(map(sum, self.words))
+        self.size = _BLOCK_CELLS // sum(self.cells)
+        self.on = (
+            self.row > 0
+            and self.size > 1
+            and isinstance(rng.bit_generator, np.random.PCG64)
+            and np.little_endian
+            and all(not c.spec.rtn or c.spec.rtn_p_occupancy == 0.5 for c in layers)
+        )
+        # Per layer, the K reads' radii, angles and cosines, each (K, m) and contiguous.
+        self.polar = [np.empty((3, self.size, w // 2), np.float32) for w, _ in self.words] if self.on else []
+
+    @contextmanager
+    def epoch(self, batches: int):
+        """One epoch of ``batches`` batches, after which the generator stands at the draws its reads took."""
+        if not self.on:
+            yield
+            return
+        self.left = batches
+        for c in self.layers:
+            c._block = self
+        try:
+            yield
+        finally:
+            for c in self.layers:
+                c._block = None
+            self.left = 0
+            if self.k is not None:
+                self._rewind()
+
+    def draws(self, layer: CellNoise, rng) -> tuple[np.ndarray | None, np.ndarray | None] | None:
+        """(normals as (2, m), occupancy) of ``layer``'s read through ``rng`` from a block, or None to draw it alone."""
+        if rng is not self.rng:
+            return None
+        i = self.layers.index(layer)
+        if self.k is not None and i != self.next:
+            # The batch in progress skipped a read; the block's later batches go back to the epoch.
+            self.left += self.drawn - self.k - 1
+            self._rewind()
+        if self.k is None:
+            if i or not self.left:
+                return None
+            self._draw(min(self.size, self.left))
+        k, (words, rtn_words) = self.k, self.words[i]
+        self.used += words + rtn_words
+        self.next = (i + 1) % len(self.layers)
+        if not self.next:
+            self.k = k + 1 if k + 1 < self.drawn else None
+        return self.polar[i][:2, k] if words else None, self.bits[i][k].view(bool) if rtn_words else None
+
+    def _draw(self, batches: int) -> None:
+        """Draw the next ``batches`` batches' reads and make each layer's normals and occupancy bits of them.
+
+        Each draw becomes a uniform as in ``standard_normal``, and Box-Muller
+        runs on each layer's (K, m) radii and angles.
+        """
+        self.start = self.rng.bit_generator.state
+        block = _uint32_draws(self.rng, batches * self.row).reshape(batches, self.row)
+        self.bits, at = [], 0
+        for n, polar, (words, rtn_words) in zip(self.cells, self.polar, self.words):
+            normal, packed = block[:, at : at + words], block[:, at + words : at + words + rtn_words]
+            at += words + rtn_words
+            self.bits.append(np.unpackbits(packed.view(np.uint8), axis=1, count=n) if rtn_words else None)
+            if words:
+                normal >>= 8
+                r, theta, cos = polar[:, :batches]
+                np.multiply(normal[:, : words // 2], _UNIFORM_STEP, out=r, dtype=np.float32)
+                np.multiply(normal[:, words // 2 :], _UNIFORM_STEP, out=theta, dtype=np.float32)
+                _box_muller(r, theta, cos)
+        self.left -= batches
+        self.k, self.next, self.used, self.drawn = 0, 0, 0, batches
+
+    def _rewind(self) -> None:
+        """Set the generator to the block's start plus the draws its reads took: drawn again, the state they leave."""
+        self.rng.bit_generator.state = self.start
+        _uint32_draws(self.rng, self.used)
+        self.k = None

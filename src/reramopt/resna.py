@@ -5,8 +5,11 @@ precision. Every forward pass quantizes the master weights, deploys them
 on crossbar tiles with fresh programming noise, and computes activations
 through the noisy analog pipeline; gradients flow back to the master copy
 with a straight-through estimator. A training deployment is read by one
-batch only, so it is never programmed: ``mvm`` reads the unprogrammed
-layer and draws each cell's programming and read noise as one Gaussian.
+batch only, so it is never programmed: it is the layer's weight codes,
+and ``mvm`` reads the unprogrammed layer and draws each cell's
+programming and read noise as one Gaussian. The layers' ``CellNoise``s
+draw those reads for blocks of batches at once
+(``CellNoise.block_reads``), with the bytes of batch by batch draws.
 Inference deployments serve many batches and copies, so ``infer``
 programs them and every read adds its own read noise. Hidden layers run
 at the candidate design's operating point, the classification layer at a
@@ -37,6 +40,7 @@ from .design_space import ReramDesign
 from .noise import CellNoise, NoiseSpec
 
 _EVAL_BATCH = 250  # test rows read per inference batch
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 class TrainingDivergedError(RuntimeError):
@@ -224,15 +228,31 @@ def _load_csv_dataset(spec: MlpSpec) -> Dataset:
 def _quantize_unsigned(values: np.ndarray, bits: int) -> tuple[np.ndarray, float]:
     """Activation quantizer: non-negative uint8 codes over the full DAC range, and their scale."""
     values = np.asarray(values, dtype=float)
-    vmax = float(values.max(initial=0.0))
-    if not (math.isfinite(vmax) and math.isfinite(values.min(initial=0.0))):
+    vmax = float(np.maximum.reduce(values, axis=None, initial=0.0))
+    vmin = float(np.minimum.reduce(values, axis=None, initial=0.0))
+    if not (math.isfinite(vmax) and math.isfinite(vmin)):
         raise ValueError("cannot quantize non-finite activations")
     qmax = (1 << bits) - 1
     scale = vmax / qmax if vmax > 0.0 else 1.0
     codes = values / scale
     np.rint(codes, out=codes)
-    codes.clip(0, qmax, out=codes)
+    if vmin < 0.0 or scale < _TINY:
+        # Values in [0, vmax] round into [0, qmax] unless a subnormal scale rounds coarsely.
+        codes.clip(0, qmax, out=codes)
     return codes.astype(np.uint8), scale
+
+
+def _keep_freed_heap() -> None:
+    """Keep the heap that a training batch or an inference run frees mapped, so that the next one does not fault it in again.
+
+    glibc returns free heap to the OS once more of it than the trim
+    threshold is free, and the threshold is twice the largest block it has
+    unmapped so far. So an inference run, whose temporaries at res_cell 1
+    reach a few megabytes, faulted its pages in anew every run. Freeing one
+    untouched 4 MB block raises the threshold to 8 MB for the process; it
+    touches no page, and other allocators ignore it.
+    """
+    np.empty(1 << 19)
 
 
 def _layer_noise(spec: MlpSpec, design: ReramDesign, noise: NoiseSpec) -> list[CellNoise]:
@@ -272,9 +292,9 @@ def _forward(
 def _softmax_ce(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy of the labels and its gradient in the logits."""
     rows = np.arange(len(labels))
-    logp = logits - logits.max(axis=1, keepdims=True)
-    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
-    loss = -logp[rows, labels].mean()
+    logp = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    logp -= np.log(np.add.reduce(np.exp(logp), axis=1, keepdims=True))
+    loss = -(np.add.reduce(logp[rows, labels]) / len(labels))  # the mean, without its wrapper
     grad = np.exp(logp, out=logp)
     grad[rows, labels] -= 1.0
     grad /= len(labels)
@@ -295,38 +315,42 @@ def train(
     copy and reads that deployment once, so each cell's programming and
     read noise are drawn together as one Gaussian at its target (see
     ``crossbar.mvm``) by the layer's one ``CellNoise``, whose tables and
-    buffers serve every batch; no layer is programmed. Gradients are
-    straight-through: the noisy activations are used, the analog pipeline
-    is treated as the identity linear map of the master weights.
+    buffers serve every batch and which draws an epoch's reads in blocks
+    of batches; no layer is programmed. Gradients are straight-through:
+    the noisy activations are used, the analog pipeline is treated as the
+    identity linear map of the master weights.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if dataset.x_train.shape[1] != spec.widths[0]:
         raise ValueError("dataset feature width does not match the input layer")
 
+    _keep_freed_heap()
     cells = _layer_noise(spec, design, noise)
     state = _init_state(spec, rng)
     grad = np.empty_like(state.params)
     grad_views = _layer_views(grad, spec)
 
-    n = len(dataset.x_train)
+    n, size = len(dataset.x_train), spec.batch_size
+    reads = CellNoise.block_reads(cells, [w.shape for w in state.weights], rng)
     for epoch in range(epochs):
         order = rng.permutation(n)
+        x_epoch, y_epoch = dataset.x_train[order], dataset.y_train[order]  # each batch a view
         epoch_loss = 0.0
-        for start in range(0, n, spec.batch_size):
-            idx = order[start : start + spec.batch_size]
-            xb, yb = dataset.x_train[idx], dataset.y_train[idx]
-            deployed = _deploy(state.weights, cells, 1)
-            logits, acts = _forward(deployed, state.biases, xb, rng)
-            loss, dz = _softmax_ce(logits[0], yb)
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(epoch)
-            epoch_loss += loss * len(idx)
-            _sgd_step(state, acts, dz, grad, grad_views)
-            # The quantizers reject non-finite weights: an overflowing step
-            # diverges here rather than failing the next deployment.
-            if not np.isfinite(state.params).all():
-                raise TrainingDivergedError(epoch)
+        with reads.epoch(-(-n // size)):
+            for start in range(0, n, size):
+                xb, yb = x_epoch[start : start + size], y_epoch[start : start + size]
+                deployed = _deploy(state.weights, cells, 1)
+                logits, acts = _forward(deployed, state.biases, xb, rng)
+                loss, dz = _softmax_ce(logits[0], yb)
+                if not math.isfinite(loss):
+                    raise TrainingDivergedError(epoch)
+                epoch_loss += loss * len(yb)
+                _sgd_step(state, acts, dz, grad, grad_views)
+                # The quantizers reject non-finite weights: an overflowing step
+                # diverges here rather than failing the next deployment.
+                if not np.isfinite(state.params).all():
+                    raise TrainingDivergedError(epoch)
         state.losses.append(epoch_loss / n)
     return state
 
@@ -351,7 +375,7 @@ def _sgd_step(state: TrainState, acts, dz, grad: np.ndarray, grad_views):
     spec, (grad_w, grad_b) = state.spec, grad_views
     for l in range(spec.n_layers - 1, -1, -1):
         np.matmul(acts[l].T, dz, out=grad_w[l])
-        dz.sum(axis=0, out=grad_b[l])
+        np.add.reduce(dz, axis=0, out=grad_b[l])
         if l > 0:
             dz = dz @ state.weights[l].T
             dz *= acts[l] > 0.0
@@ -397,6 +421,7 @@ def infer(
     Each of the classifier's ``spec.vote_copies`` copies produces logits
     and the majority prediction wins.
     """
+    _keep_freed_heap()
     spec = state.spec
     layers = _deploy(state.weights, _layer_noise(spec, design, noise), spec.vote_copies)
     accs = []

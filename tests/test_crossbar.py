@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from reramopt.crossbar import map_weights, mvm, program, quantize
-from reramopt.design_space import ReramDesign
-from reramopt.noise import CellNoise, NoiseSpec, rtn_amplitude, shot_sigma, thermal_sigma
+from reramopt.design_space import RES_CELL_LEVELS, ReramDesign
+from reramopt.noise import CellNoise, NoiseSpec, rtn_amplitude, shot_sigma, standard_normal, thermal_sigma
 
 NOISE = NoiseSpec()
 QUIET = NoiseSpec.disabled()
@@ -60,6 +60,27 @@ def fixed_point_oracle(w_codes, in_codes, d: ReramDesign):
     return out
 
 
+def code_cells(w_codes, d: ReramDesign):
+    """Plain-loop reference for the cells of weight codes: their targets, (rows, 1, 2, n_slices, cols).
+
+    |code| sits on the side of its sign, split big-endian into res_cell-bit
+    digits; digit d is g_min + d*step, and the other side holds g_min.
+    """
+    rows, cols = w_codes.shape
+    n_slices = math.ceil(d.bit_quan / d.res_cell)
+    g_min, g_max = 1.0 / d.r_off, 1.0 / d.r_on
+    step = (g_max - g_min) / (2**d.res_cell - 1)
+    mask = 2**d.res_cell - 1
+    out = np.full((rows, 1, 2, n_slices, cols), g_min)
+    for i in range(rows):
+        for o in range(cols):
+            code = int(w_codes[i, o])
+            for s in range(n_slices):
+                digit = (abs(code) >> (d.res_cell * (n_slices - 1 - s))) & mask
+                out[i, 0, 0 if code > 0 else 1, s, o] = g_min + digit * step
+    return out
+
+
 class TestQuantize:
     def test_symmetric_endpoints(self):
         codes, _ = quantize(np.array([[-1.0, 0.0, 1.0]]), 8)
@@ -97,17 +118,43 @@ class TestMapWeights:
     def test_zero_code_sits_at_g_min_both_sides(self):
         d = design(res_cell=4)
         layer = map_weights(np.zeros((2, 2), dtype=np.int64), 1.0, CellNoise(d, NOISE))
-        np.testing.assert_allclose(d.levels.take(layer.digits)[:, 0], d.g_min)
-        np.testing.assert_allclose(d.levels.take(layer.digits)[:, 1], d.g_min)
+        targets = layer.noise.targets(layer.codes)
+        np.testing.assert_array_equal(targets, code_cells(layer.codes, d))
+        np.testing.assert_array_equal(targets, d.g_min)
 
     def test_targets_on_level_grid(self):
         d = design(res_cell=3)
         rng = np.random.default_rng(0)
         layer = map_weights(*quantize(rng.standard_normal((8, 8)), 8), CellNoise(d, NOISE))
+        targets = layer.noise.targets(layer.codes)
+        np.testing.assert_array_equal(targets, code_cells(layer.codes, d))
         step = (d.g_max - d.g_min) / (2**3 - 1)
-        lv = (d.levels.take(layer.digits)[:, 0] - d.g_min) / step
+        lv = (targets[:, 0, 0] - d.g_min) / step
         np.testing.assert_allclose(lv, np.rint(lv), atol=1e-9)
         assert lv.max() <= 2**3 - 1
+
+    # res_cell 8 needs bit_quan 8: a cell cannot hold more bits than a weight has.
+    @pytest.mark.parametrize("res_cell,bit_quan", [(r, b) for b in (8, 4) for r in RES_CELL_LEVELS if r <= b])
+    def test_every_code_holds_its_digits_with_their_read_std_and_rtn_jump(self, res_cell, bit_quan):
+        # Every code the layer accepts, once each: every plane's cell is its digit's level on
+        # the side of the code's sign and g_min on the other, read with that level's std and jump.
+        d = design(res_cell=res_cell, bit_quan=bit_quan)
+        widest = (1 << bit_quan) - 1
+        codes = np.arange(-widest, widest + 1).reshape(1, -1)
+        want = code_cells(codes, d)
+        layer = map_weights(codes, 1.0, CellNoise(d, NOISE))
+        np.testing.assert_array_equal(layer.noise.targets(layer.codes), want)
+        np.testing.assert_array_equal(program(map_weights(codes, 1.0, CellNoise(d, QUIET))).noisy, want)
+        # RTN alone with every trap occupied: the target plus its level's jump.
+        jump_only = NoiseSpec(thermal=False, shot=False, prog=False, rtn_p_occupancy=1.0)
+        got = CellNoise(d, jump_only).fresh(codes, 1, np.random.default_rng(0))
+        np.testing.assert_array_equal(got, np.clip(want + rtn_amplitude(want, d, jump_only), 0.0, d.g_max))
+        # The Gaussian alone: the target plus its level's std, with the write error, times a normal.
+        gauss_only = NoiseSpec(rtn=False)
+        got = CellNoise(d, gauss_only).fresh(codes, 1, np.random.default_rng(1))
+        std = np.sqrt((thermal_sigma(1.0, d) ** 2 + shot_sigma(1.0, d) ** 2) * want + (d.sigma_prog * want) ** 2)
+        normals = standard_normal(np.random.default_rng(1), want.shape)
+        np.testing.assert_array_equal(got, np.clip(want + normals * std, 0.0, d.g_max))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -127,7 +174,8 @@ class TestMapWeights:
     def test_tiling_shape(self):
         # 2 row blocks x 2 col blocks of 64 share one whole-layer array.
         layer = map_weights(*quantize(np.ones((100, 70)), 8), CellNoise(design(xbar=64), NOISE))
-        assert layer.digits.shape == (100, 2, 4, 70)  # rows, sides, slices, cols
+        assert layer.codes.shape == (100, 70)
+        assert layer.noise.targets(layer.codes).shape == (100, 1, 2, 4, 70)  # rows, copy, sides, slices, cols
         programmed = program(layer, np.random.default_rng(0))
         assert programmed.noisy.shape == (100, 1, 2, 4, 70)  # rows, copies, ...
 
@@ -137,11 +185,11 @@ class TestProgram:
         d = design(sigma_prog=0.0)
         for rng in (np.random.default_rng(0), None):  # a write that draws nothing needs no generator
             layer = program(map_weights(*quantize(np.eye(3), 8), CellNoise(d, NOISE)), rng)
-            np.testing.assert_array_equal(layer.noisy[:, 0, 0], layer.design.levels.take(layer.digits)[:, 0])
+            np.testing.assert_array_equal(layer.noisy, code_cells(layer.codes, d))
 
     def test_prog_disabled_exact(self):
         layer = program(map_weights(*quantize(np.eye(3), 8), CellNoise(design(), QUIET)))
-        np.testing.assert_array_equal(layer.noisy[:, 0, 0], layer.design.levels.take(layer.digits)[:, 0])
+        np.testing.assert_array_equal(layer.noisy, code_cells(layer.codes, layer.design))
 
     def test_per_cell_std_matches_sigma_prog(self):
         # 1e5 independent programmings of one target cell via duplicate copies.
@@ -153,7 +201,7 @@ class TestProgram:
             layer = program(base, rng)
             samples.append(layer.noisy[0, :, 0, 0, 0])
         samples = np.concatenate(samples)
-        target = d.levels.take(base.digits)[0, 0, 0, 0]
+        target = code_cells(base.codes, d)[0, 0, 0, 0, 0]
         assert np.std(samples) == pytest.approx(d.sigma_prog * target, rel=0.02)
 
     def test_duplicate_copies_uncorrelated(self):

@@ -347,9 +347,23 @@ def formula_occupancy(spec, rng, shape):
     return rng.random(shape) < spec.rtn_p_occupancy
 
 
-def fresh_targets(digits, design):
-    """The targets of cells holding ``digits``, as the crossbar's level convention spells them."""
-    return design.g_min + digits * design.g_step
+def code_targets(codes, design):
+    """The targets of the cells of weight codes (rows, cols), (rows, 1, 2, n_slices, cols), as the crossbar spells them.
+
+    |code| sits on the side of its sign, split big-endian into res_cell-bit
+    digits, and digit d is g_min + d*g_step; the other side holds g_min.
+    """
+    n_slices = math.ceil(design.bit_quan / design.res_cell)
+    shifts = design.res_cell * np.arange(n_slices - 1, -1, -1)
+    digits = (np.abs(codes)[:, None, :] >> shifts[:, None]) & ((1 << design.res_cell) - 1)  # (rows, S, cols)
+    sides = np.stack([np.where(codes[:, None, :] > 0, digits, 0), np.where(codes[:, None, :] < 0, digits, 0)], axis=1)
+    return (design.g_min + sides * design.g_step)[:, None]
+
+
+def spread_codes(n, design):
+    """n weight codes spread over every code that ``crossbar.map_weights`` accepts, -(2**bit_quan - 1) up, as (1, n)."""
+    widest = (1 << design.bit_quan) - 1
+    return (np.arange(n) * 37 % (2 * widest + 1) - widest).reshape(1, -1)
 
 
 class TestFreshRead:
@@ -375,11 +389,12 @@ class TestFreshRead:
         design = dataclasses.replace(D, res_cell=res_cell, **design_kw)
         spec = NoiseSpec(**spec_kw)
         noise = CellNoise(design, spec)
-        # Every digit, in an odd and in an even number of cells (an even number of 32-bit draws
-        # at 64). The second read reuses the first one's buffers, and the third starts with a
-        # spare 32-bit half in the generator.
+        # A fresh read takes weight codes spread over the whole code range, so every digit of
+        # every slice; programmed cells come in an odd and in an even number (an even number of
+        # 32-bit draws at 64). The second read reuses the first one's buffers, and the third
+        # starts with a spare 32-bit half in the generator.
         n = cells_per_digit * (1 << res_cell) + (cells_per_digit % 2)
-        digits = (np.arange(n) % (1 << res_cell)).astype(np.uint8).reshape(1, -1)
+        codes = spread_codes(n, design)
         # Programmed cells hold continuous conductances from 0 to g_max and read without the write error.
         stored = np.linspace(0.0, design.g_max, n).reshape(1, -1)
         rng, oracle_rng = np.random.default_rng(res_cell), np.random.default_rng(res_cell)
@@ -390,14 +405,14 @@ class TestFreshRead:
                 got = noise.read(stored, rng)
                 want = formula_fresh_read(stored, design, dataclasses.replace(spec, prog=False), oracle_rng)
             else:
-                got = noise.fresh(digits, rng)
-                want = formula_fresh_read(fresh_targets(digits, design), design, spec, oracle_rng)
+                got = noise.fresh(codes, 1, rng)
+                want = formula_fresh_read(code_targets(codes, design), design, spec, oracle_rng)
             np.testing.assert_array_equal(got, want)
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     def test_noisy_read_requires_rng(self):
         with pytest.raises(ValueError, match="requires a generator"):
-            CellNoise(D, NoiseSpec(thermal=False, shot=False, rtn=False)).fresh(np.zeros(2, np.uint8), None)
+            CellNoise(D, NoiseSpec(thermal=False, shot=False, rtn=False)).fresh(np.zeros((1, 2), np.intp), 1, None)
         with pytest.raises(ValueError, match="requires a generator"):
             CellNoise(D, NoiseSpec(thermal=False, shot=False)).read(np.full(2, G_REF), None)
 
@@ -455,12 +470,12 @@ class TestPerDesignConstants:
     )
     def test_replaced_design_reads_with_its_own_constants(self, change):
         spec = NoiseSpec()
-        digits = np.arange(4, dtype=np.uint8)
-        CellNoise(D, spec).fresh(digits, np.random.default_rng(0))  # fills D's constants
+        codes = np.arange(-3, 4).reshape(1, -1)
+        CellNoise(D, spec).fresh(codes, 1, np.random.default_rng(0))  # fills D's constants
         other = dataclasses.replace(D, **change)
         for design in (D, other):
-            got = CellNoise(design, spec).fresh(digits, np.random.default_rng(9))
-            want = formula_fresh_read(fresh_targets(digits, design), design, spec, np.random.default_rng(9))
+            got = CellNoise(design, spec).fresh(codes, 1, np.random.default_rng(9))
+            want = formula_fresh_read(code_targets(codes, design), design, spec, np.random.default_rng(9))
             np.testing.assert_array_equal(got, want)
 
     def test_equal_designs_get_equal_read_variances(self):

@@ -1,13 +1,16 @@
+import contextlib
 import hashlib
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from reramopt import resna
+from reramopt import noise, resna
 from reramopt.design_space import ReramDesign
-from reramopt.noise import NoiseSpec, shot_sigma, thermal_sigma
+from reramopt.noise import CellNoise, NoiseSpec, shot_sigma, thermal_sigma
 from reramopt.resna import (
+    Dataset,
     MlpSpec,
     TrainingDivergedError,
     _quantize_unsigned,
@@ -186,3 +189,102 @@ def test_training_and_inference_bytes_are_pinned(res_cell, xbar):
     accs = infer(state, design, data, runs=2, rng=rng, noise=NOISE)
     trained = _digest(state.weights + state.biases + [state.losses])
     assert (trained, _digest([accs])) == TRAIN_INFER_PINS[res_cell, xbar]
+
+
+class _ReadByRead:
+    """A stand-in for ``CellNoise.block_reads`` under which every training read draws alone, batch by batch."""
+
+    def __init__(self, layers, shapes, rng):
+        pass
+
+    def epoch(self, batches):
+        return contextlib.nullcontext()
+
+
+def _train_and_infer(spec, design, data, spec_noise, rng, monkeypatch, by_read):
+    """Train 3 epochs and infer 2 runs on one generator; count each layer's training reads of an all-zero input."""
+    zero_inputs = [0] * spec.n_layers
+    real_mvm = resna.mvm
+
+    def counting_mvm(layer, inputs, rng=None):
+        if not layer.programmed and not inputs.any():
+            zero_inputs[spec.widths.index(layer.rows)] += 1
+        return real_mvm(layer, inputs, rng)
+
+    with monkeypatch.context() as m:
+        m.setattr(resna, "mvm", counting_mvm)
+        if by_read:
+            m.setattr(CellNoise, "block_reads", _ReadByRead)
+        state = train(spec, design, data, 3, rng, noise=spec_noise)
+        accs = infer(state, design, data, runs=2, rng=rng, noise=spec_noise)
+    return state, accs, repr(rng.bit_generator.state), zero_inputs
+
+
+def _with_zero_rows(data, every):
+    """The data set with every ``every``-th training row set to zeros, so a batch of them reads nothing."""
+    x = data.x_train.copy()
+    x[::every] = 0.0
+    return Dataset(x, data.y_train, data.x_test, data.y_test)
+
+
+SMALL = MlpSpec(widths=(6, 1, 3), batch_size=2, n_train=27, n_test=20, lr=0.03, center_spread=1.0, data_seed=4)
+BLOCK_CASES = {
+    # Bench widths at res_cell 8: blocks of 13 of the 15 batches, so one ends inside each epoch.
+    "bench-shape": (MlpSpec(n_train=120, n_test=50, lr=0.03, center_spread=1.0), 8, NoiseSpec(), None, None),
+    # One hidden unit: its ReLU is often all zero, so the second layer skips reads mid-block,
+    # and zero rows make the first layer skip too. Blocks of 3 batches; at res_cell 8 each
+    # layer's read takes an odd number of 32-bit draws (12 + 1 and 6 + 1), at res_cell 2 the second (24 + 1).
+    "skips-res8": (SMALL, 8, NoiseSpec(), 128, 3),
+    "skips-res2": (SMALL, 2, NoiseSpec(), 256, 3),
+    "skips-no-rtn": (SMALL, 3, NoiseSpec(rtn=False), 256, 4),
+    "skips-rtn-only": (SMALL, 4, NoiseSpec(thermal=False, shot=False, prog=False), 96, 4),
+    # Occupancy drawn as uniforms: every read draws alone.
+    "rtn-p-0.37": (SMALL, 2, NoiseSpec(rtn_p_occupancy=0.37), 256, 3),
+}
+
+
+@pytest.mark.parametrize("generator", ["pcg64", "philox"])
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_block_reads_give_the_bytes_of_reads_batch_by_batch(case, generator, monkeypatch):
+    spec, res_cell, spec_noise, block_cells, zero_every = BLOCK_CASES[case]
+    if block_cells is not None:
+        monkeypatch.setattr(noise, "_BLOCK_CELLS", block_cells)
+    data = make_dataset(spec)
+    if zero_every is not None:
+        data = _with_zero_rows(data, zero_every)
+    design = ReramDesign(res_cell=res_cell, freq_hz=1e9, temperature_k=300.0, xbar_size=64)
+    bit_generator = {"pcg64": np.random.PCG64, "philox": np.random.Philox}[generator]
+    runs = []
+    for by_read in (False, True):
+        # A spare 32-bit half in the generator at the start, as a 32-bit draw leaves one.
+        rng = np.random.Generator(bit_generator(11))
+        rng.integers(0, 1 << 32, 1, dtype=np.uint32)
+        runs.append(_train_and_infer(spec, design, data, spec_noise, rng, monkeypatch, by_read))
+    (state, accs, final, zeros), (ref_state, ref_accs, ref_final, ref_zeros) = runs
+    np.testing.assert_array_equal(state.params, ref_state.params)
+    assert (state.losses, accs, final, zeros) == (ref_state.losses, ref_accs, ref_final, ref_zeros)
+    if zero_every is not None:
+        assert min(zeros) > 0, "both layers must skip reads for the case to test them"
+
+
+class _CountingPCG64(np.random.PCG64):
+    """PCG64 that counts its ``random_raw`` calls and the outputs they take."""
+
+    def random_raw(self, size=None, output=True):
+        self.calls += 1
+        self.outputs += 1 if size is None else size
+        return super().random_raw(size, output)
+
+
+def test_an_epoch_draws_its_reads_in_blocks():
+    # The bench's ReRAM shape at res_cell 8: 40 batches of 8 rows, 4,096 + 640 cells a batch.
+    spec = MlpSpec(n_train=320, n_test=250, lr=0.03, center_spread=1.0, data_seed=3)
+    design = ReramDesign(res_cell=8, freq_hz=1e9, temperature_k=300.0, xbar_size=64)
+    bg = _CountingPCG64(5)
+    bg.calls = bg.outputs = 0
+    train(spec, design, make_dataset(spec), 1, np.random.Generator(bg), noise=NoiseSpec())
+    cells = 2 * (64 * 32 + 32 * 10)
+    k = (1 << 16) // cells
+    words = cells + cells // 32  # the normals' draws and the RTN bits', both layers even
+    assert bg.calls <= math.ceil(40 / k)
+    assert bg.outputs == 40 * words // 2
