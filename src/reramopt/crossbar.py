@@ -29,11 +29,11 @@ reproduces them bit-for-bit):
   votes over the classifier's copies).
 * What a cell holds is its layer's ``noise.CellNoise``'s to decide:
   program() writes every cell of every copy through it in one draw per
-  layer, and the error persists until reprogramming; mvm reads the
-  programmed conductances, or an unprogrammed layer's codes as a fresh
+  layer, and the error persists until reprogramming; every mvm call reads
+  the programmed conductances, or an unprogrammed layer's codes as a fresh
   deployment that is read once (the way training redeploys on every
   batch), through it in one draw per layer and call, or from a block of
-  training batches' draws (see ``noise``).
+  training batches' draws (see ``noise``), whatever its inputs.
 
 A layer is immutable during reads; concurrent mvm calls need independent
 generators, and on unprogrammed layers their own ``CellNoise``s.
@@ -167,10 +167,10 @@ def mvm(
     ValueError (unsigned codes are not scanned). Every row is read through
     all ``dup`` copies; the result holds the integer outputs of each copy
     as (dup, B, cols). ``layer.noise`` draws the read noise once per cell
-    per call, independently per copy; ``rng`` may be None only when that
-    read draws nothing. A batch of all zeros reads nothing and draws
-    nothing. An unprogrammed layer is read as a fresh deployment that this
-    call alone sees (see the module docstring).
+    per call, independently per copy, and a batch of all zeros reads like
+    any other; ``rng`` may be None only when that read draws nothing. An
+    unprogrammed layer is read as a fresh deployment that this call alone
+    sees (see the module docstring).
 
     With noise off and res_adc=None every copy equals the exact integer
     matmul codes @ weight_codes.
@@ -185,10 +185,7 @@ def mvm(
 
     d = layer.design
     n_b = codes.shape[0]
-    top = np.maximum.reduce(codes, axis=None, initial=0)
-    if not top:
-        return np.zeros((layer.dup, n_b, layer.cols), np.int64)
-    if top > d.dac_levels:
+    if np.maximum.reduce(codes, axis=None, initial=0) > d.dac_levels:
         volts = np.minimum(codes, d.dac_levels, dtype=float)
         volts *= d.v_step
     else:

@@ -42,10 +42,9 @@ Training reads every batch's fresh deployment once, and nothing else
 draws between the reads of an epoch's batches. So ``CellNoise.block_reads``
 draws the reads of K batches at once and runs Box-Muller over each
 layer's K reads together, which gives every value the bytes of a read by
-read draw in a few NumPy calls. A read that does not happen (an all-zero
-input reads nothing) and the end of an epoch set the generator back to the
-draws the reads took, so the shuffles and the inference after training
-see the generator that read by read draws leave.
+read draw in a few NumPy calls. An epoch's last block ends with its last
+batch, so the shuffles and the inference after training see the generator
+that read by read draws leave.
 
 Every Gaussian comes from ``standard_normal``: float32 Box-Muller normals
 r*cos(2*pi*u2), r*sin(2*pi*u2) with r = sqrt(-2*log1p(-u1)), from the
@@ -358,10 +357,10 @@ class CellNoise:
             work = np.empty(3 * ((offset.size + 1) // 2), np.float32)
             self._work = (offset, np.empty(shape, np.intp), out, tmp, out.reshape(2, -1), tmp.reshape(-1), work)
         offset, idx, out, tmp, halves, flat, work = self._work
-        drawn = self._block.draws(self, rng) if self._block is not None else None
-        if drawn is None:
-            drawn = _read_draws(self.spec, rng, (idx.size,), std is not None, jump is not None, work)
-        normals, occupied = drawn
+        if self._block is not None:
+            normals, occupied = self._block.draws(self, rng)
+        else:
+            normals, occupied = _read_draws(self.spec, rng, (idx.size,), std is not None, jump is not None, work)
         np.copyto(idx, codes[:, None, None, None, :])
         idx += offset
         # Every index is in range, and "wrap" gathers fastest.
@@ -406,35 +405,27 @@ _BLOCK_CELLS = 1 << 16
 class _Blocks:
     """The fresh reads of a training run, drawn K batches at a time.
 
-    Every batch of an epoch reads the same cells of every layer in turn, and
-    nothing draws between those reads, so the 32-bit draws of K batches are
-    one contiguous draw. Box-Muller runs per layer over its K reads at once,
+    Every batch of an epoch reads every layer once, in turn, and nothing
+    draws between those reads, so the 32-bit draws of K batches are one
+    contiguous draw. Box-Muller runs per layer over its K reads at once,
     which gives every value the bytes of a read by read draw. K keeps a
-    block within ``_BLOCK_CELLS`` cells and the epoch's batches left.
-
-    A read that does not come in its turn (an all-zero input draws nothing)
-    ends the block: the generator is set back to the start of the block
-    plus the draws that the reads took, and so it is when an epoch ends, so
-    ``rng.permutation`` and every later draw see the generator that read by
-    read draws leave. Blocks need a PCG64 generator on a little-endian host,
-    RTN off or at p = 1/2, and at least two batches per block; otherwise,
-    and outside an epoch, every read draws alone.
+    block within ``_BLOCK_CELLS`` cells, or is 1, and within the epoch's
+    batches left, so the last block ends with the epoch. Inside an epoch a
+    read out of turn, through another generator or past the epoch's
+    batches raises ValueError, and so does an epoch that ends with a batch
+    unread. Blocks need RTN off or at p = 1/2; otherwise every read draws
+    alone, as every read outside an epoch does, and reads that draw nothing
+    need no blocks.
     """
 
     def __init__(self, layers: list[CellNoise], shapes: list[tuple[int, int]], rng: np.random.Generator):
-        self.layers, self.rng, self.k, self.left = layers, rng, None, 0
+        self.layers, self.rng = layers, rng
         self.cells = [2 * c.design.slices_per_weight * rows * cols for c, (rows, cols) in zip(layers, shapes)]
         tables = [c._tables for c in layers]
         self.words = [_read_words(n, std is not None, jump is not None) for n, (_, std, jump) in zip(self.cells, tables)]
         self.row = sum(map(sum, self.words))
-        self.size = _BLOCK_CELLS // sum(self.cells)
-        self.on = (
-            self.row > 0
-            and self.size > 1
-            and isinstance(rng.bit_generator, np.random.PCG64)
-            and np.little_endian
-            and all(not c.spec.rtn or c.spec.rtn_p_occupancy == 0.5 for c in layers)
-        )
+        self.size = max(1, _BLOCK_CELLS // sum(self.cells))
+        self.on = self.row > 0 and all(not c.spec.rtn or c.spec.rtn_p_occupancy == 0.5 for c in layers)
         # Per layer, the K reads' radii, angles and cosines, each (K, m) and contiguous.
         self.polar = [np.empty((3, self.size, w // 2), np.float32) for w, _ in self.words] if self.on else []
 
@@ -444,36 +435,27 @@ class _Blocks:
         if not self.on:
             yield
             return
-        self.left = batches
+        self.left, self.k, self.drawn, self.next = batches, 0, 0, 0
         for c in self.layers:
             c._block = self
         try:
             yield
+            if self.left or self.k < self.drawn:
+                raise ValueError("an epoch ended with a batch unread")
         finally:
             for c in self.layers:
                 c._block = None
-            self.left = 0
-            if self.k is not None:
-                self._rewind()
 
-    def draws(self, layer: CellNoise, rng) -> tuple[np.ndarray | None, np.ndarray | None] | None:
-        """(normals as (2, m), occupancy) of ``layer``'s read through ``rng`` from a block, or None to draw it alone."""
-        if rng is not self.rng:
-            return None
-        i = self.layers.index(layer)
-        if self.k is not None and i != self.next:
-            # The batch in progress skipped a read; the block's later batches go back to the epoch.
-            self.left += self.drawn - self.k - 1
-            self._rewind()
-        if self.k is None:
-            if i or not self.left:
-                return None
+    def draws(self, layer: CellNoise, rng) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """(normals as (2, m), occupancy) of ``layer``'s read through ``rng``, from the block."""
+        if rng is not self.rng or layer is not self.layers[self.next] or self.k == self.drawn and not self.left:
+            raise ValueError("in an epoch each batch reads every layer once, in turn, through the epoch's generator")
+        if self.k == self.drawn:
             self._draw(min(self.size, self.left))
-        k, (words, rtn_words) = self.k, self.words[i]
-        self.used += words + rtn_words
+        i, k = self.next, self.k
         self.next = (i + 1) % len(self.layers)
-        if not self.next:
-            self.k = k + 1 if k + 1 < self.drawn else None
+        self.k += not self.next
+        words, rtn_words = self.words[i]
         return self.polar[i][:2, k] if words else None, self.bits[i][k].view(bool) if rtn_words else None
 
     def _draw(self, batches: int) -> None:
@@ -482,13 +464,13 @@ class _Blocks:
         Each draw becomes a uniform as in ``standard_normal``, and Box-Muller
         runs on each layer's (K, m) radii and angles.
         """
-        self.start = self.rng.bit_generator.state
         block = _uint32_draws(self.rng, batches * self.row).reshape(batches, self.row)
         self.bits, at = [], 0
         for n, polar, (words, rtn_words) in zip(self.cells, self.polar, self.words):
             normal, packed = block[:, at : at + words], block[:, at + words : at + words + rtn_words]
             at += words + rtn_words
-            self.bits.append(np.unpackbits(packed.view(np.uint8), axis=1, count=n) if rtn_words else None)
+            packed = packed.astype("<u4", copy=False).view(np.uint8)  # the little-endian bytes, as _read_draws reads them
+            self.bits.append(np.unpackbits(packed, axis=1, count=n) if rtn_words else None)
             if words:
                 normal >>= 8
                 r, theta, cos = polar[:, :batches]
@@ -496,10 +478,4 @@ class _Blocks:
                 np.multiply(normal[:, words // 2 :], _UNIFORM_STEP, out=theta, dtype=np.float32)
                 _box_muller(r, theta, cos)
         self.left -= batches
-        self.k, self.next, self.used, self.drawn = 0, 0, 0, batches
-
-    def _rewind(self) -> None:
-        """Set the generator to the block's start plus the draws its reads took: drawn again, the state they leave."""
-        self.rng.bit_generator.state = self.start
-        _uint32_draws(self.rng, self.used)
-        self.k = None
+        self.k, self.drawn = 0, batches

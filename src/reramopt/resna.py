@@ -7,8 +7,9 @@ through the noisy analog pipeline; gradients flow back to the master copy
 with a straight-through estimator. A training deployment is read by one
 batch only, so it is never programmed: it is the layer's weight codes,
 and ``mvm`` reads the unprogrammed layer and draws each cell's
-programming and read noise as one Gaussian. The layers' ``CellNoise``s
-draw those reads for blocks of batches at once
+programming and read noise as one Gaussian. Every batch reads every
+layer once, in turn, an all-zero activation too, so the layers'
+``CellNoise``s draw those reads for blocks of batches at once
 (``CellNoise.block_reads``), with the bytes of batch by batch draws.
 Inference deployments serve many batches and copies, so ``infer``
 programs them and every read adds its own read noise. Hidden layers run

@@ -320,16 +320,20 @@ class TestMvmIdealPath:
         with pytest.raises(ValueError, match="non-negative"):
             mvm(layer, np.array([[1, -1, 2]], dtype=dtype))
 
-    def test_all_zero_inputs_draw_nothing(self):
+    def test_all_zero_inputs_read_like_any_other(self):
         rng = np.random.default_rng(12)
         fresh = map_weights(*quantize(rng.standard_normal((40, 6)), 8), CellNoise(design(xbar=32), NOISE), dup=2)
         x = np.zeros((3, 40), dtype=np.uint8)
         for layer in (fresh, program(fresh, rng)):
-            state = rng.bit_generator.state
-            out = mvm(layer, x, rng)
+            zero_rng, other_rng = np.random.default_rng(5), np.random.default_rng(5)
+            out = mvm(layer, x, zero_rng)
             assert out.shape == (2, 3, 6) and not out.any()
-            assert rng.bit_generator.state == state
-            np.testing.assert_array_equal(mvm(layer, x), out)
+            mvm(layer, x + 1, other_rng)
+            # The zero input drew exactly the read of a non-zero one.
+            assert zero_rng.bit_generator.state == other_rng.bit_generator.state
+            assert zero_rng.bit_generator.state != np.random.default_rng(5).bit_generator.state
+            with pytest.raises(ValueError, match="requires a generator"):
+                mvm(layer, x)
 
 
 class TestMvmFixedPointOracle:

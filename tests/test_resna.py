@@ -202,26 +202,36 @@ class _ReadByRead:
 
 
 def _train_and_infer(spec, design, data, spec_noise, rng, monkeypatch, by_read):
-    """Train 3 epochs and infer 2 runs on one generator; count each layer's training reads of an all-zero input."""
-    zero_inputs = [0] * spec.n_layers
-    real_mvm = resna.mvm
+    """Train 3 epochs and infer 2 runs on one generator.
+
+    Also counts each layer's training reads of an all-zero input and the
+    ``noise._uint32_draws`` calls of the training.
+    """
+    zero_inputs, draw_calls = [0] * spec.n_layers, [0]
+    real_mvm, real_draws = resna.mvm, noise._uint32_draws
 
     def counting_mvm(layer, inputs, rng=None):
         if not layer.programmed and not inputs.any():
             zero_inputs[spec.widths.index(layer.rows)] += 1
         return real_mvm(layer, inputs, rng)
 
+    def counting_draws(rng, k):
+        draw_calls[0] += 1
+        return real_draws(rng, k)
+
     with monkeypatch.context() as m:
         m.setattr(resna, "mvm", counting_mvm)
+        m.setattr(noise, "_uint32_draws", counting_draws)
         if by_read:
             m.setattr(CellNoise, "block_reads", _ReadByRead)
         state = train(spec, design, data, 3, rng, noise=spec_noise)
+        calls = draw_calls[0]
         accs = infer(state, design, data, runs=2, rng=rng, noise=spec_noise)
-    return state, accs, repr(rng.bit_generator.state), zero_inputs
+    return state, accs, repr(rng.bit_generator.state), zero_inputs, calls
 
 
 def _with_zero_rows(data, every):
-    """The data set with every ``every``-th training row set to zeros, so a batch of them reads nothing."""
+    """The data set with every ``every``-th training row set to zeros, so a batch of them gives the first layer an all-zero input."""
     x = data.x_train.copy()
     x[::every] = 0.0
     return Dataset(x, data.y_train, data.x_test, data.y_test)
@@ -231,9 +241,10 @@ SMALL = MlpSpec(widths=(6, 1, 3), batch_size=2, n_train=27, n_test=20, lr=0.03, 
 BLOCK_CASES = {
     # Bench widths at res_cell 8: blocks of 13 of the 15 batches, so one ends inside each epoch.
     "bench-shape": (MlpSpec(n_train=120, n_test=50, lr=0.03, center_spread=1.0), 8, NoiseSpec(), None, None),
-    # One hidden unit: its ReLU is often all zero, so the second layer skips reads mid-block,
-    # and zero rows make the first layer skip too. Blocks of 3 batches; at res_cell 8 each
-    # layer's read takes an odd number of 32-bit draws (12 + 1 and 6 + 1), at res_cell 2 the second (24 + 1).
+    # One hidden unit: its ReLU is often all zero, and zero rows give the first layer all-zero
+    # inputs too. Those read like any other input, and the oracle checks that blocks and read
+    # by read draws agree on them. Blocks of 2 to 7 batches; at res_cell 8 each layer's read
+    # takes an odd number of 32-bit draws (12 + 1 and 6 + 1), at res_cell 2 the second (24 + 1).
     "skips-res8": (SMALL, 8, NoiseSpec(), 128, 3),
     "skips-res2": (SMALL, 2, NoiseSpec(), 256, 3),
     "skips-no-rtn": (SMALL, 3, NoiseSpec(rtn=False), 256, 4),
@@ -260,11 +271,17 @@ def test_block_reads_give_the_bytes_of_reads_batch_by_batch(case, generator, mon
         rng = np.random.Generator(bit_generator(11))
         rng.integers(0, 1 << 32, 1, dtype=np.uint32)
         runs.append(_train_and_infer(spec, design, data, spec_noise, rng, monkeypatch, by_read))
-    (state, accs, final, zeros), (ref_state, ref_accs, ref_final, ref_zeros) = runs
+    (state, accs, final, zeros, calls), (ref_state, ref_accs, ref_final, ref_zeros, ref_calls) = runs
     np.testing.assert_array_equal(state.params, ref_state.params)
     assert (state.losses, accs, final, zeros) == (ref_state.losses, ref_accs, ref_final, ref_zeros)
     if zero_every is not None:
-        assert min(zeros) > 0, "both layers must skip reads for the case to test them"
+        assert min(zeros) > 0, "both layers must read all-zero inputs for the case to test them"
+    # Any generator draws in blocks: one draw per block of K batches, against one per read.
+    batches = math.ceil(spec.n_train / spec.batch_size)
+    reads = 3 * batches * spec.n_layers
+    cells = 2 * design.slices_per_weight * sum(i * o for i, o in zip(spec.widths, spec.widths[1:]))
+    blocks = 3 * math.ceil(batches / (noise._BLOCK_CELLS // cells)) if spec_noise.rtn_p_occupancy == 0.5 else reads
+    assert (calls, ref_calls) == (blocks, reads)
 
 
 class _CountingPCG64(np.random.PCG64):
@@ -276,15 +293,43 @@ class _CountingPCG64(np.random.PCG64):
         return super().random_raw(size, output)
 
 
-def test_an_epoch_draws_its_reads_in_blocks():
-    # The bench's ReRAM shape at res_cell 8: 40 batches of 8 rows, 4,096 + 640 cells a batch.
+@pytest.mark.parametrize("res_cell", [8, 1])
+def test_an_epoch_draws_its_reads_in_blocks(res_cell):
+    # The bench's ReRAM shape: 40 batches of 8 rows, 4,736 cells a batch per slice. Blocks of
+    # 13 batches at res_cell 8, and at res_cell 1 (8 slices) of one batch, one draw for both layers.
     spec = MlpSpec(n_train=320, n_test=250, lr=0.03, center_spread=1.0, data_seed=3)
-    design = ReramDesign(res_cell=8, freq_hz=1e9, temperature_k=300.0, xbar_size=64)
+    design = ReramDesign(res_cell=res_cell, freq_hz=1e9, temperature_k=300.0, xbar_size=64)
     bg = _CountingPCG64(5)
     bg.calls = bg.outputs = 0
     train(spec, design, make_dataset(spec), 1, np.random.Generator(bg), noise=NoiseSpec())
-    cells = 2 * (64 * 32 + 32 * 10)
-    k = (1 << 16) // cells
+    cells = 2 * design.slices_per_weight * (64 * 32 + 32 * 10)
+    k = max(1, (1 << 16) // cells)
     words = cells + cells // 32  # the normals' draws and the RTN bits', both layers even
-    assert bg.calls <= math.ceil(40 / k)
+    assert bg.calls == math.ceil(40 / k) == {8: 4, 1: 40}[res_cell]
     assert bg.outputs == 40 * words // 2
+
+
+def test_an_epoch_refuses_reads_out_of_turn():
+    design = ReramDesign(res_cell=2, freq_hz=1e9, temperature_k=300.0, xbar_size=64)
+    cells = [CellNoise(design, NOISE), CellNoise(design, NOISE)]
+    codes = [np.ones((4, 3), np.intp), np.ones((3, 2), np.intp)]
+    rng = np.random.default_rng(0)
+    reads = CellNoise.block_reads(cells, [c.shape for c in codes], rng)
+
+    def batch():
+        for c, x in zip(cells, codes):
+            c.fresh(x, 1, rng)
+
+    with pytest.raises(ValueError, match="in turn"), reads.epoch(2):
+        cells[1].fresh(codes[1], 1, rng)
+    with pytest.raises(ValueError, match="in turn"), reads.epoch(2):
+        cells[0].fresh(codes[0], 1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="in turn"), reads.epoch(1):
+        batch()
+        batch()
+    with pytest.raises(ValueError, match="unread"), reads.epoch(2):
+        batch()
+    with reads.epoch(2):
+        batch()
+        batch()
+    cells[1].fresh(codes[1], 1, np.random.default_rng(0))  # outside an epoch any read draws alone
